@@ -12,6 +12,7 @@ formulas, product laws, rank bounds and identities.
 
 from .blockform import BlockForm, conjugate_j, conjugate_x, from_block, nu_sign, to_block
 from .construct import (
+    constructor_basis,
     extract_most_perfect_vectors,
     make_alternating_pairs,
     make_array_sum,
@@ -67,7 +68,6 @@ from .verify import (
     GradingCheckResult,
     RankBoundResult,
     build_constraints,
-    constructor_basis,
     dimension_probe,
     dual_path_agreement,
     grading_check,

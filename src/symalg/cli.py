@@ -18,19 +18,8 @@ from . import io as mio
 from .blockform import to_block
 from .construct import (
     CONSTRUCTIBLE,
-    make_alternating_pairs,
-    make_array_sum,
-    make_associated,
-    make_balanced,
-    make_most_perfect,
     make_most_perfect_block,
-    make_pandiagonal,
-    make_quartered,
-    make_quartered_semimagic,
-    make_reverse,
-    make_reversible,
-    make_semimagic,
-    make_vertex_cross,
+    member_from_params,
     random_member,
 )
 from .decompose import split
@@ -42,7 +31,7 @@ from .errors import (
     VerificationError,
 )
 from .predicates import classify
-from .verify import build_constraints, dimension_probe, run_suite
+from .verify import dimension_probe, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -60,6 +49,16 @@ def _default_seed(value) -> int:
         except ValueError as exc:
             raise ParseError(f"SYMALG_SEED must be an integer, got {env!r}") from exc
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _print_matrix(m, fmt: str) -> None:
@@ -102,79 +101,20 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _value(x):
+def _param_value(x):
+    # JSON parameter value: strings are exact scalar literals, lists nest.
     if isinstance(x, str):
         return mio.scalar_from_string(x)
-    if isinstance(x, (int, list)):
+    if isinstance(x, list):
+        return [_param_value(v) for v in x]
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     raise ParseError(f"cannot interpret parameter value {x!r}")
 
 
-def _coerce_params(raw: dict) -> dict:
-    out = {}
-    for key, val in raw.items():
-        if isinstance(val, str):
-            out[key] = mio.scalar_from_string(val)
-        elif isinstance(val, list) and val and isinstance(val[0], list):
-            out[key] = [[_value(x) for x in row] for row in val]
-        elif isinstance(val, list):
-            out[key] = [_value(x) for x in val]
-        else:
-            out[key] = val
-    return out
-
-
-def _construct_from_params(kind: str, n: int, params: dict):
-    p = _coerce_params(params)
-    if kind == "a":
-        return make_associated(p.get("phi"), p.get("psi"), n)
-    if kind == "b":
-        return make_balanced(p.get("upsilon"), p.get("omega"), n)
-    if kind == "s":
-        return make_semimagic(
-            n, Y=p.get("Y"), V=p.get("V"), W=p.get("W"), Z=p.get("Z"), w=p.get("w")
-        )
-    if kind == "v":
-        return make_vertex_cross(
-            n,
-            Y=p.get("Y"),
-            a=p.get("a"),
-            b=p.get("b"),
-            v=p.get("v"),
-            x=p.get("x"),
-            y=p.get("y"),
-            z=p.get("z"),
-        )
-    if kind == "n":
-        return make_alternating_pairs(
-            n, Y=p.get("Y"), V=p.get("V"), W=p.get("W"), Z=p.get("Z"), lam=p.get("lam")
-        )
-    if kind == "m":
-        return make_array_sum(
-            n,
-            a=p.get("a"),
-            b=p.get("b"),
-            Z=p.get("Z"),
-            v=p.get("v"),
-            x=p.get("x"),
-            y=p.get("y"),
-            z=p.get("z"),
-        )
-    if kind == "r":
-        return make_reverse(n, gamma=p.get("gamma"), x=p.get("x"), z=p.get("z"), Z=p.get("Z"))
-    if kind == "p":
-        return make_pandiagonal(p["A"], p.get("B"))
-    if kind == "q":
-        return make_quartered(p["A"], p.get("B"))
-    if kind == "mps":
-        if "gamma" in p or "delta" in p:
-            return make_most_perfect(p.get("gamma"), p.get("delta"), n)
-        return make_most_perfect_block(p.get("a"), p.get("b"), p.get("Z"), n)
-    if kind == "nqs":
-        return make_quartered_semimagic(p.get("Y"), p.get("Z"), p.get("V"), p.get("W"), n)
-    if kind == "rv":
-        return make_reversible(p.get("a"), p.get("b"), n, w=p.get("w"))
-    raise ParseError(f"unknown construction type {kind!r}")
+# make_most_perfect_block's parameters; every other form's come from the
+# constructor table.
+_MPS_BLOCK = ("a", "b", "Z")
 
 
 def cmd_construct(args) -> int:
@@ -188,12 +128,21 @@ def cmd_construct(args) -> int:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read parameter file: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ParseError("parameter file must hold a JSON object")
         if w is not None:
             raw.setdefault("w", args.w)
-        m = _construct_from_params(kind, args.n, raw)
+        p = {key: _param_value(val) for key, val in raw.items()}
+        if kind == "mps" and p.keys() & set(_MPS_BLOCK):
+            unknown = sorted(p.keys() - set(_MPS_BLOCK))
+            if unknown:
+                raise ParseError(
+                    f"unknown parameter {', '.join(map(repr, unknown))} for the mps block form"
+                )
+            m = make_most_perfect_block(*(p.get(k) for k in _MPS_BLOCK), args.n)
+        else:
+            m = member_from_params(kind, args.n, p)
     else:
-        if w is not None and kind not in ("s", "rv"):
-            raise ParseError(f"--w applies only to weighted types, not {kind!r}")
         rng = random.Random(_default_seed(args.seed))
         m = random_member(kind, args.n, rng, weight=w)
     if args.out:
@@ -245,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="emit a member of a symmetry space")
     p.add_argument("--type", required=True, metavar="{" + ",".join(CONSTRUCTIBLE) + "}")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--w", help="weight, as an exact scalar literal")
     p.add_argument("--params", help="JSON file with explicit construction parameters")
@@ -259,14 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("gradings", "dimensions", "ranks", "lemmas", "all"),
         default="all",
     )
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--n-max", type=_positive_int)
+    p.add_argument("--trials", type=_positive_int)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dim", help="dimension of a symmetry space")
     p.add_argument("--space", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(func=cmd_dim)
 
     return parser

@@ -6,10 +6,14 @@ Parameters are validated eagerly — the ν-parity sign conventions are easy
 to get wrong at call sites — and the failed constraint is named in the
 error.  Where a parameter must itself belong to a lower-dimensional
 symmetry space (Y ∈ S_ν and the like), membership is checked via the
-predicates, and `random_member` satisfies the recursion by constructing the
-parameter at size ν with fresh draws, grounding at n = 1 where the spaces
-are a free scalar (semimagic, alternating-pairs, balanced, reverse) or null
-(vertex-cross, array-sum, associated).
+predicates.
+
+One table (`_FORMS`) gives, for each kind and parity, the maker and its
+ordered (name, parameter space) list; `constructor_basis`, `random_member`
+and `member_from_params` are all derived from it.  Member parameters
+recurse to size ν, grounding at n = 1 where the spaces are a free scalar
+(semimagic, alternating-pairs, balanced, reverse) or null (vertex-cross,
+array-sum, associated).
 
 Random parameter draws use small rationals (numerators in [−9, 9]) so that
 failing cases stay readable; exactness makes the magnitude irrelevant.
@@ -21,7 +25,7 @@ import random
 from fractions import Fraction
 
 from .blockform import conjugate_x, nu_sign
-from .decompose import split_nm
+from .decompose import split_ba
 from .errors import DimensionError, PreconditionError
 from .matrix import (
     Matrix,
@@ -34,20 +38,21 @@ from .matrix import (
     zeros,
 )
 from .predicates import in_space
-from .scalar import SQRT2, ZERO, Scalar, as_scalar
+from .scalar import ONE, SQRT2, ZERO, Scalar, as_scalar
 
 # -- parameter coercion ------------------------------------------------------
 
 
-def _mat_param(p, nu: int, name: str) -> Matrix:
+def _mat_param(p, nu: int | None, name: str) -> Matrix:
+    # nu = None accepts any size: the parameter fixes the size itself.
     if p is None:
         return zeros(nu)
     if not isinstance(p, Matrix):
         try:
             p = Matrix.from_rows(p)
-        except DimensionError as exc:
+        except (DimensionError, TypeError) as exc:
             raise PreconditionError(f"{name}: {exc}") from exc
-    if p.n != nu:
+    if nu is not None and p.n != nu:
         raise PreconditionError(f"{name} must be {nu}×{nu}, got {p.n}×{p.n}")
     return p
 
@@ -56,20 +61,29 @@ def _vec_param(p, nu: int, name: str) -> Vector:
     if p is None:
         return zero_vector(nu)
     if not isinstance(p, Vector):
-        p = Vector(p)
+        try:
+            p = Vector(p)
+        except TypeError as exc:
+            raise PreconditionError(f"{name}: {exc}") from exc
     if p.n != nu:
         raise PreconditionError(f"{name} must have length {nu}, got {p.n}")
     return p
 
 
 def _scalar_param(p, default=ZERO) -> Scalar:
-    return default if p is None else as_scalar(p)
+    try:
+        return default if p is None else as_scalar(p)
+    except TypeError as exc:
+        raise PreconditionError(str(exc)) from exc
 
 
 def _grid_param(p, rows: int, cols: int, name: str) -> list:
     if p is None:
         return [[ZERO] * cols for _ in range(rows)]
-    grid = [[as_scalar(x) for x in row] for row in p]
+    try:
+        grid = [[as_scalar(x) for x in row] for row in p]
+    except TypeError as exc:
+        raise PreconditionError(f"{name}: {exc}") from exc
     if len(grid) != rows or any(len(r) != cols for r in grid):
         raise PreconditionError(f"{name} must be {rows}×{cols}")
     return grid
@@ -387,14 +401,14 @@ def make_reverse(n: int, gamma=None, x=None, z=None, Z=None) -> Matrix:
 
 def make_pandiagonal(A, B) -> Matrix:
     """Weight-0 strong-pandiagonal matrix [[A, B], [−B, −A]]."""
-    A = A if isinstance(A, Matrix) else Matrix.from_rows(A)
+    A = _mat_param(A, None, "A")
     B = _mat_param(B, A.n, "B")
     return _assemble_even(A, B, -B, -A)
 
 
 def make_quartered(A, B) -> Matrix:
     """Quartered matrix [[A, B], [B, A]]."""
-    A = A if isinstance(A, Matrix) else Matrix.from_rows(A)
+    A = _mat_param(A, None, "A")
     B = _mat_param(B, A.n, "B")
     return _assemble_even(A, B, B, A)
 
@@ -538,229 +552,121 @@ def make_reversible(a, b, n: int, w=None) -> Matrix:
     return conjugate_x(block)
 
 
-# -- random members ----------------------------------------------------------
-
-CONSTRUCTIBLE = ("a", "b", "s", "v", "n", "m", "r", "p", "q", "mps", "nqs", "rv")
-
-
-def _rand_frac(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.choice((1, 2)))
+# -- parameter spaces ----------------------------------------------------------
+#
+# Every constructor is linear in its parameters, so each parameter space is
+# given by a spanning set.  The constructor maps spanning elements onto a
+# spanning set of the symmetry space (`constructor_basis`) and a random
+# combination of them onto a random member (`random_member`).
 
 
 def _rand_scalar(rng: random.Random) -> Scalar:
-    return Scalar(_rand_frac(rng))
+    return Scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2))))
 
 
-def _rand_vector(nu: int, rng: random.Random) -> Vector:
-    return Vector([_rand_scalar(rng) for _ in range(nu)])
+class _Entries:
+    """A parameter stored as `size(ν)` entries with a sparse spanning set.
+
+    `span(ν)` lists each spanning element as [(entry index, ±1), ...] and
+    `pack(ν, entries)` turns an entry list into the value the maker takes.
+    A parameter without entries (ν = 0, at n = 1) is passed as None.
+    """
+
+    def __init__(self, size, span, pack):
+        self.size = size
+        self._span = span
+        self._pack = pack
+
+    def _combine(self, nu: int, terms: list):
+        # Σ c·element over (c, element) terms, touching only listed entries.
+        entries = [ZERO] * self.size(nu)
+        for c, element in terms:
+            for idx, sign in element:
+                entries[idx] = entries[idx] + c if sign == 1 else entries[idx] - c
+        return self._pack(nu, entries) if entries else None
+
+    def zero(self, nu: int):
+        return self._combine(nu, [])
+
+    def spanning(self, nu: int) -> list:
+        return [self._combine(nu, [(ONE, element)]) for element in self._span(nu)]
+
+    def draw(self, nu: int, rng: random.Random, weight=None):
+        # A weight aimed at this parameter fixes it: it is the weight slot.
+        if weight is not None:
+            return weight
+        return self._combine(nu, [(_rand_scalar(rng), element) for element in self._span(nu)])
 
 
-def _rand_matrix(nu: int, rng: random.Random) -> Matrix:
-    return Matrix(nu, tuple(_rand_scalar(rng) for _ in range(nu * nu)))
+def _free(size, pack) -> _Entries:
+    return _Entries(size, lambda nu: [[(k, 1)] for k in range(size(nu))], pack)
 
 
-def _rand_grid(rows: int, cols: int, rng: random.Random) -> list:
-    return [[_rand_scalar(rng) for _ in range(cols)] for _ in range(rows)]
+def _as_matrix(nu: int, entries: list) -> Matrix:
+    return Matrix(nu, tuple(entries))
 
 
-def _rand_zero_row_sums(nu: int, rng: random.Random) -> Matrix:
-    rows = []
-    for _ in range(nu):
-        head = [_rand_scalar(rng) for _ in range(nu - 1)]
-        total = ZERO
-        for h in head:
-            total = total + h
-        rows.append(head + [-total])
-    return Matrix.from_rows(rows)
+def _grid(extra_rows: int, extra_cols: int) -> _Entries:
+    def pack(nu: int, entries: list) -> list:
+        cols = nu + extra_cols
+        return [entries[r * cols : (r + 1) * cols] for r in range(nu + extra_rows)]
+
+    return _free(lambda nu: (nu + extra_rows) * (nu + extra_cols), pack)
 
 
-def _rand_zero_alt_col_sums(nu: int, rng: random.Random) -> Matrix:
-    sig = alternating(nu)
-    rows = [[_rand_scalar(rng) for _ in range(nu)] for _ in range(nu - 1)]
-    last = []
-    for j in range(nu):
-        acc = ZERO
-        for i in range(nu - 1):
-            acc = acc + sig[i] * rows[i][j]
-        last.append(-acc / sig[nu - 1])
-    rows.append(last)
-    return Matrix.from_rows(rows)
+def _mps_span(nu: int) -> list:
+    # (g, −s·g) with g free for even ν and g ⟂ 1_ν for odd ν.
+    s = nu_sign(nu)
+    if s == 1:
+        halves = [[(i, 1)] for i in range(nu)]
+    else:
+        halves = [[(i, 1), (nu - 1, -1)] for i in range(nu - 1)]
+    return [h + [(nu + i, -s * sign) for i, sign in h] for h in halves]
 
 
-def _rand_orth_ones(nu: int, rng: random.Random) -> Vector:
-    head = [_rand_scalar(rng) for _ in range(nu - 1)]
-    total = ZERO
-    for h in head:
-        total = total + h
-    return Vector(head + [-total])
+_SCALAR = _free(lambda nu: 1, lambda nu, entries: entries[0])
+_VECTOR = _free(lambda nu: nu, lambda nu, entries: Vector(entries))
+_MATRIX = _free(lambda nu: nu * nu, _as_matrix)
+_ZERO_ROW_SUMS = _Entries(
+    lambda nu: nu * nu,
+    lambda nu: [
+        [(i * nu + j, 1), (i * nu + nu - 1, -1)] for i in range(nu) for j in range(nu - 1)
+    ],
+    _as_matrix,
+)
+_ZERO_ALT_COL_SUMS = _Entries(
+    lambda nu: nu * nu,
+    lambda nu: [
+        [(i * nu + j, 1), ((nu - 1) * nu + j, (-1) ** (i + nu))]
+        for j in range(nu)
+        for i in range(nu - 1)
+    ],
+    _as_matrix,
+)
+_MPS_VECTOR = _Entries(lambda nu: 2 * nu, _mps_span, lambda nu, entries: Vector(entries))
+
+
+class _Member:
+    """A parameter that is a member of `kind` at size ν, mapped by `project`."""
+
+    def __init__(self, kind: str, project=None):
+        self.kind = kind
+        self.project = project or (lambda m: m)
+
+    def zero(self, nu: int) -> Matrix:
+        return zeros(nu)
+
+    def spanning(self, nu: int) -> list:
+        return [self.project(m) for m in constructor_basis(self.kind, nu)]
+
+    def draw(self, nu: int, rng: random.Random, weight=None) -> Matrix:
+        # The ν-size block carries twice the weight of the whole matrix.
+        sub_w = None if weight is None else 2 * weight
+        return self.project(random_member(self.kind, nu, rng, weight=sub_w))
 
 
 def _balanced_part(m: Matrix) -> Matrix:
-    from .decompose import split_ba
-
     return split_ba(m).even_part
-
-
-def random_array_sum_associated(nu: int, rng: random.Random) -> Matrix:
-    """Random member of the associated ∩ array-sum intersection.
-
-    Projects a random associated member onto the array-sum summand of the
-    alternating-pairs split; both constraints are linear and the projector
-    commutes with the half-turn conjugation, so the intersection survives.
-    """
-    return split_nm(random_member("a", nu, rng)).odd_part
-
-
-def random_member(kind: str, n: int, rng: random.Random, weight=None) -> Matrix:
-    """Random member of a constructible space, drawn via its constructor."""
-    kind = kind.lower()
-    if kind not in CONSTRUCTIBLE:
-        raise ValueError(f"no constructor for kind {kind!r}")
-    nu, odd = divmod(n, 2)
-    w = None if weight is None else as_scalar(weight)
-
-    if kind == "a":
-        if odd and n > 1:
-            return make_associated(_rand_grid(nu, nu + 1, rng), _rand_grid(nu + 1, nu, rng), n)
-        if n == 1:
-            return zeros(1)
-        return make_associated(_rand_matrix(nu, rng), _rand_matrix(nu, rng), n)
-
-    if kind == "b":
-        if odd:
-            return make_balanced(
-                _rand_grid(nu + 1, nu + 1, rng),
-                _rand_matrix(nu, rng) if nu else None,
-                n,
-            )
-        return make_balanced(_rand_matrix(nu, rng), _rand_matrix(nu, rng), n)
-
-    if kind == "s":
-        if odd:
-            if n == 1:
-                return make_semimagic(1, w=w if w is not None else _rand_scalar(rng))
-            return make_semimagic(
-                n,
-                Y=_rand_matrix(nu, rng),
-                V=_rand_matrix(nu, rng),
-                W=_rand_matrix(nu, rng),
-                Z=_rand_matrix(nu, rng),
-                w=w if w is not None else _rand_scalar(rng),
-            )
-        sub_w = None if w is None else 2 * w
-        return make_semimagic(
-            n,
-            Y=random_member("s", nu, rng, weight=sub_w),
-            V=_rand_zero_row_sums(nu, rng),
-            W=_rand_zero_row_sums(nu, rng),
-            Z=_rand_matrix(nu, rng),
-        )
-
-    if kind == "v":
-        if n == 1:
-            return zeros(1)
-        if odd:
-            return make_vertex_cross(
-                n,
-                v=_rand_vector(nu, rng),
-                x=_rand_vector(nu, rng),
-                y=_rand_vector(nu, rng),
-                z=_rand_vector(nu, rng),
-            )
-        return make_vertex_cross(
-            n,
-            Y=random_member("v", nu, rng),
-            a=_rand_vector(nu, rng),
-            b=_rand_vector(nu, rng),
-        )
-
-    if kind == "n":
-        if odd:
-            if n == 1:
-                return make_alternating_pairs(1, lam=_rand_scalar(rng))
-            return make_alternating_pairs(
-                n,
-                Y=_rand_matrix(nu, rng),
-                V=_rand_matrix(nu, rng),
-                W=_rand_matrix(nu, rng),
-                Z=_rand_matrix(nu, rng),
-                lam=_rand_scalar(rng),
-            )
-        return make_alternating_pairs(
-            n,
-            Y=_rand_matrix(nu, rng),
-            V=_rand_zero_alt_col_sums(nu, rng),
-            W=_rand_zero_alt_col_sums(nu, rng),
-            Z=random_member("n", nu, rng),
-        )
-
-    if kind == "m":
-        if n == 1:
-            return zeros(1)
-        if odd:
-            return make_array_sum(
-                n,
-                v=_rand_vector(nu, rng),
-                x=_rand_vector(nu, rng),
-                y=_rand_vector(nu, rng),
-                z=_rand_vector(nu, rng),
-            )
-        return make_array_sum(
-            n,
-            a=_rand_vector(nu, rng),
-            b=_rand_vector(nu, rng),
-            Z=random_member("m", nu, rng),
-        )
-
-    if kind == "r":
-        if n == 1:
-            return make_reverse(1, gamma=_rand_scalar(rng))
-        return make_reverse(
-            n,
-            gamma=_rand_scalar(rng),
-            x=_rand_vector(nu, rng),
-            z=_rand_vector(nu, rng),
-            Z=_rand_matrix(nu, rng),
-        )
-
-    if kind in ("p", "q"):
-        if odd:
-            raise DimensionError(f"type {kind} needs even dimension")
-        maker = make_pandiagonal if kind == "p" else make_quartered
-        return maker(_rand_matrix(nu, rng), _rand_matrix(nu, rng))
-
-    if kind == "mps":
-        if odd:
-            raise DimensionError("most perfect squares need even dimension")
-        if nu % 2 == 0:
-            g = _rand_vector(nu, rng)
-            d = _rand_vector(nu, rng)
-            gamma = Vector(list(g.entries) + [-x for x in g.entries])
-            delta = Vector(list(d.entries) + [-x for x in d.entries])
-        else:
-            g = _rand_orth_ones(nu, rng)
-            d = _rand_orth_ones(nu, rng)
-            gamma = Vector(list(g.entries) + list(g.entries))
-            delta = Vector(list(d.entries) + list(d.entries))
-        return make_most_perfect(gamma, delta, n)
-
-    if kind == "nqs":
-        if odd:
-            raise DimensionError("the quartered-semimagic space needs even dimension")
-        Y = _balanced_part(random_member("s", nu, rng))
-        Z = _balanced_part(random_member("n", nu, rng))
-        V = _strip_sums(random_member("a", nu, rng))
-        W = _strip_sums(random_member("a", nu, rng))
-        return make_quartered_semimagic(Y, Z, V, W, n)
-
-    if kind == "rv":
-        if n == 1:
-            return make_reversible(None, None, 1, w=w)
-        return make_reversible(
-            _rand_vector(nu, rng), _rand_vector(nu, rng), n, w=w
-        )
-
-    raise AssertionError("unreachable")
 
 
 def _strip_sums(m: Matrix) -> Matrix:
@@ -774,3 +680,174 @@ def _strip_sums(m: Matrix) -> Matrix:
     m1 = m - rs.scale(inv).outer(one)
     acs = m1.transpose().apply(sig)
     return m1 - sig.scale(inv).outer(acs)
+
+
+class _Form:
+    """A maker with its ordered (name, parameter space) list.
+
+    `weight` names the parameter or keyword that a given weight goes to;
+    `sized` is False for makers whose size follows from their blocks.
+    """
+
+    def __init__(self, maker, params: tuple, weight: str | None = None, sized: bool = True):
+        self.maker = maker
+        self.params = params
+        self.weight = weight
+        self.sized = sized
+
+    @property
+    def names(self) -> tuple:
+        names = tuple(name for name, _ in self.params)
+        if self.weight is None or self.weight in names:
+            return names
+        return names + (self.weight,)
+
+    def zeros(self, nu: int) -> dict:
+        return {name: space.zero(nu) for name, space in self.params}
+
+    def build(self, n: int, args: dict) -> Matrix:
+        return self.maker(**args, n=n) if self.sized else self.maker(**args)
+
+
+_REVERSE = _Form(make_reverse, (("gamma", _SCALAR), ("x", _VECTOR), ("z", _VECTOR), ("Z", _MATRIX)))
+_REVERSIBLE = _Form(make_reversible, (("a", _VECTOR), ("b", _VECTOR)), weight="w")
+
+# kind -> (form at even n, form at odd n); None where that parity has none.
+_FORMS = {
+    "a": (
+        _Form(make_associated, (("phi", _MATRIX), ("psi", _MATRIX))),
+        _Form(make_associated, (("phi", _grid(0, 1)), ("psi", _grid(1, 0)))),
+    ),
+    "b": (
+        _Form(make_balanced, (("upsilon", _MATRIX), ("omega", _MATRIX))),
+        _Form(make_balanced, (("upsilon", _grid(1, 1)), ("omega", _MATRIX))),
+    ),
+    "s": (
+        _Form(
+            make_semimagic,
+            (("Y", _Member("s")), ("V", _ZERO_ROW_SUMS), ("W", _ZERO_ROW_SUMS), ("Z", _MATRIX)),
+            weight="Y",
+        ),
+        _Form(
+            make_semimagic,
+            (("Y", _MATRIX), ("V", _MATRIX), ("W", _MATRIX), ("Z", _MATRIX), ("w", _SCALAR)),
+            weight="w",
+        ),
+    ),
+    "v": (
+        _Form(make_vertex_cross, (("Y", _Member("v")), ("a", _VECTOR), ("b", _VECTOR))),
+        _Form(make_vertex_cross, (("v", _VECTOR), ("x", _VECTOR), ("y", _VECTOR), ("z", _VECTOR))),
+    ),
+    "n": (
+        _Form(
+            make_alternating_pairs,
+            (
+                ("Y", _MATRIX),
+                ("V", _ZERO_ALT_COL_SUMS),
+                ("W", _ZERO_ALT_COL_SUMS),
+                ("Z", _Member("n")),
+            ),
+        ),
+        _Form(
+            make_alternating_pairs,
+            (("Y", _MATRIX), ("V", _MATRIX), ("W", _MATRIX), ("Z", _MATRIX), ("lam", _SCALAR)),
+        ),
+    ),
+    "m": (
+        _Form(make_array_sum, (("a", _VECTOR), ("b", _VECTOR), ("Z", _Member("m")))),
+        _Form(make_array_sum, (("v", _VECTOR), ("x", _VECTOR), ("y", _VECTOR), ("z", _VECTOR))),
+    ),
+    "r": (_REVERSE, _REVERSE),
+    "p": (_Form(make_pandiagonal, (("A", _MATRIX), ("B", _MATRIX)), sized=False), None),
+    "q": (_Form(make_quartered, (("A", _MATRIX), ("B", _MATRIX)), sized=False), None),
+    "mps": (_Form(make_most_perfect, (("gamma", _MPS_VECTOR), ("delta", _MPS_VECTOR))), None),
+    "nqs": (
+        _Form(
+            make_quartered_semimagic,
+            (
+                ("Y", _Member("s", _balanced_part)),
+                ("Z", _Member("n", _balanced_part)),
+                ("V", _Member("a", _strip_sums)),
+                ("W", _Member("a", _strip_sums)),
+            ),
+        ),
+        None,
+    ),
+    "rv": (_REVERSIBLE, _REVERSIBLE),
+}
+
+CONSTRUCTIBLE = tuple(_FORMS)
+
+
+def _form(kind: str, n: int) -> _Form:
+    forms = _FORMS.get(kind.lower())
+    if forms is None:
+        raise ValueError(f"no constructor for kind {kind!r}")
+    if n < 1:
+        raise DimensionError(f"dimension must be positive, got {n}")
+    form = forms[n % 2]
+    if form is None:
+        raise DimensionError(f"type {kind.lower()} needs even dimension")
+    return form
+
+
+def constructor_basis(kind: str, n: int) -> list[Matrix]:
+    """Constructor outputs over a spanning set of the parameter space.
+
+    Each output is the maker applied to one spanning element of one
+    parameter, every other parameter zero; as the makers are linear, the
+    outputs span the symmetry space whenever the representation formula is
+    complete, which `verify.dimension_probe` checks against the oracle.
+    """
+    form = _form(kind, n)
+    nu = n // 2
+    zero = form.zeros(nu)
+    return [
+        form.build(n, {**zero, name: value})
+        for name, space in form.params
+        for value in space.spanning(nu)
+    ]
+
+
+def random_parameters(kind: str, n: int, rng: random.Random, weight=None) -> dict:
+    """Random named parameters of a constructible space at size n.
+
+    Each parameter is a random rational combination of its spanning set;
+    `weight` (semimagic and reversible types only) fixes the weight.
+    """
+    form = _form(kind, n)
+    w = None if weight is None else as_scalar(weight)
+    if w is not None and form.weight is None:
+        raise ValueError(f"type {kind.lower()} takes no weight")
+    nu = n // 2
+    args = {
+        name: space.draw(nu, rng, w if name == form.weight else None)
+        for name, space in form.params
+    }
+    if w is not None and form.weight not in args:
+        args[form.weight] = w
+    return args
+
+
+def random_member(kind: str, n: int, rng: random.Random, weight=None) -> Matrix:
+    """Random member of a constructible space: its maker on random parameters."""
+    args = random_parameters(kind, n, rng, weight)
+    if all(value is None for value in args.values()):
+        return zeros(n)  # no parameter has an entry: the space is null here
+    return _form(kind, n).build(n, args)
+
+
+def member_from_params(kind: str, n: int, params: dict) -> Matrix:
+    """Member of a constructible space from named parameters.
+
+    The names are those of the maker for the parity of n; a missing name is
+    the zero parameter and an unknown one raises ValueError.
+    """
+    form = _form(kind, n)
+    unknown = sorted(set(params) - set(form.names))
+    if unknown:
+        raise ValueError(
+            f"unknown parameter {', '.join(map(repr, unknown))} for type "
+            f"{kind.lower()} at n={n}; expected {', '.join(form.names)}"
+        )
+    return form.build(n, {**form.zeros(n // 2), **params})

@@ -27,18 +27,25 @@ _FULL = re.compile(rf"^({_RATIONAL})([+-]\d+(?:/\d+)?)\*sqrt2$")
 _SQRT_ONLY = re.compile(rf"^({_RATIONAL})\*sqrt2$")
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator in {text!r}") from exc
+
+
 def scalar_from_string(text: str) -> Scalar:
     """Parse ``p/q``, ``p/q+r/s*sqrt2`` or ``r/s*sqrt2`` exactly."""
     s = text.replace(" ", "")
     m = _PLAIN.match(s)
     if m:
-        return Scalar(Fraction(m.group(1)))
+        return Scalar(_fraction(m.group(1)))
     m = _FULL.match(s)
     if m:
-        return Scalar(Fraction(m.group(1)), Fraction(m.group(2)))
+        return Scalar(_fraction(m.group(1)), _fraction(m.group(2)))
     m = _SQRT_ONLY.match(s)
     if m:
-        return Scalar(0, Fraction(m.group(1)))
+        return Scalar(0, _fraction(m.group(1)))
     raise ParseError(f"cannot parse scalar literal {text!r}")
 
 

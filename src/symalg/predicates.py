@@ -26,7 +26,6 @@ from .scalar import ZERO, Scalar
 
 ENTRYWISE_PROPS = frozenset("SABRVMNPQ")
 ALGEBRAIC_PROPS = frozenset("SABRVMN")
-EVEN_ONLY_ENTRYWISE = frozenset("MPQ")
 
 
 @dataclass(frozen=True)
@@ -528,12 +527,12 @@ def in_space(m: Matrix, tag: str) -> bool:
         return v.holds and v.weight == ZERO
     if tag == "Q":
         return _ew_quartered(m).holds
-    if tag in _COMPOSITES:
-        return all(in_space(m, part) for part in _COMPOSITES[tag])
+    if tag in COMPOSITES:
+        return all(in_space(m, part) for part in COMPOSITES[tag])
     raise ValueError(f"unknown space tag {tag!r}")
 
 
-_COMPOSITES = {
+COMPOSITES = {
     "RV": ("R", "V"),
     "RVRAW": ("R", "VRAW"),
     "AV": ("A", "V"),

@@ -24,6 +24,8 @@ class Scalar:
     def __init__(self, a=0, b=0):
         if isinstance(a, Scalar) or isinstance(b, Scalar):
             raise TypeError("Scalar components must be rational; use as_scalar()")
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError("Scalar components must be exact rationals, not floats")
         a = Fraction(a)
         b = Fraction(b)
         d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)

@@ -28,27 +28,16 @@ from functools import lru_cache
 
 from .construct import (
     CONSTRUCTIBLE,
-    make_alternating_pairs,
-    make_array_sum,
-    make_associated,
-    make_balanced,
+    constructor_basis,
     make_most_perfect,
-    make_most_perfect_block,
-    make_pandiagonal,
-    make_quartered,
-    make_quartered_semimagic,
-    make_reverse,
-    make_reversible,
-    make_semimagic,
-    make_vertex_cross,
     random_member,
+    random_parameters,
 )
-from .decompose import split_ba, split_nm, split_qp, split_sv
 from .elim import Echelon, echelon_of, nullspace_of_rows
 from .errors import DimensionError, VerificationError
 from .matrix import Matrix, Vector, all_ones, alternating, ones, rank, zeros
-from .predicates import check_algebraic, check_entrywise, in_space
-from .scalar import ONE, ZERO, Scalar, as_scalar
+from .predicates import COMPOSITES, check_algebraic, check_entrywise, in_space
+from .scalar import ZERO, Scalar, as_scalar
 
 # -- constraint systems ------------------------------------------------------
 
@@ -324,32 +313,7 @@ _ATOMS = {
     "RCOMP": _rows_reverse_complement,
 }
 
-_COMPOSITES = {
-    "RV": ("R", "V"),
-    "RVRAW": ("R", "VRAW"),
-    "AV": ("A", "V"),
-    "AS": ("A", "S"),
-    "BS": ("B", "S"),
-    "RS": ("R", "S"),
-    "MPS": ("M", "P", "S"),
-    "NQS": ("N", "Q", "S"),
-    "AM": ("A", "M"),
-    "BN": ("B", "N"),
-}
-
 _EVEN_ONLY = {"P", "Q", "MPS", "NQS"}
-
-
-def _rows_nqs_vw(n: int) -> list:
-    # Parameter space for the off-diagonal blocks of a quartered-semimagic
-    # member: associated, zero row sums, zero alternating column sums.
-    rows = _rows_associated(n)
-    for i in range(n):
-        rows.append(_int_row(n * n, {i * n + j: 1 for j in range(n)}))
-    sgn = [1 if i % 2 == 0 else -1 for i in range(n)]
-    for j in range(n):
-        rows.append(_int_row(n * n, {i * n + j: sgn[i] for i in range(n)}))
-    return rows
 
 
 class ConstraintSystem:
@@ -398,13 +362,11 @@ def build_constraints(space: str, n: int) -> ConstraintSystem:
     tag = space.upper()
     if tag in _EVEN_ONLY and n % 2 == 1:
         raise DimensionError(f"space {space} needs even dimension")
-    if tag == "NQSVW":
-        return ConstraintSystem(tag, n, _rows_nqs_vw(n))
     if tag in _ATOMS:
         return ConstraintSystem(tag, n, _ATOMS[tag](n))
-    if tag in _COMPOSITES:
+    if tag in COMPOSITES:
         rows = []
-        for part in _COMPOSITES[tag]:
+        for part in COMPOSITES[tag]:
             rows.extend(_ATOMS[part](n))
         return ConstraintSystem(tag, n, rows)
     raise ValueError(f"unknown space tag {space!r}")
@@ -428,203 +390,6 @@ def random_space_member(
             if not vec[k].is_zero():
                 acc[k] = acc[k] + c * vec[k]
     return Matrix(n, tuple(acc))
-
-
-# -- constructor parameter bases ---------------------------------------------
-
-
-def _unit_matrices(nu: int) -> list[Matrix]:
-    out = []
-    for k in range(nu * nu):
-        e = [ZERO] * (nu * nu)
-        e[k] = ONE
-        out.append(Matrix(nu, tuple(e)))
-    return out
-
-
-def _unit_vectors(nu: int) -> list[Vector]:
-    out = []
-    for k in range(nu):
-        e = [ZERO] * nu
-        e[k] = ONE
-        out.append(Vector(e))
-    return out
-
-
-def _zero_row_sum_basis(nu: int) -> list[Matrix]:
-    out = []
-    for i in range(nu):
-        for j in range(nu - 1):
-            e = [[ZERO] * nu for _ in range(nu)]
-            e[i][j] = ONE
-            e[i][nu - 1] = -ONE
-            out.append(Matrix.from_rows(e))
-    return out
-
-
-def _zero_alt_col_sum_basis(nu: int) -> list[Matrix]:
-    sig = alternating(nu)
-    out = []
-    for j in range(nu):
-        for i in range(nu - 1):
-            e = [[ZERO] * nu for _ in range(nu)]
-            e[i][j] = ONE
-            e[nu - 1][j] = -(sig[i] * sig[nu - 1])
-            out.append(Matrix.from_rows(e))
-    return out
-
-
-def _orth_ones_basis(nu: int) -> list[Vector]:
-    out = []
-    for i in range(nu - 1):
-        e = [ZERO] * nu
-        e[i] = ONE
-        e[nu - 1] = e[nu - 1] - ONE
-        out.append(Vector(e))
-    return out
-
-
-def constructor_basis(kind: str, n: int) -> list[Matrix]:
-    """Constructor outputs over a basis of the free-parameter space.
-
-    Their span is the whole symmetry space whenever the representation
-    formula is complete, which `dimension_probe` checks against the oracle.
-    """
-    kind = kind.lower()
-    nu, odd = divmod(n, 2)
-    if kind == "a":
-        if n == 1:
-            return []
-        if odd:
-            phis = []
-            for r in range(nu):
-                for c in range(nu + 1):
-                    g = [[ZERO] * (nu + 1) for _ in range(nu)]
-                    g[r][c] = ONE
-                    phis.append(make_associated(g, None, n))
-            psis = []
-            for r in range(nu + 1):
-                for c in range(nu):
-                    g = [[ZERO] * nu for _ in range(nu + 1)]
-                    g[r][c] = ONE
-                    psis.append(make_associated(None, g, n))
-            return phis + psis
-        return [make_associated(u, None, n) for u in _unit_matrices(nu)] + [
-            make_associated(None, u, n) for u in _unit_matrices(nu)
-        ]
-    if kind == "b":
-        if odd:
-            ups = []
-            for r in range(nu + 1):
-                for c in range(nu + 1):
-                    g = [[ZERO] * (nu + 1) for _ in range(nu + 1)]
-                    g[r][c] = ONE
-                    ups.append(make_balanced(g, None, n))
-            oms = [make_balanced(None, u, n) for u in _unit_matrices(nu)] if nu else []
-            return ups + oms
-        return [make_balanced(u, None, n) for u in _unit_matrices(nu)] + [
-            make_balanced(None, u, n) for u in _unit_matrices(nu)
-        ]
-    if kind == "s":
-        if n == 1:
-            return [Matrix(1, (ONE,))]
-        if odd:
-            out = [make_semimagic(n, w=1)]
-            for slot in ("Y", "V", "W", "Z"):
-                for u in _unit_matrices(nu):
-                    out.append(make_semimagic(n, **{slot: u}))
-            return out
-        out = [make_semimagic(n, Y=yb) for yb in constructor_basis("s", nu)]
-        for slot in ("V", "W"):
-            for u in _zero_row_sum_basis(nu):
-                out.append(make_semimagic(n, **{slot: u}))
-        for u in _unit_matrices(nu):
-            out.append(make_semimagic(n, Z=u))
-        return out
-    if kind == "v":
-        if n == 1:
-            return []
-        if odd:
-            out = []
-            for slot in ("v", "x", "y", "z"):
-                for u in _unit_vectors(nu):
-                    out.append(make_vertex_cross(n, **{slot: u}))
-            return out
-        out = [make_vertex_cross(n, Y=yb) for yb in constructor_basis("v", nu)]
-        for slot in ("a", "b"):
-            for u in _unit_vectors(nu):
-                out.append(make_vertex_cross(n, **{slot: u}))
-        return out
-    if kind == "n":
-        if n == 1:
-            return [Matrix(1, (ONE,))]
-        if odd:
-            out = [make_alternating_pairs(n, lam=1)]
-            for slot in ("Y", "V", "W", "Z"):
-                for u in _unit_matrices(nu):
-                    out.append(make_alternating_pairs(n, **{slot: u}))
-            return out
-        out = [make_alternating_pairs(n, Y=u) for u in _unit_matrices(nu)]
-        for slot in ("V", "W"):
-            for u in _zero_alt_col_sum_basis(nu):
-                out.append(make_alternating_pairs(n, **{slot: u}))
-        out.extend(make_alternating_pairs(n, Z=zb) for zb in constructor_basis("n", nu))
-        return out
-    if kind == "m":
-        if n == 1:
-            return []
-        if odd:
-            out = []
-            for slot in ("v", "x", "y", "z"):
-                for u in _unit_vectors(nu):
-                    out.append(make_array_sum(n, **{slot: u}))
-            return out
-        out = []
-        for slot in ("a", "b"):
-            for u in _unit_vectors(nu):
-                out.append(make_array_sum(n, **{slot: u}))
-        out.extend(make_array_sum(n, Z=zb) for zb in constructor_basis("m", nu))
-        return out
-    if kind == "r":
-        out = [make_reverse(n, gamma=1)]
-        if n == 1:
-            return out
-        for slot in ("x", "z"):
-            for u in _unit_vectors(nu):
-                out.append(make_reverse(n, **{slot: u}))
-        for u in _unit_matrices(nu):
-            out.append(make_reverse(n, Z=u))
-        return out
-    if kind in ("p", "q"):
-        maker = make_pandiagonal if kind == "p" else make_quartered
-        return [maker(u, None) for u in _unit_matrices(nu)] + [
-            maker(zeros(nu), u) for u in _unit_matrices(nu)
-        ]
-    if kind == "mps":
-        halves = _unit_vectors(nu) if nu % 2 == 0 else _orth_ones_basis(nu)
-        s = 1 if nu % 2 == 0 else -1
-        out = []
-        for g in halves:
-            full = Vector(list(g.entries) + [-s * x for x in g.entries])
-            out.append(make_most_perfect(full, None, n))
-            out.append(make_most_perfect(None, full, n))
-        return out
-    if kind == "nqs":
-        y_basis = build_constraints("BS", nu).basis_matrices()
-        z_basis = build_constraints("BN", nu).basis_matrices()
-        vw_basis = build_constraints("NQSVW", nu).basis_matrices()
-        out = [make_quartered_semimagic(yb, None, None, None, n) for yb in y_basis]
-        out += [make_quartered_semimagic(None, zb, None, None, n) for zb in z_basis]
-        out += [make_quartered_semimagic(None, None, vb, None, n) for vb in vw_basis]
-        out += [make_quartered_semimagic(None, None, None, wb, n) for wb in vw_basis]
-        return out
-    if kind == "rv":
-        if n == 1:
-            return []
-        return [make_reversible(u, None, n) for u in _unit_vectors(nu)] + [
-            make_reversible(None, u, n) for u in _unit_vectors(nu)
-        ]
-    raise ValueError(f"no constructor basis for kind {kind!r}")
 
 
 @lru_cache(maxsize=None)
@@ -736,20 +501,8 @@ def grading_check(pair: str, n: int, trials: int, seed: int = 0) -> GradingCheck
 
 
 def _random_mps_vectors(n: int, rng: random.Random) -> tuple[Vector, Vector]:
-    nu = n // 2
-    if nu % 2 == 0:
-        g = [Scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2)))) for _ in range(nu)]
-        d = [Scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2)))) for _ in range(nu)]
-        gamma = Vector(g + [-x for x in g])
-        delta = Vector(d + [-x for x in d])
-    else:
-        g = [Scalar(rng.randint(-9, 9)) for _ in range(nu - 1)]
-        d = [Scalar(rng.randint(-9, 9)) for _ in range(nu - 1)]
-        gs = g + [-sum(g, start=ZERO)]
-        ds = d + [-sum(d, start=ZERO)]
-        gamma = Vector(gs + gs)
-        delta = Vector(ds + ds)
-    return gamma, delta
+    p = random_parameters("mps", n, rng)
+    return p["gamma"], p["delta"]
 
 
 def mps_triple_product_check(
@@ -1090,7 +843,13 @@ _SUITES = {
 def run_suite(
     suite: str, n_max: int | None = None, trials: int | None = None, seed: int = 0
 ) -> dict:
-    """Run one named suite (or 'all'); returns a JSON-ready report."""
+    """Run one named suite (or 'all'); returns a JSON-ready report.
+
+    A run that checked nothing is not a pass: its report has ok = False.
+    """
+    for name, value in (("n_max", n_max), ("trials", trials)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value}")
     names = list(_SUITES) if suite == "all" else [suite]
     checks = []
     for name in names:
@@ -1108,5 +867,5 @@ def run_suite(
         "checks": checks,
         "passed": sum(1 for c in checks if c["ok"]),
         "failed": sum(1 for c in checks if not c["ok"]),
-        "ok": all(c["ok"] for c in checks),
+        "ok": bool(checks) and all(c["ok"] for c in checks),
     }

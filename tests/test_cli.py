@@ -26,6 +26,22 @@ def run(capsys, *args):
     return code, out.out, out.err
 
 
+def run_rejected(capsys, *args):
+    # Flag values that argparse rejects end in SystemExit.
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert "Traceback" not in err and len(errors) == 1, err
+    return exc.value.code, errors[0]
+
+
+def write_params(tmp_path, params):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    return str(path)
+
+
 def test_classify_json(capsys, e4_file):
     code, out, _ = run(capsys, "classify", e4_file, "--format", "json")
     assert code == 0
@@ -139,6 +155,48 @@ def test_construct_bad_params_exit_three(capsys, tmp_path):
     assert code == 3 and "precondition" in err
 
 
+def test_construct_params_unknown_name_is_input_error(capsys, tmp_path):
+    params = write_params(tmp_path, {"gama": "1"})
+    code, out, err = run(capsys, "construct", "--type", "r", "--n", "4", "--params", params)
+    assert code == 2 and out == ""
+    assert "'gama'" in err and len(err.strip().splitlines()) == 1
+
+
+def test_construct_params_missing_name_is_zero(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "construct", "--type", "p", "--n", "4", "--params", write_params(tmp_path, {})
+    )
+    assert code == 0 and mio.loads_matrix(out).is_zero()
+    B = [["1", "2"], ["3", "4"]]
+    code, out, _ = run(
+        capsys, "construct", "--type", "q", "--n", "4",
+        "--params", write_params(tmp_path, {"B": B}),
+    )
+    assert code == 0
+    assert mio.loads_matrix(out) == Matrix.from_rows(
+        [[0, 0, 1, 2], [0, 0, 3, 4], [1, 2, 0, 0], [3, 4, 0, 0]]
+    )
+
+
+def test_construct_params_float_is_input_error(capsys, tmp_path):
+    params = write_params(tmp_path, {"gamma": 0.5})
+    code, _, err = run(capsys, "construct", "--type", "r", "--n", "4", "--params", params)
+    assert code == 2 and "0.5" in err
+
+
+def test_construct_params_bad_shape_is_precondition_violation(capsys, tmp_path):
+    flat = ["1", "2", "3", "4"]
+    for kind, params in (("r", {"Z": flat}), ("p", {"A": flat}), ("r", {"x": [["1"], ["2"]]})):
+        path = write_params(tmp_path, params)
+        code, _, err = run(capsys, "construct", "--type", kind, "--n", "4", "--params", path)
+        assert code == 3 and "Traceback" not in err, (kind, params, err)
+
+
+def test_construct_nonpositive_n_is_input_error(capsys):
+    code, line = run_rejected(capsys, "construct", "--type", "s", "--n", "0")
+    assert code == 2 and "--n" in line
+
+
 def test_construct_unknown_type(capsys):
     code, _, _ = run(capsys, "construct", "--type", "zz", "--n", "4")
     assert code == 2
@@ -158,6 +216,31 @@ def test_dim_command(capsys):
     assert code == 0 and json.loads(out)["dimension"] == 17
     code, _, _ = run(capsys, "dim", "--space", "??", "--n", "5")
     assert code == 2
+
+
+def test_dim_nonpositive_n_is_input_error(capsys):
+    for n in ("0", "-3"):
+        code, line = run_rejected(capsys, "dim", "--space", "V", "--n", n)
+        assert code == 2 and "--n" in line
+
+
+def test_verify_nonpositive_trials_and_n_max_are_input_errors(capsys):
+    for flag, value in (("--trials", "0"), ("--trials", "-1"), ("--n-max", "0")):
+        code, line = run_rejected(capsys, "verify", "--suite", "gradings", flag, value)
+        assert code == 2 and flag in line
+
+
+def test_verify_that_checks_nothing_is_not_ok(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "ranks", "--n-max", "1")
+    rep = json.loads(out)
+    assert code == 4 and rep["checks"] == [] and rep["ok"] is False
+
+
+def test_matrix_file_zero_denominator_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "zero.json"
+    bad.write_text('{"n": 1, "entries": ["1/0"]}')
+    code, _, err = run(capsys, "classify", str(bad))
+    assert code == 2 and "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_verify_command_ok(capsys):

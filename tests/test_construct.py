@@ -9,6 +9,7 @@ from symalg.errors import DimensionError, PreconditionError
 from symalg.matrix import Matrix, Vector, all_ones, alternating, identity, ones, rank, zeros
 from symalg.predicates import check_entrywise, classify, in_space
 from symalg.scalar import SQRT2, Scalar
+from symalg.verify import build_constraints, dimension_probe
 
 SPACE_TAG = {"mps": "MPS", "nqs": "NQS", "rv": "RV"}
 
@@ -292,3 +293,40 @@ def test_shape_validation():
         C.make_semimagic(4, Y=[[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     with pytest.raises(PreconditionError):
         C.make_reversible([1, 2, 3], None, 4)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        (kind, n)
+        for kind in C.CONSTRUCTIBLE
+        for n in range(1, 7)
+        if not (kind in ("p", "q", "mps", "nqs") and n % 2)
+    ],
+)
+def test_constructor_covers_oracle_space(kind, n):
+    # dimension_probe raises unless the constructor span has the oracle's
+    # dimension and every constructor output satisfies the oracle equations.
+    tag = kind.upper()
+    dimension_probe(tag, n)
+    rng = random.Random(n)
+    assert build_constraints(tag, n).in_span(C.random_member(kind, n, rng))
+
+
+def test_table_rejects_nonpositive_n():
+    rng = random.Random(0)
+    for n in (0, -3):
+        with pytest.raises(DimensionError):
+            C.random_member("s", n, rng)
+        with pytest.raises(DimensionError):
+            C.constructor_basis("v", n)
+        with pytest.raises(DimensionError):
+            C.member_from_params("r", n, {})
+
+
+def test_member_from_params_names():
+    assert C.member_from_params("s", 3, {"w": 2}) == all_ones(3).scale(2)
+    with pytest.raises(ValueError, match="'w'"):
+        C.member_from_params("s", 4, {"w": 2})  # the even form's weight comes via Y
+    with pytest.raises(ValueError):
+        C.random_member("b", 4, random.Random(0), weight=1)

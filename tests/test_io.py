@@ -99,3 +99,11 @@ def test_file_round_trip(tmp_path):
     assert mio.read_matrix(str(c)) == m
     with pytest.raises(ParseError):
         mio.read_matrix(str(tmp_path / "missing.json"))
+
+
+def test_zero_denominator_is_a_parse_error():
+    for bad in ("1/0", "1/2+1/0*sqrt2", "3/0*sqrt2"):
+        with pytest.raises(ParseError):
+            mio.scalar_from_string(bad)
+    with pytest.raises(ParseError):
+        mio.loads_matrix('{"n": 1, "entries": ["1/0"]}')

@@ -94,3 +94,11 @@ def test_as_scalar_rejects_junk():
         as_scalar("1/2")
     with pytest.raises(TypeError):
         as_scalar(0.5)
+
+
+def test_constructor_rejects_floats():
+    # Scalar(0.1) would otherwise become 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError):
+        Scalar(0.1)
+    with pytest.raises(TypeError):
+        Scalar(1, 0.5)

@@ -198,3 +198,6 @@ def test_run_suite_quick():
     assert report["ok"], [c for c in report["checks"] if not c["ok"]]
     with pytest.raises(ValueError):
         V.run_suite("nope")
+    for bad in ({"trials": 0}, {"n_max": 0}):
+        with pytest.raises(ValueError):
+            V.run_suite("gradings", **bad)
