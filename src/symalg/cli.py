@@ -3,7 +3,8 @@
 Subcommands: classify, block, decompose, construct, verify, dim.  Matrix
 files use the JSON/CSV formats of `symalg.io`.  Exit codes: 0 success,
 2 input error, 3 constructor precondition violation, 4 verification
-failure — so CI can tell bad inputs apart from mathematical failures.
+failure (including a predicate self-check that caught the two routes
+disagreeing) — so CI can tell bad inputs apart from mathematical failures.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     DimensionError,
     ParseError,
     PreconditionError,
+    PredicatePathMismatch,
     SymalgError,
     VerificationError,
 )
@@ -232,7 +234,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except VerificationError as exc:
+    except (VerificationError, PredicatePathMismatch) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except SymalgError as exc:

@@ -47,45 +47,48 @@ def _mat_param(p, nu: int | None, name: str) -> Matrix:
     # nu = None accepts any size: the parameter fixes the size itself.
     if p is None:
         return zeros(nu)
+    shape = f"{name} must be a " + ("square matrix" if nu is None else f"{nu}×{nu} matrix")
     if not isinstance(p, Matrix):
         try:
             p = Matrix.from_rows(p)
         except (DimensionError, TypeError) as exc:
-            raise PreconditionError(f"{name}: {exc}") from exc
+            raise PreconditionError(f"{shape} (a list of rows)") from exc
     if nu is not None and p.n != nu:
-        raise PreconditionError(f"{name} must be {nu}×{nu}, got {p.n}×{p.n}")
+        raise PreconditionError(f"{shape}, got {p.n}×{p.n}")
     return p
 
 
 def _vec_param(p, nu: int, name: str) -> Vector:
     if p is None:
         return zero_vector(nu)
+    shape = f"{name} must be a vector of length {nu}"
     if not isinstance(p, Vector):
         try:
             p = Vector(p)
         except TypeError as exc:
-            raise PreconditionError(f"{name}: {exc}") from exc
+            raise PreconditionError(f"{shape} (a list of scalars)") from exc
     if p.n != nu:
-        raise PreconditionError(f"{name} must have length {nu}, got {p.n}")
+        raise PreconditionError(f"{shape}, got length {p.n}")
     return p
 
 
-def _scalar_param(p, default=ZERO) -> Scalar:
+def _scalar_param(p, name: str) -> Scalar:
     try:
-        return default if p is None else as_scalar(p)
+        return ZERO if p is None else as_scalar(p)
     except TypeError as exc:
-        raise PreconditionError(str(exc)) from exc
+        raise PreconditionError(f"{name} must be a scalar") from exc
 
 
 def _grid_param(p, rows: int, cols: int, name: str) -> list:
     if p is None:
         return [[ZERO] * cols for _ in range(rows)]
+    shape = f"{name} must be a {rows}×{cols} matrix (a list of rows)"
     try:
         grid = [[as_scalar(x) for x in row] for row in p]
     except TypeError as exc:
-        raise PreconditionError(f"{name}: {exc}") from exc
+        raise PreconditionError(shape) from exc
     if len(grid) != rows or any(len(r) != cols for r in grid):
-        raise PreconditionError(f"{name} must be {rows}×{cols}")
+        raise PreconditionError(shape)
     return grid
 
 
@@ -219,7 +222,7 @@ def make_semimagic(n: int, Y=None, V=None, W=None, Z=None, w=None) -> Matrix:
         _require(V.apply(ones(nu)).is_zero(), "V must have zero row sums")
         _require(W.apply(ones(nu)).is_zero(), "W must have zero row sums")
         return conjugate_x(_assemble_even(Y, V.transpose(), W, Z))
-    w = _scalar_param(w)
+    w = _scalar_param(w, "w")
     if n == 1:
         return Matrix(1, (w,))
     Y = _mat_param(Y, nu, "Y")
@@ -302,7 +305,7 @@ def make_alternating_pairs(n: int, Y=None, V=None, W=None, Z=None, lam=None) -> 
         _require(W.transpose().apply(sig).is_zero(), "W must have zero alternating column sums")
         _require(in_space(Z, "N"), "Z must be an alternating-pairs member (Z ∈ N_ν)")
         return conjugate_x(_assemble_even(Y, V.transpose(), W, Z))
-    lam = _scalar_param(lam)
+    lam = _scalar_param(lam, "lam")
     if n == 1:
         return Matrix(1, (lam,))
     Y = _mat_param(Y, nu, "Y")
@@ -369,7 +372,7 @@ def make_array_sum(n: int, a=None, b=None, Z=None, v=None, x=None, y=None, z=Non
 def make_reverse(n: int, gamma=None, x=None, z=None, Z=None) -> Matrix:
     """Row/column-reverse member from γ, two free vectors and a free block."""
     nu, odd = divmod(n, 2)
-    gamma = _scalar_param(gamma)
+    gamma = _scalar_param(gamma, "gamma")
     if n == 1:
         return Matrix(1, (gamma / SQRT2,))
     x = _vec_param(x, nu, "x")
@@ -526,7 +529,7 @@ def make_reversible(a, b, n: int, w=None) -> Matrix:
     in either case the rank never exceeds 2.
     """
     nu, odd = divmod(n, 2)
-    w = _scalar_param(w)
+    w = _scalar_param(w, "w")
     if n == 1:
         return Matrix(1, (w,))
     a = _vec_param(a, nu, "a")

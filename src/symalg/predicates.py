@@ -7,6 +7,11 @@ conditions, half-turn conjugation identities, projector residuals).
 `classify` runs both routes and treats any disagreement as an internal bug,
 not as a statement about the input.
 
+One table (`SPACES`) gives each space its two routes, its parity, its rule
+and the route `in_space` takes; `COMPOSITES` gives the intersections.
+`check_entrywise`, `check_algebraic`, `classify` and `in_space` are all
+derived from the two, and so are the oracle's dimension checks.
+
 Weight conventions: rows/columns of an S-matrix sum to n·w, centrally
 opposite entries of an A-matrix to 2w, cyclic 2×2 blocks of an M-matrix to
 4w, half-period pairs of a P-matrix to 2w.  For odd n the M- and N-type
@@ -18,14 +23,12 @@ verdicts accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .blockform import conjugate_j
 from .errors import DimensionError, PredicatePathMismatch
 from .matrix import Matrix, Vector, alternating, all_ones, ones
 from .scalar import ZERO, Scalar
-
-ENTRYWISE_PROPS = frozenset("SABRVMNPQ")
-ALGEBRAIC_PROPS = frozenset("SABRVMN")
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,7 @@ class SymmetryReport:
 
     def pretty(self) -> str:
         lines = [f"n = {self.n}"]
-        for k in "SABRVMNPQ":
-            if k not in self.props:
-                continue
-            v = self.props[k]
+        for k, v in self.props.items():
             mark = "yes" if v.holds else "no"
             w = f"  w = {v.weight}" if v.holds and v.weight is not None else ""
             via = f"  [{v.route}]" if v.route == "algebraic" else ""
@@ -85,33 +85,10 @@ class SymmetryReport:
 # -- entrywise route ---------------------------------------------------------
 
 
-def _row_sums(m: Matrix) -> list[Scalar]:
-    n = m.n
-    e = m.entries
-    out = []
-    for i in range(n):
-        acc = ZERO
-        for j in range(n):
-            acc = acc + e[i * n + j]
-        out.append(acc)
-    return out
-
-
-def _col_sums(m: Matrix) -> list[Scalar]:
-    n = m.n
-    e = m.entries
-    out = []
-    for j in range(n):
-        acc = ZERO
-        for i in range(n):
-            acc = acc + e[i * n + j]
-        out.append(acc)
-    return out
-
-
 def _ew_semimagic(m: Matrix) -> PropertyVerdict:
-    rs = _row_sums(m)
-    cs = _col_sums(m)
+    n, e = m.n, m.entries
+    rs = [sum(e[i * n : (i + 1) * n], ZERO) for i in range(n)]
+    cs = [sum(e[j::n], ZERO) for j in range(n)]
     c = rs[0]
     if any(x != c for x in rs) or any(x != c for x in cs):
         return PropertyVerdict(False)
@@ -239,37 +216,6 @@ def _alternating_total(m: Matrix) -> Scalar:
     return acc
 
 
-_ENTRYWISE = {
-    "S": _ew_semimagic,
-    "A": _ew_associated,
-    "B": _ew_balanced,
-    "R": _ew_reverse,
-    "V": _ew_vertex_cross,
-    "M": _ew_array_sum,
-    "N": _ew_alternating_pairs,
-    "P": _ew_pandiagonal,
-    "Q": _ew_quartered,
-}
-
-
-def check_entrywise(m: Matrix, prop: str) -> PropertyVerdict:
-    """Entrywise verdict for one property tag in S,A,B,R,V,M,N,P,Q.
-
-    M and N fall back to their algebraic definitions when n is odd (that is
-    how the odd-dimensional spaces are defined); P and Q have no odd-n form
-    at all and raise DimensionError.
-    """
-    prop = prop.upper()
-    if prop not in ENTRYWISE_PROPS:
-        raise ValueError(f"unknown property {prop!r}")
-    if m.n % 2 == 1:
-        if prop in "PQ":
-            raise DimensionError(f"entrywise ({prop}) requires even dimension")
-        if prop in "MN":
-            return check_algebraic(m, prop)
-    return _ENTRYWISE[prop](m)
-
-
 # -- algebraic route ---------------------------------------------------------
 
 
@@ -395,27 +341,130 @@ def _alg_alternating_pairs(m: Matrix) -> PropertyVerdict:
     return _eigen_pair(m, alternating(m.n))
 
 
-_ALGEBRAIC = {
-    "S": _alg_semimagic,
-    "A": _alg_associated,
-    "B": _alg_balanced,
-    "R": _alg_reverse,
-    "V": _alg_vertex_cross,
-    "M": _alg_array_sum,
-    "N": _alg_alternating_pairs,
+# -- the space table -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Space:
+    """One symmetry space: the property that decides it and how.
+
+    `prop` names the property whose verdict decides membership (VRAW and V
+    share property V).  `algebraic` is None where the paper gives no
+    matrix-algebra characterisation.  `odd_algebraic` marks the spaces that
+    the algebraic route defines at odd n.  The space is the weight-0 part of
+    the property when `zero_weight` is set, and asks for total sum 0 as well
+    when `zero_sum` is set.  `in_space` takes the algebraic route where
+    `fast_algebraic` is set, else the entrywise one.
+    """
+
+    prop: str
+    entrywise: Callable[[Matrix], PropertyVerdict]
+    algebraic: Callable[[Matrix], PropertyVerdict] | None = None
+    even_only: bool = False
+    odd_algebraic: bool = False
+    zero_weight: bool = False
+    zero_sum: bool = False
+    fast_algebraic: bool = False
+
+
+SPACES = {
+    "S": Space("S", _ew_semimagic, _alg_semimagic, fast_algebraic=True),
+    "A": Space("A", _ew_associated, _alg_associated, zero_weight=True),
+    "B": Space("B", _ew_balanced, _alg_balanced),
+    "R": Space("R", _ew_reverse, _alg_reverse),
+    "V": Space("V", _ew_vertex_cross, _alg_vertex_cross, zero_sum=True),
+    "VRAW": Space("V", _ew_vertex_cross, _alg_vertex_cross),
+    "M": Space("M", _ew_array_sum, _alg_array_sum, odd_algebraic=True, zero_weight=True),
+    "N": Space("N", _ew_alternating_pairs, _alg_alternating_pairs, odd_algebraic=True),
+    "P": Space("P", _ew_pandiagonal, even_only=True, zero_weight=True),
+    "Q": Space("Q", _ew_quartered, even_only=True),
+}
+
+# Intersections of table spaces.
+COMPOSITES = {
+    "RV": ("R", "V"),
+    "RVRAW": ("R", "VRAW"),
+    "AV": ("A", "V"),
+    "AS": ("A", "S"),
+    "BS": ("B", "S"),
+    "RS": ("R", "S"),
+    "MPS": ("M", "P", "S"),
+    "NQS": ("N", "Q", "S"),
+    "AM": ("A", "M"),
+    "BN": ("B", "N"),
+}
+
+# The composites a SymmetryReport names, in report order.
+_REPORTED = ("RV", "AS", "BS", "RS", "MPS", "NQS")
+
+# Every tag `in_space` accepts, with the table spaces it intersects.
+_PARTS = {tag: (space,) for tag, space in SPACES.items()} | {
+    tag: tuple(SPACES[part] for part in parts) for tag, parts in COMPOSITES.items()
 }
 
 
+def _require(tag: str, parts: tuple, n: int) -> None:
+    if n < 1:
+        raise DimensionError(f"dimension must be positive, got {n}")
+    if n % 2 and any(space.even_only for space in parts):
+        raise DimensionError(f"space {tag} needs even dimension")
+
+
+def even_only(tag: str) -> bool:
+    """Whether the space or composite `tag` exists only at even n.
+
+    False for tags outside the table (the oracle's MENTRY and RCOMP).
+    """
+    return any(space.even_only for space in _PARTS.get(tag.upper(), ()))
+
+
+def check_dimension(tag: str, n: int) -> None:
+    """Raise DimensionError unless the space `tag` exists at size n."""
+    _require(tag, _PARTS.get(tag.upper(), ()), n)
+
+
+def _routes(space: Space, n: int) -> tuple:
+    # The routes that decide the property at size n, entrywise first.
+    if n % 2 and space.odd_algebraic:
+        return (space.algebraic,)
+    if space.algebraic is None:
+        return (space.entrywise,)
+    return (space.entrywise, space.algebraic)
+
+
+def dual_routes(n: int) -> tuple[str, ...]:
+    """The properties that two independent routes decide at size n."""
+    return tuple(
+        tag
+        for tag, space in SPACES.items()
+        if tag == space.prop and len(_routes(space, n)) == 2
+    )
+
+
+def check_entrywise(m: Matrix, prop: str) -> PropertyVerdict:
+    """Entrywise verdict for one property tag of `SPACES`.
+
+    The spaces the algebraic route defines at odd n (M and N) return that
+    verdict there; the even-only ones (P and Q) raise DimensionError.
+    """
+    space = SPACES.get(prop.upper())
+    if space is None:
+        raise ValueError(f"unknown property {prop!r}")
+    if m.n % 2 and space.even_only:
+        raise DimensionError(f"entrywise ({prop.upper()}) requires even dimension")
+    return _routes(space, m.n)[0](m)
+
+
 def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
-    """Matrix-algebra verdict for one property tag in S,A,B,R,V,M,N.
+    """Matrix-algebra verdict for one property tag of `SPACES`.
 
     Valid for every dimension; for odd n this route *is* the definition of
-    the M- and N-type spaces.
+    the M- and N-type spaces.  P and Q have no such route.
     """
-    prop = prop.upper()
-    if prop not in ALGEBRAIC_PROPS:
+    space = SPACES.get(prop.upper())
+    if space is None or space.algebraic is None:
         raise ValueError(f"property {prop!r} has no algebraic characterisation")
-    return _ALGEBRAIC[prop](m)
+    return space.algebraic(m)
 
 
 # -- classification ----------------------------------------------------------
@@ -433,57 +482,39 @@ def _agree(e: PropertyVerdict, a: PropertyVerdict, prop: str, n: int) -> Propert
     return PropertyVerdict(e.holds, e.weight, route="both")
 
 
+def _weight_rule(space: Space, v: PropertyVerdict) -> bool:
+    # Membership short of the total-sum rule; no weight (odd M) passes.
+    return v.holds and not (space.zero_weight and v.weight is not None and v.weight != ZERO)
+
+
 def classify(m: Matrix) -> SymmetryReport:
-    """Classify a square matrix against all nine symmetry types.
+    """Classify a square matrix against every property of `SPACES`.
 
     Runs the entrywise and algebraic routes wherever both are defined and
     raises PredicatePathMismatch if they ever disagree (a self-check).
     """
     n = m.n
-    even = n % 2 == 0
     props: dict[str, PropertyVerdict] = {}
-    for prop in "SABRV":
-        props[prop] = _agree(_ENTRYWISE[prop](m), _ALGEBRAIC[prop](m), prop, n)
-    if even:
-        props["M"] = _agree(_ew_array_sum(m), _alg_array_sum(m), "M", n)
-        n_e = _ew_alternating_pairs(m)
-        n_a = _alg_alternating_pairs(m)
-        if n_e.holds != n_a.holds:
-            raise PredicatePathMismatch(
-                f"entrywise and algebraic verdicts differ for (N) at n={n}"
-            )
-        props["N"] = PropertyVerdict(n_e.holds, None, "both")
-        props["P"] = _ew_pandiagonal(m)
-        props["Q"] = _ew_quartered(m)
-    else:
-        props["M"] = _alg_array_sum(m)
-        props["N"] = _alg_alternating_pairs(m)
+    for space in SPACES.values():
+        if space.prop in props or (n % 2 and space.even_only):
+            continue
+        routes = _routes(space, n)
+        v = routes[0](m)
+        if len(routes) == 2:
+            v = _agree(v, routes[1](m), space.prop, n)
+        props[space.prop] = v
 
     v_sum_zero = m.total_sum() == ZERO
-    zero = ZERO
     spaces = {
-        "S": props["S"].holds,
-        "A": props["A"].holds and props["A"].weight == zero,
-        "B": props["B"].holds,
-        "R": props["R"].holds,
-        "V": props["V"].holds and v_sum_zero,
-        "M": props["M"].holds and (props["M"].weight == zero if even else True),
-        "N": props["N"].holds,
+        tag: _weight_rule(space, props[tag]) and (v_sum_zero or not space.zero_sum)
+        for tag, space in SPACES.items()
+        if tag in props
     }
-    if even:
-        spaces["P"] = props["P"].holds and props["P"].weight == zero
-        spaces["Q"] = props["Q"].holds
-
     composites = {
-        "RV": spaces["R"] and spaces["V"],
-        "AS": spaces["A"] and spaces["S"],
-        "BS": spaces["B"] and spaces["S"],
-        "RS": spaces["R"] and spaces["S"],
+        tag: all(spaces[part] for part in COMPOSITES[tag])
+        for tag in _REPORTED
+        if all(part in spaces for part in COMPOSITES[tag])
     }
-    if even:
-        composites["MPS"] = spaces["M"] and spaces["P"] and spaces["S"]
-        composites["NQS"] = spaces["N"] and spaces["Q"] and spaces["S"]
-
     return SymmetryReport(n, props, v_sum_zero, spaces, composites)
 
 
@@ -491,56 +522,21 @@ def classify(m: Matrix) -> SymmetryReport:
 
 
 def in_space(m: Matrix, tag: str) -> bool:
-    """Exact membership in a symmetry space or intersection of them.
+    """Exact membership in a space of `SPACES` or a composite of `COMPOSITES`.
 
-    Tags: the nine single letters (with their weight-0 conventions for
-    A, M, P and the total-sum-zero convention for V), plus Vraw (property V
-    without the sum condition) and the composites RV, RVraw, AV, AS, BS,
-    RS, MPS, NQS.
+    Each space applies its table rule: weight 0 for A, M and P, total sum 0
+    for V (VRAW is property V alone).  A tag that exists only at even n
+    raises DimensionError at odd n.
     """
-    tag = tag.upper()
-    even = m.n % 2 == 0
-    if tag == "S":
-        return _alg_semimagic(m).holds
-    if tag == "A":
-        v = _ew_associated(m)
-        return v.holds and v.weight == ZERO
-    if tag == "B":
-        return _ew_balanced(m).holds
-    if tag == "R":
-        return _ew_reverse(m).holds
-    if tag == "VRAW":
-        return _ew_vertex_cross(m).holds
-    if tag == "V":
-        return _ew_vertex_cross(m).holds and m.total_sum() == ZERO
-    if tag == "M":
-        if even:
-            v = _ew_array_sum(m)
-            return v.holds and v.weight == ZERO
-        return _alg_array_sum(m).holds
-    if tag == "N":
-        if even:
-            return _ew_alternating_pairs(m).holds
-        return _alg_alternating_pairs(m).holds
-    if tag == "P":
-        v = _ew_pandiagonal(m)
-        return v.holds and v.weight == ZERO
-    if tag == "Q":
-        return _ew_quartered(m).holds
-    if tag in COMPOSITES:
-        return all(in_space(m, part) for part in COMPOSITES[tag])
-    raise ValueError(f"unknown space tag {tag!r}")
-
-
-COMPOSITES = {
-    "RV": ("R", "V"),
-    "RVRAW": ("R", "VRAW"),
-    "AV": ("A", "V"),
-    "AS": ("A", "S"),
-    "BS": ("B", "S"),
-    "RS": ("R", "S"),
-    "MPS": ("M", "P", "S"),
-    "NQS": ("N", "Q", "S"),
-    "AM": ("A", "M"),
-    "BN": ("B", "N"),
-}
+    parts = _PARTS.get(tag.upper())
+    if parts is None:
+        raise ValueError(f"unknown space tag {tag!r}")
+    n = m.n
+    _require(tag, parts, n)
+    for space in parts:
+        v = _routes(space, n)[-1 if space.fast_algebraic else 0](m)
+        if not _weight_rule(space, v):
+            return False
+        if space.zero_sum and m.total_sum() != ZERO:
+            return False
+    return True

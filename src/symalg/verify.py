@@ -36,284 +36,182 @@ from .construct import (
 from .elim import Echelon, echelon_of, nullspace_of_rows
 from .errors import DimensionError, VerificationError
 from .matrix import Matrix, Vector, all_ones, alternating, ones, rank, zeros
-from .predicates import COMPOSITES, check_algebraic, check_entrywise, in_space
+from .predicates import (
+    COMPOSITES,
+    check_algebraic,
+    check_dimension,
+    check_entrywise,
+    dual_routes,
+    even_only,
+    in_space,
+)
 from .scalar import ZERO, Scalar, as_scalar
 
 # -- constraint systems ------------------------------------------------------
+#
+# Every defining equation is a sum of bilinear forms uᵀ·M·v = 0 in the n²
+# entries of M.  The vectors u, v are sparse: lists of (index, integer
+# coefficient) pairs, in which a repeated index adds up.
 
 
-def _int_row(n2: int, cells: dict) -> list[Scalar]:
-    row = [ZERO] * n2
-    for idx, c in cells.items():
+def _row(n: int, *forms) -> list[Scalar]:
+    """The equation Σ uᵀ·M·v = 0 over the (u, v) pairs, as a row over vec(M)."""
+    cells: dict = {}
+    for u, v in forms:
+        for i, a in u:
+            base = i * n
+            for j, b in v:
+                cells[base + j] = cells.get(base + j, 0) + a * b
+    row = [ZERO] * (n * n)
+    for k, c in cells.items():
         if c:
-            row[idx] = Scalar._make(c, 0, 1)
+            row[k] = _int_scalar(c)
     return row
 
 
+@lru_cache(maxsize=None)
+def _int_scalar(c: int) -> Scalar:
+    # Scalars are immutable, so rows share one object per coefficient.
+    return Scalar._make(c, 0, 1)
+
+
+def _e(*indices) -> list:
+    # e_i + e_j + ...
+    return [(i, 1) for i in indices]
+
+
+def _neg(u: list) -> list:
+    return [(i, -c) for i, c in u]
+
+
+def _sigma(n: int) -> list:
+    return [(i, 1 - 2 * (i % 2)) for i in range(n)]
+
+
+def _adjacent(n: int) -> list:
+    # e_a + e_{a+1} with a + 1 taken mod n.
+    return [_e(a, (a + 1) % n) for a in range(n)]
+
+
+def _pairs(n: int) -> list:
+    # The n cyclic adjacent pairs at even n; at odd n the n − 1 open ones,
+    # a basis of {Σ}^⊥.
+    return _adjacent(n) if n % 2 == 0 else _adjacent(n)[:-1]
+
+
 def _rows_semimagic(n: int) -> list:
-    rows = []
-    first = {j: 1 for j in range(n)}
-    for i in range(1, n):
-        cells = dict(first)
-        for j in range(n):
-            cells[i * n + j] = cells.get(i * n + j, 0) - 1
-        rows.append(_int_row(n * n, {k: -v for k, v in cells.items()}))
-    for j in range(n):
-        cells = {i * n + j: 1 for i in range(n)}
-        for k, v in first.items():
-            cells[k] = cells.get(k, 0) - v
-        rows.append(_int_row(n * n, cells))
-    return rows
+    # Every row sum and column sum equals the first row sum.
+    one, first = _e(*range(n)), _neg(_e(0))
+    return [_row(n, (_e(i), one), (first, one)) for i in range(1, n)] + [
+        _row(n, (one, _e(j)), (first, one)) for j in range(n)
+    ]
 
 
-def _rows_associated(n: int) -> list:
-    rows = []
-    seen = set()
-    for i in range(n):
-        for j in range(n):
-            a, b = i * n + j, (n - 1 - i) * n + (n - 1 - j)
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            cells = {a: 1}
-            cells[b] = cells.get(b, 0) + 1
-            rows.append(_int_row(n * n, cells))
-    return rows
-
-
-def _rows_balanced(n: int) -> list:
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            a, b = i * n + j, (n - 1 - i) * n + (n - 1 - j)
-            if a < b:
-                rows.append(_int_row(n * n, {a: 1, b: -1}))
-    return rows
+def _rows_central(n: int, sign: int) -> list:
+    # m_ij + sign·m_{n−1−i,n−1−j} = 0 once per centrally opposite pair, at
+    # its first entry k < n² − 1 − k; the centre (odd n), its own partner,
+    # only for sign +1.
+    last = n * n - 1
+    return [
+        _row(n, (_e(i), _e(j)), ([(n - 1 - i, sign)], _e(n - 1 - j)))
+        for i in range(n)
+        for j in range(n)
+        if 2 * (i * n + j) < last or (2 * (i * n + j) == last and sign == 1)
+    ]
 
 
 def _rows_reverse(n: int) -> list:
-    rows = []
-    for i in range(n):
-        for j in range(1, n - 1):
-            if j > n - 1 - j:
-                continue
-            cells = {i * n + j: 1}
-            for idx, c in ((i * n + (n - 1 - j), 1), (i * n, -1), (i * n + n - 1, -1)):
-                cells[idx] = cells.get(idx, 0) + c
-            rows.append(_int_row(n * n, cells))
-    for j in range(n):
-        for i in range(1, n - 1):
-            if i > n - 1 - i:
-                continue
-            cells = {i * n + j: 1}
-            for idx, c in (((n - 1 - i) * n + j, 1), (j, -1), ((n - 1) * n + j, -1)):
-                cells[idx] = cells.get(idx, 0) + c
-            rows.append(_int_row(n * n, cells))
-    return rows
+    # Mirror-pair sums along every row, then every column, equal the end pair.
+    ends = _neg(_e(0, n - 1))
+    mirror = [_e(k, n - 1 - k) + ends for k in range(1, n - 1) if 2 * k <= n - 1]
+    return [_row(n, (_e(i), u)) for i in range(n) for u in mirror] + [
+        _row(n, (u, _e(j))) for j in range(n) for u in mirror
+    ]
 
 
 def _rows_vertex_raw(n: int) -> list:
-    rows = []
-    for i in range(n):
-        for k in range(i + 1, n):
-            for j in range(n):
-                for l in range(j + 1, n):
-                    rows.append(
-                        _int_row(
-                            n * n,
-                            {i * n + j: 1, k * n + l: 1, i * n + l: -1, k * n + j: -1},
-                        )
-                    )
-    return rows
+    # (e_i − e_k)ᵀ·M·(e_j − e_l) = 0 for i < k, j < l: every rectangle.
+    diffs = [[(i, 1), (k, -1)] for i in range(n) for k in range(i + 1, n)]
+    return [_row(n, (u, v)) for u in diffs for v in diffs]
 
 
 def _total_row(n: int) -> list:
-    return _int_row(n * n, {k: 1 for k in range(n * n)})
+    one = _e(*range(n))
+    return _row(n, (one, one))
 
 
 def _alt_total_row(n: int) -> list:
-    return _int_row(
-        n * n,
-        {i * n + j: (1 if (i + j) % 2 == 0 else -1) for i in range(n) for j in range(n)},
-    )
+    sig = _sigma(n)
+    return _row(n, (sig, sig))
 
 
 def _rows_vertex(n: int) -> list:
     return _rows_vertex_raw(n) + [_total_row(n)]
 
 
-def _pair_basis(n: int) -> list:
-    # The vectors with 1 in positions a and a+1; they span {Σ_n}^⊥.
-    return [(a, a + 1) for a in range(n - 1)]
-
-
 def _rows_array_sum(n: int) -> list:
-    n2 = n * n
-    rows = []
-    if n % 2 == 0:
-        for i in range(n):
-            i1 = (i + 1) % n
-            for j in range(n):
-                j1 = (j + 1) % n
-                cells: dict = {}
-                for idx in (i * n + j, i * n + j1, i1 * n + j, i1 * n + j1):
-                    cells[idx] = cells.get(idx, 0) + 1
-                rows.append(_int_row(n2, cells))
-        rows.append(_alt_total_row(n))
-        return rows
-    # Odd n: algebraic definition u·Mᵀ-free form — uᵀMv = 0 on the pair
-    # basis of {Σ}^⊥, plus the alternating total.
-    for a, a1 in _pair_basis(n):
-        for b, b1 in _pair_basis(n):
-            cells = {}
-            for i in (a, a1):
-                for j in (b, b1):
-                    cells[i * n + j] = cells.get(i * n + j, 0) + 1
-            rows.append(_int_row(n2, cells))
-    rows.append(_alt_total_row(n))
-    return rows
+    # Even n: every cyclic 2×2 block sums to 0.  Odd n, the algebraic
+    # definition: uᵀ·M·v = 0 on the basis of {Σ}^⊥.  Both: ΣᵀMΣ = 0.
+    pairs = _pairs(n)
+    return [_row(n, (u, v)) for u in pairs for v in pairs] + [_alt_total_row(n)]
 
 
 def _rows_alternating_pairs(n: int) -> list:
-    n2 = n * n
-    rows = []
-    sgn = [1 if i % 2 == 0 else -1 for i in range(n)]
-    if n % 2 == 0:
-        for j in range(n):
-            j1 = (j + 1) % n
-            cells: dict = {}
-            for i in range(n):
-                cells[i * n + j] = cells.get(i * n + j, 0) + sgn[i]
-                cells[i * n + j1] = cells.get(i * n + j1, 0) + sgn[i]
-            rows.append(_int_row(n2, cells))
-            cells = {}
-            for i in range(n):
-                cells[j * n + i] = cells.get(j * n + i, 0) + sgn[i]
-                cells[j1 * n + i] = cells.get(j1 * n + i, 0) + sgn[i]
-            rows.append(_int_row(n2, cells))
-        return rows
-    for b, b1 in _pair_basis(n):
-        cells = {}
-        for i in range(n):
-            for j in (b, b1):
-                cells[i * n + j] = cells.get(i * n + j, 0) + sgn[i]
-        rows.append(_int_row(n2, cells))
-        cells = {}
-        for j in range(n):
-            for i in (b, b1):
-                cells[i * n + j] = cells.get(i * n + j, 0) + sgn[j]
-        rows.append(_int_row(n2, cells))
-    return rows
+    # Σᵀ·M·u = uᵀ·M·Σ = 0 for each pair u: consecutive row and column
+    # alternating sums cancel (even n), the algebraic definition (odd n).
+    sig = _sigma(n)
+    return [row for u in _pairs(n) for row in (_row(n, (sig, u)), _row(n, (u, sig)))]
 
 
 def _rows_half_period(n: int, sign: int) -> list:
+    # m_ij + sign·m_{i+ν,j+ν} = 0, indices mod n, once per pair (j < ν).
     nu = n // 2
-    rows = []
-    for i in range(n):
-        i2 = (i + nu) % n
-        for j in range(nu):
-            j2 = (j + nu) % n
-            cells = {i * n + j: 1}
-            idx = i2 * n + j2
-            cells[idx] = cells.get(idx, 0) + sign
-            rows.append(_int_row(n * n, cells))
-    return rows
-
-
-def _rows_pandiagonal(n: int) -> list:
-    return _rows_half_period(n, +1)
-
-
-def _rows_quartered(n: int) -> list:
-    return _rows_half_period(n, -1)
+    return [
+        _row(n, (_e(i), _e(j)), ([((i + nu) % n, sign)], _e(j + nu)))
+        for i in range(n)
+        for j in range(nu)
+    ]
 
 
 def _rows_array_sum_entrywise(n: int) -> list:
-    # Literal 2×2 cyclic sums, all equal (weight eliminated by differencing)
+    # Literal cyclic 2×2 sums, all equal (weight eliminated by differencing)
     # plus the alternating total; meaningful for every parity.
-    n2 = n * n
-
-    def block(i, j):
-        i1, j1 = (i + 1) % n, (j + 1) % n
-        cells: dict = {}
-        for idx in (i * n + j, i * n + j1, i1 * n + j, i1 * n + j1):
-            cells[idx] = cells.get(idx, 0) + 1
-        return cells
-
-    ref = block(0, 0)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            if i == 0 and j == 0:
-                continue
-            cells = block(i, j)
-            for k, v in ref.items():
-                cells[k] = cells.get(k, 0) - v
-            rows.append(_int_row(n2, cells))
-    rows.append(_alt_total_row(n))
-    return rows
-
-
-def _reflect_neg_basis(n: int) -> list[list[int]]:
-    # Basis of {u : J·u = −u}: e_a − e_{n−1−a} for a < ν.
-    out = []
-    for a in range(n // 2):
-        v = [0] * n
-        v[a] = 1
-        v[n - 1 - a] = -1
-        out.append(v)
-    return out
+    blocks = _adjacent(n)
+    first = (_neg(blocks[0]), blocks[0])
+    return [
+        _row(n, (u, v), first)
+        for a, u in enumerate(blocks)
+        for b, v in enumerate(blocks)
+        if a or b
+    ] + [_alt_total_row(n)]
 
 
 def _rows_reverse_complement(n: int) -> list:
-    n2 = n * n
-    basis = _reflect_neg_basis(n)
+    # (1 + u)ᵀ·M·(1 + v) = 0 over the −1 eigenspace of J: its four
+    # homogeneous families 1ᵀM1, uᵀM1, 1ᵀMu and uᵀMv on the basis
+    # e_a − e_{n−1−a}, a < ν.
+    one = _e(*range(n))
+    basis = [[(a, 1), (n - 1 - a, -1)] for a in range(n // 2)]
     rows = [_total_row(n)]
     for u in basis:
-        cells = {}
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            for j in range(n):
-                cells[i * n + j] = cells.get(i * n + j, 0) + u[i]
-        rows.append(_int_row(n2, cells))
-        cells = {}
-        for j in range(n):
-            if u[j] == 0:
-                continue
-            for i in range(n):
-                cells[i * n + j] = cells.get(i * n + j, 0) + u[j]
-        rows.append(_int_row(n2, cells))
-    for u in basis:
-        for v in basis:
-            cells = {}
-            for i in range(n):
-                if u[i] == 0:
-                    continue
-                for j in range(n):
-                    if v[j]:
-                        cells[i * n + j] = cells.get(i * n + j, 0) + u[i] * v[j]
-            rows.append(_int_row(n2, cells))
-    return rows
+        rows += [_row(n, (u, one)), _row(n, (one, u))]
+    return rows + [_row(n, (u, v)) for u in basis for v in basis]
 
 
 _ATOMS = {
     "S": _rows_semimagic,
-    "A": _rows_associated,
-    "B": _rows_balanced,
+    "A": lambda n: _rows_central(n, 1),
+    "B": lambda n: _rows_central(n, -1),
     "R": _rows_reverse,
     "V": _rows_vertex,
     "VRAW": _rows_vertex_raw,
     "M": _rows_array_sum,
     "N": _rows_alternating_pairs,
-    "P": _rows_pandiagonal,
-    "Q": _rows_quartered,
+    "P": lambda n: _rows_half_period(n, 1),
+    "Q": lambda n: _rows_half_period(n, -1),
     "MENTRY": _rows_array_sum_entrywise,
     "RCOMP": _rows_reverse_complement,
 }
-
-_EVEN_ONLY = {"P", "Q", "MPS", "NQS"}
 
 
 class ConstraintSystem:
@@ -360,16 +258,11 @@ def build_constraints(space: str, n: int) -> ConstraintSystem:
     treat it as read-only.
     """
     tag = space.upper()
-    if tag in _EVEN_ONLY and n % 2 == 1:
-        raise DimensionError(f"space {space} needs even dimension")
-    if tag in _ATOMS:
-        return ConstraintSystem(tag, n, _ATOMS[tag](n))
-    if tag in COMPOSITES:
-        rows = []
-        for part in COMPOSITES[tag]:
-            rows.extend(_ATOMS[part](n))
-        return ConstraintSystem(tag, n, rows)
-    raise ValueError(f"unknown space tag {space!r}")
+    parts = COMPOSITES.get(tag, (tag,))
+    if any(part not in _ATOMS for part in parts):
+        raise ValueError(f"unknown space tag {space!r}")
+    check_dimension(tag, n)
+    return ConstraintSystem(tag, n, [row for part in parts for row in _ATOMS[part](n)])
 
 
 def random_space_member(
@@ -425,27 +318,30 @@ def dimension_probe(space: str, n: int, check_constructors: bool = True) -> int:
 
 # -- grading checks ----------------------------------------------------------
 
+def _graded(even: str, odd: str) -> tuple:
+    # The laws of a Z₂-grading: even·even ⊂ even, odd·odd ⊂ even,
+    # odd·even ⊂ odd, even·odd ⊂ odd.
+    return ((even, even, even), (odd, odd, even), (odd, even, odd), (even, odd, odd))
+
+
 GRADING_PAIRS = {
-    "BA": (("B", "B", "B"), ("A", "A", "B"), ("A", "B", "A"), ("B", "A", "A")),
-    "QP": (("Q", "Q", "Q"), ("P", "P", "Q"), ("P", "Q", "P"), ("Q", "P", "P")),
-    "SV": (("S", "S", "S"), ("V", "V", "S"), ("V", "S", "V"), ("S", "V", "V")),
-    "NM": (("N", "N", "N"), ("M", "M", "N"), ("M", "N", "M"), ("N", "M", "M")),
+    "BA": _graded("B", "A"),
+    "QP": _graded("Q", "P"),
+    "SV": _graded("S", "V"),
+    "NM": _graded("N", "M"),
     "R": (("R", "R", "R"),),
-    "NQS-MPS": (
-        ("NQS", "NQS", "NQS"),
-        ("MPS", "MPS", "NQS"),
-        ("MPS", "NQS", "MPS"),
-        ("NQS", "MPS", "MPS"),
-    ),
-    "BS-RV": (
-        ("BS", "BS", "BS"),
-        ("RV", "RV", "BS"),
-        ("RV", "BS", "RV"),
-        ("BS", "RV", "RV"),
-    ),
+    "NQS-MPS": _graded("NQS", "MPS"),
+    "BS-RV": _graded("BS", "RV"),
 }
 
-_EVEN_ONLY_PAIRS = {"QP", "NQS-MPS"}
+
+def _exists(tags, n: int) -> bool:
+    # Every one of the spaces exists at size n ≥ 1.
+    return n % 2 == 0 or not any(even_only(tag) for tag in tags)
+
+
+def _grading_exists(pair: str, n: int) -> bool:
+    return _exists([tag for law in GRADING_PAIRS[pair] for tag in law], n)
 
 
 @dataclass
@@ -482,7 +378,7 @@ def _normalize_pair(pair: str) -> str:
 def grading_check(pair: str, n: int, trials: int, seed: int = 0) -> GradingCheckResult:
     """Check every product law of one grading on random oracle members."""
     tag = _normalize_pair(pair)
-    if tag in _EVEN_ONLY_PAIRS and n % 2 == 1:
+    if not _grading_exists(tag, n):
         raise DimensionError(f"grading pair {tag} needs even dimension")
     result = GradingCheckResult(tag, n, trials)
     for li, (left, right, target) in enumerate(GRADING_PAIRS[tag]):
@@ -515,12 +411,7 @@ def mps_triple_product_check(
     ]
     lhs = ms[0] @ ms[1] @ ms[2]
     sig = alternating(n)
-    g1 = gamma1 if isinstance(gamma1, Vector) else Vector(gamma1)
-    d1 = delta1 if isinstance(delta1, Vector) else Vector(delta1)
-    g2 = gamma2 if isinstance(gamma2, Vector) else Vector(gamma2)
-    d2 = delta2 if isinstance(delta2, Vector) else Vector(delta2)
-    g3 = gamma3 if isinstance(gamma3, Vector) else Vector(gamma3)
-    d3 = delta3 if isinstance(delta3, Vector) else Vector(delta3)
+    g1, d1, g2, d2, g3, d3 = map(Vector, (gamma1, delta1, gamma2, delta2, gamma3, delta3))
     c_left = d2.dot(g3) * n
     c_right = d1.dot(g2) * n
     rhs = g1.scale(c_left).outer(sig) + sig.outer(d3.scale(c_right))
@@ -535,8 +426,7 @@ def parasymmetry_check(gamma, delta, n: int) -> bool:
     n·γδᵀ from the cross term.)
     """
     m = make_most_perfect(gamma, delta, n)
-    g = gamma if isinstance(gamma, Vector) else Vector(gamma)
-    d = delta if isinstance(delta, Vector) else Vector(delta)
+    g, d = Vector(gamma), Vector(delta)
     sig = alternating(n)
     m2 = m @ m
     closed = g.scale(as_scalar(n)).outer(d) + sig.scale(d.dot(g)).outer(sig)
@@ -633,7 +523,9 @@ def r_complement_membership(m: Matrix) -> bool:
     """
     n = m.n
     one = ones(n)
-    basis = [Vector(u) for u in _reflect_neg_basis(n)]
+    basis = [
+        Vector([int(i == a) - int(i == n - 1 - a) for i in range(n)]) for a in range(n // 2)
+    ]
     if not one.dot(m.apply(one)).is_zero():
         return False
     mt = m.transpose()
@@ -668,7 +560,7 @@ def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:
     """
     rng = random.Random(seed)
     member_kinds = ("s", "a", "b", "r", "v", "n", "m")
-    props = "SABRV" + ("MN" if n % 2 == 0 else "")
+    props = dual_routes(n)
     mismatches = 0
     for t in range(trials):
         if t % 3 == 0:
@@ -704,6 +596,7 @@ def oracle_predicate_agreement(space: str, n: int, trials: int, seed: int = 0) -
 # -- suites --------------------------------------------------------------------
 
 _SPLIT_DIM_PAIRS = (("B", "A"), ("S", "V"), ("N", "M"), ("Q", "P"))
+_AGREEMENT_SPACES = ("S", "A", "B", "R", "V", "M", "N", "P", "Q", "MPS", "NQS", "RV")
 
 
 def _check(name: str, ok: bool, **extra) -> dict:
@@ -728,7 +621,7 @@ def suite_dimensions(n_max: int = 8, **_) -> list[dict]:
         )
         checks.append(_check(f"dim V_{n} = 2n−2", dim_v == 2 * n - 2, value=dim_v))
         for even_tag, odd_tag in _SPLIT_DIM_PAIRS:
-            if even_tag == "Q" and n % 2 == 1:
+            if not _exists((even_tag, odd_tag), n):
                 continue
             de = dimension_probe(even_tag, n)
             do = dimension_probe(odd_tag, n)
@@ -747,7 +640,7 @@ def suite_gradings(n_max: int = 6, trials: int = 200, seed: int = 0, **_) -> lis
     checks = []
     for pair in GRADING_PAIRS:
         for n in range(2, n_max + 1):
-            if pair in _EVEN_ONLY_PAIRS and n % 2 == 1:
+            if not _grading_exists(pair, n):
                 continue
             res = grading_check(pair, n, trials, seed)
             checks.append(_result_check(f"grading {pair} n={n}", res.ok, res))
@@ -824,9 +717,8 @@ def suite_lemmas(n_max: int = 7, trials: int = 100, seed: int = 0, **_) -> list[
         )
         ok = all(
             oracle_predicate_agreement(sp, n, max(5, trials // 10), seed)
-            for sp in ("S", "A", "B", "R", "V", "M", "N")
-            + (("P", "Q", "MPS", "NQS") if n % 2 == 0 else ())
-            + ("RV",)
+            for sp in _AGREEMENT_SPACES
+            if _exists((sp,), n)
         )
         checks.append(_check(f"oracle/predicate span agreement (n={n})", ok))
     return checks

@@ -16,10 +16,8 @@ from symalg.blockform import conjugate_x, from_block, to_block
 from symalg.cli import main as cli_main
 from symalg.construct import CONSTRUCTIBLE, random_member
 from symalg.matrix import Matrix, all_ones, rank
-from symalg.predicates import classify, in_space
+from symalg.predicates import classify, even_only, in_space
 from symalg.scalar import Scalar
-
-SPACE_TAG = {"mps": "MPS", "nqs": "NQS", "rv": "RV"}
 
 MPS6_BLOCK_INPUT = Matrix.from_rows(
     [
@@ -77,7 +75,7 @@ def test_criterion_2_dimension_formulas():
         ok &= V.dimension_probe("S", n) == n * n - 2 * n + 2
         ok &= V.dimension_probe("V", n) == 2 * n - 2
         for even_tag, odd_tag in (("B", "A"), ("S", "V"), ("N", "M"), ("Q", "P")):
-            if even_tag == "Q" and n % 2 == 1:
+            if n % 2 and even_only(even_tag):
                 continue
             ok &= V.dimension_probe(even_tag, n) + V.dimension_probe(odd_tag, n) == n * n
     elapsed = time.perf_counter() - t0
@@ -93,9 +91,9 @@ def test_criterion_3_grading_suites():
     t0 = time.perf_counter()
     trials = 200
     failures = 0
-    for pair in ("BA", "QP", "SV", "NM", "R", "NQS-MPS", "BS-RV"):
+    for pair, laws in V.GRADING_PAIRS.items():
         for n in range(2, 7):
-            if pair in ("QP", "NQS-MPS") and n % 2 == 1:
+            if n % 2 and any(even_only(tag) for law in laws for tag in law):
                 continue
             failures += V.grading_check(pair, n, trials, seed=0).failures
     elapsed = time.perf_counter() - t0
@@ -236,14 +234,14 @@ def test_criterion_9_cli_golden(tmp_path, capsys):
     closure_ok = True
     out_path = tmp_path / "c.json"
     for kind in CONSTRUCTIBLE:
-        for n in ("4", "6") if kind in ("p", "q", "mps", "nqs") else ("4", "5"):
+        for n in ("4", "6") if even_only(kind) else ("4", "5"):
             code = cli_main(
                 ["construct", "--type", kind, "--n", n, "--seed", "9",
                  "--out", str(out_path)]
             )
             closure_ok &= code == 0
             m = mio.read_matrix(str(out_path))
-            closure_ok &= in_space(m, SPACE_TAG.get(kind, kind.upper()))
+            closure_ok &= in_space(m, kind.upper())
     capsys.readouterr()  # swallow CLI output before the verdict line
     _report(
         9,

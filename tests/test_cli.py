@@ -1,16 +1,16 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
 from symalg import io as mio
+from symalg import predicates
 from symalg.cli import main
 from symalg.construct import CONSTRUCTIBLE
 from symalg.matrix import Matrix, all_ones
-from symalg.predicates import classify, in_space
+from symalg.predicates import PropertyVerdict, classify, even_only, in_space
 from symalg.scalar import Scalar
-
-SPACE_TAG = {"mps": "MPS", "nqs": "NQS", "rv": "RV"}
 
 
 @pytest.fixture()
@@ -106,14 +106,14 @@ def test_decompose_qp_odd_is_input_error(capsys, tmp_path):
 def test_construct_classify_closure_all_types(capsys, tmp_path):
     out_path = tmp_path / "c.json"
     for kind in CONSTRUCTIBLE:
-        n = "6" if kind in ("p", "q", "mps", "nqs") else "5"
+        n = "6" if even_only(kind) else "5"
         code, _, _ = run(
             capsys, "construct", "--type", kind, "--n", n, "--seed", "7",
             "--out", str(out_path),
         )
         assert code == 0, kind
         m = mio.read_matrix(str(out_path))
-        assert in_space(m, SPACE_TAG.get(kind, kind.upper())), kind
+        assert in_space(m, kind.upper()), kind
 
 
 def test_construct_deterministic_given_seed(capsys, tmp_path):
@@ -190,6 +190,28 @@ def test_construct_params_bad_shape_is_precondition_violation(capsys, tmp_path):
         path = write_params(tmp_path, params)
         code, _, err = run(capsys, "construct", "--type", kind, "--n", "4", "--params", path)
         assert code == 3 and "Traceback" not in err, (kind, params, err)
+
+
+def test_construct_params_shape_messages_name_the_shape(capsys, tmp_path):
+    # r at n = 4: Z is a 2×2 matrix and x a vector of length 2.
+    for params, expected in (
+        ({"Z": ["1", "2", "3", "4"]}, "Z must be a 2×2 matrix"),
+        ({"x": [["1"]]}, "x must be a vector of length 2"),
+    ):
+        path = write_params(tmp_path, params)
+        code, _, err = run(capsys, "construct", "--type", "r", "--n", "4", "--params", path)
+        assert code == 3 and expected in err and len(err.splitlines()) == 1, err
+
+
+def test_predicate_path_mismatch_is_verification_failure(capsys, monkeypatch, e4_file):
+    # A route that disagrees with its twin is a bug in the program, not in the input.
+    broken = dataclasses.replace(
+        predicates.SPACES["B"], algebraic=lambda m: PropertyVerdict(False, route="algebraic")
+    )
+    monkeypatch.setitem(predicates.SPACES, "B", broken)
+    code, _, err = run(capsys, "classify", e4_file)
+    assert code == 4 and "Traceback" not in err, err
+    assert len(err.splitlines()) == 1 and "(B)" in err
 
 
 def test_construct_nonpositive_n_is_input_error(capsys):

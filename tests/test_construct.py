@@ -7,11 +7,9 @@ from symalg import construct as C
 from symalg.blockform import conjugate_x
 from symalg.errors import DimensionError, PreconditionError
 from symalg.matrix import Matrix, Vector, all_ones, alternating, identity, ones, rank, zeros
-from symalg.predicates import check_entrywise, classify, in_space
+from symalg.predicates import check_entrywise, classify, even_only, in_space
 from symalg.scalar import SQRT2, Scalar
 from symalg.verify import build_constraints, dimension_probe
-
-SPACE_TAG = {"mps": "MPS", "nqs": "NQS", "rv": "RV"}
 
 
 def entrywise_vertex_all_quadruples(m):
@@ -252,11 +250,11 @@ def test_constructor_soundness_random_sweep():
     rng = random.Random(23)
     for kind in C.CONSTRUCTIBLE:
         for n in range(2, 10):
-            if kind in ("p", "q", "mps", "nqs") and n % 2 == 1:
+            if n % 2 and even_only(kind):
                 continue
             for _ in range(40):
                 m = C.random_member(kind, n, rng)
-                assert in_space(m, SPACE_TAG.get(kind, kind.upper())), (kind, n)
+                assert in_space(m, kind.upper()), (kind, n)
 
 
 def test_constructor_outputs_pass_both_predicate_routes():
@@ -265,11 +263,11 @@ def test_constructor_outputs_pass_both_predicate_routes():
     rng = random.Random(25)
     for kind in C.CONSTRUCTIBLE:
         for n in (4, 5, 6):
-            if kind in ("p", "q", "mps", "nqs") and n % 2 == 1:
+            if n % 2 and even_only(kind):
                 continue
             for _ in range(3):
                 rep = classify(C.random_member(kind, n, rng))
-                tag = SPACE_TAG.get(kind, kind.upper())
+                tag = kind.upper()
                 if tag in rep.composites:
                     assert rep.composites[tag], (kind, n)
                 else:
@@ -301,7 +299,7 @@ def test_shape_validation():
         (kind, n)
         for kind in C.CONSTRUCTIBLE
         for n in range(1, 7)
-        if not (kind in ("p", "q", "mps", "nqs") and n % 2)
+        if not (n % 2 and even_only(kind))
     ],
 )
 def test_constructor_covers_oracle_space(kind, n):
@@ -330,3 +328,11 @@ def test_member_from_params_names():
         C.member_from_params("s", 4, {"w": 2})  # the even form's weight comes via Y
     with pytest.raises(ValueError):
         C.random_member("b", 4, random.Random(0), weight=1)
+
+
+def test_even_only_kinds_match_the_space_table():
+    # The constructor table marks a kind even-only by a missing odd form;
+    # the space table marks it by its spaces.
+    no_odd_form = {kind for kind, (_, odd) in C._FORMS.items() if odd is None}
+    assert no_odd_form == {kind for kind in C.CONSTRUCTIBLE if even_only(kind)}
+    assert no_odd_form

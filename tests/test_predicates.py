@@ -6,9 +6,13 @@ from symalg.construct import random_member
 from symalg.errors import DimensionError
 from symalg.matrix import Matrix, all_ones, alternating, identity, zeros
 from symalg.predicates import (
+    COMPOSITES,
+    SPACES,
     check_algebraic,
     check_entrywise,
     classify,
+    dual_routes,
+    even_only,
     in_space,
 )
 from symalg.scalar import Scalar
@@ -128,7 +132,7 @@ def test_pandiagonal_implies_alternating_sum():
 def test_dual_route_agreement_members_and_non_members():
     rng = random.Random(9)
     for n in range(2, 9):
-        props = "SABRV" + ("MN" if n % 2 == 0 else "")
+        props = dual_routes(n)
         for t in range(60):
             if t % 3 == 0:
                 m = random_member("sabrvnm"[t % 7], n, rng)
@@ -168,3 +172,22 @@ def test_vertex_space_vs_raw_property():
 def test_in_space_rejects_unknown_tag():
     with pytest.raises(ValueError):
         in_space(identity(2), "ZZ")
+
+
+def test_space_table_facts():
+    # M and N have both routes at even n and are defined algebraically at
+    # odd n; P and Q have no algebraic route and exist only at even n, and
+    # so do the composites built on them.
+    assert dual_routes(4) == tuple("SABRVMN")
+    assert dual_routes(5) == tuple("SABRV")
+    tags = list(SPACES) + list(COMPOSITES)
+    assert {tag for tag in tags if even_only(tag)} == {"P", "Q", "MPS", "NQS"}
+
+
+def test_in_space_rejects_even_only_tags_at_odd_n():
+    even_tags = [tag for tag in list(SPACES) + list(COMPOSITES) if even_only(tag)]
+    for n in (1, 3, 5):
+        for tag in even_tags:
+            with pytest.raises(DimensionError):
+                in_space(zeros(n), tag)
+    assert all(in_space(zeros(4), tag) for tag in even_tags)

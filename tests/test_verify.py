@@ -7,7 +7,7 @@ from symalg.construct import make_reversible, random_member
 from symalg.elim import nullspace_of_rows
 from symalg.errors import DimensionError, VerificationError
 from symalg.matrix import Matrix, Vector, all_ones, rank, zeros
-from symalg.predicates import check_entrywise, in_space
+from symalg.predicates import check_entrywise, even_only, in_space
 from symalg.scalar import Scalar
 
 
@@ -27,7 +27,7 @@ def test_dimension_formulas_small():
 def test_split_dimensions_sum_to_full_space():
     for n in range(2, 7):
         for even_tag, odd_tag in (("B", "A"), ("S", "V"), ("N", "M"), ("Q", "P")):
-            if even_tag == "Q" and n % 2 == 1:
+            if n % 2 and even_only(even_tag):
                 continue
             assert (
                 V.dimension_probe(even_tag, n) + V.dimension_probe(odd_tag, n) == n * n
@@ -78,9 +78,9 @@ def test_random_space_member_is_a_member():
 
 
 def test_grading_checks_small():
-    for pair in V.GRADING_PAIRS:
+    for pair, laws in V.GRADING_PAIRS.items():
         for n in (2, 3, 4, 5):
-            if pair in ("QP", "NQS-MPS") and n % 2 == 1:
+            if n % 2 and any(even_only(tag) for law in laws for tag in law):
                 continue
             res = V.grading_check(pair, n, trials=15, seed=5)
             assert res.ok, (pair, n, res.witnesses)
@@ -201,3 +201,28 @@ def test_run_suite_quick():
     for bad in ({"trials": 0}, {"n_max": 0}):
         with pytest.raises(ValueError):
             V.run_suite("gradings", **bad)
+
+
+def test_oracle_rejects_nonpositive_n():
+    for tag, n in (("V", -3), ("S", 0), ("MENTRY", 0), ("RV", -1)):
+        with pytest.raises(DimensionError):
+            V.build_constraints(tag, n)
+    with pytest.raises(DimensionError):
+        V.dimension_probe("MENTRY", 0)
+
+
+def test_oracle_nullity_matches_sympy():
+    # A second, independent exact solver on the same equations.
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    for tag in list(V._ATOMS) + list(V.COMPOSITES):
+        for n in range(1, 7):
+            if n % 2 and even_only(tag):
+                continue
+            sys = V.build_constraints(tag, n)
+            assert all(x.q == 0 for row in sys.rows for x in row)
+            rows = [[QQ(x.p, x.d) for x in row] for row in sys.rows]
+            null = DomainMatrix(rows, (len(rows), n * n), QQ).nullspace()
+            assert null.shape[0] == sys.nullity, (tag, n)
