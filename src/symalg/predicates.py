@@ -85,10 +85,33 @@ class SymmetryReport:
 # -- entrywise route ---------------------------------------------------------
 
 
+def _row_sums(m: Matrix) -> list[Scalar]:
+    n = m.n
+    e = m.entries
+    out = []
+    for i in range(n):
+        acc = ZERO
+        for j in range(n):
+            acc = acc + e[i * n + j]
+        out.append(acc)
+    return out
+
+
+def _col_sums(m: Matrix) -> list[Scalar]:
+    n = m.n
+    e = m.entries
+    out = []
+    for j in range(n):
+        acc = ZERO
+        for i in range(n):
+            acc = acc + e[i * n + j]
+        out.append(acc)
+    return out
+
+
 def _ew_semimagic(m: Matrix) -> PropertyVerdict:
-    n, e = m.n, m.entries
-    rs = [sum(e[i * n : (i + 1) * n], ZERO) for i in range(n)]
-    cs = [sum(e[j::n], ZERO) for j in range(n)]
+    rs = _row_sums(m)
+    cs = _col_sums(m)
     c = rs[0]
     if any(x != c for x in rs) or any(x != c for x in cs):
         return PropertyVerdict(False)
@@ -403,13 +426,6 @@ _PARTS = {tag: (space,) for tag, space in SPACES.items()} | {
 }
 
 
-def _require(tag: str, parts: tuple, n: int) -> None:
-    if n < 1:
-        raise DimensionError(f"dimension must be positive, got {n}")
-    if n % 2 and any(space.even_only for space in parts):
-        raise DimensionError(f"space {tag} needs even dimension")
-
-
 def even_only(tag: str) -> bool:
     """Whether the space or composite `tag` exists only at even n.
 
@@ -418,9 +434,15 @@ def even_only(tag: str) -> bool:
     return any(space.even_only for space in _PARTS.get(tag.upper(), ()))
 
 
+def exists(tag: str, n: int) -> bool:
+    """Whether the space or composite `tag` exists at size n."""
+    return n >= 1 and not (n % 2 and even_only(tag))
+
+
 def check_dimension(tag: str, n: int) -> None:
     """Raise DimensionError unless the space `tag` exists at size n."""
-    _require(tag, _PARTS.get(tag.upper(), ()), n)
+    if not exists(tag, n):
+        raise DimensionError(f"space {tag} does not exist at n={n}")
 
 
 def _routes(space: Space, n: int) -> tuple:
@@ -441,27 +463,33 @@ def dual_routes(n: int) -> tuple[str, ...]:
     )
 
 
+def _property(prop: str) -> Space | None:
+    # The table space of a property tag; None for VRAW, which is a space of
+    # property V but not a property itself.
+    space = SPACES.get(prop.upper())
+    return space if space is not None and space.prop == prop.upper() else None
+
+
 def check_entrywise(m: Matrix, prop: str) -> PropertyVerdict:
-    """Entrywise verdict for one property tag of `SPACES`.
+    """Entrywise verdict for one property tag (S A B R V M N P Q).
 
     The spaces the algebraic route defines at odd n (M and N) return that
     verdict there; the even-only ones (P and Q) raise DimensionError.
     """
-    space = SPACES.get(prop.upper())
+    space = _property(prop)
     if space is None:
         raise ValueError(f"unknown property {prop!r}")
-    if m.n % 2 and space.even_only:
-        raise DimensionError(f"entrywise ({prop.upper()}) requires even dimension")
+    check_dimension(prop.upper(), m.n)
     return _routes(space, m.n)[0](m)
 
 
 def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
-    """Matrix-algebra verdict for one property tag of `SPACES`.
+    """Matrix-algebra verdict for one property tag (S A B R V M N).
 
     Valid for every dimension; for odd n this route *is* the definition of
     the M- and N-type spaces.  P and Q have no such route.
     """
-    space = SPACES.get(prop.upper())
+    space = _property(prop)
     if space is None or space.algebraic is None:
         raise ValueError(f"property {prop!r} has no algebraic characterisation")
     return space.algebraic(m)
@@ -495,8 +523,8 @@ def classify(m: Matrix) -> SymmetryReport:
     """
     n = m.n
     props: dict[str, PropertyVerdict] = {}
-    for space in SPACES.values():
-        if space.prop in props or (n % 2 and space.even_only):
+    for tag, space in SPACES.items():
+        if space.prop in props or not exists(tag, n):
             continue
         routes = _routes(space, n)
         v = routes[0](m)
@@ -532,7 +560,7 @@ def in_space(m: Matrix, tag: str) -> bool:
     if parts is None:
         raise ValueError(f"unknown space tag {tag!r}")
     n = m.n
-    _require(tag, parts, n)
+    check_dimension(tag, n)
     for space in parts:
         v = _routes(space, n)[-1 if space.fast_algebraic else 0](m)
         if not _weight_rule(space, v):

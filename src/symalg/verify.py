@@ -42,7 +42,7 @@ from .predicates import (
     check_dimension,
     check_entrywise,
     dual_routes,
-    even_only,
+    exists,
     in_space,
 )
 from .scalar import ZERO, Scalar, as_scalar
@@ -186,12 +186,22 @@ def _rows_array_sum_entrywise(n: int) -> list:
     ] + [_alt_total_row(n)]
 
 
+def _reflect_neg_basis(n: int) -> list[list[int]]:
+    # Basis of {u : J·u = −u}: e_a − e_{n−1−a} for a < ν.
+    out = []
+    for a in range(n // 2):
+        v = [0] * n
+        v[a] = 1
+        v[n - 1 - a] = -1
+        out.append(v)
+    return out
+
+
 def _rows_reverse_complement(n: int) -> list:
     # (1 + u)ᵀ·M·(1 + v) = 0 over the −1 eigenspace of J: its four
-    # homogeneous families 1ᵀM1, uᵀM1, 1ᵀMu and uᵀMv on the basis
-    # e_a − e_{n−1−a}, a < ν.
+    # homogeneous families 1ᵀM1, uᵀM1, 1ᵀMu and uᵀMv on its basis.
     one = _e(*range(n))
-    basis = [[(a, 1), (n - 1 - a, -1)] for a in range(n // 2)]
+    basis = [[(i, c) for i, c in enumerate(u) if c] for u in _reflect_neg_basis(n)]
     rows = [_total_row(n)]
     for u in basis:
         rows += [_row(n, (u, one)), _row(n, (one, u))]
@@ -335,13 +345,8 @@ GRADING_PAIRS = {
 }
 
 
-def _exists(tags, n: int) -> bool:
-    # Every one of the spaces exists at size n ≥ 1.
-    return n % 2 == 0 or not any(even_only(tag) for tag in tags)
-
-
 def _grading_exists(pair: str, n: int) -> bool:
-    return _exists([tag for law in GRADING_PAIRS[pair] for tag in law], n)
+    return all(exists(tag, n) for law in GRADING_PAIRS[pair] for tag in law)
 
 
 @dataclass
@@ -379,7 +384,7 @@ def grading_check(pair: str, n: int, trials: int, seed: int = 0) -> GradingCheck
     """Check every product law of one grading on random oracle members."""
     tag = _normalize_pair(pair)
     if not _grading_exists(tag, n):
-        raise DimensionError(f"grading pair {tag} needs even dimension")
+        raise DimensionError(f"grading pair {tag} does not exist at n={n}")
     result = GradingCheckResult(tag, n, trials)
     for li, (left, right, target) in enumerate(GRADING_PAIRS[tag]):
         for t in range(trials):
@@ -411,7 +416,12 @@ def mps_triple_product_check(
     ]
     lhs = ms[0] @ ms[1] @ ms[2]
     sig = alternating(n)
-    g1, d1, g2, d2, g3, d3 = map(Vector, (gamma1, delta1, gamma2, delta2, gamma3, delta3))
+    g1 = gamma1 if isinstance(gamma1, Vector) else Vector(gamma1)
+    d1 = delta1 if isinstance(delta1, Vector) else Vector(delta1)
+    g2 = gamma2 if isinstance(gamma2, Vector) else Vector(gamma2)
+    d2 = delta2 if isinstance(delta2, Vector) else Vector(delta2)
+    g3 = gamma3 if isinstance(gamma3, Vector) else Vector(gamma3)
+    d3 = delta3 if isinstance(delta3, Vector) else Vector(delta3)
     c_left = d2.dot(g3) * n
     c_right = d1.dot(g2) * n
     rhs = g1.scale(c_left).outer(sig) + sig.outer(d3.scale(c_right))
@@ -426,7 +436,8 @@ def parasymmetry_check(gamma, delta, n: int) -> bool:
     n·γδᵀ from the cross term.)
     """
     m = make_most_perfect(gamma, delta, n)
-    g, d = Vector(gamma), Vector(delta)
+    g = gamma if isinstance(gamma, Vector) else Vector(gamma)
+    d = delta if isinstance(delta, Vector) else Vector(delta)
     sig = alternating(n)
     m2 = m @ m
     closed = g.scale(as_scalar(n)).outer(d) + sig.scale(d.dot(g)).outer(sig)
@@ -523,9 +534,7 @@ def r_complement_membership(m: Matrix) -> bool:
     """
     n = m.n
     one = ones(n)
-    basis = [
-        Vector([int(i == a) - int(i == n - 1 - a) for i in range(n)]) for a in range(n // 2)
-    ]
+    basis = [Vector(u) for u in _reflect_neg_basis(n)]
     if not one.dot(m.apply(one)).is_zero():
         return False
     mt = m.transpose()
@@ -621,7 +630,7 @@ def suite_dimensions(n_max: int = 8, **_) -> list[dict]:
         )
         checks.append(_check(f"dim V_{n} = 2n−2", dim_v == 2 * n - 2, value=dim_v))
         for even_tag, odd_tag in _SPLIT_DIM_PAIRS:
-            if not _exists((even_tag, odd_tag), n):
+            if not (exists(even_tag, n) and exists(odd_tag, n)):
                 continue
             de = dimension_probe(even_tag, n)
             do = dimension_probe(odd_tag, n)
@@ -718,7 +727,7 @@ def suite_lemmas(n_max: int = 7, trials: int = 100, seed: int = 0, **_) -> list[
         ok = all(
             oracle_predicate_agreement(sp, n, max(5, trials // 10), seed)
             for sp in _AGREEMENT_SPACES
-            if _exists((sp,), n)
+            if exists(sp, n)
         )
         checks.append(_check(f"oracle/predicate span agreement (n={n})", ok))
     return checks

@@ -91,7 +91,8 @@ def test_criterion_3_grading_suites():
     t0 = time.perf_counter()
     trials = 200
     failures = 0
-    for pair, laws in V.GRADING_PAIRS.items():
+    for pair in ("BA", "QP", "SV", "NM", "R", "NQS-MPS", "BS-RV"):
+        laws = V.GRADING_PAIRS[pair]
         for n in range(2, 7):
             if n % 2 and any(even_only(tag) for law in laws for tag in law):
                 continue

@@ -13,6 +13,7 @@ from symalg.predicates import (
     classify,
     dual_routes,
     even_only,
+    exists,
     in_space,
 )
 from symalg.scalar import Scalar
@@ -174,6 +175,14 @@ def test_in_space_rejects_unknown_tag():
         in_space(identity(2), "ZZ")
 
 
+def test_route_checks_reject_tags_that_are_not_properties():
+    # VRAW is a space of property V, not a property of its own.
+    for tag in ("ZZ", "VRAW", "MPS"):
+        for check in (check_entrywise, check_algebraic):
+            with pytest.raises(ValueError):
+                check(identity(2), tag)
+
+
 def test_space_table_facts():
     # M and N have both routes at even n and are defined algebraically at
     # odd n; P and Q have no algebraic route and exist only at even n, and
@@ -182,6 +191,8 @@ def test_space_table_facts():
     assert dual_routes(5) == tuple("SABRV")
     tags = list(SPACES) + list(COMPOSITES)
     assert {tag for tag in tags if even_only(tag)} == {"P", "Q", "MPS", "NQS"}
+    assert exists("P", 4) and not exists("P", 3) and not exists("S", 0)
+    assert exists("MENTRY", 3) and not exists("NQS", 1)
 
 
 def test_in_space_rejects_even_only_tags_at_odd_n():
