@@ -38,14 +38,17 @@ class Scalar:
 
     @classmethod
     def _make(cls, p: int, q: int, d: int) -> Scalar:
-        # Internal fast path: builds directly from an integer triple.
-        if d < 0:
-            p, q, d = -p, -q, -d
-        g = gcd(gcd(p, q), d)
+        # Internal fast path from an integer triple; d = 1 is already canonical.
+        if d != 1:
+            if d < 0:
+                p, q, d = -p, -q, -d
+            g = gcd(p, q, d)
+            if g != 1:
+                p, q, d = p // g, q // g, d // g
         s = object.__new__(cls)
-        object.__setattr__(s, "p", p // g)
-        object.__setattr__(s, "q", q // g)
-        object.__setattr__(s, "d", d // g)
+        object.__setattr__(s, "p", p)
+        object.__setattr__(s, "q", q)
+        object.__setattr__(s, "d", d)
         return s
 
     def __setattr__(self, name, value):
@@ -106,7 +109,13 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if self.d == other.d:
+            return Scalar._make(self.p - other.p, self.q - other.q, self.d)
+        return Scalar._make(
+            self.p * other.d - other.p * self.d,
+            self.q * other.d - other.q * self.d,
+            self.d * other.d,
+        )
 
     def __rsub__(self, other) -> Scalar:
         return (-self) + other

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .construct import (
@@ -54,19 +53,18 @@ from .scalar import ZERO, Scalar, as_scalar
 # coefficient) pairs, in which a repeated index adds up.
 
 
-def _row(n: int, *forms) -> list[Scalar]:
-    """The equation Σ uᵀ·M·v = 0 over the (u, v) pairs, as a row over vec(M)."""
+def _row(n: int, *forms) -> dict[int, Scalar]:
+    """The equation Σ uᵀ·M·v = 0 over the (u, v) pairs, as a row over vec(M).
+
+    The row is sparse: {index into vec(M): coefficient}, nonzeros only.
+    """
     cells: dict = {}
     for u, v in forms:
         for i, a in u:
             base = i * n
             for j, b in v:
                 cells[base + j] = cells.get(base + j, 0) + a * b
-    row = [ZERO] * (n * n)
-    for k, c in cells.items():
-        if c:
-            row[k] = _int_scalar(c)
-    return row
+    return {k: _int_scalar(c) for k, c in cells.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +223,11 @@ _ATOMS = {
 
 
 class ConstraintSystem:
-    """Defining equations of one space, with its exact nullspace basis."""
+    """Defining equations of one space, with its exact nullspace basis.
+
+    `rows` are sparse {index into vec(M): Scalar} dicts, as `_row` builds
+    them; `nullspace` is a list of dense vectors over vec(M).
+    """
 
     def __init__(self, space: str, n: int, rows: list):
         self.space = space
@@ -246,28 +248,31 @@ class ConstraintSystem:
         vec = m.entries
         for row in self.rows:
             acc = ZERO
-            for c, x in zip(row, vec):
-                if not (c.is_zero() or x.is_zero()):
+            for k, c in row.items():
+                x = vec[k]
+                if x:
                     acc = acc + c * x
-            if not acc.is_zero():
+            if acc:
                 return False
         return True
 
     def in_span(self, m: Matrix) -> bool:
         """Span-membership via elimination residual against the basis."""
         if self._span is None:
-            self._span = echelon_of([list(v) for v in self.nullspace], self.n * self.n)
-        return self._span.contains(list(m.entries))
+            self._span = echelon_of(self.nullspace, self.n * self.n)
+        return self._span.contains(m.entries)
 
 
 @lru_cache(maxsize=None)
 def build_constraints(space: str, n: int) -> ConstraintSystem:
     """Compile one space's definition to linear equations and solve them.
 
-    Composite tags stack the rows of their parts.  The result is cached;
-    treat it as read-only.
+    Composite tags stack the rows of their parts.  The result is cached,
+    once per upper-case tag; treat it as read-only.
     """
     tag = space.upper()
+    if space != tag:
+        return build_constraints(tag, n)
     parts = COMPOSITES.get(tag, (tag,))
     if any(part not in _ATOMS for part in parts):
         raise ValueError(f"unknown space tag {space!r}")
@@ -285,13 +290,12 @@ def random_space_member(
     picks = rng.sample(range(sys.nullity), k=min(terms, sys.nullity))
     acc = [ZERO] * (n * n)
     for idx in picks:
-        c = Scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2))))
-        if c.is_zero():
+        c = Scalar._make(rng.randint(-9, 9), 0, rng.choice((1, 2)))
+        if not c:
             continue
-        vec = sys.nullspace[idx]
-        for k in range(n * n):
-            if not vec[k].is_zero():
-                acc[k] = acc[k] + c * vec[k]
+        for k, x in enumerate(sys.nullspace[idx]):
+            if x:
+                acc[k] = acc[k] + c * x
     return Matrix(n, tuple(acc))
 
 
@@ -304,7 +308,7 @@ def _constructor_span_check(kind: str, n: int) -> int:
             raise VerificationError(
                 f"constructor output violates the {kind} constraints at n={n}"
             )
-    return echelon_of([list(m.entries) for m in outputs], n * n).rank
+    return echelon_of([m.entries for m in outputs], n * n).rank
 
 
 def dimension_probe(space: str, n: int, check_constructors: bool = True) -> int:
@@ -444,8 +448,7 @@ def parasymmetry_check(gamma, delta, n: int) -> bool:
     if m2 != closed:
         raise VerificationError("closed form for the squared most perfect square failed")
     symmetric = m2 == m2.transpose()
-    stack = [list(g.entries), list(d.entries)]
-    dependent = echelon_of(stack, n).rank <= 1
+    dependent = echelon_of([g.entries, d.entries], n).rank <= 1
     return symmetric == dependent
 
 

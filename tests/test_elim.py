@@ -1,3 +1,6 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from symalg.elim import Echelon, echelon_of, nullspace_of_rows, rank_of_rows
 from symalg.scalar import ONE, ZERO, Scalar
 
@@ -45,3 +48,68 @@ def test_exact_sqrt2_pivoting():
     # Rows proportional over Q(√2) but not over Q must still collapse.
     rows = [[Scalar(0, 1), S(2)], [S(2), Scalar(0, 2)]]
     assert rank_of_rows(rows) == 1
+
+
+# -- properties on random small systems, sparse and dense --------------------
+
+ENTRIES = st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2))
+RATIONALS = st.builds(Scalar, st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@st.composite
+def systems(draw, entries=ENTRIES):
+    width = draw(st.integers(1, 6))
+    if draw(st.booleans()):  # sparse: mostly zeros
+        entries = st.one_of(st.just(ZERO), st.just(ZERO), entries)
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=7))
+    return rows, width
+
+
+def _sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _dot(row, vec):
+    acc = ZERO
+    for c, x in zip(row, vec):
+        acc = acc + c * x
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_dense_and_sparse_rows_give_one_echelon_form(system):
+    rows, width = system
+    dense = echelon_of(rows, width)
+    sparse = echelon_of([_sparse(r) for r in rows], width)
+    assert dense.pivots == sparse.pivots
+    assert dense.rows == sparse.rows
+    assert nullspace_of_rows(rows, width) == nullspace_of_rows([_sparse(r) for r in rows], width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_rank_nullity_annihilation_and_membership(system):
+    rows, width = system
+    basis = nullspace_of_rows(rows, width)
+    ech = echelon_of(rows, width)
+    assert ech.rank + len(basis) == width
+    # Each pivot is the leftmost nonzero of its row, normalized to 1.
+    assert all(min(ech.rows[i]) == col and ech.rows[i][col] == ONE for col, i in ech.pivots.items())
+    for vec in basis:
+        assert all(_dot(row, vec).is_zero() for row in rows)
+    assert all(ech.contains(row) and ech.contains(_sparse(row)) for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(RATIONALS))
+def test_rational_rank_matches_sympy(system):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows, width = system
+    if not rows:
+        return
+    entries = [[QQ(x.p, x.d) for x in row] for row in rows]
+    assert rank_of_rows(rows) == DomainMatrix(entries, (len(rows), width), QQ).rank()

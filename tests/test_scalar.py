@@ -102,3 +102,21 @@ def test_constructor_rejects_floats():
         Scalar(0.1)
     with pytest.raises(TypeError):
         Scalar(1, 0.5)
+
+
+@given(scalars, scalars)
+def test_subtraction_adds_the_negation(x, y):
+    assert x - y == x + (-y)
+
+
+def test_make_returns_the_canonical_triple():
+    for triple, canonical in (
+        ((6, -4, 1), (6, -4, 1)),  # d = 1: already canonical
+        ((0, 0, 1), (0, 0, 1)),
+        ((3, -1, -1), (-3, 1, 1)),  # d < 0: signs move to p and q
+        ((4, 6, -2), (-2, -3, 1)),
+        ((6, 9, 12), (2, 3, 4)),  # common factor 3
+        ((0, 0, 5), (0, 0, 1)),
+    ):
+        s = Scalar._make(*triple)
+        assert (s.p, s.q, s.d) == canonical

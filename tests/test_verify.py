@@ -222,7 +222,15 @@ def test_oracle_nullity_matches_sympy():
             if n % 2 and even_only(tag):
                 continue
             sys = V.build_constraints(tag, n)
-            assert all(x.q == 0 for row in sys.rows for x in row)
-            rows = [[QQ(x.p, x.d) for x in row] for row in sys.rows]
+            assert all(x.q == 0 for row in sys.rows for x in row.values())
+            rows = [[QQ(0)] * (n * n) for _ in sys.rows]
+            for dense, row in zip(rows, sys.rows):
+                for k, x in row.items():
+                    dense[k] = QQ(x.p, x.d)
             null = DomainMatrix(rows, (len(rows), n * n), QQ).nullspace()
             assert null.shape[0] == sys.nullity, (tag, n)
+
+
+def test_oracle_builds_each_system_once_whatever_the_case():
+    assert V.build_constraints("v", 6) is V.build_constraints("V", 6)
+    assert V.build_constraints("mps", 4) is V.build_constraints("MPS", 4)
