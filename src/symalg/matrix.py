@@ -3,7 +3,7 @@
 Values are immutable after construction; all operations return fresh
 objects, so instances can be shared freely between threads.  Sizes here are
 desk-scale (n ≲ 64), so storage is a flat row-major tuple and products are
-straight triple loops with an integer-triple accumulator.
+straight triple loops with an integer-triple accumulator (`_dots`).
 """
 
 from __future__ import annotations
@@ -59,10 +59,7 @@ class Vector:
 
     def dot(self, other: Vector) -> Scalar:
         _same_length(self, other)
-        acc = ZERO
-        for x, y in zip(self.entries, other.entries):
-            acc = acc + x * y
-        return acc
+        return _dots((self.entries,), (other.entries,))[0]
 
     def outer(self, other: Vector) -> Matrix:
         """Rank-≤1 square matrix self·otherᵀ (lengths must match)."""
@@ -149,46 +146,13 @@ class Matrix:
             return self.apply(other)
         _same_dim(self, other)
         n = self.n
-        a, b = self.entries, other.entries
-        out = []
-        # Accumulates each entry as one integer triple (P + Q√2)/D and
-        # normalizes once, instead of allocating a Scalar per partial sum.
-        for i in range(n):
-            arow = a[i * n : (i + 1) * n]
-            for j in range(n):
-                P = Q = 0
-                D = 1
-                for k in range(n):
-                    x = arow[k]
-                    y = b[k * n + j]
-                    if (x.p == 0 and x.q == 0) or (y.p == 0 and y.q == 0):
-                        continue
-                    pp = x.p * y.p + 2 * x.q * y.q
-                    qq = x.p * y.q + x.q * y.p
-                    dd = x.d * y.d
-                    if D == dd:
-                        P += pp
-                        Q += qq
-                    else:
-                        P = P * dd + pp * D
-                        Q = Q * dd + qq * D
-                        D *= dd
-                out.append(Scalar._make(P, Q, D))
-        return Matrix(n, tuple(out))
+        b = other.entries
+        return Matrix(n, tuple(_dots(self.rows(), [b[j::n] for j in range(n)])))
 
     def apply(self, v: Vector) -> Vector:
         if v.n != self.n:
             raise DimensionError(f"matrix is {self.n}×{self.n}, vector has length {v.n}")
-        n = self.n
-        out = []
-        for i in range(n):
-            acc = ZERO
-            row = self.entries[i * n : (i + 1) * n]
-            for x, y in zip(row, v.entries):
-                if not (x.is_zero() or y.is_zero()):
-                    acc = acc + x * y
-            out.append(acc)
-        return Vector(out)
+        return Vector(_dots(self.rows(), (v.entries,)))
 
     def transpose(self) -> Matrix:
         n = self.n
@@ -209,6 +173,40 @@ class Matrix:
             ", ".join(str(self[i, j]) for j in range(self.n)) for i in range(self.n)
         )
         return f"Matrix({self.n}: [{body}])"
+
+
+def _dots(rows, cols) -> list[Scalar]:
+    """Σ_k r[k]·c[k] for every row r and then every column c, exactly.
+
+    Each sum is accumulated as one integer triple (P + Q√2)/D and
+    normalized once, instead of allocating a Scalar per partial sum.
+    `Matrix @`, `Matrix.apply` and `Vector.dot` all sum through here.
+    """
+    make = Scalar._make
+    out = []
+    for r in rows:
+        for c in cols:
+            P = Q = 0
+            D = 1
+            for x, y in zip(r, c):
+                xp = x.p
+                xq = x.q
+                if not (xp or xq):
+                    continue
+                yp = y.p
+                yq = y.q
+                if not (yp or yq):
+                    continue
+                dd = x.d * y.d
+                if D == dd:
+                    P += xp * yp + 2 * xq * yq
+                    Q += xp * yq + xq * yp
+                else:
+                    P = P * dd + (xp * yp + 2 * xq * yq) * D
+                    Q = Q * dd + (xp * yq + xq * yp) * D
+                    D *= dd
+            out.append(make(P, Q, D))
+    return out
 
 
 def _same_dim(a: Matrix, b: Matrix) -> None:

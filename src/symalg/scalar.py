@@ -6,6 +6,14 @@ form keeps the hot arithmetic paths on machine/long integers; the rational
 components are exposed as `Fraction`s.  Q(√2) is a field, so every nonzero
 value has an exact inverse and equality tests are exact — no tolerances
 anywhere.
+
+A `Scalar` is built from its canonical triple by `Scalar._make`, which
+normalises (p, q, d) and writes the three slots through their slot
+descriptors' bound setters (`_set_p`, `_set_q`, `_set_d`).  That bypasses
+`Scalar.__setattr__`, which always raises, so a `Scalar` stays immutable
+once built.  Loops that sum many products (`Matrix @`, `Matrix.apply`,
+oracle member draws) accumulate one integer triple and build one `Scalar`
+per result instead of one per partial sum.
 """
 
 from __future__ import annotations
@@ -31,10 +39,10 @@ class Scalar:
         d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
         p = a.numerator * (d // a.denominator)
         q = b.numerator * (d // b.denominator)
-        g = gcd(gcd(p, q), d)
-        object.__setattr__(self, "p", p // g)
-        object.__setattr__(self, "q", q // g)
-        object.__setattr__(self, "d", d // g)
+        g = gcd(p, q, d)
+        _set_p(self, p // g)
+        _set_q(self, q // g)
+        _set_d(self, d // g)
 
     @classmethod
     def _make(cls, p: int, q: int, d: int) -> Scalar:
@@ -45,10 +53,10 @@ class Scalar:
             g = gcd(p, q, d)
             if g != 1:
                 p, q, d = p // g, q // g, d // g
-        s = object.__new__(cls)
-        object.__setattr__(s, "p", p)
-        object.__setattr__(s, "q", q)
-        object.__setattr__(s, "d", d)
+        s = _new(cls)
+        _set_p(s, p)
+        _set_q(s, q)
+        _set_d(s, d)
         return s
 
     def __setattr__(self, name, value):
@@ -92,9 +100,10 @@ class Scalar:
         return self
 
     def __add__(self, other) -> Scalar:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.d == other.d:
             return Scalar._make(self.p + other.p, self.q + other.q, self.d)
         return Scalar._make(
@@ -106,9 +115,10 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other) -> Scalar:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.d == other.d:
             return Scalar._make(self.p - other.p, self.q - other.q, self.d)
         return Scalar._make(
@@ -118,12 +128,16 @@ class Scalar:
         )
 
     def __rsub__(self, other) -> Scalar:
-        return (-self) + other
-
-    def __mul__(self, other) -> Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        return other - self
+
+    def __mul__(self, other) -> Scalar:
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return Scalar._make(
             self.p * other.p + 2 * self.q * other.q,
             self.p * other.q + self.q * other.p,
@@ -167,6 +181,13 @@ class Scalar:
         b = self.b
         sign = "+" if b > 0 else "-"
         return f"{self.a}{sign}{abs(b)}*sqrt2"
+
+
+# Slot writers for `Scalar._make` and `Scalar.__init__`; see the module docstring.
+_new = object.__new__
+_set_p = Scalar.p.__set__
+_set_q = Scalar.q.__set__
+_set_d = Scalar.d.__set__
 
 
 def _coerce(x):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import lcm
 
 from .construct import (
     CONSTRUCTIBLE,
@@ -226,7 +227,10 @@ class ConstraintSystem:
     """Defining equations of one space, with its exact nullspace basis.
 
     `rows` are sparse {index into vec(M): Scalar} dicts, as `_row` builds
-    them; `nullspace` is a list of dense vectors over vec(M).
+    them; `nullspace` is a list of dense vectors over vec(M).  Every row
+    has integer coefficients, so the nullspace is rational; on first use
+    `_integer_basis` caches each basis vector as (den, [(index, numerator)])
+    over its nonzeros, for `random_space_member`.
     """
 
     def __init__(self, space: str, n: int, rows: list):
@@ -235,6 +239,7 @@ class ConstraintSystem:
         self.rows = rows
         self.nullspace = nullspace_of_rows(rows, n * n)
         self._span: Echelon | None = None
+        self._ints: list | None = None
 
     @property
     def nullity(self) -> int:
@@ -262,6 +267,19 @@ class ConstraintSystem:
             self._span = echelon_of(self.nullspace, self.n * self.n)
         return self._span.contains(m.entries)
 
+    def _integer_basis(self) -> list:
+        # Each basis vector v as (den, [(k, num)]) with v[k] = num/den, one
+        # common denominator per vector and the nonzero entries only.
+        if self._ints is None:
+            basis = []
+            for v in self.nullspace:
+                if any(x.q for x in v):
+                    raise ValueError(f"{self.space} nullspace has an irrational entry")
+                den = lcm(*(x.d for x in v))
+                basis.append((den, [(k, x.p * (den // x.d)) for k, x in enumerate(v) if x.p]))
+            self._ints = basis
+        return self._ints
+
 
 @lru_cache(maxsize=None)
 def build_constraints(space: str, n: int) -> ConstraintSystem:
@@ -283,20 +301,30 @@ def build_constraints(space: str, n: int) -> ConstraintSystem:
 def random_space_member(
     space: str, n: int, rng: random.Random, terms: int = 3
 ) -> Matrix:
-    """Random rational combination of oracle nullspace basis vectors."""
+    """Random rational combination of oracle nullspace basis vectors.
+
+    Picks up to `terms` distinct basis vectors and gives each a coefficient
+    a/b with a in −9..9 and b in {1, 2} (a may be 0).  The combination is
+    summed in integers over one common denominator from the system's
+    cached integer basis, so each entry is built as one `Scalar`; it equals
+    Σ (a/b)·v summed in `Scalar` arithmetic, triple for triple.
+    """
     sys = build_constraints(space, n)
     if sys.nullity == 0:
         return zeros(n)
+    basis = sys._integer_basis()
     picks = rng.sample(range(sys.nullity), k=min(terms, sys.nullity))
-    acc = [ZERO] * (n * n)
-    for idx in picks:
-        c = Scalar._make(rng.randint(-9, 9), 0, rng.choice((1, 2)))
-        if not c:
-            continue
-        for k, x in enumerate(sys.nullspace[idx]):
-            if x:
-                acc[k] = acc[k] + c * x
-    return Matrix(n, tuple(acc))
+    # Draw order per pick: randint, then choice.
+    draws = [(basis[idx], rng.randint(-9, 9), rng.choice((1, 2))) for idx in picks]
+    common = lcm(*(b * den for (den, _), a, b in draws if a))
+    acc = [0] * (n * n)
+    for (den, entries), a, b in draws:
+        if a:
+            f = a * (common // (b * den))
+            for k, num in entries:
+                acc[k] += f * num
+    make = Scalar._make
+    return Matrix(n, tuple(make(p, 0, common) if p else ZERO for p in acc))
 
 
 @lru_cache(maxsize=None)

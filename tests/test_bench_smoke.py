@@ -1,5 +1,8 @@
-"""Smoke test of the benchmark: the smallest oracle_cold run must pass its
-own output checks (the dimension formulas and the pinned nullities)."""
+"""Smoke test of the benchmark: the smallest run of each workload must pass
+its own output checks.  oracle_cold checks the dimension formulas and the
+pinned nullities; verify_all the report's exit code, `ok` and check count;
+classify_stream the verdicts against an entrywise reference, the splits and
+the block and io round trips."""
 
 import json
 import subprocess
@@ -9,11 +12,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_oracle_cold_tiny_run_is_correct():
-    argv = [sys.executable, "bench/run.py", "--workload", "oracle_cold", "--tiny",
+def _tiny_run(workload: str) -> dict:
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--tiny",
             "--seed", "0", "--seconds", "0", "--trace", "0"]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    last = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_oracle_cold_tiny_run_is_correct():
+    last = _tiny_run("oracle_cold")
+    assert last["correct"] is True
+    assert last["failed"] == 0
+
+
+def test_verify_all_tiny_run_is_correct():
+    last = _tiny_run("verify_all")
+    assert last["correct"] is True
+    assert last["failed"] == 0
+
+
+def test_classify_stream_tiny_run_is_correct():
+    last = _tiny_run("classify_stream")
     assert last["correct"] is True
     assert last["failed"] == 0

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from symalg.errors import DimensionError
 from symalg.matrix import (
@@ -19,7 +21,7 @@ from symalg.matrix import (
     special_vector,
     zeros,
 )
-from symalg.scalar import SQRT2, Scalar
+from symalg.scalar import SQRT2, ZERO, Scalar
 
 
 def rand_matrix(n, rng):
@@ -112,3 +114,32 @@ def test_entries_are_exact_sqrt2_values():
     assert x3[0, 0] == SQRT2 / 2
     assert x3[1, 1] == Scalar(1)
     assert x3[2, 2] == -SQRT2 / 2
+
+
+# Entries with √2 parts and mixed denominators; zero often, so the sums
+# skip terms.
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_entries = st.one_of(st.just(ZERO), st.builds(Scalar, _rationals, _rationals))
+
+
+@st.composite
+def _matrix_and_vector(draw):
+    n = draw(st.integers(1, 5))
+    m = Matrix(n, tuple(draw(st.lists(_entries, min_size=n * n, max_size=n * n))))
+    v = Vector(draw(st.lists(_entries, min_size=n, max_size=n)))
+    return m, v
+
+
+@given(_matrix_and_vector())
+def test_apply_matches_scalar_sums_and_matmul(mv):
+    m, v = mv
+    n = m.n
+    got = list(m.apply(v))
+    naive = [sum((m[i, j] * v[j] for j in range(n)), ZERO) for i in range(n)]
+    assert got == naive
+    # v as column 0 of an otherwise zero matrix.
+    c = Matrix(n, tuple(v[i] if j == 0 else ZERO for i in range(n) for j in range(n)))
+    assert got == list((m @ c).col(0))
+    assert m.row(0).dot(v) == naive[0]
+    for x in got:
+        assert x.d > 0 and gcd(x.p, x.q, x.d) == 1

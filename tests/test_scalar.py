@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,8 +48,10 @@ def test_int_and_fraction_interop():
 
 def test_immutability_and_hash():
     s = Scalar(1, 2)
-    with pytest.raises(AttributeError):
-        s.p = 5
+    for name in ("p", "q", "d", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 5)
+    assert (s.p, s.q, s.d) == (1, 2, 1)
     assert hash(Scalar(2)) == hash(Fraction(2))
     assert len({Scalar(1, 1), Scalar(1, 1), Scalar(1)}) == 2
 
@@ -120,3 +123,19 @@ def test_make_returns_the_canonical_triple():
     ):
         s = Scalar._make(*triple)
         assert (s.p, s.q, s.d) == canonical
+
+
+def test_reflected_subtraction_examples():
+    s = Scalar(Fraction(3, 4), Fraction(-1, 6))
+    assert 5 - s == Scalar(Fraction(17, 4), Fraction(1, 6))
+    assert Fraction(1, 3) - s == Scalar(Fraction(-5, 12), Fraction(1, 6))
+    with pytest.raises(TypeError):
+        0.5 - s
+
+
+@given(scalars, st.integers(-50, 50), rationals)
+def test_reflected_subtraction_agrees_with_negated_subtraction(x, k, f):
+    for other in (k, f):
+        got = other - x
+        assert got == -(x - other) == as_scalar(other) - x
+        assert got.d > 0 and gcd(got.p, got.q, got.d) == 1

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from symalg.construct import make_reversible, random_member
 from symalg.elim import nullspace_of_rows
 from symalg.errors import DimensionError, VerificationError
 from symalg.matrix import Matrix, Vector, all_ones, rank, zeros
-from symalg.predicates import check_entrywise, even_only, in_space
+from symalg.predicates import check_entrywise, even_only, exists, in_space
 from symalg.scalar import Scalar
 
 
@@ -234,3 +235,52 @@ def test_oracle_nullity_matches_sympy():
 def test_oracle_builds_each_system_once_whatever_the_case():
     assert V.build_constraints("v", 6) is V.build_constraints("V", 6)
     assert V.build_constraints("mps", 4) is V.build_constraints("MPS", 4)
+
+
+def _scalar_member(space, n, rng, terms=3):
+    # The member draw as a plain Scalar combination of the nullspace basis.
+    sys = V.build_constraints(space, n)
+    if sys.nullity == 0:
+        return zeros(n)
+    picks = rng.sample(range(sys.nullity), k=min(terms, sys.nullity))
+    acc = [Scalar(0)] * (n * n)
+    for idx in picks:
+        c = Scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2))))
+        if not c:
+            continue
+        for k, x in enumerate(sys.nullspace[idx]):
+            if x:
+                acc[k] = acc[k] + c * x
+    return Matrix(n, tuple(acc))
+
+
+class _ZeroCoefficients(random.Random):
+    # Draws as random.Random does, but every coefficient comes out 0.
+    def randint(self, a, b):
+        super().randint(a, b)
+        return 0
+
+
+def _triples(m):
+    return [(x.p, x.q, x.d) for x in m.entries]
+
+
+def test_random_space_member_equals_the_scalar_combination():
+    for tag in list(V._ATOMS) + list(V.COMPOSITES):
+        for n in range(1, 7):
+            if not exists(tag, n):
+                continue
+            for seed in (0, 1, 29):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                got = V.random_space_member(tag, n, got_rng)
+                want = _scalar_member(tag, n, want_rng)
+                assert _triples(got) == _triples(want), (tag, n, seed)
+                assert got_rng.getstate() == want_rng.getstate(), (tag, n, seed)
+
+
+def test_random_space_member_with_zero_coefficients_is_zero():
+    for tag, n in (("S", 4), ("V", 5), ("MPS", 4), ("P", 2)):
+        got_rng, want_rng = _ZeroCoefficients(3), _ZeroCoefficients(3)
+        got = V.random_space_member(tag, n, got_rng)
+        assert got == zeros(n) == _scalar_member(tag, n, want_rng)
+        assert got_rng.getstate() == want_rng.getstate()
