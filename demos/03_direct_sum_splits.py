@@ -4,8 +4,9 @@
 # Every square matrix decomposes exactly as
 #   balanced ⊕ associated, semimagic ⊕ vertex-cross,
 #   alternating-pairs ⊕ array-sum, and (even n) quartered ⊕ pandiagonal.
-# The parts are recovered by half-turn averaging, rank-one projectors, or
-# block halves; reassembly is bit-exact.
+# Each split is conjugation by one involution K (the half-turn J, the
+# reflections I − 2·11ᵀ/n and I − 2·ΣΣᵀ/n, the half-period shift T):
+# even = ½(M + K·M·K), odd = ½(M − K·M·K); reassembly is bit-exact.
 
 import random
 

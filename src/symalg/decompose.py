@@ -1,24 +1,24 @@
 """Direct-sum splits of the full matrix space.
 
-Four gradings decompose every square matrix exactly:
+Four gradings decompose every square matrix exactly.  Each is conjugation
+by one involution K of `blockform.INVOLUTIONS`, and the two parts are its
++1 and −1 eigenspaces:
 
-    balanced ⊕ associated      even = ½(M + J·M·J)
-    semimagic ⊕ vertex-cross   projector P = 1·1ᵀ/n
-    alternating ⊕ array-sum    projector P = Σ·Σᵀ/n
-    quartered ⊕ pandiagonal    ν×ν block halves (even n only)
+    balanced ⊕ associated      K = J, the half-turn
+    semimagic ⊕ vertex-cross   K = I − 2·11ᵀ/n
+    alternating ⊕ array-sum    K = I − 2·ΣΣᵀ/n
+    quartered ⊕ pandiagonal    K = T, the half-period shift (even n only)
 
-The projector splits use the closed forms even = P·M·P + (I−P)·M·(I−P),
-odd = P·M·(I−P) + (I−P)·M·P, evaluated entrywise so no projector matrix is
-ever materialised.
+so even = ½(M + K·M·K) and odd = ½(M − K·M·K), with K·M·K read entry by
+entry from the table and never as a matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockform import conjugate_j
-from .errors import DimensionError
-from .matrix import Matrix, Vector, alternating, ones
+from .blockform import involution_entries
+from .matrix import Matrix
 from .scalar import Scalar
 
 
@@ -35,95 +35,46 @@ class GradedPair:
         return self.even_part + self.odd_part
 
 
+def split(m: Matrix, kind: str) -> GradedPair:
+    """even = ½(M + K·M·K), odd = ½(M − K·M·K) for the involution of `kind`.
+
+    SV also reports the even part's weight, total sum over n², so callers
+    can peel off that multiple of E.  QP raises DimensionError at odd n.
+    """
+    kmk = involution_entries(m, kind)
+    make = Scalar._make
+    even, odd = [], []
+    # ½(x ± y) summed as one integer triple, one Scalar per part.
+    for x, y in zip(m.entries, kmk):
+        xd, yd = x.d, y.d
+        if xd == yd:
+            even.append(make(x.p + y.p, x.q + y.q, 2 * xd))
+            odd.append(make(x.p - y.p, x.q - y.q, 2 * xd))
+        else:
+            p1, q1, p2, q2 = x.p * yd, x.q * yd, y.p * xd, y.q * xd
+            d = 2 * xd * yd
+            even.append(make(p1 + p2, q1 + q2, d))
+            odd.append(make(p1 - p2, q1 - q2, d))
+    kind = kind.upper()
+    w = m.total_sum() / (m.n * m.n) if kind == "SV" else None
+    return GradedPair(kind, Matrix(m.n, tuple(even)), Matrix(m.n, tuple(odd)), weight=w)
+
+
 def split_ba(m: Matrix) -> GradedPair:
-    """M = ½(M + JMJ) + ½(M − JMJ): balanced part plus associated part."""
-    half = Scalar(1) / 2
-    rot = conjugate_j(m)
-    even = (m + rot).scale(half)
-    odd = (m - rot).scale(half)
-    return GradedPair("BA", even, odd)
-
-
-def _projector_split(m: Matrix, y: Vector, kind: str) -> GradedPair:
-    n = m.n
-    yy = y.dot(y)
-    my = m.apply(y)  # M·y
-    ytm = m.transpose().apply(y)  # Mᵀ·y, i.e. yᵀ·M as a column
-    ymy = y.dot(my)
-    # odd = P·M + M·P − 2·P·M·P entrywise; even = M − odd.
-    odd_entries = []
-    for i in range(n):
-        yi = y[i]
-        for j in range(n):
-            t = (
-                yi * ytm[j] / yy
-                + my[i] * y[j] / yy
-                - 2 * yi * y[j] * ymy / (yy * yy)
-            )
-            odd_entries.append(t)
-    odd = Matrix(n, tuple(odd_entries))
-    return GradedPair(kind, m - odd, odd)
+    """Balanced part plus associated part (K = J)."""
+    return split(m, "BA")
 
 
 def split_sv(m: Matrix) -> GradedPair:
-    """Semimagic part plus vertex-cross part (y = all-ones projector).
-
-    The even part's weight (row sum divided by n) is reported so callers
-    can peel off the multiple of the all-ones matrix if they want the
-    weightless semimagic component.
-    """
-    pair = _projector_split(m, ones(m.n), "SV")
-    w = m.total_sum() / (m.n * m.n)
-    return GradedPair("SV", pair.even_part, pair.odd_part, weight=w)
+    """Semimagic part plus vertex-cross part, with the even part's weight."""
+    return split(m, "SV")
 
 
 def split_nm(m: Matrix) -> GradedPair:
-    """N-type part plus M-type part (y = alternating-vector projector)."""
-    return _projector_split(m, alternating(m.n), "NM")
+    """N-type part plus M-type part (K = I − 2·ΣΣᵀ/n)."""
+    return split(m, "NM")
 
 
 def split_qp(m: Matrix) -> GradedPair:
-    """Quartered part plus pandiagonal part, for even n.
-
-    With M = [[A, B], [C, D]] in ν×ν blocks the parts are
-    ½[[A+D, B+C], [B+C, A+D]] and ½[[A−D, B−C], [−(B−C), −(A−D)]].
-    """
-    n = m.n
-    if n % 2 == 1:
-        raise DimensionError("the quartered/pandiagonal split needs even n")
-    nu = n // 2
-    half = Scalar(1) / 2
-    even_rows = [[None] * n for _ in range(n)]
-    odd_rows = [[None] * n for _ in range(n)]
-    for i in range(nu):
-        for j in range(nu):
-            a = m[i, j]
-            b = m[i, j + nu]
-            c = m[i + nu, j]
-            d = m[i + nu, j + nu]
-            s1 = (a + d) * half
-            s2 = (b + c) * half
-            t1 = (a - d) * half
-            t2 = (b - c) * half
-            even_rows[i][j] = s1
-            even_rows[i][j + nu] = s2
-            even_rows[i + nu][j] = s2
-            even_rows[i + nu][j + nu] = s1
-            odd_rows[i][j] = t1
-            odd_rows[i][j + nu] = t2
-            odd_rows[i + nu][j] = -t2
-            odd_rows[i + nu][j + nu] = -t1
-    even = Matrix(n, tuple(x for row in even_rows for x in row))
-    odd = Matrix(n, tuple(x for row in odd_rows for x in row))
-    return GradedPair("QP", even, odd)
-
-
-SPLITS = {"BA": split_ba, "SV": split_sv, "NM": split_nm, "QP": split_qp}
-
-
-def split(m: Matrix, kind: str) -> GradedPair:
-    try:
-        fn = SPLITS[kind.upper()]
-    except KeyError:
-        raise ValueError(f"unknown split kind {kind!r}") from None
-    return fn(m)
+    """Quartered part plus pandiagonal part (K = T), for even n."""
+    return split(m, "QP")

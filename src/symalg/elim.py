@@ -36,8 +36,7 @@ class Echelon:
     span.
     """
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.rows: list[dict[int, Scalar]] = []
         self.pivots: dict[int, int] = {}
 
@@ -75,11 +74,9 @@ class Echelon:
         return not self.reduce(row)
 
 
-def echelon_of(rows: list, width: int | None = None) -> Echelon:
-    """Echelon form of dense or sparse rows; sparse rows need `width`."""
-    if width is None:
-        width = len(rows[0]) if rows else 0
-    ech = Echelon(width)
+def echelon_of(rows: list) -> Echelon:
+    """Echelon form of dense or sparse rows."""
+    ech = Echelon()
     for row in rows:
         ech.add(row)
     return ech
@@ -96,7 +93,7 @@ def nullspace_of_rows(rows: list, width: int) -> list[list[Scalar]]:
     vector per non-pivot column, with pivot coordinates read off the
     reduced rows.
     """
-    ech = echelon_of(rows, width)
+    ech = echelon_of(rows)
     basis = {free: [ZERO] * width for free in range(width) if free not in ech.pivots}
     for free, vec in basis.items():
         vec[free] = ONE

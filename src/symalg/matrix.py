@@ -163,10 +163,7 @@ class Matrix:
         return all(x.is_zero() for x in self.entries)
 
     def total_sum(self) -> Scalar:
-        acc = ZERO
-        for x in self.entries:
-            acc = acc + x
-        return acc
+        return _dots((self.entries,), ((ONE,) * len(self.entries),))[0]
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -180,7 +177,8 @@ def _dots(rows, cols) -> list[Scalar]:
 
     Each sum is accumulated as one integer triple (P + Q√2)/D and
     normalized once, instead of allocating a Scalar per partial sum.
-    `Matrix @`, `Matrix.apply` and `Vector.dot` all sum through here.
+    `Matrix @`, `Matrix.apply`, `Vector.dot` and `Matrix.total_sum` all sum
+    through here.
     """
     make = Scalar._make
     out = []

@@ -2,8 +2,10 @@
 
 Every property is decided two independent ways: from the entrywise
 definition (cyclic indices, weights recovered by a single probe and then
-confirmed exactly) and from the matrix-algebra characterisation (eigenvector
-conditions, half-turn conjugation identities, projector residuals).
+confirmed exactly) and from the matrix-algebra characterisation.  For B,
+A, V and M that is K·(M − w·E)·K = ±(M − w·E) for a grading involution K of
+`blockform.INVOLUTIONS`, and for S and N that M commutes with a reflection
+K.  P and Q have none: for a permutation K it is the entrywise check.
 `classify` runs both routes and treats any disagreement as an internal bug,
 not as a statement about the input.
 
@@ -25,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .blockform import conjugate_j
+from .blockform import INVOLUTIONS, involution_entries
 from .errors import DimensionError, PredicatePathMismatch
-from .matrix import Matrix, Vector, alternating, all_ones, ones
+from .matrix import Matrix
 from .scalar import ZERO, Scalar
 
 
@@ -242,46 +244,49 @@ def _alternating_total(m: Matrix) -> Scalar:
 # -- algebraic route ---------------------------------------------------------
 
 
-def _eigen_pair(m: Matrix, y: Vector) -> PropertyVerdict:
-    # Shared kernel: holds iff M·y = λ·y and Mᵀ·y = λ·y for one λ.
+def _eigen_pair(m: Matrix, kind: str) -> PropertyVerdict:
+    # M commutes with the reflection K = I − 2·y·yᵀ/n of `kind` iff
+    # M·y = Mᵀ·y = λ·y.  This is the O(n) form of K·M·K = M: it compares
+    # the 2n entries of M·y and Mᵀ·y instead of all n² of K·M·K.
+    y = INVOLUTIONS[kind].axis(m.n)
     my = m.apply(y)
-    lam_num = None
-    for yi, ri in zip(y.entries, my.entries):
-        if yi.is_zero():
-            if not ri.is_zero():
-                return PropertyVerdict(False, route="algebraic")
-            continue
-        q = ri / yi
-        if lam_num is None:
-            lam_num = q
-        elif q != lam_num:
-            return PropertyVerdict(False, route="algebraic")
-    lam = lam_num if lam_num is not None else ZERO
-    mty = m.transpose().apply(y)
-    for yi, ri in zip(y.entries, mty.entries):
-        if ri != lam * yi:
-            return PropertyVerdict(False, route="algebraic")
-    return PropertyVerdict(True, lam, route="algebraic")
+    lam = my[0] * y[0]  # (M·y)₀ / y₀, as y has ±1 entries
+    lam_y = y.scale(lam)
+    holds = my == lam_y and m.transpose().apply(y) == lam_y
+    return PropertyVerdict(holds, lam if holds else None, route="algebraic")
 
 
 def _alg_semimagic(m: Matrix) -> PropertyVerdict:
-    v = _eigen_pair(m, ones(m.n))
+    v = _eigen_pair(m, "SV")
     if not v.holds:
         return v
     return PropertyVerdict(True, v.weight / m.n, route="algebraic")
 
 
+def _k_graded(m: Matrix, kind: str, sign: int, w: Scalar | None = None) -> PropertyVerdict:
+    """Whether K·(M − w·E)·K = sign·(M − w·E) for the involution of `kind`.
+
+    Every K that a weight is removed for (J, and I − 2·y·yᵀ/n where y is
+    1, or Σ at even n) maps E to itself, so K·(M − w·E)·K = K·M·K − w·E and
+    the test reads M = K·M·K (sign +1) or M + K·M·K = 2w·E (sign −1).  It
+    compares entry by entry and stops at the first mismatch.
+    """
+    kmk = involution_entries(m, kind)
+    if sign > 0:
+        holds = all(x == y for x, y in zip(m.entries, kmk))
+    else:
+        two_w = ZERO if w is None else w + w
+        holds = all(x + y == two_w for x, y in zip(m.entries, kmk))
+    return PropertyVerdict(holds, w if holds else None, route="algebraic")
+
+
 def _alg_associated(m: Matrix) -> PropertyVerdict:
     n = m.n
-    w = (m[0, 0] + m[n - 1, n - 1]) / 2
-    m0 = m - all_ones(n).scale(w)
-    if (m0 + conjugate_j(m0)).is_zero():
-        return PropertyVerdict(True, w, route="algebraic")
-    return PropertyVerdict(False, route="algebraic")
+    return _k_graded(m, "BA", -1, (m[0, 0] + m[n - 1, n - 1]) / 2)
 
 
 def _alg_balanced(m: Matrix) -> PropertyVerdict:
-    return PropertyVerdict(m == conjugate_j(m), route="algebraic")
+    return _k_graded(m, "BA", 1)
 
 
 def _columns_constant(m: Matrix) -> bool:
@@ -315,53 +320,22 @@ def _alg_reverse(m: Matrix) -> PropertyVerdict:
     return PropertyVerdict(True, route="algebraic")
 
 
-def _projector_residual_zero(m: Matrix, y: Vector) -> bool:
-    # (I − P)·M·(I − P) = O for P = y·yᵀ/(yᵀy), written out entrywise.
-    n = m.n
-    e = m.entries
-    yy = y.dot(y)
-    my = m.apply(y)
-    ytm = m.transpose().apply(y)
-    yty_m_y = y.dot(my)
-    for i in range(n):
-        yi = y[i]
-        for j in range(n):
-            r = (
-                e[i * n + j]
-                - yi * ytm[j] / yy
-                - my[i] * y[j] / yy
-                + yi * y[j] * yty_m_y / (yy * yy)
-            )
-            if not r.is_zero():
-                return False
-    return True
-
-
 def _alg_vertex_cross(m: Matrix) -> PropertyVerdict:
-    return PropertyVerdict(_projector_residual_zero(m, ones(m.n)), route="algebraic")
+    # (I − P)·M·(I − P) = O for P = 11ᵀ/n; the mean t/n² is not a weight.
+    n = m.n
+    holds = _k_graded(m, "SV", -1, m.total_sum() / (n * n)).holds
+    return PropertyVerdict(holds, route="algebraic")
 
 
 def _alg_array_sum(m: Matrix) -> PropertyVerdict:
-    # For even n the weighted property is tested on M − w·E, since the
-    # projector conditions characterise the weight-0 space; for odd n the
-    # algebraic conditions on M itself *define* the space, with no weight.
-    n = m.n
-    if n % 2 == 0:
-        w = (m[0, 0] + m[0, 1] + m[1, 0] + m[1, 1]) / 4
-        m0 = m - all_ones(n).scale(w)
-    else:
-        w = None
-        m0 = m
-    sig = alternating(n)
-    if sig.dot(m0.apply(sig)) != ZERO:
-        return PropertyVerdict(False, route="algebraic")
-    if not _projector_residual_zero(m0, sig):
-        return PropertyVerdict(False, route="algebraic")
-    return PropertyVerdict(True, w, route="algebraic")
+    # For even n the weighted property is tested on M − w·E; for odd n the
+    # algebraic condition on M itself *defines* the space, with no weight.
+    w = (m[0, 0] + m[0, 1] + m[1, 0] + m[1, 1]) / 4 if m.n % 2 == 0 else None
+    return _k_graded(m, "NM", -1, w)
 
 
 def _alg_alternating_pairs(m: Matrix) -> PropertyVerdict:
-    return _eigen_pair(m, alternating(m.n))
+    return _eigen_pair(m, "NM")
 
 
 # -- the space table -----------------------------------------------------------
@@ -486,7 +460,8 @@ def check_entrywise(m: Matrix, prop: str) -> PropertyVerdict:
 def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
     """Matrix-algebra verdict for one property tag (S A B R V M N).
 
-    Valid for every dimension; for odd n this route *is* the definition of
+    B, S and N are K-invariance of M and A, V and M K-anti-invariance of
+    M − w·E, for the grading involutions K.  Valid for every dimension; for odd n this route *is* the definition of
     the M- and N-type spaces.  P and Q have no such route.
     """
     space = _property(prop)

@@ -164,7 +164,10 @@ class Scalar:
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> Scalar:
-        return _coerce(other) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def conjugate(self) -> Scalar:
         """Galois conjugate a − b·√2."""

@@ -264,7 +264,7 @@ class ConstraintSystem:
     def in_span(self, m: Matrix) -> bool:
         """Span-membership via elimination residual against the basis."""
         if self._span is None:
-            self._span = echelon_of(self.nullspace, self.n * self.n)
+            self._span = echelon_of(self.nullspace)
         return self._span.contains(m.entries)
 
     def _integer_basis(self) -> list:
@@ -336,7 +336,7 @@ def _constructor_span_check(kind: str, n: int) -> int:
             raise VerificationError(
                 f"constructor output violates the {kind} constraints at n={n}"
             )
-    return echelon_of([m.entries for m in outputs], n * n).rank
+    return echelon_of([m.entries for m in outputs]).rank
 
 
 def dimension_probe(space: str, n: int, check_constructors: bool = True) -> int:
@@ -476,7 +476,7 @@ def parasymmetry_check(gamma, delta, n: int) -> bool:
     if m2 != closed:
         raise VerificationError("closed form for the squared most perfect square failed")
     symmetric = m2 == m2.transpose()
-    dependent = echelon_of([g.entries, d.entries], n).rank <= 1
+    dependent = echelon_of([g.entries, d.entries]).rank <= 1
     return symmetric == dependent
 
 

@@ -38,7 +38,7 @@ def test_echelon_span_membership():
 
 
 def test_echelon_rejects_dependent_rows():
-    ech = Echelon(2)
+    ech = Echelon()
     assert ech.add([ONE, ONE])
     assert not ech.add([S(2), S(2)])
     assert ech.rank == 1
@@ -80,8 +80,8 @@ def _dot(row, vec):
 @given(systems())
 def test_dense_and_sparse_rows_give_one_echelon_form(system):
     rows, width = system
-    dense = echelon_of(rows, width)
-    sparse = echelon_of([_sparse(r) for r in rows], width)
+    dense = echelon_of(rows)
+    sparse = echelon_of([_sparse(r) for r in rows])
     assert dense.pivots == sparse.pivots
     assert dense.rows == sparse.rows
     assert nullspace_of_rows(rows, width) == nullspace_of_rows([_sparse(r) for r in rows], width)
@@ -92,7 +92,7 @@ def test_dense_and_sparse_rows_give_one_echelon_form(system):
 def test_rank_nullity_annihilation_and_membership(system):
     rows, width = system
     basis = nullspace_of_rows(rows, width)
-    ech = echelon_of(rows, width)
+    ech = echelon_of(rows)
     assert ech.rank + len(basis) == width
     # Each pivot is the leftmost nonzero of its row, normalized to 1.
     assert all(min(ech.rows[i]) == col and ech.rows[i][col] == ONE for col, i in ech.pivots.items())

@@ -1,0 +1,69 @@
+"""Regression pin: the splits and the classification, triple for triple.
+
+One sha256 covers, for a seeded set of dense √2 matrices, dense rational
+matrices and oracle members (some shifted off weight 0) at n = 1..9, the
+(p, q, d) triples of both parts of every split and the SV weight, and
+`classify(m).to_dict()`.  The pinned value was computed before the splits
+and the algebraic routes were rewritten on the involution table, so any
+change to what they return shows here.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+from symalg.decompose import split
+from symalg.matrix import Matrix, all_ones
+from symalg.predicates import classify
+from symalg.scalar import Scalar
+from symalg.verify import random_space_member
+
+PINNED = "b377bf6f9f936be41d44bc1dd1526a55f70a050e86ee63956a71cb08cb5b4437"
+
+MEMBER_SPACES = ("A", "B", "S", "V", "M", "N", "R", "P", "Q")
+# A member plus c·E keeps its property and moves its weight off 0.
+WEIGHTED = ("A", "M", "P", "V")
+
+
+def _frac(rng) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+
+
+def _dense(n, rng, sqrt2):
+    return Matrix(
+        n, tuple(Scalar(_frac(rng), _frac(rng) if sqrt2 else 0) for _ in range(n * n))
+    )
+
+
+def _inputs():
+    rng = random.Random(2016)
+    for n in range(1, 10):
+        for sqrt2 in (True, False, True, False):
+            yield _dense(n, rng, sqrt2)
+        for tag in MEMBER_SPACES:
+            if tag in "PQ" and n % 2:
+                continue
+            m = random_space_member(tag, n, rng)
+            yield m
+            if tag in WEIGHTED:
+                yield m + all_ones(n).scale(Scalar(_frac(rng), _frac(rng)))
+
+
+def _triples(m):
+    return [(x.p, x.q, x.d) for x in m.entries]
+
+
+def pin_digest() -> str:
+    h = hashlib.sha256()
+    for m in _inputs():
+        for kind in ("BA", "SV", "NM") + (("QP",) if m.n % 2 == 0 else ()):
+            pair = split(m, kind)
+            w = None if pair.weight is None else (pair.weight.p, pair.weight.q, pair.weight.d)
+            h.update(repr((kind, _triples(pair.even_part), _triples(pair.odd_part), w)).encode())
+        h.update(json.dumps(classify(m).to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_splits_and_classify_match_the_pin():
+    assert pin_digest() == PINNED

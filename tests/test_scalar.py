@@ -139,3 +139,11 @@ def test_reflected_subtraction_agrees_with_negated_subtraction(x, k, f):
         got = other - x
         assert got == -(x - other) == as_scalar(other) - x
         assert got.d > 0 and gcd(got.p, got.q, got.d) == 1
+
+
+def test_reflected_division_by_a_scalar():
+    s = Scalar(1, 1)
+    assert 2 / s == Scalar(-2, 2)  # 2/(1 + √2) = 2(√2 − 1)
+    assert Fraction(1, 2) / Scalar(2) == Scalar(Fraction(1, 4))
+    with pytest.raises(TypeError, match="float"):
+        0.5 / Scalar(1)
