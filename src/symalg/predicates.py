@@ -25,6 +25,8 @@ verdicts accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd
 from typing import Callable
 
 from .blockform import INVOLUTIONS, involution_entries
@@ -87,28 +89,37 @@ class SymmetryReport:
 # -- entrywise route ---------------------------------------------------------
 
 
+def _sum(plus, minus=()) -> Scalar:
+    """Σ plus − Σ minus, exactly.
+
+    The entries are accumulated as one integer triple (P + Q√2)/D over the
+    least common denominator so far, in the idiom of `matrix._dots`, so a
+    sum builds one Scalar instead of one per entry.
+    """
+    P = Q = 0
+    D = 1
+    for sign, xs in ((1, plus), (-1, minus)):
+        for x in xs:
+            d = x.d
+            if d != D and D % d:
+                g = d // gcd(D, d)
+                P, Q, D = P * g, Q * g, D * g
+            f = sign * (D // d)
+            P += f * x.p
+            Q += f * x.q
+    return Scalar._make(P, Q, D)
+
+
 def _row_sums(m: Matrix) -> list[Scalar]:
     n = m.n
     e = m.entries
-    out = []
-    for i in range(n):
-        acc = ZERO
-        for j in range(n):
-            acc = acc + e[i * n + j]
-        out.append(acc)
-    return out
+    return [_sum(e[i * n:(i + 1) * n]) for i in range(n)]
 
 
 def _col_sums(m: Matrix) -> list[Scalar]:
     n = m.n
     e = m.entries
-    out = []
-    for j in range(n):
-        acc = ZERO
-        for i in range(n):
-            acc = acc + e[i * n + j]
-        out.append(acc)
-    return out
+    return [_sum(e[j::n]) for j in range(n)]
 
 
 def _ew_semimagic(m: Matrix) -> PropertyVerdict:
@@ -231,14 +242,12 @@ def _ew_quartered(m: Matrix) -> PropertyVerdict:
 
 
 def _alternating_total(m: Matrix) -> Scalar:
+    # Σᵀ·M·Σ: the entries with i + j even minus those with i + j odd.
     n = m.n
     e = m.entries
-    acc = ZERO
-    for i in range(n):
-        for j in range(n):
-            x = e[i * n + j]
-            acc = acc + x if (i + j) % 2 == 0 else acc - x
-    return acc
+    plus = [e[i * n + j] for i in range(n) for j in range(i % 2, n, 2)]
+    minus = [e[i * n + j] for i in range(n) for j in range(1 - i % 2, n, 2)]
+    return _sum(plus, minus)
 
 
 # -- algebraic route ---------------------------------------------------------
@@ -289,34 +298,19 @@ def _alg_balanced(m: Matrix) -> PropertyVerdict:
     return _k_graded(m, "BA", 1)
 
 
-def _columns_constant(m: Matrix) -> bool:
-    n = m.n
-    e = m.entries
-    for j in range(n):
-        first = e[j]
-        for i in range(1, n):
-            if e[i * n + j] != first:
-                return False
-    return True
-
-
-def _flip_rows(m: Matrix) -> Matrix:
-    # J_n·M: row i becomes row n−1−i.
-    n = m.n
-    e = m.entries
-    return Matrix(
-        n, tuple(e[(n - 1 - i) * n + j] for i in range(n) for j in range(n))
-    )
-
-
 def _alg_reverse(m: Matrix) -> PropertyVerdict:
-    # (M + J·M) and (Mᵀ + J·Mᵀ) must both map everything into multiples of
-    # the all-ones vector, i.e. have constant columns.
-    if not _columns_constant(m + _flip_rows(m)):
-        return PropertyVerdict(False, route="algebraic")
-    mt = m.transpose()
-    if not _columns_constant(mt + _flip_rows(mt)):
-        return PropertyVerdict(False, route="algebraic")
+    # (I + J)·M and (I + J)·Mᵀ must both map everything into multiples of
+    # the all-ones vector, i.e. have constant columns.  Entry i of column c
+    # of (I + J)·X is c[i] + c[n−1−i], the same at i and n−1−i, so each
+    # column of M, then of Mᵀ, is read as it streams past, and the test
+    # stops at the first column that is not constant.
+    n = m.n
+    e = m.entries
+    columns = chain((e[j::n] for j in range(n)), (e[j * n:(j + 1) * n] for j in range(n)))
+    for c in columns:
+        top = c[0] + c[-1]
+        if any(c[i] + c[-1 - i] != top for i in range(1, (n + 1) // 2)):
+            return PropertyVerdict(False, route="algebraic")
     return PropertyVerdict(True, route="algebraic")
 
 

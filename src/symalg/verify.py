@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .construct import (
@@ -33,7 +33,7 @@ from .construct import (
     random_member,
     random_parameters,
 )
-from .elim import Echelon, echelon_of, nullspace_of_rows
+from .elim import Echelon, echelon_of, integer_nullspace
 from .errors import DimensionError, VerificationError
 from .matrix import Matrix, Vector, all_ones, alternating, ones, rank, zeros
 from .predicates import (
@@ -54,10 +54,11 @@ from .scalar import ZERO, Scalar, as_scalar
 # coefficient) pairs, in which a repeated index adds up.
 
 
-def _row(n: int, *forms) -> dict[int, Scalar]:
+def _row(n: int, *forms) -> dict[int, int]:
     """The equation Σ uᵀ·M·v = 0 over the (u, v) pairs, as a row over vec(M).
 
-    The row is sparse: {index into vec(M): coefficient}, nonzeros only.
+    The row is sparse: {index into vec(M): integer coefficient}, nonzeros
+    only.
     """
     cells: dict = {}
     for u, v in forms:
@@ -65,13 +66,7 @@ def _row(n: int, *forms) -> dict[int, Scalar]:
             base = i * n
             for j, b in v:
                 cells[base + j] = cells.get(base + j, 0) + a * b
-    return {k: _int_scalar(c) for k, c in cells.items() if c}
-
-
-@lru_cache(maxsize=None)
-def _int_scalar(c: int) -> Scalar:
-    # Scalars are immutable, so rows share one object per coefficient.
-    return Scalar._make(c, 0, 1)
+    return {k: c for k, c in cells.items() if c}
 
 
 def _e(*indices) -> list:
@@ -226,59 +221,61 @@ _ATOMS = {
 class ConstraintSystem:
     """Defining equations of one space, with its exact nullspace basis.
 
-    `rows` are sparse {index into vec(M): Scalar} dicts, as `_row` builds
-    them; `nullspace` is a list of dense vectors over vec(M).  Every row
-    has integer coefficients, so the nullspace is rational; on first use
-    `_integer_basis` caches each basis vector as (den, [(index, numerator)])
-    over its nonzeros, for `random_space_member`.
+    `rows` are sparse {index into vec(M): int} dicts, as `_row` builds
+    them.  `basis` is the nullspace from `elim.integer_nullspace`, one
+    vector per free column as (den, [(index, num)]) over its nonzeros;
+    `random_space_member` sums it in integers.  `nullspace` is the same
+    basis as dense vectors of Scalars over vec(M), built on first use.
     """
 
     def __init__(self, space: str, n: int, rows: list):
         self.space = space
         self.n = n
         self.rows = rows
-        self.nullspace = nullspace_of_rows(rows, n * n)
-        self._span: Echelon | None = None
-        self._ints: list | None = None
+        self.basis = integer_nullspace(rows, n * n)
 
     @property
     def nullity(self) -> int:
-        return len(self.nullspace)
+        return len(self.basis)
+
+    @cached_property
+    def nullspace(self) -> list[list[Scalar]]:
+        make = Scalar._make
+        out = []
+        for den, entries in self.basis:
+            vec = [ZERO] * (self.n * self.n)
+            for k, num in entries:
+                vec[k] = make(num, 0, den)
+            out.append(vec)
+        return out
 
     def basis_matrices(self) -> list[Matrix]:
         return [Matrix(self.n, tuple(v)) for v in self.nullspace]
 
     def satisfies(self, m: Matrix) -> bool:
-        """C·vec(M) = 0, i.e. M satisfies every defining equation."""
+        """C·vec(M) = 0, i.e. M satisfies every defining equation.
+
+        M = (P + Q·√2)/d entrywise for integer matrices P, Q over one common
+        denominator d, and C·vec(M) = 0 exactly when C·vec(P) = C·vec(Q) = 0.
+        """
         vec = m.entries
+        den = lcm(*(x.d for x in vec))
+        parts = [[x.p * (den // x.d) for x in vec]]
+        if any(x.q for x in vec):
+            parts.append([x.q * (den // x.d) for x in vec])
         for row in self.rows:
-            acc = ZERO
-            for k, c in row.items():
-                x = vec[k]
-                if x:
-                    acc = acc + c * x
-            if acc:
-                return False
+            for part in parts:
+                if sum(c * part[k] for k, c in row.items()):
+                    return False
         return True
+
+    @cached_property
+    def _span(self) -> Echelon:
+        return echelon_of(self.nullspace)
 
     def in_span(self, m: Matrix) -> bool:
         """Span-membership via elimination residual against the basis."""
-        if self._span is None:
-            self._span = echelon_of(self.nullspace)
         return self._span.contains(m.entries)
-
-    def _integer_basis(self) -> list:
-        # Each basis vector v as (den, [(k, num)]) with v[k] = num/den, one
-        # common denominator per vector and the nonzero entries only.
-        if self._ints is None:
-            basis = []
-            for v in self.nullspace:
-                if any(x.q for x in v):
-                    raise ValueError(f"{self.space} nullspace has an irrational entry")
-                den = lcm(*(x.d for x in v))
-                basis.append((den, [(k, x.p * (den // x.d)) for k, x in enumerate(v) if x.p]))
-            self._ints = basis
-        return self._ints
 
 
 @lru_cache(maxsize=None)
@@ -306,13 +303,13 @@ def random_space_member(
     Picks up to `terms` distinct basis vectors and gives each a coefficient
     a/b with a in −9..9 and b in {1, 2} (a may be 0).  The combination is
     summed in integers over one common denominator from the system's
-    cached integer basis, so each entry is built as one `Scalar`; it equals
+    integer basis, so each entry is built as one `Scalar`; it equals
     Σ (a/b)·v summed in `Scalar` arithmetic, triple for triple.
     """
     sys = build_constraints(space, n)
     if sys.nullity == 0:
         return zeros(n)
-    basis = sys._integer_basis()
+    basis = sys.basis
     picks = rng.sample(range(sys.nullity), k=min(terms, sys.nullity))
     # Draw order per pick: randint, then choice.
     draws = [(basis[idx], rng.randint(-9, 9), rng.choice((1, 2))) for idx in picks]

@@ -1,7 +1,17 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symalg.elim import Echelon, echelon_of, nullspace_of_rows, rank_of_rows
+from symalg.elim import (
+    Echelon,
+    _integer_rref,
+    echelon_of,
+    integer_nullspace,
+    nullspace_of_rows,
+    rank_of_rows,
+)
 from symalg.scalar import ONE, ZERO, Scalar
 
 
@@ -113,3 +123,40 @@ def test_rational_rank_matches_sympy(system):
         return
     entries = [[QQ(x.p, x.d) for x in row] for row in rows]
     assert rank_of_rows(rows) == DomainMatrix(entries, (len(rows), width), QQ).rank()
+
+
+# -- the integer kernel against the Q(√2) one ------------------------------
+
+@st.composite
+def integer_systems(draw):
+    width = draw(st.integers(1, 7))
+    entries = st.integers(-6, 6)
+    if draw(st.booleans()):  # sparse: mostly zeros
+        entries = st.one_of(st.just(0), st.just(0), entries)
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=8))
+    return [_sparse(r) for r in rows], width
+
+
+def _dense_fractions(den, entries, width):
+    vec = [Fraction(0)] * width
+    for k, num in entries:
+        vec[k] = Fraction(num, den)
+    return vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+def test_integer_nullspace_matches_the_scalar_kernel(system):
+    rows, width = system
+    basis = integer_nullspace(rows, width)
+    want = [[Fraction(x.p, x.d) for x in vec] for vec in nullspace_of_rows(rows, width)]
+    assert [_dense_fractions(den, e, width) for den, e in basis] == want
+    for den, entries in basis:
+        assert den > 0 and gcd(den, *(num for _, num in entries)) == 1
+        assert [k for k, _ in entries] == sorted(k for k, num in entries if num)
+        vec = dict(entries)
+        assert all(sum(c * vec.get(j, 0) for j, c in row.items()) == 0 for row in rows)
+    pivots = _integer_rref(rows)
+    for col, row in pivots.items():
+        assert min(row) == col and row[col] > 0 and gcd(*row.values()) == 1
+        assert all(other not in row for other in pivots if other != col)

@@ -1,4 +1,4 @@
-"""Regression pin: the splits and the classification, triple for triple.
+"""Regression pins, triple for triple.
 
 One sha256 covers, for a seeded set of dense √2 matrices, dense rational
 matrices and oracle members (some shifted off weight 0) at n = 1..9, the
@@ -6,6 +6,12 @@ matrices and oracle members (some shifted off weight 0) at n = 1..9, the
 `classify(m).to_dict()`.  The pinned value was computed before the splits
 and the algebraic routes were rewritten on the involution table, so any
 change to what they return shows here.
+
+A second sha256 covers the oracle: for every space and composite tag at
+every n = 1..12 where it exists (240 constraint systems), each row
+coefficient and each entry of each nullspace basis vector as a (p, q, d)
+triple, so an `int` coefficient and the equal `Scalar` hash alike.  It was
+computed while the oracle still eliminated in `Scalar` arithmetic.
 """
 
 import hashlib
@@ -13,13 +19,15 @@ import json
 import random
 from fractions import Fraction
 
+from symalg import verify as V
 from symalg.decompose import split
 from symalg.matrix import Matrix, all_ones
-from symalg.predicates import classify
-from symalg.scalar import Scalar
+from symalg.predicates import classify, exists
+from symalg.scalar import Scalar, as_scalar
 from symalg.verify import random_space_member
 
 PINNED = "b377bf6f9f936be41d44bc1dd1526a55f70a050e86ee63956a71cb08cb5b4437"
+ORACLE_PINNED = "611f0b21991fd50089e7c71eb023994da3410cc4c89f0d99ff157fd6886cdbde"
 
 MEMBER_SPACES = ("A", "B", "S", "V", "M", "N", "R", "P", "Q")
 # A member plus c·E keeps its property and moves its weight off 0.
@@ -67,3 +75,27 @@ def pin_digest() -> str:
 
 def test_splits_and_classify_match_the_pin():
     assert pin_digest() == PINNED
+
+
+def _triple(x):
+    s = as_scalar(x)
+    return (s.p, s.q, s.d)
+
+
+def oracle_digest() -> tuple[int, str]:
+    h = hashlib.sha256()
+    count = 0
+    for tag in list(V._ATOMS) + list(V.COMPOSITES):
+        for n in range(1, 13):
+            if not exists(tag, n):
+                continue
+            count += 1
+            sys = V.build_constraints(tag, n)
+            rows = [sorted((k, _triple(c)) for k, c in row.items()) for row in sys.rows]
+            h.update(repr((tag, n, rows)).encode())
+            h.update(repr([[_triple(x) for x in v] for v in sys.nullspace]).encode())
+    return count, h.hexdigest()
+
+
+def test_oracle_rows_and_bases_match_the_pin():
+    assert oracle_digest() == (240, ORACLE_PINNED)

@@ -223,11 +223,11 @@ def test_oracle_nullity_matches_sympy():
             if n % 2 and even_only(tag):
                 continue
             sys = V.build_constraints(tag, n)
-            assert all(x.q == 0 for row in sys.rows for x in row.values())
+            assert all(type(x) is int for row in sys.rows for x in row.values())
             rows = [[QQ(0)] * (n * n) for _ in sys.rows]
             for dense, row in zip(rows, sys.rows):
                 for k, x in row.items():
-                    dense[k] = QQ(x.p, x.d)
+                    dense[k] = QQ(x)
             null = DomainMatrix(rows, (len(rows), n * n), QQ).nullspace()
             assert null.shape[0] == sys.nullity, (tag, n)
 
@@ -284,3 +284,20 @@ def test_random_space_member_with_zero_coefficients_is_zero():
         got = V.random_space_member(tag, n, got_rng)
         assert got == zeros(n) == _scalar_member(tag, n, want_rng)
         assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_satisfies_rejects_a_member_moved_off_its_space():
+    # C·vec(M) is checked on the rational and the √2 part of M, so moving a
+    # member along e_k for a column k that some equation reads breaks it,
+    # whether the step is √2 or 1/3.
+    steps = (Scalar(0, 1), Scalar(Fraction(1, 3)))
+    for tag, n in (("S", 4), ("V", 5), ("MPS", 4), ("RV", 6), ("N", 3)):
+        sys = V.build_constraints(tag, n)
+        m = V.random_space_member(tag, n, random.Random(7))
+        assert sys.satisfies(m) and sys.satisfies(m.scale(Scalar(1, 1)))
+        read = sorted({k for row in sys.rows for k in row})
+        for k in (read[0], read[-1]):
+            for step in steps:
+                moved = list(m.entries)
+                moved[k] = moved[k] + step
+                assert not sys.satisfies(Matrix(n, tuple(moved))), (tag, n, k, step)
