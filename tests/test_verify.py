@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -301,3 +302,111 @@ def test_satisfies_rejects_a_member_moved_off_its_space():
                 moved = list(m.entries)
                 moved[k] = moved[k] + step
                 assert not sys.satisfies(Matrix(n, tuple(moved))), (tag, n, k, step)
+
+
+def _law_products(pair, n):
+    return sum(
+        V.build_constraints(left, n).nullity * V.build_constraints(right, n).nullity
+        for left, right, _ in V.GRADING_PAIRS[pair]
+    )
+
+
+def test_grading_certificate_proves_every_law_at_small_n():
+    for pair in V.GRADING_PAIRS:
+        for n in (2, 3, 4, 5):
+            if not V._grading_exists(pair, n):
+                continue
+            cert = V.grading_certificate(pair, n)
+            assert cert.ok and cert.witnesses == [], (pair, n, cert.witnesses)
+            assert cert.products == _law_products(pair, n), (pair, n)
+            assert V.grading_check(pair, n, trials=10, seed=3).ok, (pair, n)
+    with pytest.raises(DimensionError):
+        V.grading_certificate("QP", 3)
+    with pytest.raises(ValueError):
+        V.grading_certificate("??", 4)
+
+
+def test_grading_suite_counts_every_basis_product():
+    checks = V.suite_gradings()
+    assert len(checks) == 31 and all(c["ok"] for c in checks)
+    total = sum(c["products"] for c in checks)
+    assert total == 9850
+    assert total == sum(
+        _law_products(pair, n)
+        for pair in V.GRADING_PAIRS
+        for n in range(2, 7)
+        if V._grading_exists(pair, n)
+    )
+    assert all("trials" not in c and "witnesses" not in c for c in checks)
+
+
+def _int_parts(m):
+    # vec(M) = (P + Q·√2)/d over one common denominator: [P] or [P, Q].
+    den = lcm(*(x.d for x in m.entries))
+    parts = [[x.p * (den // x.d) for x in m.entries]]
+    if any(x.q for x in m.entries):
+        parts.append([x.q * (den // x.d) for x in m.entries])
+    return parts
+
+
+def test_false_law_fails_with_a_witness_the_oracle_confirms(monkeypatch):
+    monkeypatch.setitem(V.GRADING_PAIRS, "BA", (("A", "A", "A"),))
+    n = 4
+    cert = V.grading_certificate("BA", n)
+    assert not cert.ok and cert.products == V.build_constraints("A", n).nullity ** 2
+    assert 0 < len(cert.witnesses) <= 3 < cert.failures
+    report = cert.to_dict()
+    assert report["witnesses"] == cert.witnesses and report["ok"] is False
+    target = V.build_constraints("A", n)
+    basis = target.basis_matrices()
+    for w in cert.witnesses:
+        assert w["law"] == ["A", "A", "A"]
+        i, j = w["basis_pair"]
+        product = basis[i] @ basis[j]
+        assert w["rejected_by"] == ["oracle", "in_space"]
+        assert not in_space(product, "A")
+        k = w["equation"]
+        (part,) = _int_parts(product)
+        assert target.first_broken(part) == k
+        # The same verdict in Scalar arithmetic: row k is the first one broken.
+        sums = [
+            sum((c * product.entries[idx] for idx, c in row.items()), Scalar(0))
+            for row in target.rows[: k + 1]
+        ]
+        assert all(s == 0 for s in sums[:-1]) and sums[-1] != 0
+
+
+def test_satisfies_is_first_broken_none():
+    rng = random.Random(41)
+    for tag, n in (("S", 4), ("V", 5), ("A", 3), ("MPS", 4), ("RV", 6), ("NQS", 4)):
+        sys = V.build_constraints(tag, n)
+        members = [V.random_space_member(tag, n, rng) for _ in range(3)]
+        others = [
+            Matrix(n, tuple(Scalar(rng.randint(-3, 3)) for _ in range(n * n)))
+            for _ in range(3)
+        ]
+        for m in members + others + [members[0].scale(Scalar(1, 1))]:
+            broken = [sys.first_broken(part) for part in _int_parts(m)]
+            assert sys.satisfies(m) == all(k is None for k in broken), (tag, n)
+        for m in members:
+            assert sys.satisfies(m)
+            assert sys.first_broken(_int_parts(m)[0]) is None
+        for m in others:
+            (part,) = _int_parts(m)
+            k = sys.first_broken(part)
+            broken = [sum(c * part[i] for i, c in row.items()) != 0 for row in sys.rows]
+            assert k == (broken.index(True) if any(broken) else None), (tag, n)
+
+
+def test_reversible_implies_associated_reads_the_rvraw_basis():
+    for n in range(2, 8):
+        assert V.build_constraints("RVRAW", n).nullity == 2 * (n // 2) + 1
+        assert V.reversible_implies_associated(n, 1)
+
+
+def test_vertex_cross_rank_is_two():
+    # Every V member is a·1ᵀ + 1·bᵀ, so rank ≤ 2, and generic members reach
+    # it; the report's registered bound of 7 is not sharp.
+    for n in (8, 9):
+        res = V.rank_bound_check("V", n, 20)
+        assert res.ok and res.max_rank == 2, (n, res)
