@@ -1,120 +1,40 @@
-"""Exact Gaussian elimination, over Q(√2) and over the integers.
+"""Exact Gaussian elimination: one fraction-free integer kernel.
 
-Two kernels for two input types:
+`_integer_rref` row-reduces rows with integer coefficients, given as sparse
+dicts {column: int}, and never leaves `int` arithmetic: its pivot rows are
+kept primitive (content 1, positive lead) instead of normalized.  It picks
+the leftmost nonzero entry as the pivot — with exact arithmetic there is
+nothing to gain from magnitude pivoting — and keeps the pivot rows fully
+reduced against each other, so reducing a new row is one pass over its
+nonzeros in pivot columns, in any order.
 
-* `Echelon` (and `echelon_of`, `rank_of_rows`, `nullspace_of_rows`) takes
-  rows over Q(√2): sparse dicts {column: Scalar} that hold the nonzero
-  entries only, or dense sequences of Scalars whose nonzeros it reads.
-  Integer and Fraction entries are accepted too and turn into Scalars on
-  the way.  Pivot rows are normalized to a leading 1.
-* `integer_nullspace` takes rows with integer coefficients, as sparse
-  dicts {column: int}, and never leaves `int` arithmetic: its pivot rows
-  are kept primitive (content 1, positive lead) instead of normalized.
+Two readings of it:
 
-Both pick the leftmost nonzero entry as the pivot — with exact arithmetic
-there is nothing to gain from magnitude pivoting — and keep the pivot rows
-fully reduced against each other, so reducing a new row is one pass over
-its nonzeros in pivot columns, in any order.  A row space has one reduced
-row echelon form, so on integer rows both give the same pivots and the
-same nullspace basis.
+* `integer_nullspace` is the oracle's nullspace basis of integer rows.
+* `rank_of_rows` is the rank of rows over Q(√2).  Q(√2) has degree 2 over
+  Q, so p + q·√2 ↦ (p, q) identifies Q(√2)^w with Q^{2w}.  The Q(√2)-span
+  of a row r is the Q-span of r and √2·r, and √2·(p + q·√2) = 2q + p·√2,
+  so the Q(√2)-rank of rows (P + Q·√2)/D is half the Q-rank of the integer
+  rows (P | Q) and (2Q | P).
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalar import ONE, ZERO, Scalar, as_scalar
-
-
-def _eliminate(row: dict, piv: dict, lead: int) -> None:
-    # row ← row − row[lead]·piv in place, for a pivot row with piv[lead] = 1:
-    # the lead entry cancels exactly, and entries that cancel are dropped.
-    f = row.pop(lead)
-    for j, x in piv.items():
-        if j != lead:
-            v = row.get(j, ZERO) - f * x
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-
-
-class Echelon:
-    """Incrementally built reduced row echelon form.
-
-    Feed rows with `add`; `rows` holds the pivot rows as sparse
-    {column: Scalar} dicts and `pivots` maps pivot column → index into
-    `rows`.  Rows already inserted stay fully reduced against each other,
-    so `reduce` returns the canonical residual of a vector modulo the row
-    span.
-    """
-
-    def __init__(self):
-        self.rows: list[dict[int, Scalar]] = []
-        self.pivots: dict[int, int] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, row) -> dict[int, Scalar]:
-        """Residual of `row` after elimination against all pivot rows."""
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        row = {j: x for j, x in items if x}
-        # A pivot row is zero in every other pivot column, so eliminating
-        # one column leaves the others' coefficients as they were.
-        for col in [c for c in row if c in self.pivots]:
-            _eliminate(row, self.rows[self.pivots[col]], col)
-        return row
-
-    def add(self, row) -> bool:
-        """Insert a row; returns True if it enlarged the span."""
-        row = self.reduce(row)
-        if not row:
-            return False
-        lead = min(row)
-        inv = as_scalar(row[lead]).inverse()
-        row = {j: x * inv for j, x in row.items()}
-        # Back-substitute into existing rows to keep the form fully reduced.
-        for other in self.rows:
-            if lead in other:
-                _eliminate(other, row, lead)
-        self.rows.append(row)
-        self.pivots[lead] = len(self.rows) - 1
-        return True
-
-    def contains(self, row) -> bool:
-        return not self.reduce(row)
-
-
-def echelon_of(rows: list) -> Echelon:
-    """Echelon form of dense or sparse rows."""
-    ech = Echelon()
-    for row in rows:
-        ech.add(row)
-    return ech
-
 
 def rank_of_rows(rows: list) -> int:
-    return echelon_of(rows).rank
-
-
-def nullspace_of_rows(rows: list, width: int) -> list[list[Scalar]]:
-    """Basis of {x : R·x = 0} for the stacked constraint rows R.
-
-    Standard free-variable construction from the RREF: one dense basis
-    vector per non-pivot column, with pivot coordinates read off the
-    reduced rows.
-    """
-    ech = echelon_of(rows)
-    basis = {free: [ZERO] * width for free in range(width) if free not in ech.pivots}
-    for free, vec in basis.items():
-        vec[free] = ONE
-    for col, idx in ech.pivots.items():
-        for free, x in ech.rows[idx].items():
-            if free != col:
-                basis[free][col] = -x
-    return list(basis.values())
+    """Rank over Q(√2) of rows given as sequences of Scalars."""
+    embedded = []
+    for row in rows:
+        # Each row over the lcm of its denominators: (P + Q·√2)/den.
+        den = lcm(*(x.d for x in row))
+        w = len(row)
+        p = {j: x.p * (den // x.d) for j, x in enumerate(row) if x.p}
+        q = {j: x.q * (den // x.d) for j, x in enumerate(row) if x.q}
+        embedded.append(p | {w + j: v for j, v in q.items()})
+        embedded.append({j: 2 * v for j, v in q.items()} | {w + j: v for j, v in p.items()})
+    return len(_integer_rref(embedded)) // 2
 
 
 def _combine(row: dict, piv: dict, lead: int) -> dict:
@@ -175,8 +95,8 @@ def _integer_rref(rows: list) -> dict[int, dict[int, int]]:
 def integer_nullspace(rows: list, width: int) -> list[tuple[int, list[tuple[int, int]]]]:
     """Basis of {x : R·x = 0} for integer rows R, in integer form.
 
-    The same basis as `nullspace_of_rows`, one vector per non-pivot column
-    in increasing order, each as (den, [(index, num)]): entry `index` is
+    The free-variable basis read off the RREF, one vector per non-pivot
+    column in increasing order, each as (den, [(index, num)]): entry `index` is
     num/den, over one common denominator in lowest terms, with the nonzero
     entries only, by increasing index.
     """

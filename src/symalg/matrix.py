@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .elim import rank_of_rows
 from .errors import DimensionError
 from .scalar import ONE, SQRT2, ZERO, Scalar, as_scalar
 
@@ -319,9 +320,7 @@ def _check_positive(n: int) -> None:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank by Gaussian elimination over Q(√2)."""
-    from .elim import rank_of_rows
-
+    """Exact rank over Q(√2), by `elim.rank_of_rows`."""
     return rank_of_rows(m.rows())
 
 

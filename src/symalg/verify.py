@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 
 from .construct import (
@@ -33,7 +33,7 @@ from .construct import (
     random_member,
     random_parameters,
 )
-from .elim import Echelon, echelon_of, integer_nullspace
+from .elim import integer_nullspace, rank_of_rows
 from .errors import DimensionError, VerificationError
 from .matrix import Matrix, Vector, all_ones, alternating, ones, rank, zeros
 from .predicates import (
@@ -218,14 +218,21 @@ _ATOMS = {
 }
 
 
+def _int_matrix(n: int, vec: list[int], den: int) -> Matrix:
+    # The matrix with entries vec[k]/den, for a dense int vector over vec(M).
+    make = Scalar._make
+    return Matrix(n, tuple(make(c, 0, den) if c else ZERO for c in vec))
+
+
 class ConstraintSystem:
     """Defining equations of one space, with its exact nullspace basis.
 
     `rows` are sparse {index into vec(M): int} dicts, as `_row` builds
     them.  `basis` is the nullspace from `elim.integer_nullspace`, one
     vector per free column as (den, [(index, num)]) over its nonzeros;
-    `random_space_member` sums it in integers.  `nullspace` is the same
-    basis as dense vectors of Scalars over vec(M), built on first use.
+    `random_space_member` sums it in integers and `basis_matrices` builds
+    it as matrices.  The space is the solution set of `rows`, so
+    `satisfies` is its membership test.
     """
 
     def __init__(self, space: str, n: int, rows: list):
@@ -238,19 +245,14 @@ class ConstraintSystem:
     def nullity(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def nullspace(self) -> list[list[Scalar]]:
-        make = Scalar._make
+    def basis_matrices(self) -> list[Matrix]:
         out = []
         for den, entries in self.basis:
-            vec = [ZERO] * (self.n * self.n)
+            vec = [0] * (self.n * self.n)
             for k, num in entries:
-                vec[k] = make(num, 0, den)
-            out.append(vec)
+                vec[k] = num
+            out.append(_int_matrix(self.n, vec, den))
         return out
-
-    def basis_matrices(self) -> list[Matrix]:
-        return [Matrix(self.n, tuple(v)) for v in self.nullspace]
 
     def satisfies(self, m: Matrix) -> bool:
         """C·vec(M) = 0, i.e. M satisfies every defining equation.
@@ -274,14 +276,6 @@ class ConstraintSystem:
             if sum(c * vec[i] for i, c in row.items()):
                 return k
         return None
-
-    @cached_property
-    def _span(self) -> Echelon:
-        return echelon_of(self.nullspace)
-
-    def in_span(self, m: Matrix) -> bool:
-        """Span-membership via elimination residual against the basis."""
-        return self._span.contains(m.entries)
 
 
 @lru_cache(maxsize=None)
@@ -326,8 +320,7 @@ def random_space_member(
             f = a * (common // (b * den))
             for k, num in entries:
                 acc[k] += f * num
-    make = Scalar._make
-    return Matrix(n, tuple(make(p, 0, common) if p else ZERO for p in acc))
+    return _int_matrix(n, acc, common)
 
 
 @lru_cache(maxsize=None)
@@ -339,7 +332,7 @@ def _constructor_span_check(kind: str, n: int) -> int:
             raise VerificationError(
                 f"constructor output violates the {kind} constraints at n={n}"
             )
-    return echelon_of([m.entries for m in outputs]).rank
+    return rank_of_rows([m.entries for m in outputs])
 
 
 def dimension_probe(space: str, n: int, check_constructors: bool = True) -> int:
@@ -493,7 +486,6 @@ def grading_certificate(pair: str, n: int) -> GradingCertificate:
     if not _grading_exists(tag, n):
         raise DimensionError(f"grading pair {tag} does not exist at n={n}")
     result = GradingCertificate(tag, n)
-    make = Scalar._make
     for law in GRADING_PAIRS[tag]:
         left, right, target = law
         sys = build_constraints(target, n)
@@ -501,8 +493,7 @@ def grading_certificate(pair: str, n: int) -> GradingCertificate:
         for i, (den_a, entries) in enumerate(build_constraints(left, n).basis):
             for j, (den_b, rows) in enumerate(rights):
                 vec = _int_product(n, entries, rows)
-                den = den_a * den_b
-                product = Matrix(n, tuple(make(c, 0, den) if c else ZERO for c in vec))
+                product = _int_matrix(n, vec, den_a * den_b)
                 broken = sys.first_broken(vec)
                 judges = [] if broken is None else ["oracle"]
                 if not in_space(product, target):
@@ -536,12 +527,12 @@ def mps_triple_product_check(
     ]
     lhs = ms[0] @ ms[1] @ ms[2]
     sig = alternating(n)
-    g1 = gamma1 if isinstance(gamma1, Vector) else Vector(gamma1)
-    d1 = delta1 if isinstance(delta1, Vector) else Vector(delta1)
-    g2 = gamma2 if isinstance(gamma2, Vector) else Vector(gamma2)
-    d2 = delta2 if isinstance(delta2, Vector) else Vector(delta2)
-    g3 = gamma3 if isinstance(gamma3, Vector) else Vector(gamma3)
-    d3 = delta3 if isinstance(delta3, Vector) else Vector(delta3)
+    g1 = Vector(gamma1)
+    d1 = Vector(delta1)
+    g2 = Vector(gamma2)
+    d2 = Vector(delta2)
+    g3 = Vector(gamma3)
+    d3 = Vector(delta3)
     c_left = d2.dot(g3) * n
     c_right = d1.dot(g2) * n
     rhs = g1.scale(c_left).outer(sig) + sig.outer(d3.scale(c_right))
@@ -556,15 +547,15 @@ def parasymmetry_check(gamma, delta, n: int) -> bool:
     n·γδᵀ from the cross term.)
     """
     m = make_most_perfect(gamma, delta, n)
-    g = gamma if isinstance(gamma, Vector) else Vector(gamma)
-    d = delta if isinstance(delta, Vector) else Vector(delta)
+    g = Vector(gamma)
+    d = Vector(delta)
     sig = alternating(n)
     m2 = m @ m
     closed = g.scale(as_scalar(n)).outer(d) + sig.scale(d.dot(g)).outer(sig)
     if m2 != closed:
         raise VerificationError("closed form for the squared most perfect square failed")
     symmetric = m2 == m2.transpose()
-    dependent = echelon_of([g.entries, d.entries]).rank <= 1
+    dependent = rank_of_rows([g.entries, d.entries]) <= 1
     return symmetric == dependent
 
 
@@ -634,12 +625,11 @@ def rank_bound_check(space: str, n: int, trials: int, seed: int = 0) -> RankBoun
 # -- lemma-level checks --------------------------------------------------------
 
 
-def reversible_implies_associated(n: int, trials: int, seed: int = 0) -> bool:
+def reversible_implies_associated(n: int) -> bool:
     """Raw reverse ∧ vertex-cross members all carry the associated property.
 
     The associated matrices of any weight form a linear space, so checking
-    the 2ν + 1 oracle basis matrices of RVRAW proves the lemma at n;
-    `trials` and `seed` are not used.
+    the 2ν + 1 oracle basis matrices of RVRAW proves the lemma at n.
     """
     basis = build_constraints("RVRAW", n).basis_matrices()
     return all(check_entrywise(m, "A").holds for m in basis)
@@ -708,7 +698,7 @@ def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:
 
 
 def oracle_predicate_agreement(space: str, n: int, trials: int, seed: int = 0) -> bool:
-    """Oracle basis passes the predicate; constructed members lie in its span."""
+    """Oracle basis passes the predicate; constructed members solve its equations."""
     sys = build_constraints(space, n)
     for m in sys.basis_matrices():
         if not in_space(m, space):
@@ -717,7 +707,7 @@ def oracle_predicate_agreement(space: str, n: int, trials: int, seed: int = 0) -
     if kind in CONSTRUCTIBLE:
         rng = random.Random(seed)
         for _ in range(trials):
-            if not sys.in_span(random_member(kind, n, rng)):
+            if not sys.satisfies(random_member(kind, n, rng)):
                 return False
     return True
 
@@ -806,7 +796,7 @@ def suite_lemmas(n_max: int = 7, trials: int = 100, seed: int = 0, **_) -> list[
             )
     for n in range(2, n_max + 1):
         checks.append(_check(f"reverse∧vertex ⇒ associated (n={n})",
-                             reversible_implies_associated(n, trials, seed)))
+                             reversible_implies_associated(n)))
         checks.append(_check(f"RV = AV (n={n})", rv_equals_av(n)))
         rcomp = build_constraints("RCOMP", n).nullity
         dim_r = dimension_probe("R", n)

@@ -156,7 +156,7 @@ def test_criterion_6_triple_product():
 def test_criterion_7_structural_theorems():
     rv_av = all(V.rv_equals_av(n) for n in range(2, 7))
     implies_a = all(
-        V.reversible_implies_associated(n, 100, seed=7) for n in range(2, 7)
+        V.reversible_implies_associated(n) for n in range(2, 7)
     )
     # Every raw oracle member, not just random draws: the basis itself.
     basis_a = all(

@@ -4,15 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symalg.elim import (
-    Echelon,
-    _integer_rref,
-    echelon_of,
-    integer_nullspace,
-    nullspace_of_rows,
-    rank_of_rows,
-)
-from symalg.scalar import ONE, ZERO, Scalar
+from symalg.elim import _integer_rref, integer_nullspace, rank_of_rows
+from symalg.scalar import ZERO, Scalar
 
 
 def S(x):
@@ -20,49 +13,35 @@ def S(x):
 
 
 def test_rank_and_nullspace_of_simple_system():
-    rows = [
-        [S(1), S(2), S(3)],
-        [S(2), S(4), S(6)],
-        [S(0), S(1), S(1)],
-    ]
-    assert rank_of_rows(rows) == 2
-    basis = nullspace_of_rows(rows, 3)
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
+    assert rank_of_rows([_dense(r, 3) for r in rows]) == 2
+    basis = integer_nullspace(rows, 3)
     assert len(basis) == 1
+    vec = dict(basis[0][1])
     for row in rows:
-        acc = ZERO
-        for c, x in zip(row, basis[0]):
-            acc = acc + c * x
-        assert acc.is_zero()
+        assert sum(c * vec.get(j, 0) for j, c in row.items()) == 0
 
 
 def test_nullspace_of_empty_system_is_everything():
-    basis = nullspace_of_rows([], 3)
+    basis = integer_nullspace([], 3)
     assert len(basis) == 3
-
-
-def test_echelon_span_membership():
-    ech = echelon_of([[S(1), S(0), S(1)], [S(0), S(1), S(1)]])
-    assert ech.contains([S(2), S(3), S(5)])
-    assert not ech.contains([S(0), S(0), S(1)])
-    assert ech.rank == 2
-
-
-def test_echelon_rejects_dependent_rows():
-    ech = Echelon()
-    assert ech.add([ONE, ONE])
-    assert not ech.add([S(2), S(2)])
-    assert ech.rank == 1
 
 
 def test_exact_sqrt2_pivoting():
     # Rows proportional over Q(√2) but not over Q must still collapse.
     rows = [[Scalar(0, 1), S(2)], [S(2), Scalar(0, 2)]]
     assert rank_of_rows(rows) == 1
+    # The same with a denominator per entry: √2·(√2/2, 1/3) = (1, √2/3).
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert rank_of_rows([[Scalar(0, half), S(third)], [S(1), Scalar(0, third)]]) == 1
+    assert rank_of_rows([[S(half), S(third)], [S(3), S(2)]]) == 1
+    assert rank_of_rows([[S(half), S(third)], [S(1), S(1)]]) == 2
 
 
-# -- properties on random small systems, sparse and dense --------------------
+# -- rank over Q(√2) on random small systems, sparse and dense --------------
 
-ENTRIES = st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2))
+ENTRIES = st.builds(Scalar, st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=3))
 RATIONALS = st.builds(Scalar, st.fractions(min_value=-4, max_value=4, max_denominator=3))
 
 
@@ -72,6 +51,10 @@ def systems(draw, entries=ENTRIES):
     if draw(st.booleans()):  # sparse: mostly zeros
         entries = st.one_of(st.just(ZERO), st.just(ZERO), entries)
     rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=7))
+    if rows and draw(st.booleans()):  # a dependent row c·r_i + r_j
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c = draw(entries)
+        rows.append([c * x + y for x, y in zip(rows[i], rows[j])])
     return rows, width
 
 
@@ -79,36 +62,8 @@ def _sparse(row):
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _dot(row, vec):
-    acc = ZERO
-    for c, x in zip(row, vec):
-        acc = acc + c * x
-    return acc
-
-
-@settings(max_examples=150, deadline=None)
-@given(systems())
-def test_dense_and_sparse_rows_give_one_echelon_form(system):
-    rows, width = system
-    dense = echelon_of(rows)
-    sparse = echelon_of([_sparse(r) for r in rows])
-    assert dense.pivots == sparse.pivots
-    assert dense.rows == sparse.rows
-    assert nullspace_of_rows(rows, width) == nullspace_of_rows([_sparse(r) for r in rows], width)
-
-
-@settings(max_examples=150, deadline=None)
-@given(systems())
-def test_rank_nullity_annihilation_and_membership(system):
-    rows, width = system
-    basis = nullspace_of_rows(rows, width)
-    ech = echelon_of(rows)
-    assert ech.rank + len(basis) == width
-    # Each pivot is the leftmost nonzero of its row, normalized to 1.
-    assert all(min(ech.rows[i]) == col and ech.rows[i][col] == ONE for col, i in ech.pivots.items())
-    for vec in basis:
-        assert all(_dot(row, vec).is_zero() for row in rows)
-    assert all(ech.contains(row) and ech.contains(_sparse(row)) for row in rows)
+def _dense(row, width):
+    return [Scalar(row.get(j, 0)) for j in range(width)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,7 +80,23 @@ def test_rational_rank_matches_sympy(system):
     assert rank_of_rows(rows) == DomainMatrix(entries, (len(rows), width), QQ).rank()
 
 
-# -- the integer kernel against the Q(√2) one ------------------------------
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_sqrt2_rank_matches_sympy(system):
+    pytest.importorskip("sympy")
+    from sympy import sqrt
+    from sympy.polys.domains import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows, width = system
+    field = QQ.algebraic_field(sqrt(2))
+    # An element of the field from its coefficients, of √2 first, then of 1.
+    entries = [[field([QQ(x.q, x.d), QQ(x.p, x.d)]) for x in row] for row in rows]
+    want = DomainMatrix(entries, (len(rows), width), field).rank() if rows else 0
+    assert rank_of_rows(rows) == want
+
+
+# -- the integer kernel -------------------------------------------------------
 
 @st.composite
 def integer_systems(draw):
@@ -146,10 +117,16 @@ def _dense_fractions(den, entries, width):
 
 @settings(max_examples=200, deadline=None)
 @given(integer_systems())
-def test_integer_nullspace_matches_the_scalar_kernel(system):
+def test_integer_nullspace_matches_sympy(system):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ
+    from sympy.polys.matrices import DomainMatrix
+
     rows, width = system
     basis = integer_nullspace(rows, width)
-    want = [[Fraction(x.p, x.d) for x in vec] for vec in nullspace_of_rows(rows, width)]
+    dense = [[QQ(row.get(j, 0)) for j in range(width)] for row in rows]
+    null = DomainMatrix(dense, (len(rows), width), QQ).nullspace().to_list()
+    want = [[Fraction(int(x.numerator), int(x.denominator)) for x in vec] for vec in null]
     assert [_dense_fractions(den, e, width) for den, e in basis] == want
     for den, entries in basis:
         assert den > 0 and gcd(den, *(num for _, num in entries)) == 1
@@ -160,3 +137,29 @@ def test_integer_nullspace_matches_the_scalar_kernel(system):
     for col, row in pivots.items():
         assert min(row) == col and row[col] > 0 and gcd(*row.values()) == 1
         assert all(other not in row for other in pivots if other != col)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems())
+def test_rank_nullity_annihilation_and_membership(system):
+    rows, width = system
+    dense = [_dense(row, width) for row in rows]
+    basis = integer_nullspace(rows, width)
+    rank = rank_of_rows(dense)
+    assert rank + len(basis) == width
+    assert rank == len(_integer_rref(rows))
+    for den, entries in basis:
+        vec = dict(entries)
+        assert all(sum(c * vec.get(j, 0) for j, c in row.items()) == 0 for row in rows)
+    # A row already in the span leaves the rank as it was.
+    assert all(rank_of_rows(dense + [row]) == rank for row in dense)
+
+
+def test_span_membership_and_dependent_rows():
+    rows = [[S(1), S(0), S(1)], [S(0), S(1), S(1)]]
+    assert rank_of_rows(rows) == 2
+    assert rank_of_rows(rows + [[S(2), S(3), S(5)]]) == 2
+    assert rank_of_rows(rows + [[S(0), S(0), S(1)]]) == 3
+    assert rank_of_rows([[S(1), S(1)], [S(2), S(2)]]) == 1
+    # √2 times a row is in its Q(√2)-span.
+    assert rank_of_rows([[S(1), Scalar(0, 1)], [Scalar(0, 1), S(2)]]) == 1

@@ -93,7 +93,7 @@ def oracle_digest() -> tuple[int, str]:
             sys = V.build_constraints(tag, n)
             rows = [sorted((k, _triple(c)) for k, c in row.items()) for row in sys.rows]
             h.update(repr((tag, n, rows)).encode())
-            h.update(repr([[_triple(x) for x in v] for v in sys.nullspace]).encode())
+            h.update(repr([[_triple(x) for x in m.entries] for m in sys.basis_matrices()]).encode())
     return count, h.hexdigest()
 
 
