@@ -65,12 +65,12 @@ from .predicates import (
 from .scalar import Scalar, as_scalar
 from .verify import (
     ConstraintSystem,
-    GradingCheckResult,
+    GradingCertificate,
     RankBoundResult,
     build_constraints,
     dimension_probe,
     dual_path_agreement,
-    grading_check,
+    grading_certificate,
     mps_triple_product_check,
     oracle_predicate_agreement,
     parasymmetry_check,

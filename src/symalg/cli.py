@@ -214,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trials",
         type=_positive_int,
-        help="random samples per sampled check; the gradings suite proves "
-        "its laws on every basis product, so --trials and --seed do not apply to it",
+        help="random samples per sampled check; the grading laws and the "
+        "oracle/constructor agreement are proved on bases, so --trials and "
+        "--seed do not apply to them",
     )
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)

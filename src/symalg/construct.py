@@ -225,20 +225,24 @@ def make_semimagic(n: int, Y=None, V=None, W=None, Z=None, w=None) -> Matrix:
     w = _scalar_param(w, "w")
     if n == 1:
         return Matrix(1, (w,))
+    return _odd_free_blocks(ones(nu), SQRT2, Y, V, W, Z, w)
+
+
+def _odd_free_blocks(u: Vector, r: Scalar, Y, V, W, Z, lam: Scalar) -> Matrix:
+    # The odd forms of S (u = 1_ν, r = √2, λ = w) and N (u = Σ_ν,
+    # r = nu_sign(ν)·√2): free blocks Y, V, W, Z and the scalar λ.
+    nu = u.n
     Y = _mat_param(Y, nu, "Y")
     V = _mat_param(V, nu, "V")
     W = _mat_param(W, nu, "W")
     Z = _mat_param(Z, nu, "Z")
-    one = ones(nu)
-    rt2 = SQRT2
-    y1 = Y.apply(one)
-    yt1 = Y.transpose().apply(one)
-    tl = Y + all_ones(nu).scale(2 * w)
-    v_col = (one.scale(w) - y1).scale(rt2)
-    y_row = (one.scale(w) - yt1).scale(rt2)
-    alpha = w + 2 * one.dot(y1)
-    z_row = V.apply(one).scale(-rt2)
-    x_col = W.apply(one).scale(-rt2)
+    yu = Y.apply(u)
+    tl = Y + u.outer(u).scale(2 * lam)
+    v_col = (u.scale(lam) - yu).scale(r)
+    y_row = (u.scale(lam) - Y.transpose().apply(u)).scale(r)
+    alpha = lam + 2 * u.dot(yu)
+    z_row = V.apply(u).scale(-r)
+    x_col = W.apply(u).scale(-r)
     block = _assemble_odd(tl, v_col, V.transpose(), y_row, alpha, z_row, W, x_col, Z)
     return conjugate_x(block)
 
@@ -264,20 +268,24 @@ def make_vertex_cross(n: int, Y=None, a=None, b=None, v=None, x=None, y=None, z=
         one = ones(nu)
         return conjugate_x(_assemble_even(Y, one.outer(a), b.outer(one), zeros(nu)))
     _reject({"Y": Y, "a": a, "b": b}, "odd", n)
+    return _odd_free_vectors(ones(nu), SQRT2, v, x, y, z)
+
+
+def _odd_free_vectors(u: Vector, r: Scalar, v, x, y, z) -> Matrix:
+    # The odd forms of V (u = 1_ν, r = √2) and M (u = Σ_ν,
+    # r = nu_sign(ν)·√2): free vectors v, x, y, z; the centre and the
+    # top-left block are forced.
+    nu = u.n
     v = _vec_param(v, nu, "v")
     x = _vec_param(x, nu, "x")
     y = _vec_param(y, nu, "y")
     z = _vec_param(z, nu, "z")
-    one = ones(nu)
-    rt2 = SQRT2
     c = 2 * nu - 1
-    total = one.dot(v) + one.dot(y)
-    tl = (v.outer(one) + one.outer(y)).scale(rt2) - all_ones(nu).scale(
-        rt2 * 2 * total / c
-    )
-    alpha = rt2 * total / c
+    total = u.dot(v) + u.dot(y)
+    tl = (v.outer(u) + u.outer(y)).scale(r) - u.outer(u).scale(r * 2 * total / c)
+    alpha = r * total / c
     block = _assemble_odd(
-        tl, v, one.outer(z).scale(rt2), y, alpha, z, x.outer(one).scale(rt2), x, zeros(nu)
+        tl, v, u.outer(z).scale(r), y, alpha, z, x.outer(u).scale(r), x, zeros(nu)
     )
     return conjugate_x(block)
 
@@ -308,21 +316,7 @@ def make_alternating_pairs(n: int, Y=None, V=None, W=None, Z=None, lam=None) -> 
     lam = _scalar_param(lam, "lam")
     if n == 1:
         return Matrix(1, (lam,))
-    Y = _mat_param(Y, nu, "Y")
-    V = _mat_param(V, nu, "V")
-    W = _mat_param(W, nu, "W")
-    Z = _mat_param(Z, nu, "Z")
-    sig = alternating(nu)
-    s = nu_sign(nu)
-    rt2s = SQRT2 * s
-    tl = Y + sig.outer(sig).scale(2 * lam)
-    v_col = (sig.scale(lam) - Y.apply(sig)).scale(rt2s)
-    y_row = (sig.scale(lam) - Y.transpose().apply(sig)).scale(rt2s)
-    alpha = lam + 2 * sig.dot(Y.apply(sig))
-    z_row = V.apply(sig).scale(-rt2s)
-    x_col = W.apply(sig).scale(-rt2s)
-    block = _assemble_odd(tl, v_col, V.transpose(), y_row, alpha, z_row, W, x_col, Z)
-    return conjugate_x(block)
+    return _odd_free_blocks(alternating(nu), SQRT2 * nu_sign(nu), Y, V, W, Z, lam)
 
 
 # -- type M ------------------------------------------------------------------
@@ -347,23 +341,7 @@ def make_array_sum(n: int, a=None, b=None, Z=None, v=None, x=None, y=None, z=Non
     _reject({"a": a, "b": b, "Z": Z}, "odd", n)
     if n == 1:
         return zeros(1)
-    v = _vec_param(v, nu, "v")
-    x = _vec_param(x, nu, "x")
-    y = _vec_param(y, nu, "y")
-    z = _vec_param(z, nu, "z")
-    sig = alternating(nu)
-    s = nu_sign(nu)
-    rt2s = SQRT2 * s
-    c = 2 * nu - 1
-    total = sig.dot(v) + sig.dot(y)
-    tl = (v.outer(sig) + sig.outer(y)).scale(rt2s) - sig.outer(sig).scale(
-        rt2s * 2 * total / c
-    )
-    alpha = rt2s * total / c
-    block = _assemble_odd(
-        tl, v, sig.outer(z).scale(rt2s), y, alpha, z, x.outer(sig).scale(rt2s), x, zeros(nu)
-    )
-    return conjugate_x(block)
+    return _odd_free_vectors(alternating(nu), SQRT2 * nu_sign(nu), v, x, y, z)
 
 
 # -- type R ------------------------------------------------------------------
@@ -526,33 +504,15 @@ def make_reversible(a, b, n: int, w=None) -> Matrix:
 
     With w = 0 the result lies in the weightless reversible space (reverse
     plus vertex-cross); a general reversible square is that plus w·E_n, and
-    in either case the rank never exceeds 2.
+    in either case the rank never exceeds 2.  It is the reverse member with
+    Z = 0, x = b, z = a and γ = 2w at even n or √2·w at odd n.
     """
     nu, odd = divmod(n, 2)
     w = _scalar_param(w, "w")
-    if n == 1:
-        return Matrix(1, (w,))
-    a = _vec_param(a, nu, "a")
-    b = _vec_param(b, nu, "b")
-    one = ones(nu)
-    if not odd:
-        block = _assemble_even(
-            all_ones(nu).scale(2 * w), one.outer(a), b.outer(one), zeros(nu)
-        )
-        return conjugate_x(block)
-    rt2 = SQRT2
-    block = _assemble_odd(
-        all_ones(nu).scale(2 * w),
-        one.scale(rt2 * w),
-        one.outer(a).scale(rt2),
-        one.scale(rt2 * w),
-        w,
-        a,
-        b.outer(one).scale(rt2),
-        b,
-        zeros(nu),
-    )
-    return conjugate_x(block)
+    if n > 1:
+        a = _vec_param(a, nu, "a")
+        b = _vec_param(b, nu, "b")
+    return make_reverse(n, w * (SQRT2 if odd else 2), x=b, z=a)
 
 
 # -- parameter spaces ----------------------------------------------------------

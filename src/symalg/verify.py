@@ -13,7 +13,12 @@ predicates:
   vertex-cross space,
 * the impossibility of nonzero odd-dimensional array-sum matrices,
 * the most-perfect triple-product and parasymmetry identities,
-* that the constructor parameter spans match the oracle nullspaces.
+* that every constructor output over a parameter basis solves its space's
+  equations and that these outputs span the oracle nullspace.
+
+A linear claim is proved once, on a basis: the product laws are bilinear
+and the makers are linear.  Only the rank bounds, the triple product,
+parasymmetry and the dual-path agreement draw random members.
 
 Failures are data (reported with witnesses), except for the internal
 consistency assertions which raise VerificationError.
@@ -377,28 +382,6 @@ def _grading_exists(pair: str, n: int) -> bool:
     return all(exists(tag, n) for law in GRADING_PAIRS[pair] for tag in law)
 
 
-@dataclass
-class GradingCheckResult:
-    pair: str
-    n: int
-    trials: int
-    failures: int = 0
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "n": self.n,
-            "trials": self.trials,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
-
-
 def _normalize_pair(pair: str) -> str:
     tag = pair.upper().replace("_", "-")
     if tag in ("R-CLOSURE", "RR"):
@@ -406,24 +389,6 @@ def _normalize_pair(pair: str) -> str:
     if tag not in GRADING_PAIRS:
         raise ValueError(f"unknown grading pair {pair!r}")
     return tag
-
-
-def grading_check(pair: str, n: int, trials: int, seed: int = 0) -> GradingCheckResult:
-    """Check every product law of one grading on random oracle members."""
-    tag = _normalize_pair(pair)
-    if not _grading_exists(tag, n):
-        raise DimensionError(f"grading pair {tag} does not exist at n={n}")
-    result = GradingCheckResult(tag, n, trials)
-    for li, (left, right, target) in enumerate(GRADING_PAIRS[tag]):
-        for t in range(trials):
-            rng = random.Random(seed * 1_000_003 + li * 10_007 + t)
-            a = random_space_member(left, n, rng)
-            b = random_space_member(right, n, rng)
-            if not in_space(a @ b, target):
-                result.failures += 1
-                if len(result.witnesses) < 3:
-                    result.witnesses.append((left, right, target, a, b))
-    return result
 
 
 @dataclass
@@ -591,7 +556,7 @@ _RANK_BOUNDS = {
     "MPS": 2,  # weightless most perfect squares
     "MPS+WE": 3,  # general (weighted) most perfect squares
     "REVERSIBLE": 2,  # reverse ∧ vertex-cross property, any weight
-    "V": 7,
+    "V": 2,  # every member is a·1ᵀ + 1·bᵀ
 }
 
 
@@ -697,18 +662,17 @@ def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:
     return mismatches
 
 
-def oracle_predicate_agreement(space: str, n: int, trials: int, seed: int = 0) -> bool:
-    """Oracle basis passes the predicate; constructed members solve its equations."""
-    sys = build_constraints(space, n)
-    for m in sys.basis_matrices():
-        if not in_space(m, space):
-            return False
-    kind = space.lower()
-    if kind in CONSTRUCTIBLE:
-        rng = random.Random(seed)
-        for _ in range(trials):
-            if not sys.satisfies(random_member(kind, n, rng)):
-                return False
+def oracle_predicate_agreement(space: str, n: int) -> bool:
+    """Oracle basis passes the predicate; constructed members solve its equations.
+
+    The makers are linear, so the constructor basis outputs, each checked
+    by `_constructor_span_check`, cover every member they can build; one
+    that breaks an equation raises VerificationError.
+    """
+    if not all(in_space(m, space) for m in build_constraints(space, n).basis_matrices()):
+        return False
+    if space.lower() in CONSTRUCTIBLE:
+        _constructor_span_check(space.lower(), n)
     return True
 
 
@@ -782,7 +746,9 @@ def suite_ranks(n_max: int = 8, trials: int = 200, seed: int = 0, **_) -> list[d
     for n in (8, 9):
         if n <= n_max:
             res = rank_bound_check("V", n, trials, seed)
-            checks.append(_result_check(f"vertex-cross rank ≤ 7 (n={n})", res.ok, res))
+            checks.append(
+                _result_check(f"vertex-cross rank ≤ 2 (n={n})", res.ok and res.attained, res)
+            )
     return checks
 
 
@@ -836,7 +802,7 @@ def suite_lemmas(n_max: int = 7, trials: int = 100, seed: int = 0, **_) -> list[
             _check(f"dual-path predicate agreement (n={n})", mismatches == 0, mismatches=mismatches)
         )
         ok = all(
-            oracle_predicate_agreement(sp, n, max(5, trials // 10), seed)
+            oracle_predicate_agreement(sp, n)
             for sp in _AGREEMENT_SPACES
             if exists(sp, n)
         )

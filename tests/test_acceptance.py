@@ -89,20 +89,21 @@ def test_criterion_2_dimension_formulas():
 
 def test_criterion_3_grading_suites():
     t0 = time.perf_counter()
-    trials = 200
-    failures = 0
+    products = failures = 0
     for pair in ("BA", "QP", "SV", "NM", "R", "NQS-MPS", "BS-RV"):
         laws = V.GRADING_PAIRS[pair]
         for n in range(2, 7):
             if n % 2 and any(even_only(tag) for law in laws for tag in law):
                 continue
-            failures += V.grading_check(pair, n, trials, seed=0).failures
+            cert = V.grading_certificate(pair, n)
+            products += cert.products
+            failures += cert.failures
     elapsed = time.perf_counter() - t0
     _report(
         3,
-        failures == 0 and elapsed < 120.0,
-        f"7 grading suites, {trials} trials per law, n=2..6, {failures} failures "
-        f"({elapsed:.1f}s < 120s)",
+        failures == 0 and products > 0 and elapsed < 120.0,
+        f"7 grading suites proved on all {products} basis products, n=2..6, "
+        f"{failures} failures ({elapsed:.1f}s < 120s)",
     )
 
 
@@ -129,12 +130,12 @@ def test_criterion_5_rank_bounds():
         checks.append(res.ok)
     for n in (8, 9):
         res = V.rank_bound_check("V", n, trials, seed=104)
-        checks.append(res.ok)
+        checks.append(res.ok and res.attained)
     _report(
         5,
         all(checks),
         f"{trials} members each: weightless MPS ≤ 2 (attained), weighted ≤ 3, "
-        "reversible ≤ 2, vertex-cross ≤ 7 up to n=9",
+        "reversible ≤ 2, vertex-cross ≤ 2 (attained) at n=8,9",
     )
 
 
@@ -190,13 +191,13 @@ def test_criterion_8_agreement():
         if n % 2 == 0:
             spaces += ["P", "Q", "MPS", "NQS"]
         for space in spaces:
-            span_ok &= V.oracle_predicate_agreement(space, n, trials=25, seed=n)
+            span_ok &= V.oracle_predicate_agreement(space, n)
     _report(
         8,
         mismatches == 0 and span_ok,
         f"dual-path agreement (1000 trials per n, n=2..7): {mismatches} "
-        "mismatches; oracle bases pass predicates and constructed members "
-        "stay in oracle spans",
+        "mismatches; oracle bases pass predicates and constructor basis "
+        "outputs solve the oracle equations",
     )
 
 

@@ -246,6 +246,27 @@ def test_reversible_examples():
     assert rep.composites["RV"] and rep.spaces["A"]
 
 
+def test_reversible_is_the_reverse_member_without_z():
+    # make_reversible(a, b, w) = make_reverse(γ, x = b, z = a, Z = 0), with
+    # γ = 2w at even n and √2·w at odd n, triple for triple.
+    rng = random.Random(19)
+    for n in range(1, 10):
+        nu = n // 2
+        for _ in range(5):
+            a = [Scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2)))) for _ in range(nu)]
+            b = [Scalar(rng.randint(-9, 9), rng.randint(-3, 3)) for _ in range(nu)]
+            w = Scalar(Fraction(rng.randint(-9, 9), 3), rng.randint(-2, 2))
+            got = C.make_reversible(a, b, n, w=w)
+            gamma = w * (SQRT2 if n % 2 else 2)
+            want = C.make_reverse(n, gamma, x=b, z=a)  # Z defaults to 0
+            assert [(x.p, x.q, x.d) for x in got.entries] == [
+                (x.p, x.q, x.d) for x in want.entries
+            ], n
+    for name, args in (("a", ([1, 2, 3], None)), ("b", (None, [1]))):
+        with pytest.raises(PreconditionError, match=f"^{name} must be a vector of length 2"):
+            C.make_reversible(*args, 4)
+
+
 def test_constructor_soundness_random_sweep():
     rng = random.Random(23)
     for kind in C.CONSTRUCTIBLE:

@@ -12,6 +12,11 @@ every n = 1..12 where it exists (240 constraint systems), each row
 coefficient and each entry of each nullspace basis vector as a (p, q, d)
 triple, so an `int` coefficient and the equal `Scalar` hash alike.  It was
 computed while the oracle still eliminated in `Scalar` arithmetic.
+
+A third sha256 covers the constructors: for every constructible kind at
+every n = 1..8 where it has a form (80 cases), the (p, q, d) triples of
+each `constructor_basis` output and of seeded `random_member` outputs.  It
+was computed while each odd-n formula still had its own block assembly.
 """
 
 import hashlib
@@ -20,7 +25,9 @@ import random
 from fractions import Fraction
 
 from symalg import verify as V
+from symalg.construct import CONSTRUCTIBLE, constructor_basis, random_member
 from symalg.decompose import split
+from symalg.errors import DimensionError
 from symalg.matrix import Matrix, all_ones
 from symalg.predicates import classify, exists
 from symalg.scalar import Scalar, as_scalar
@@ -28,6 +35,7 @@ from symalg.verify import random_space_member
 
 PINNED = "b377bf6f9f936be41d44bc1dd1526a55f70a050e86ee63956a71cb08cb5b4437"
 ORACLE_PINNED = "611f0b21991fd50089e7c71eb023994da3410cc4c89f0d99ff157fd6886cdbde"
+CONSTRUCTOR_PINNED = "48f026ecd4494e22c72b6432ac0c8f4648d171c1dd60cc7fed06c2705d66e082"
 
 MEMBER_SPACES = ("A", "B", "S", "V", "M", "N", "R", "P", "Q")
 # A member plus c·E keeps its property and moves its weight off 0.
@@ -99,3 +107,28 @@ def oracle_digest() -> tuple[int, str]:
 
 def test_oracle_rows_and_bases_match_the_pin():
     assert oracle_digest() == (240, ORACLE_PINNED)
+
+
+def constructor_digest() -> tuple[int, str]:
+    # Every constructible kind at n = 1..8: its constructor basis, then three
+    # seeded random members (and one with a weight, where the kind takes one).
+    h = hashlib.sha256()
+    count = 0
+    for kind in CONSTRUCTIBLE:
+        for n in range(1, 9):
+            try:
+                basis = constructor_basis(kind, n)
+            except DimensionError:
+                continue
+            count += 1
+            h.update(repr((kind, n, [_triples(m) for m in basis])).encode())
+            rng = random.Random(1000 * n + len(kind))
+            members = [random_member(kind, n, rng) for _ in range(3)]
+            if kind in ("s", "rv"):
+                members.append(random_member(kind, n, rng, weight=Fraction(3, 2)))
+            h.update(repr([_triples(m) for m in members]).encode())
+    return count, h.hexdigest()
+
+
+def test_constructor_bases_and_members_match_the_pin():
+    assert constructor_digest() == (80, CONSTRUCTOR_PINNED)
