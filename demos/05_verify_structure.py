@@ -3,8 +3,8 @@
 #
 # The verification layer compiles each space's definition into an exact
 # linear constraint system (the oracle), then checks dimension formulas,
-# the graded-algebra product laws, rank bounds and the impossibility
-# results against it.
+# the graded-algebra product laws, rank bounds, the most perfect square
+# identities and the impossibility results against it.
 
 import json
 
@@ -12,6 +12,7 @@ from symalg import (
     build_constraints,
     dimension_probe,
     grading_certificate,
+    mps_certificates,
     rank_bound_check,
     run_suite,
     rv_equals_av,
@@ -41,11 +42,25 @@ for pair in ("BA", "QP", "SV", "NM", "R", "NQS-MPS", "BS-RV"):
 
 # Rank bounds: weightless most perfect squares cap at rank 2 (and reach
 # it), weighted ones at 3, reversible squares at 2, vertex-cross members
-# (a·1ᵀ + 1·bᵀ) at 2.
-print("\nrank bounds (120 members each):")
+# (a·1ᵀ + 1·bᵀ) at 2.  With C = n·I − u·uᵀ (u = Σ or 1), C·B·C = 0 on every
+# oracle basis matrix B proves the bound; the member Σ k·b_k (+ E) shows it
+# is reached.
+print("\nrank bounds (certified on the oracle basis):")
 for space, n in (("MPS", 6), ("MPS+WE", 6), ("REVERSIBLE", 6), ("V", 8)):
-    res = rank_bound_check(space, n, trials=120, seed=2)
-    print(f"  {space:>10} n={n}: max rank {res.max_rank} ≤ {res.bound}")
+    res = rank_bound_check(space, n)
+    print(
+        f"  {space:>10} n={n}: {res.basis} basis matrices, rank ≤ {res.bound}; "
+        f"{res.witness} has rank {res.max_rank}"
+    )
+
+# The most perfect square identities are bilinear and trilinear in the
+# vector pairs (γ, δ), so every basis pair and triple proves them.
+pairs, triples = mps_certificates(8)
+print(
+    f"\nMPS identities at n=8 on {pairs.basis} basis members: "
+    f"{pairs.products} pairs, {triples.products} triples, "
+    f"{pairs.failures + triples.failures} failures"
+)
 
 # Weightless reversible squares coincide with associated ∧ vertex-cross.
 assert all(rv_equals_av(n) for n in range(2, 7))

@@ -66,11 +66,13 @@ from .scalar import Scalar, as_scalar
 from .verify import (
     ConstraintSystem,
     GradingCertificate,
+    IdentityCertificate,
     RankBoundResult,
     build_constraints,
     dimension_probe,
     dual_path_agreement,
     grading_certificate,
+    mps_certificates,
     mps_triple_product_check,
     oracle_predicate_agreement,
     parasymmetry_check,

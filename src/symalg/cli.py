@@ -214,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trials",
         type=_positive_int,
-        help="random samples per sampled check; the grading laws and the "
-        "oracle/constructor agreement are proved on bases, so --trials and "
-        "--seed do not apply to them",
+        help="random matrices per n in the dual-path agreement, the only "
+        "sampled check; --trials and --seed steer nothing else",
     )
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)

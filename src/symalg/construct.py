@@ -34,7 +34,6 @@ from .matrix import (
     alternating,
     exchange,
     ones,
-    zero_vector,
     zeros,
 )
 from .predicates import in_space
@@ -60,7 +59,7 @@ def _mat_param(p, nu: int | None, name: str) -> Matrix:
 
 def _vec_param(p, nu: int, name: str) -> Vector:
     if p is None:
-        return zero_vector(nu)
+        return Vector([ZERO] * nu)  # also at ν = 0, where it is empty
     shape = f"{name} must be a vector of length {nu}"
     if not isinstance(p, Vector):
         try:
@@ -164,10 +163,10 @@ def make_associated(phi, psi, n: int) -> Matrix:
             zeros(nu), _mat_param(psi, nu, "psi"), _mat_param(phi, nu, "phi"), zeros(nu)
         )
         return conjugate_x(block)
-    if n == 1:
-        return zeros(1)
     phi_g = _grid_param(phi, nu, nu + 1, "phi")
     psi_g = _grid_param(psi, nu + 1, nu, "psi")
+    if n == 1:
+        return zeros(1)
     rows = [[ZERO] * n for _ in range(n)]
     for i in range(nu + 1):
         for j in range(nu):
@@ -224,6 +223,7 @@ def make_semimagic(n: int, Y=None, V=None, W=None, Z=None, w=None) -> Matrix:
         return conjugate_x(_assemble_even(Y, V.transpose(), W, Z))
     w = _scalar_param(w, "w")
     if n == 1:
+        _reject({"Y": Y, "V": V, "W": W, "Z": Z}, "ν = 0", n)
         return Matrix(1, (w,))
     return _odd_free_blocks(ones(nu), SQRT2, Y, V, W, Z, w)
 
@@ -315,6 +315,7 @@ def make_alternating_pairs(n: int, Y=None, V=None, W=None, Z=None, lam=None) -> 
         return conjugate_x(_assemble_even(Y, V.transpose(), W, Z))
     lam = _scalar_param(lam, "lam")
     if n == 1:
+        _reject({"Y": Y, "V": V, "W": W, "Z": Z}, "ν = 0", n)
         return Matrix(1, (lam,))
     return _odd_free_blocks(alternating(nu), SQRT2 * nu_sign(nu), Y, V, W, Z, lam)
 
@@ -340,6 +341,8 @@ def make_array_sum(n: int, a=None, b=None, Z=None, v=None, x=None, y=None, z=Non
         return conjugate_x(_assemble_even(zeros(nu), a.outer(sig), sig.outer(b), Z))
     _reject({"a": a, "b": b, "Z": Z}, "odd", n)
     if n == 1:
+        for name, p in (("v", v), ("x", x), ("y", y), ("z", z)):
+            _vec_param(p, 0, name)
         return zeros(1)
     return _odd_free_vectors(alternating(nu), SQRT2 * nu_sign(nu), v, x, y, z)
 
@@ -351,10 +354,12 @@ def make_reverse(n: int, gamma=None, x=None, z=None, Z=None) -> Matrix:
     """Row/column-reverse member from γ, two free vectors and a free block."""
     nu, odd = divmod(n, 2)
     gamma = _scalar_param(gamma, "gamma")
-    if n == 1:
-        return Matrix(1, (gamma / SQRT2,))
     x = _vec_param(x, nu, "x")
     z = _vec_param(z, nu, "z")
+    if n == 1:
+        # ν = 0: x and z are empty and there is no Z block.
+        _reject({"Z": Z}, "ν = 0", n)
+        return Matrix(1, (gamma / SQRT2,))
     Z = _mat_param(Z, nu, "Z")
     one = ones(nu)
     if not odd:
@@ -509,9 +514,8 @@ def make_reversible(a, b, n: int, w=None) -> Matrix:
     """
     nu, odd = divmod(n, 2)
     w = _scalar_param(w, "w")
-    if n > 1:
-        a = _vec_param(a, nu, "a")
-        b = _vec_param(b, nu, "b")
+    a = _vec_param(a, nu, "a")
+    b = _vec_param(b, nu, "b")
     return make_reverse(n, w * (SQRT2 if odd else 2), x=b, z=a)
 
 

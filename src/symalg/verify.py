@@ -16,9 +16,12 @@ predicates:
 * that every constructor output over a parameter basis solves its space's
   equations and that these outputs span the oracle nullspace.
 
-A linear claim is proved once, on a basis: the product laws are bilinear
-and the makers are linear.  Only the rank bounds, the triple product,
-parasymmetry and the dual-path agreement draw random members.
+A linear or multilinear claim is proved once, on a basis, in `int`
+arithmetic: the product laws and the closed form of M(x)·M(y) are
+bilinear, the triple product is trilinear, the makers are linear, and each
+rank bound follows from a linear condition on the member.  Only the
+dual-path agreement, which compares two predicates on non-members too,
+draws random matrices.
 
 Failures are data (reported with witnesses), except for the internal
 consistency assertions which raise VerificationError.
@@ -30,17 +33,18 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .construct import (
+    _MPS_VECTOR,
     CONSTRUCTIBLE,
     constructor_basis,
     make_most_perfect,
     random_member,
-    random_parameters,
 )
 from .elim import integer_nullspace, rank_of_rows
 from .errors import DimensionError, VerificationError
-from .matrix import Matrix, Vector, all_ones, alternating, ones, rank, zeros
+from .matrix import Matrix, Vector, alternating, ones, zeros
 from .predicates import (
     COMPOSITES,
     check_algebraic,
@@ -328,16 +332,29 @@ def random_space_member(
     return _int_matrix(n, acc, common)
 
 
+@lru_cache(maxsize=1)
+def _constructor_outputs(kind: str, n: int) -> list[Matrix]:
+    # Only the latest: the span rank reads the outputs that the pass
+    # before it just built, and holding every kind's would cost megabytes.
+    return constructor_basis(kind, n)
+
+
 @lru_cache(maxsize=None)
-def _constructor_span_check(kind: str, n: int) -> int:
+def _constructor_outputs_solve(kind: str, n: int) -> None:
+    """Raise VerificationError unless every constructor basis output solves
+    the kind's oracle equations."""
     sys = build_constraints(kind.upper(), n)
-    outputs = constructor_basis(kind, n)
-    for m in outputs:
+    for m in _constructor_outputs(kind, n):
         if not sys.satisfies(m):
             raise VerificationError(
                 f"constructor output violates the {kind} constraints at n={n}"
             )
-    return rank_of_rows([m.entries for m in outputs])
+
+
+@lru_cache(maxsize=None)
+def _constructor_span_rank(kind: str, n: int) -> int:
+    _constructor_outputs_solve(kind, n)
+    return rank_of_rows([m.entries for m in _constructor_outputs(kind, n)])
 
 
 def dimension_probe(space: str, n: int, check_constructors: bool = True) -> int:
@@ -350,7 +367,7 @@ def dimension_probe(space: str, n: int, check_constructors: bool = True) -> int:
     sys = build_constraints(space, n)
     kind = space.lower()
     if check_constructors and kind in CONSTRUCTIBLE:
-        span_rank = _constructor_span_check(kind, n)
+        span_rank = _constructor_span_rank(kind, n)
         if span_rank != sys.nullity:
             raise VerificationError(
                 f"constructor span for {space} at n={n} has dimension "
@@ -475,11 +492,10 @@ def grading_certificate(pair: str, n: int) -> GradingCertificate:
 
 
 # -- most perfect square identities ------------------------------------------
-
-
-def _random_mps_vectors(n: int, rng: random.Random) -> tuple[Vector, Vector]:
-    p = random_parameters("mps", n, rng)
-    return p["gamma"], p["delta"]
+#
+# `mps_triple_product_check` and `parasymmetry_check` check the identities
+# on given vectors in Matrix arithmetic; `mps_certificates` proves them at
+# n in int, on a basis.
 
 
 def mps_triple_product_check(
@@ -524,67 +540,239 @@ def parasymmetry_check(gamma, delta, n: int) -> bool:
     return symmetric == dependent
 
 
+@dataclass
+class IdentityCertificate:
+    """A multilinear identity checked on every tuple of `basis` members."""
+
+    identity: str
+    n: int
+    basis: int
+    products: int = 0
+    failures: int = 0
+    witnesses: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return self.failures == 0
+
+    def record(self, holds: bool, **witness) -> None:
+        self.products += 1
+        if not holds:
+            self.failures += 1
+            if len(self.witnesses) < 3:
+                self.witnesses.append(witness)
+
+    def to_dict(self) -> dict:
+        out = {
+            "identity": self.identity,
+            "n": self.n,
+            "basis": self.basis,
+            "products": self.products,
+            "failures": self.failures,
+            "ok": self.ok,
+        }
+        if self.witnesses:
+            out["witnesses"] = self.witnesses
+        return out
+
+
+def _ints(xs) -> list[int]:
+    # Exact scalars read as ints; a fraction or a √2 part would be lost.
+    if any(x.d != 1 or x.q for x in xs):
+        raise VerificationError("expected integer entries")
+    return [x.p for x in xs]
+
+
+def _mps_members(n: int) -> list[tuple[list[int], list[int], list[int]]]:
+    """(γ, δ, vec M) in int for the 2k basis members M = M(γ, δ).
+
+    Each of the k spanning vectors of the mps parameter space is γ with
+    δ = 0, then δ with γ = 0; `make_most_perfect` builds M.
+    """
+    nu = n // 2
+    span = _MPS_VECTOR.spanning(nu)
+    zero = _MPS_VECTOR.zero(nu)
+    return [
+        (_ints(g), _ints(d), _ints(make_most_perfect(g, d, n).entries))
+        for g, d in [(v, zero) for v in span] + [(zero, v) for v in span]
+    ]
+
+
+def _dot(u: list[int], v: list[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _product(rows: list, cols: list) -> list[int]:
+    # vec(L·R) in int, from the rows of L and the columns of R.
+    return [sum(map(mul, row, col)) for row in rows for col in cols]
+
+
+def mps_certificates(n: int) -> tuple[IdentityCertificate, IdentityCertificate]:
+    """Prove the closed form of M(x)·M(y) and the triple product at even n.
+
+    For M(x) = γΣᵀ + Σδᵀ, Σᵀγ = δᵀΣ = 0 and ΣᵀΣ = n give the identities
+    in the certificates' `identity`.  The first is bilinear, the second
+    trilinear in x = (γ, δ), so checking them in int on every basis pair
+    and triple of `_mps_members` proves them (64, 64 and 512 triples at
+    n = 4, 6, 8).  Each pair product is used for its triples straight
+    away and then dropped.  Failures keep their first three basis pairs
+    or triples as witnesses.
+
+    The closed form gives M² = n·γδᵀ + (δᵀγ)·ΣΣᵀ, so M² − (M²)ᵀ =
+    n·(γδᵀ − δγᵀ), which is zero iff γ and δ are dependent: the
+    parasymmetry theorem follows from the pair certificate.
+    """
+    members = _mps_members(n)
+    sig = [c for _, c in _sigma(n)]
+    cols = [[m[j::n] for j in range(n)] for _, _, m in members]
+    pairs = IdentityCertificate("M(x)·M(y) = n·γₓδᵧᵀ + (δₓᵀγᵧ)·ΣΣᵀ", n, len(members))
+    triples = IdentityCertificate(
+        "M(x)·M(y)·M(z) = n·((δᵧᵀγ_z)·γₓΣᵀ + (δₓᵀγᵧ)·Σδ_zᵀ)", n, len(members)
+    )
+    for i, (gx, dx, mx) in enumerate(members):
+        rows = [mx[r * n : (r + 1) * n] for r in range(n)]
+        for j, (gy, dy, _) in enumerate(members):
+            xy = _product(rows, cols[j])
+            c = _dot(dx, gy)
+            want = [n * g * d + c * s * t for g, s in zip(gx, sig) for d, t in zip(dy, sig)]
+            pairs.record(xy == want, basis_pair=[i, j])
+            xy_rows = [xy[r * n : (r + 1) * n] for r in range(n)]
+            right = n * c
+            for k, (gz, dz, _) in enumerate(members):
+                left = n * _dot(dy, gz)
+                want = [
+                    left * g * t + right * s * d
+                    for g, s in zip(gx, sig)
+                    for t, d in zip(sig, dz)
+                ]
+                triples.record(_product(xy_rows, cols[k]) == want, basis_triple=[i, j, k])
+    return pairs, triples
+
+
 # -- rank bounds ---------------------------------------------------------------
+#
+# For u with uᵀu = n, P = u·uᵀ/n is a projector and C = n·I − u·uᵀ = n·(I − P).
+# If C·M·C = 0 then M = P·M + (I − P)·M·P, a sum of two terms of rank ≤ 1,
+# so rank M ≤ 2.  The condition is linear in M: it holds on a space once it
+# holds on every oracle basis matrix.
+
+
+def _ones(n: int) -> list:
+    return _e(*range(n))
+
+
+_RANK_BOUNDS = {
+    # tag: (oracle space, u, weighted); the bound is 2, plus 1 = rank E
+    # when the weight part w·E is added.
+    "MPS": ("MPS", _sigma, False),  # weightless most perfect squares
+    "MPS+WE": ("MPS", _sigma, True),  # general (weighted) most perfect squares
+    "REVERSIBLE": ("RVRAW", _ones, False),  # reverse ∧ vertex-cross, any weight
+    "V": ("V", _ones, False),  # every member is a·1ᵀ + 1·bᵀ
+}
 
 
 @dataclass
 class RankBoundResult:
+    """A rank bound proved on `basis` oracle basis matrices, with the rank
+    `max_rank` of one member, `witness`, that shows how far it is reached.
+
+    `broken` keeps the first three basis matrices with C·B·C ≠ 0, by index
+    into the oracle basis and the first nonzero entry.
+    """
+
     space: str
     n: int
     bound: int
-    trials: int
+    basis: int
+    witness: str
     max_rank: int
-    attained: bool
+    failures: int = 0
+    broken: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.max_rank <= self.bound
+        return self.failures == 0 and self.max_rank <= self.bound
+
+    @property
+    def attained(self) -> bool:
+        return self.max_rank == self.bound
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "space": self.space,
             "n": self.n,
             "bound": self.bound,
-            "trials": self.trials,
+            "basis": self.basis,
+            "failures": self.failures,
+            "witness": self.witness,
             "max_rank": self.max_rank,
             "attained": self.attained,
             "ok": self.ok,
         }
+        if self.broken:
+            out["broken"] = self.broken
+        return out
 
 
-_RANK_BOUNDS = {
-    "MPS": 2,  # weightless most perfect squares
-    "MPS+WE": 3,  # general (weighted) most perfect squares
-    "REVERSIBLE": 2,  # reverse ∧ vertex-cross property, any weight
-    "V": 2,  # every member is a·1ᵀ + 1·bᵀ
-}
+def _compressed_entry(n: int, u: list[int], entries: list) -> tuple[int, int] | None:
+    """First entry (i, j) with (C·B·C)ᵢⱼ ≠ 0, or None if C·B·C = 0.
+
+    C = n·I − u·uᵀ and B is the integer matrix with the nonzeros `entries`
+    over vec(M).  C·B·C = n²·B − n·(u·(uᵀB) + (Bu)·uᵀ) + (uᵀBu)·u·uᵀ,
+    formed in O(n²) from uᵀB, Bu and uᵀBu.
+    """
+    b = [0] * (n * n)
+    ub = [0] * n
+    bu = [0] * n
+    for k, num in entries:
+        i, j = divmod(k, n)
+        b[k] = num
+        ub[j] += u[i] * num
+        bu[i] += num * u[j]
+    ubu = _dot(u, bu)
+    nn = n * n
+    for i in range(n):
+        for j in range(n):
+            if nn * b[i * n + j] - n * (u[i] * ub[j] + bu[i] * u[j]) + ubu * u[i] * u[j]:
+                return i, j
+    return None
 
 
-def rank_bound_check(space: str, n: int, trials: int, seed: int = 0) -> RankBoundResult:
-    """Max observed rank over random members against the proven bound."""
+def rank_bound_check(space: str, n: int) -> RankBoundResult:
+    """Prove the rank bound on the whole space, and rank one member.
+
+    The bound: C·B·C = 0 for C = n·I − u·uᵀ on every oracle basis matrix B
+    (see above), in int; the denominators only scale B.  The member is the
+    combination Σ k·b_k of the basis matrices b_1, b_2, …, plus E for the
+    weighted most perfect squares, and its exact rank is `max_rank`.
+    """
     tag = space.upper().replace(" ", "")
     if tag not in _RANK_BOUNDS:
         raise ValueError(f"no rank bound registered for {space!r}")
-    bound = _RANK_BOUNDS[tag]
-    rng = random.Random(seed)
-    max_rank = 0
-    for _ in range(trials):
-        if tag == "MPS":
-            g, d = _random_mps_vectors(n, rng)
-            m = make_most_perfect(g, d, n)
-        elif tag == "MPS+WE":
-            g, d = _random_mps_vectors(n, rng)
-            w = Scalar(rng.randint(1, 9))
-            m = make_most_perfect(g, d, n) + all_ones(n).scale(w)
-        elif tag == "REVERSIBLE":
-            m = random_space_member("RVRAW", n, rng, terms=2 * n + 1)
-        else:
-            # Full-basis combinations, so generic members can actually
-            # approach the rank ceiling instead of being capped by a
-            # sparse draw.
-            m = random_space_member("V", n, rng, terms=2 * n - 2)
-        max_rank = max(max_rank, rank(m))
-    return RankBoundResult(tag, n, bound, trials, max_rank, attained=max_rank == bound)
+    oracle, u_of, weighted = _RANK_BOUNDS[tag]
+    basis = build_constraints(oracle, n).basis
+    u = [c for _, c in u_of(n)]
+    failures, broken = 0, []
+    for idx, (_, entries) in enumerate(basis):
+        entry = _compressed_entry(n, u, entries)
+        if entry is not None:
+            failures += 1
+            if len(broken) < 3:
+                broken.append({"basis_index": idx, "entry": list(entry)})
+    # Σ k·b_k (+ E) over the basis' common denominator.
+    common = lcm(*(den for den, _ in basis))
+    vec = [common if weighted else 0] * (n * n)
+    for k, (den, entries) in enumerate(basis, 1):
+        f = k * (common // den)
+        for idx, num in entries:
+            vec[idx] += f * num
+    rows = [dict(enumerate(vec[r * n : (r + 1) * n])) for r in range(n)]
+    witness = "Σ k·b_k + E" if weighted else "Σ k·b_k"
+    return RankBoundResult(
+        tag, n, 3 if weighted else 2, len(basis), witness,
+        max_rank=n - len(integer_nullspace(rows, n)),
+        failures=failures, broken=broken,
+    )
 
 
 # -- lemma-level checks --------------------------------------------------------
@@ -666,13 +854,14 @@ def oracle_predicate_agreement(space: str, n: int) -> bool:
     """Oracle basis passes the predicate; constructed members solve its equations.
 
     The makers are linear, so the constructor basis outputs, each checked
-    by `_constructor_span_check`, cover every member they can build; one
-    that breaks an equation raises VerificationError.
+    by `_constructor_outputs_solve`, cover every member they can build; one
+    that breaks an equation raises VerificationError.  Their span rank is
+    `dimension_probe`'s concern and is not computed here.
     """
     if not all(in_space(m, space) for m in build_constraints(space, n).basis_matrices()):
         return False
     if space.lower() in CONSTRUCTIBLE:
-        _constructor_span_check(space.lower(), n)
+        _constructor_outputs_solve(space.lower(), n)
     return True
 
 
@@ -731,21 +920,22 @@ def suite_gradings(n_max: int = 6, **_) -> list[dict]:
     return checks
 
 
-def suite_ranks(n_max: int = 8, trials: int = 200, seed: int = 0, **_) -> list[dict]:
+def suite_ranks(n_max: int = 8, **_) -> list[dict]:
+    # Certificates on the oracle bases: no trials, no seed.
     checks = []
     for n in range(4, n_max + 1, 2):
-        res = rank_bound_check("MPS", n, trials, seed)
+        res = rank_bound_check("MPS", n)
         checks.append(
             _result_check(f"weightless MPS rank ≤ 2 (n={n})", res.ok and res.attained, res)
         )
-        res = rank_bound_check("MPS+WE", n, trials, seed)
+        res = rank_bound_check("MPS+WE", n)
         checks.append(_result_check(f"weighted MPS rank ≤ 3 (n={n})", res.ok, res))
     for n in range(2, n_max + 1):
-        res = rank_bound_check("REVERSIBLE", n, trials, seed)
+        res = rank_bound_check("REVERSIBLE", n)
         checks.append(_result_check(f"reversible rank ≤ 2 (n={n})", res.ok, res))
     for n in (8, 9):
         if n <= n_max:
-            res = rank_bound_check("V", n, trials, seed)
+            res = rank_bound_check("V", n)
             checks.append(
                 _result_check(f"vertex-cross rank ≤ 2 (n={n})", res.ok and res.attained, res)
             )
@@ -753,6 +943,7 @@ def suite_ranks(n_max: int = 8, trials: int = 200, seed: int = 0, **_) -> list[d
 
 
 def suite_lemmas(n_max: int = 7, trials: int = 100, seed: int = 0, **_) -> list[dict]:
+    # Only the dual-path agreement samples, with `trials` and `seed`.
     checks = []
     for n in (3, 5, 7):
         if n <= max(n_max, 3):
@@ -775,27 +966,9 @@ def suite_lemmas(n_max: int = 7, trials: int = 100, seed: int = 0, **_) -> list[
             )
         )
     for n in (4, 6, 8):
-        rng = random.Random(seed + n)
-        ok = True
-        for _ in range(trials):
-            triple = [_random_mps_vectors(n, rng) for _ in range(3)]
-            if not mps_triple_product_check(
-                triple[0][0], triple[0][1], triple[1][0], triple[1][1],
-                triple[2][0], triple[2][1], n,
-            ):
-                ok = False
-                break
-        checks.append(_check(f"MPS triple product (n={n})", ok, trials=trials))
-        rng = random.Random(seed + 100 + n)
-        ok = True
-        for t in range(trials):
-            g, d = _random_mps_vectors(n, rng)
-            if t % 3 == 0:
-                d = g.scale(as_scalar(rng.randint(-3, 3)))  # force dependence
-            if not parasymmetry_check(g, d, n):
-                ok = False
-                break
-        checks.append(_check(f"parasymmetry ⇔ dependence (n={n})", ok, trials=trials))
+        pairs, triples = mps_certificates(n)
+        checks.append(_result_check(f"MPS triple product (n={n})", triples.ok, triples))
+        checks.append(_result_check(f"parasymmetry ⇔ dependence (n={n})", pairs.ok, pairs))
     for n in range(2, min(n_max, 7) + 1):
         mismatches = dual_path_agreement(n, trials, seed)
         checks.append(

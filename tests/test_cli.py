@@ -203,6 +203,33 @@ def test_construct_params_shape_messages_name_the_shape(capsys, tmp_path):
         assert code == 3 and expected in err and len(err.splitlines()) == 1, err
 
 
+def test_construct_params_at_n_one_are_checked_against_nu_zero(capsys, tmp_path):
+    # At n = 1 (ν = 0) a vector parameter is empty and there is no block,
+    # as at n = 2 the shapes follow from ν.
+    for kind, params, expected in (
+        ("rv", {"a": [1, 2, 3]}, "a must be a vector of length 0, got length 3"),
+        ("r", {"x": [1, 2, 3], "Z": [[1]]}, "x must be a vector of length 0"),
+        ("r", {"Z": [[1]]}, "['Z'] do not apply"),
+        ("s", {"Y": [[1]]}, "['Y'] do not apply"),
+        ("n", {"W": [[1]], "lam": "2"}, "['W'] do not apply"),
+        ("m", {"z": [1, 2]}, "z must be a vector of length 0"),
+        ("a", {"psi": [[1]]}, "psi must be a 1×0 matrix"),
+    ):
+        path = write_params(tmp_path, params)
+        code, out, err = run(capsys, "construct", "--type", kind, "--n", "1", "--params", path)
+        assert code == 3 and out == "" and expected in err, (kind, err)
+        assert len(err.splitlines()) == 1, err
+    for kind, params, entry in (
+        ("rv", {"a": [], "b": [], "w": "2"}, "2/1"),
+        ("r", {"gamma": "1", "x": [], "z": []}, "0/1+1/2*sqrt2"),
+    ):
+        path = write_params(tmp_path, params)
+        code, out, _ = run(capsys, "construct", "--type", kind, "--n", "1", "--params", path)
+        assert code == 0 and mio.loads_matrix(out) == mio.loads_matrix(
+            json.dumps({"n": 1, "entries": [entry]})
+        )
+
+
 def test_predicate_path_mismatch_is_verification_failure(capsys, monkeypatch, e4_file):
     # A route that disagrees with its twin is a bug in the program, not in the input.
     broken = dataclasses.replace(

@@ -5,7 +5,13 @@ from math import lcm
 import pytest
 
 from symalg import verify as V
-from symalg.construct import make_reversible, random_member
+from symalg.construct import (
+    _MPS_VECTOR,
+    make_most_perfect,
+    make_reversible,
+    random_member,
+    random_parameters,
+)
 from symalg.elim import integer_nullspace
 from symalg.errors import DimensionError, VerificationError
 from symalg.matrix import Matrix, Vector, all_ones, rank, zeros
@@ -79,13 +85,18 @@ def test_random_space_member_is_a_member():
             assert in_space(m, space)
 
 
+def _mps_vectors(n, rng):
+    p = random_parameters("mps", n, rng)
+    return p["gamma"], p["delta"]
+
+
 def test_triple_product_trivial_and_random():
     z = Vector([Scalar(0)] * 4)
     assert V.mps_triple_product_check(z, z, z, z, z, z, 4)
     rng = random.Random(32)
     for n in (4, 6, 8):
         for _ in range(10):
-            t = [V._random_mps_vectors(n, rng) for _ in range(3)]
+            t = [_mps_vectors(n, rng) for _ in range(3)]
             assert V.mps_triple_product_check(
                 t[0][0], t[0][1], t[1][0], t[1][1], t[2][0], t[2][1], n
             )
@@ -111,16 +122,16 @@ def test_parasymmetry_cases():
 
 
 def test_rank_bounds_small():
-    res = V.rank_bound_check("MPS", 6, 40, seed=6)
+    res = V.rank_bound_check("MPS", 6)
     assert res.ok and res.attained and res.max_rank == 2
-    res = V.rank_bound_check("MPS+WE", 6, 40, seed=6)
+    res = V.rank_bound_check("MPS+WE", 6)
     assert res.ok and res.max_rank <= 3
-    res = V.rank_bound_check("REVERSIBLE", 5, 40, seed=6)
+    res = V.rank_bound_check("REVERSIBLE", 5)
     assert res.ok
-    res = V.rank_bound_check("V", 6, 20, seed=6)
+    res = V.rank_bound_check("V", 6)
     assert res.ok
     with pytest.raises(ValueError):
-        V.rank_bound_check("S", 4, 5)
+        V.rank_bound_check("S", 4)
 
 
 def test_reversible_implies_associated_cases():
@@ -175,9 +186,24 @@ def test_oracle_predicate_agreement_rejects_a_constructed_non_member(monkeypatch
     corner = Matrix(4, (Scalar(1),) + (Scalar(0),) * 15)
     assert not in_space(corner, "S")
     monkeypatch.setattr(V, "constructor_basis", lambda kind, n: [corner])
-    V._constructor_span_check.cache_clear()  # a cached pass would hide it
+    # A cached pass would hide it.
+    V._constructor_outputs.cache_clear()
+    V._constructor_outputs_solve.cache_clear()
     with pytest.raises(VerificationError, match="violates the s constraints"):
         V.oracle_predicate_agreement("S", 4)
+    V._constructor_outputs.cache_clear()  # drop the patched outputs
+
+
+def test_oracle_predicate_agreement_computes_no_span_rank(monkeypatch):
+    def no_rank(rows):
+        raise AssertionError("the agreement computed a span rank")
+
+    monkeypatch.setattr(V, "rank_of_rows", no_rank)
+    V._constructor_outputs_solve.cache_clear()
+    V._constructor_span_rank.cache_clear()
+    for space in ("MPS", "NQS", "RV", "S"):
+        assert V.oracle_predicate_agreement(space, 4)
+    V._constructor_outputs_solve.cache_clear()
 
 
 def test_constructor_span_mismatch_detection():
@@ -406,5 +432,119 @@ def test_vertex_cross_rank_is_two():
     # Every V member is a·1ᵀ + 1·bᵀ, so rank ≤ 2, and generic members reach
     # it; the report's registered bound of 7 is not sharp.
     for n in (8, 9):
-        res = V.rank_bound_check("V", n, 20)
+        res = V.rank_bound_check("V", n)
         assert res.ok and res.max_rank == 2, (n, res)
+
+
+def _compressed(m, u):
+    # C·M·C for C = n·I − u·uᵀ, in Matrix arithmetic.
+    n = m.n
+    c = Matrix.from_rows(
+        [[n * (i == j) - u[i] * u[j] for j in range(n)] for i in range(n)]
+    )
+    return c @ m @ c
+
+
+def test_rank_certificate_matches_the_matrix_compression():
+    # Every basis matrix the certificate passes is compressed to 0, and
+    # the witness is Σ k·b_k (+ E), ranked in Scalar arithmetic.
+    for tag, oracle, u, n in (
+        ("MPS", "MPS", [1, -1] * 3, 6),
+        ("MPS+WE", "MPS", [1, -1] * 2, 4),
+        ("REVERSIBLE", "RVRAW", [1] * 5, 5),
+        ("V", "V", [1] * 8, 8),
+    ):
+        res = V.rank_bound_check(tag, n)
+        basis = V.build_constraints(oracle, n).basis_matrices()
+        assert res.ok and res.failures == 0 and res.basis == len(basis)
+        assert all(_compressed(b, u).is_zero() for b in basis)
+        witness = zeros(n)
+        for k, b in enumerate(basis, 1):
+            witness = witness + b.scale(Scalar(k))
+        if tag == "MPS+WE":
+            witness = witness + all_ones(n)
+        assert rank(witness) == res.max_rank == res.bound, tag
+        assert "trials" not in res.to_dict()
+
+
+def test_rank_certificate_names_the_basis_matrix_it_breaks(monkeypatch):
+    # The semimagic space with u = 1 claims rank ≤ 2, which is false.
+    monkeypatch.setitem(V._RANK_BOUNDS, "V", ("S", V._ones, False))
+    n = 4
+    res = V.rank_bound_check("V", n)
+    basis = V.build_constraints("S", n).basis_matrices()
+    assert not res.ok and 0 < len(res.broken) <= 3 <= res.failures
+    assert res.to_dict()["broken"] == res.broken
+    u = [1] * n
+    broken = [k for k, b in enumerate(basis) if not _compressed(b, u).is_zero()]
+    assert res.failures == len(broken)
+    assert [w["basis_index"] for w in res.broken] == broken[:3]
+    for w in res.broken:
+        cbc = _compressed(basis[w["basis_index"]], u)
+        first = next([r, c] for r in range(n) for c in range(n) if cbc[r, c] != 0)
+        assert w["entry"] == first
+
+
+def test_mps_certificate_counts_every_basis_pair_and_triple():
+    for n, k in ((4, 4), (6, 4), (8, 8)):
+        pairs, triples = V.mps_certificates(n)
+        assert pairs.basis == triples.basis == k
+        # The members span the whole oracle space: the certificate covers
+        # every most perfect square, not only the constructor's.
+        assert V.dimension_probe("MPS", n) == k
+        assert (pairs.products, triples.products) == (k**2, k**3)
+        assert pairs.ok and triples.ok and not pairs.witnesses
+    checks = [c for c in V.run_suite("lemmas", n_max=2, trials=1)["checks"]
+              if "MPS" in c["name"] or "parasymmetry" in c["name"]]
+    assert [c["products"] for c in checks] == [64, 16, 64, 16, 512, 64]
+    assert all("trials" not in c for c in checks)
+
+
+def _mps_basis(n):
+    # The (γ, δ) pairs the certificate builds its members from.
+    span = _MPS_VECTOR.spanning(n // 2)
+    zero = _MPS_VECTOR.zero(n // 2)
+    return [(v, zero) for v in span] + [(zero, v) for v in span]
+
+
+def test_mps_certificate_agrees_with_the_matrix_path():
+    for n in (4, 6, 8):
+        basis = _mps_basis(n)
+        assert [m for _, _, m in V._mps_members(n)] == [
+            [x.p for x in make_most_perfect(g, d, n).entries] for g, d in basis
+        ]
+        k = len(basis)
+        for i, j, l in ((0, 0, 0), (0, k - 1, 1), (k - 1, 1, k // 2), (1, k // 2, k - 1)):
+            (g1, d1), (g2, d2), (g3, d3) = basis[i], basis[j], basis[l]
+            assert V.mps_triple_product_check(g1, d1, g2, d2, g3, d3, n)
+            # The member x + y: its square expands over the pair (x, y).
+            assert V.parasymmetry_check(g1 + g2, d1 + d2, n)
+
+
+def test_perturbed_mps_identity_fails_with_its_basis_witness(monkeypatch):
+    n, bad = 4, 2
+    members = V._mps_members(n)
+    gamma, delta, m = members[bad]
+    m = list(m)
+    m[1] += 1  # no longer γΣᵀ + Σδᵀ
+    members[bad] = (gamma, delta, m)
+    monkeypatch.setattr(V, "_mps_members", lambda n: members)
+    pairs, triples = V.mps_certificates(n)
+    assert not pairs.ok and not triples.ok
+    assert pairs.to_dict()["witnesses"] == pairs.witnesses
+    (i, j), (x, y, z) = pairs.witnesses[0]["basis_pair"], triples.witnesses[0]["basis_triple"]
+    assert bad in (i, j) and bad in (x, y, z)
+    # Confirmed in Matrix arithmetic: with the perturbed member, the pair
+    # and the triple named as witnesses break their identities.
+    basis = _mps_basis(n)
+    mats = [make_most_perfect(g, d, n) for g, d in basis]
+    mats[bad] = Matrix(n, tuple(Scalar(v) for v in m))
+    sig = Vector([1, -1] * (n // 2))
+    (gi, di), (gj, dj) = basis[i], basis[j]
+    want = gi.scale(Scalar(n)).outer(dj) + sig.scale(di.dot(gj)).outer(sig)
+    assert mats[i] @ mats[j] != want
+    (gx, dx), (gy, dy), (gz, dz) = basis[x], basis[y], basis[z]
+    want = gx.scale(dy.dot(gz) * n).outer(sig) + sig.outer(dz.scale(dx.dot(gy) * n))
+    assert mats[x] @ mats[y] @ mats[z] != want
+    # The unperturbed members pass both on the same witnesses.
+    assert V.mps_triple_product_check(gx, dx, gy, dy, gz, dz, n)
