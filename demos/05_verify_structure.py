@@ -50,7 +50,7 @@ for space, n in (("MPS", 6), ("MPS+WE", 6), ("REVERSIBLE", 6), ("V", 8)):
     res = rank_bound_check(space, n)
     print(
         f"  {space:>10} n={n}: {res.basis} basis matrices, rank ≤ {res.bound}; "
-        f"{res.witness} has rank {res.max_rank}"
+        f"{res.member} has rank {res.max_rank}"
     )
 
 # The most perfect square identities are bilinear and trilinear in the

@@ -64,10 +64,8 @@ from .predicates import (
 )
 from .scalar import Scalar, as_scalar
 from .verify import (
+    Certificate,
     ConstraintSystem,
-    GradingCertificate,
-    IdentityCertificate,
-    RankBoundResult,
     build_constraints,
     dimension_probe,
     dual_path_agreement,

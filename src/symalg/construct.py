@@ -257,8 +257,6 @@ def make_vertex_cross(n: int, Y=None, a=None, b=None, v=None, x=None, y=None, z=
     v, x, y, z; the central column/row and corner block are forced.
     """
     nu, odd = divmod(n, 2)
-    if nu == 0:
-        raise PreconditionError("the vertex-cross space is null at n = 1")
     if not odd:
         _reject({"v": v, "x": x, "y": y, "z": z}, "even", n)
         Y = _mat_param(Y, nu, "Y")
@@ -268,18 +266,22 @@ def make_vertex_cross(n: int, Y=None, a=None, b=None, v=None, x=None, y=None, z=
         one = ones(nu)
         return conjugate_x(_assemble_even(Y, one.outer(a), b.outer(one), zeros(nu)))
     _reject({"Y": Y, "a": a, "b": b}, "odd", n)
-    return _odd_free_vectors(ones(nu), SQRT2, v, x, y, z)
+    return _odd_free_vectors(nu, False, v, x, y, z)
 
 
-def _odd_free_vectors(u: Vector, r: Scalar, v, x, y, z) -> Matrix:
-    # The odd forms of V (u = 1_ν, r = √2) and M (u = Σ_ν,
+def _odd_free_vectors(nu: int, alt: bool, v, x, y, z) -> Matrix:
+    # The odd forms of V (u = 1_ν, r = √2) and M (alt: u = Σ_ν,
     # r = nu_sign(ν)·√2): free vectors v, x, y, z; the centre and the
-    # top-left block are forced.
-    nu = u.n
+    # top-left block are forced.  At n = 1 (ν = 0) the vectors are empty
+    # and the space is null.
     v = _vec_param(v, nu, "v")
     x = _vec_param(x, nu, "x")
     y = _vec_param(y, nu, "y")
     z = _vec_param(z, nu, "z")
+    if nu == 0:
+        return zeros(1)
+    u = alternating(nu) if alt else ones(nu)
+    r = SQRT2 * nu_sign(nu) if alt else SQRT2
     c = 2 * nu - 1
     total = u.dot(v) + u.dot(y)
     tl = (v.outer(u) + u.outer(y)).scale(r) - u.outer(u).scale(r * 2 * total / c)
@@ -340,11 +342,7 @@ def make_array_sum(n: int, a=None, b=None, Z=None, v=None, x=None, y=None, z=Non
         sig = alternating(nu)
         return conjugate_x(_assemble_even(zeros(nu), a.outer(sig), sig.outer(b), Z))
     _reject({"a": a, "b": b, "Z": Z}, "odd", n)
-    if n == 1:
-        for name, p in (("v", v), ("x", x), ("y", y), ("z", z)):
-            _vec_param(p, 0, name)
-        return zeros(1)
-    return _odd_free_vectors(alternating(nu), SQRT2 * nu_sign(nu), v, x, y, z)
+    return _odd_free_vectors(nu, True, v, x, y, z)
 
 
 # -- type R ------------------------------------------------------------------
@@ -798,10 +796,7 @@ def random_parameters(kind: str, n: int, rng: random.Random, weight=None) -> dic
 
 def random_member(kind: str, n: int, rng: random.Random, weight=None) -> Matrix:
     """Random member of a constructible space: its maker on random parameters."""
-    args = random_parameters(kind, n, rng, weight)
-    if all(value is None for value in args.values()):
-        return zeros(n)  # no parameter has an entry: the space is null here
-    return _form(kind, n).build(n, args)
+    return _form(kind, n).build(n, random_parameters(kind, n, rng, weight))
 
 
 def member_from_params(kind: str, n: int, params: dict) -> Matrix:

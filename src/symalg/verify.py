@@ -23,8 +23,11 @@ rank bound follows from a linear condition on the member.  Only the
 dual-path agreement, which compares two predicates on non-members too,
 draws random matrices.
 
-Failures are data (reported with witnesses), except for the internal
-consistency assertions which raise VerificationError.
+Each such proof returns one `Certificate`: the claim, the number of
+basis members, the products checked, the failures and the first three
+failures as witnesses; a rank bound adds the bound and the rank of one
+member.  Failures are data, except for the internal consistency
+assertions which raise VerificationError.
 """
 
 from __future__ import annotations
@@ -357,7 +360,7 @@ def _constructor_span_rank(kind: str, n: int) -> int:
     return rank_of_rows([m.entries for m in _constructor_outputs(kind, n)])
 
 
-def dimension_probe(space: str, n: int, check_constructors: bool = True) -> int:
+def dimension_probe(space: str, n: int) -> int:
     """Nullity of the space's constraint system.
 
     For constructible spaces this also asserts that the constructor outputs
@@ -366,7 +369,7 @@ def dimension_probe(space: str, n: int, check_constructors: bool = True) -> int:
     """
     sys = build_constraints(space, n)
     kind = space.lower()
-    if check_constructors and kind in CONSTRUCTIBLE:
+    if kind in CONSTRUCTIBLE:
         span_rank = _constructor_span_rank(kind, n)
         if span_rank != sys.nullity:
             raise VerificationError(
@@ -374,6 +377,77 @@ def dimension_probe(space: str, n: int, check_constructors: bool = True) -> int:
                 f"{span_rank}, oracle nullity is {sys.nullity}"
             )
     return sys.nullity
+
+
+# -- certificates --------------------------------------------------------------
+
+
+@dataclass
+class Certificate:
+    """A claim proved at n on every product of `basis` oracle basis members.
+
+    Each product is `record`ed: `products` counts them, `failures` the
+    ones where the claim broke, and `witnesses` keeps the first three of
+    those, each naming the basis members and what broke.  A rank bound
+    also sets `bound` and the rank `max_rank` of one member, named by
+    `member`, that shows how far the bound is reached; there `products`
+    equals `basis`, one compression per basis matrix.  `basis` is unset
+    where the laws of a grading multiply bases of different spaces.
+    """
+
+    claim: str
+    n: int
+    basis: int | None = None
+    products: int = 0
+    failures: int = 0
+    bound: int | None = None
+    member: str | None = None
+    max_rank: int | None = None
+    witnesses: list = field(default_factory=list)
+
+    def record(self, holds: bool, **witness) -> None:
+        self.products += 1
+        if not holds:
+            self.failures += 1
+            if len(self.witnesses) < 3:
+                self.witnesses.append(witness)
+
+    @property
+    def ok(self) -> bool:
+        return self.failures == 0 and (self.bound is None or self.max_rank <= self.bound)
+
+    @property
+    def attained(self) -> bool:
+        return self.max_rank == self.bound
+
+    def to_dict(self) -> dict:
+        """The set fields, `attained` for a rank bound, `ok`, and any witnesses."""
+        out = {k: v for k, v in vars(self).items() if v is not None and k != "witnesses"}
+        if self.bound is not None:
+            out["attained"] = self.attained
+        out["ok"] = self.ok
+        if self.witnesses:
+            out["witnesses"] = self.witnesses
+        return out
+
+
+def _by_row(n: int, entries: list) -> dict[int, list]:
+    # A sparse basis vector over vec(M) as {row i: [(column j, num)]}.
+    rows: dict = {}
+    for k, num in entries:
+        rows.setdefault(k // n, []).append((k % n, num))
+    return rows
+
+
+def _int_product(n: int, left: list, right: dict) -> list[int]:
+    # vec(L·R) for L sparse over vec(M) and R from `_by_row`, in int.
+    out = [0] * (n * n)
+    for k, a in left:
+        i, mid = divmod(k, n)
+        base = i * n
+        for j, b in right.get(mid, ()):
+            out[base + j] += a * b
+    return out
 
 
 # -- grading checks ----------------------------------------------------------
@@ -399,60 +473,7 @@ def _grading_exists(pair: str, n: int) -> bool:
     return all(exists(tag, n) for law in GRADING_PAIRS[pair] for tag in law)
 
 
-def _normalize_pair(pair: str) -> str:
-    tag = pair.upper().replace("_", "-")
-    if tag in ("R-CLOSURE", "RR"):
-        tag = "R"
-    if tag not in GRADING_PAIRS:
-        raise ValueError(f"unknown grading pair {pair!r}")
-    return tag
-
-
-@dataclass
-class GradingCertificate:
-    pair: str
-    n: int
-    products: int = 0
-    failures: int = 0
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
-    def to_dict(self) -> dict:
-        out = {
-            "pair": self.pair,
-            "n": self.n,
-            "products": self.products,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
-        if self.witnesses:
-            out["witnesses"] = self.witnesses
-        return out
-
-
-def _by_row(n: int, entries: list) -> dict[int, list]:
-    # A sparse basis vector over vec(M) as {row i: [(column j, num)]}.
-    rows: dict = {}
-    for k, num in entries:
-        rows.setdefault(k // n, []).append((k % n, num))
-    return rows
-
-
-def _int_product(n: int, left: list, right: dict) -> list[int]:
-    # vec(L·R) for L sparse over vec(M) and R from `_by_row`, in int.
-    out = [0] * (n * n)
-    for k, a in left:
-        i, mid = divmod(k, n)
-        base = i * n
-        for j, b in right.get(mid, ()):
-            out[base + j] += a * b
-    return out
-
-
-def grading_certificate(pair: str, n: int) -> GradingCertificate:
+def grading_certificate(pair: str, n: int) -> Certificate:
     """Prove every product law of one grading on all oracle basis products.
 
     A law L·R ⊂ T is bilinear, so it holds at n exactly when aᵢ·bⱼ lies in T
@@ -464,10 +485,12 @@ def grading_certificate(pair: str, n: int) -> GradingCertificate:
     law, the basis pair (i, j), the first broken equation (None when only
     `in_space` said no) and the judges that said no.
     """
-    tag = _normalize_pair(pair)
+    tag = pair.upper()
+    if tag not in GRADING_PAIRS:
+        raise ValueError(f"unknown grading pair {pair!r}")
     if not _grading_exists(tag, n):
         raise DimensionError(f"grading pair {tag} does not exist at n={n}")
-    result = GradingCertificate(tag, n)
+    cert = Certificate(tag, n)
     for law in GRADING_PAIRS[tag]:
         left, right, target = law
         sys = build_constraints(target, n)
@@ -475,20 +498,13 @@ def grading_certificate(pair: str, n: int) -> GradingCertificate:
         for i, (den_a, entries) in enumerate(build_constraints(left, n).basis):
             for j, (den_b, rows) in enumerate(rights):
                 vec = _int_product(n, entries, rows)
-                product = _int_matrix(n, vec, den_a * den_b)
                 broken = sys.first_broken(vec)
                 judges = [] if broken is None else ["oracle"]
-                if not in_space(product, target):
+                if not in_space(_int_matrix(n, vec, den_a * den_b), target):
                     judges.append("in_space")
-                result.products += 1
-                if judges:
-                    result.failures += 1
-                    if len(result.witnesses) < 3:
-                        result.witnesses.append(
-                            {"law": list(law), "basis_pair": [i, j],
-                             "equation": broken, "rejected_by": judges}
-                        )
-    return result
+                cert.record(not judges, law=list(law), basis_pair=[i, j],
+                            equation=broken, rejected_by=judges)
+    return cert
 
 
 # -- most perfect square identities ------------------------------------------
@@ -540,42 +556,6 @@ def parasymmetry_check(gamma, delta, n: int) -> bool:
     return symmetric == dependent
 
 
-@dataclass
-class IdentityCertificate:
-    """A multilinear identity checked on every tuple of `basis` members."""
-
-    identity: str
-    n: int
-    basis: int
-    products: int = 0
-    failures: int = 0
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
-    def record(self, holds: bool, **witness) -> None:
-        self.products += 1
-        if not holds:
-            self.failures += 1
-            if len(self.witnesses) < 3:
-                self.witnesses.append(witness)
-
-    def to_dict(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "n": self.n,
-            "basis": self.basis,
-            "products": self.products,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
-        if self.witnesses:
-            out["witnesses"] = self.witnesses
-        return out
-
-
 def _ints(xs) -> list[int]:
     # Exact scalars read as ints; a fraction or a √2 part would be lost.
     if any(x.d != 1 or x.q for x in xs):
@@ -598,20 +578,20 @@ def _mps_members(n: int) -> list[tuple[list[int], list[int], list[int]]]:
     ]
 
 
+def _sparse(vec: list[int]) -> list:
+    # The (index, num) pairs of a dense int vector's nonzeros.
+    return [(k, c) for k, c in enumerate(vec) if c]
+
+
 def _dot(u: list[int], v: list[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def _product(rows: list, cols: list) -> list[int]:
-    # vec(L·R) in int, from the rows of L and the columns of R.
-    return [sum(map(mul, row, col)) for row in rows for col in cols]
-
-
-def mps_certificates(n: int) -> tuple[IdentityCertificate, IdentityCertificate]:
+def mps_certificates(n: int) -> tuple[Certificate, Certificate]:
     """Prove the closed form of M(x)·M(y) and the triple product at even n.
 
     For M(x) = γΣᵀ + Σδᵀ, Σᵀγ = δᵀΣ = 0 and ΣᵀΣ = n give the identities
-    in the certificates' `identity`.  The first is bilinear, the second
+    in the certificates' `claim`.  The first is bilinear, the second
     trilinear in x = (γ, δ), so checking them in int on every basis pair
     and triple of `_mps_members` proves them (64, 64 and 512 triples at
     n = 4, 6, 8).  Each pair product is used for its triples straight
@@ -624,19 +604,19 @@ def mps_certificates(n: int) -> tuple[IdentityCertificate, IdentityCertificate]:
     """
     members = _mps_members(n)
     sig = [c for _, c in _sigma(n)]
-    cols = [[m[j::n] for j in range(n)] for _, _, m in members]
-    pairs = IdentityCertificate("M(x)·M(y) = n·γₓδᵧᵀ + (δₓᵀγᵧ)·ΣΣᵀ", n, len(members))
-    triples = IdentityCertificate(
+    sparse = [_sparse(m) for _, _, m in members]
+    rows = [_by_row(n, m) for m in sparse]
+    pairs = Certificate("M(x)·M(y) = n·γₓδᵧᵀ + (δₓᵀγᵧ)·ΣΣᵀ", n, len(members))
+    triples = Certificate(
         "M(x)·M(y)·M(z) = n·((δᵧᵀγ_z)·γₓΣᵀ + (δₓᵀγᵧ)·Σδ_zᵀ)", n, len(members)
     )
-    for i, (gx, dx, mx) in enumerate(members):
-        rows = [mx[r * n : (r + 1) * n] for r in range(n)]
+    for i, (gx, dx, _) in enumerate(members):
         for j, (gy, dy, _) in enumerate(members):
-            xy = _product(rows, cols[j])
+            xy = _int_product(n, sparse[i], rows[j])
             c = _dot(dx, gy)
             want = [n * g * d + c * s * t for g, s in zip(gx, sig) for d, t in zip(dy, sig)]
             pairs.record(xy == want, basis_pair=[i, j])
-            xy_rows = [xy[r * n : (r + 1) * n] for r in range(n)]
+            xy = _sparse(xy)
             right = n * c
             for k, (gz, dz, _) in enumerate(members):
                 left = n * _dot(dy, gz)
@@ -645,7 +625,7 @@ def mps_certificates(n: int) -> tuple[IdentityCertificate, IdentityCertificate]:
                     for g, s in zip(gx, sig)
                     for t, d in zip(sig, dz)
                 ]
-                triples.record(_product(xy_rows, cols[k]) == want, basis_triple=[i, j, k])
+                triples.record(_int_product(n, xy, rows[k]) == want, basis_triple=[i, j, k])
     return pairs, triples
 
 
@@ -671,51 +651,8 @@ _RANK_BOUNDS = {
 }
 
 
-@dataclass
-class RankBoundResult:
-    """A rank bound proved on `basis` oracle basis matrices, with the rank
-    `max_rank` of one member, `witness`, that shows how far it is reached.
-
-    `broken` keeps the first three basis matrices with C·B·C ≠ 0, by index
-    into the oracle basis and the first nonzero entry.
-    """
-
-    space: str
-    n: int
-    bound: int
-    basis: int
-    witness: str
-    max_rank: int
-    failures: int = 0
-    broken: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0 and self.max_rank <= self.bound
-
-    @property
-    def attained(self) -> bool:
-        return self.max_rank == self.bound
-
-    def to_dict(self) -> dict:
-        out = {
-            "space": self.space,
-            "n": self.n,
-            "bound": self.bound,
-            "basis": self.basis,
-            "failures": self.failures,
-            "witness": self.witness,
-            "max_rank": self.max_rank,
-            "attained": self.attained,
-            "ok": self.ok,
-        }
-        if self.broken:
-            out["broken"] = self.broken
-        return out
-
-
-def _compressed_entry(n: int, u: list[int], entries: list) -> tuple[int, int] | None:
-    """First entry (i, j) with (C·B·C)ᵢⱼ ≠ 0, or None if C·B·C = 0.
+def _compressed_entry(n: int, u: list[int], entries: list) -> list[int] | None:
+    """First entry [i, j] with (C·B·C)ᵢⱼ ≠ 0, or None if C·B·C = 0.
 
     C = n·I − u·uᵀ and B is the integer matrix with the nonzeros `entries`
     over vec(M).  C·B·C = n²·B − n·(u·(uᵀB) + (Bu)·uᵀ) + (uᵀBu)·u·uᵀ,
@@ -734,17 +671,19 @@ def _compressed_entry(n: int, u: list[int], entries: list) -> tuple[int, int] | 
     for i in range(n):
         for j in range(n):
             if nn * b[i * n + j] - n * (u[i] * ub[j] + bu[i] * u[j]) + ubu * u[i] * u[j]:
-                return i, j
+                return [i, j]
     return None
 
 
-def rank_bound_check(space: str, n: int) -> RankBoundResult:
+def rank_bound_check(space: str, n: int) -> Certificate:
     """Prove the rank bound on the whole space, and rank one member.
 
     The bound: C·B·C = 0 for C = n·I − u·uᵀ on every oracle basis matrix B
-    (see above), in int; the denominators only scale B.  The member is the
-    combination Σ k·b_k of the basis matrices b_1, b_2, …, plus E for the
-    weighted most perfect squares, and its exact rank is `max_rank`.
+    (see above), in int; the denominators only scale B.  A basis matrix
+    with C·B·C ≠ 0 is a witness, by its index into the oracle basis and
+    the first nonzero entry.  The member is the combination Σ k·b_k of the
+    basis matrices b_1, b_2, …, plus E for the weighted most perfect
+    squares, and its exact rank is `max_rank`.
     """
     tag = space.upper().replace(" ", "")
     if tag not in _RANK_BOUNDS:
@@ -752,13 +691,11 @@ def rank_bound_check(space: str, n: int) -> RankBoundResult:
     oracle, u_of, weighted = _RANK_BOUNDS[tag]
     basis = build_constraints(oracle, n).basis
     u = [c for _, c in u_of(n)]
-    failures, broken = 0, []
+    cert = Certificate(tag, n, len(basis), bound=3 if weighted else 2,
+                       member="Σ k·b_k + E" if weighted else "Σ k·b_k")
     for idx, (_, entries) in enumerate(basis):
         entry = _compressed_entry(n, u, entries)
-        if entry is not None:
-            failures += 1
-            if len(broken) < 3:
-                broken.append({"basis_index": idx, "entry": list(entry)})
+        cert.record(entry is None, basis_index=idx, entry=entry)
     # Σ k·b_k (+ E) over the basis' common denominator.
     common = lcm(*(den for den, _ in basis))
     vec = [common if weighted else 0] * (n * n)
@@ -767,12 +704,8 @@ def rank_bound_check(space: str, n: int) -> RankBoundResult:
         for idx, num in entries:
             vec[idx] += f * num
     rows = [dict(enumerate(vec[r * n : (r + 1) * n])) for r in range(n)]
-    witness = "Σ k·b_k + E" if weighted else "Σ k·b_k"
-    return RankBoundResult(
-        tag, n, 3 if weighted else 2, len(basis), witness,
-        max_rank=n - len(integer_nullspace(rows, n)),
-        failures=failures, broken=broken,
-    )
+    cert.max_rank = n - len(integer_nullspace(rows, n))
+    return cert
 
 
 # -- lemma-level checks --------------------------------------------------------
@@ -872,15 +805,14 @@ _AGREEMENT_SPACES = ("S", "A", "B", "R", "V", "M", "N", "P", "Q", "MPS", "NQS", 
 
 
 def _check(name: str, ok: bool, **extra) -> dict:
-    out = {"name": name, "ok": bool(ok)}
-    for k, v in extra.items():
-        if k not in ("name", "ok"):
-            out[k] = v
-    return out
+    return {"name": name, "ok": bool(ok), **extra}
 
 
-def _result_check(name: str, ok: bool, result) -> dict:
-    return _check(name, ok, **{k: v for k, v in result.to_dict().items() if k != "ok"})
+def _cert_check(name: str, cert: Certificate, sharp: bool = False) -> dict:
+    # A sharp rank bound must also be attained.
+    extra = cert.to_dict()
+    del extra["ok"]
+    return _check(name, cert.ok and (cert.attained or not sharp), **extra)
 
 
 def suite_dimensions(n_max: int = 8, **_) -> list[dict]:
@@ -915,8 +847,7 @@ def suite_gradings(n_max: int = 6, **_) -> list[dict]:
         for n in range(2, n_max + 1):
             if not _grading_exists(pair, n):
                 continue
-            res = grading_certificate(pair, n)
-            checks.append(_result_check(f"grading {pair} n={n}", res.ok, res))
+            checks.append(_cert_check(f"grading {pair} n={n}", grading_certificate(pair, n)))
     return checks
 
 
@@ -924,21 +855,16 @@ def suite_ranks(n_max: int = 8, **_) -> list[dict]:
     # Certificates on the oracle bases: no trials, no seed.
     checks = []
     for n in range(4, n_max + 1, 2):
-        res = rank_bound_check("MPS", n)
-        checks.append(
-            _result_check(f"weightless MPS rank ≤ 2 (n={n})", res.ok and res.attained, res)
-        )
-        res = rank_bound_check("MPS+WE", n)
-        checks.append(_result_check(f"weighted MPS rank ≤ 3 (n={n})", res.ok, res))
+        checks.append(_cert_check(f"weightless MPS rank ≤ 2 (n={n})",
+                                  rank_bound_check("MPS", n), sharp=True))
+        checks.append(_cert_check(f"weighted MPS rank ≤ 3 (n={n})", rank_bound_check("MPS+WE", n)))
     for n in range(2, n_max + 1):
-        res = rank_bound_check("REVERSIBLE", n)
-        checks.append(_result_check(f"reversible rank ≤ 2 (n={n})", res.ok, res))
+        checks.append(_cert_check(f"reversible rank ≤ 2 (n={n})",
+                                  rank_bound_check("REVERSIBLE", n)))
     for n in (8, 9):
         if n <= n_max:
-            res = rank_bound_check("V", n)
-            checks.append(
-                _result_check(f"vertex-cross rank ≤ 2 (n={n})", res.ok and res.attained, res)
-            )
+            checks.append(_cert_check(f"vertex-cross rank ≤ 2 (n={n})",
+                                      rank_bound_check("V", n), sharp=True))
     return checks
 
 
@@ -967,8 +893,8 @@ def suite_lemmas(n_max: int = 7, trials: int = 100, seed: int = 0, **_) -> list[
         )
     for n in (4, 6, 8):
         pairs, triples = mps_certificates(n)
-        checks.append(_result_check(f"MPS triple product (n={n})", triples.ok, triples))
-        checks.append(_result_check(f"parasymmetry ⇔ dependence (n={n})", pairs.ok, pairs))
+        checks.append(_cert_check(f"MPS triple product (n={n})", triples))
+        checks.append(_cert_check(f"parasymmetry ⇔ dependence (n={n})", pairs))
     for n in range(2, min(n_max, 7) + 1):
         mismatches = dual_path_agreement(n, trials, seed)
         checks.append(

@@ -213,6 +213,7 @@ def test_construct_params_at_n_one_are_checked_against_nu_zero(capsys, tmp_path)
         ("s", {"Y": [[1]]}, "['Y'] do not apply"),
         ("n", {"W": [[1]], "lam": "2"}, "['W'] do not apply"),
         ("m", {"z": [1, 2]}, "z must be a vector of length 0"),
+        ("v", {"v": [1]}, "v must be a vector of length 0, got length 1"),
         ("a", {"psi": [[1]]}, "psi must be a 1×0 matrix"),
     ):
         path = write_params(tmp_path, params)
@@ -222,6 +223,7 @@ def test_construct_params_at_n_one_are_checked_against_nu_zero(capsys, tmp_path)
     for kind, params, entry in (
         ("rv", {"a": [], "b": [], "w": "2"}, "2/1"),
         ("r", {"gamma": "1", "x": [], "z": []}, "0/1+1/2*sqrt2"),
+        ("v", {}, "0"),
     ):
         path = write_params(tmp_path, params)
         code, out, _ = run(capsys, "construct", "--type", kind, "--n", "1", "--params", path)

@@ -115,8 +115,10 @@ def test_vertex_cross_even_example():
     rep = classify(m)
     assert rep.spaces["V"]
     assert rank(m) <= 2
+    # At n = 1 (ν = 0) the space is null: the zero matrix, empty vectors.
+    assert C.make_vertex_cross(1) == zeros(1)
     with pytest.raises(PreconditionError):
-        C.make_vertex_cross(1)
+        C.make_vertex_cross(1, v=[1])
     with pytest.raises(PreconditionError):
         C.make_vertex_cross(4, Y=identity(2))
     with pytest.raises(PreconditionError):

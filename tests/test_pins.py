@@ -17,6 +17,12 @@ A third sha256 covers the constructors: for every constructible kind at
 every n = 1..8 where it has a form (80 cases), the (p, q, d) triples of
 each `constructor_basis` output and of seeded `random_member` outputs.  It
 was computed while each odd-n formula still had its own block assembly.
+
+A fourth sha256 covers the verify report: for each entry of the 63-check
+run (`run_suite("all", n_max=4, trials=3, seed=0)`), its name, verdict and
+counts.  It was computed while each kind of certificate still had its own
+result record, so a change to how the records are built or serialised
+that moves a count shows here.
 """
 
 import hashlib
@@ -36,6 +42,7 @@ from symalg.verify import random_space_member
 PINNED = "b377bf6f9f936be41d44bc1dd1526a55f70a050e86ee63956a71cb08cb5b4437"
 ORACLE_PINNED = "611f0b21991fd50089e7c71eb023994da3410cc4c89f0d99ff157fd6886cdbde"
 CONSTRUCTOR_PINNED = "48f026ecd4494e22c72b6432ac0c8f4648d171c1dd60cc7fed06c2705d66e082"
+REPORT_PINNED = "9f4204c8babf560e2e4f210354be3661943146592fafabbb2e6ed1ebfd4c741f"
 
 MEMBER_SPACES = ("A", "B", "S", "V", "M", "N", "R", "P", "Q")
 # A member plus c·E keeps its property and moves its weight off 0.
@@ -132,3 +139,20 @@ def constructor_digest() -> tuple[int, str]:
 
 def test_constructor_bases_and_members_match_the_pin():
     assert constructor_digest() == (80, CONSTRUCTOR_PINNED)
+
+
+def report_digest() -> tuple[int, str]:
+    # A rank entry forms one product per basis matrix; `basis` counts them
+    # where an entry gives no `products`.
+    h = hashlib.sha256()
+    checks = V.run_suite("all", n_max=4, trials=3, seed=0)["checks"]
+    for c in checks:
+        products = c.get("products", c.get("basis"))
+        fields = (c["name"], c["ok"], products, c.get("failures"), c.get("basis"),
+                  c.get("bound"), c.get("max_rank"))
+        h.update(repr(fields).encode())
+    return len(checks), h.hexdigest()
+
+
+def test_verify_report_matches_the_pin():
+    assert report_digest() == (63, REPORT_PINNED)
