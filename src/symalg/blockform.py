@@ -16,18 +16,21 @@ and for even n = 2ν as (ν, ν) with blocks Y, Vᵀ, W, Z.
 
 `INVOLUTIONS` is the one table of the four grading involutions K (J, the
 reflections I − 2·11ᵀ/n and I − 2·ΣΣᵀ/n, and T at even n; see `decompose`).
-`involution_entries` gives K·M·K entry by entry in O(n²) and never builds K,
-so callers that compare can stop at the first mismatch.
+`involution_entries` is the one K·M·K kernel: it gives K·M·K of an integer
+matrix in int, in O(n²), and never builds K.  Predicates and splits read a
+matrix over Q(√2) as integer parts (`scalar.integer_parts`) and apply it to
+each part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 from .errors import DimensionError
-from .matrix import Matrix, Vector, alternating, block_involution, ones
-from .scalar import Scalar
+from .matrix import Matrix, Vector, block_involution
+from .scalar import Scalar, integer_parts
 
 
 def nu_sign(nu: int) -> int:
@@ -65,59 +68,58 @@ class Involution:
     """A grading involution K: an index involution σ or a ±1 reflection axis y.
 
     `permutation(n)` gives σ, and (K·M·K)[i, j] = M[σi, σj].  `axis(n)` gives
-    y for K = I − 2·y·yᵀ/n, and K·M·K = M − y·aᵀ − b·yᵀ with b = (2/n)·M·y
-    and a = (2/n)·Mᵀ·y − (4·yᵀ·M·y/n²)·y.
+    the ±1 ints of y for K = I − 2·y·yᵀ/n.
     """
 
     permutation: Callable[[int], Sequence[int]] | None = None
-    axis: Callable[[int], Vector] | None = None
+    axis: Callable[[int], list[int]] | None = None
 
 
 INVOLUTIONS = {
     "BA": Involution(permutation=lambda n: range(n - 1, -1, -1)),
-    "SV": Involution(axis=ones),
-    "NM": Involution(axis=alternating),
+    "SV": Involution(axis=lambda n: [1] * n),
+    "NM": Involution(axis=lambda n: [1 - 2 * (i % 2) for i in range(n)]),
     "QP": Involution(permutation=_half_shift),
 }
 
 
-def involution_entries(m: Matrix, kind: str) -> Iterator[Scalar]:
-    """The entries of K·M·K in row-major order, computed as they are read.
+def involution_entries(e: list[int], n: int, kind: str) -> tuple[int, list[int]]:
+    """(s, s·K·M·K) for an integer n×n matrix M with row-major entries `e`.
 
-    Raises DimensionError for QP at odd n, where T is no involution.
+    s = 1 for a permutation K.  For a reflection K = I − 2·y·yᵀ/n,
+    s = n² and s·K·M·K = n²·M − y·aᵀ − b·yᵀ in int, for a = 2n·Mᵀ·y −
+    2·(yᵀ·M·y)·y and b = 2n·M·y − 2·(yᵀ·M·y)·y.  A matrix over Q(√2) is
+    read as integer parts (P + Q·√2)/D, and K·M·K = (K·P·K + √2·K·Q·K)/D
+    as K is rational.  Raises DimensionError for QP at odd n, where T is no
+    involution.
     """
     try:
         k = INVOLUTIONS[kind.upper()]
     except KeyError:
         raise ValueError(f"unknown split kind {kind!r}") from None
-    n = m.n
-    e = m.entries
     if k.permutation is not None:
         sigma = k.permutation(n)
-        return map(e.__getitem__, [si * n + sj for si in sigma for sj in sigma])
+        return 1, [e[si * n + sj] for si in sigma for sj in sigma]
     y = k.axis(n)
-    my = m.apply(y)
-    two = Scalar(2) / n
-    b = my.scale(two).entries
-    a = m.transpose().apply(y).scale(two) - y.scale(2 * two * y.dot(my) / n)
-    return _reflected(e, [x.p for x in y], a.entries, b)
-
-
-def _reflected(e, signs, a, b) -> Iterator[Scalar]:
-    # M − y·aᵀ − b·yᵀ for y = signs (±1): each term is a sum or a difference.
-    n = len(signs)
-    neg_a = [-x for x in a]
-    for i, si in enumerate(signs):
-        bi = b[i]
-        row = a if si > 0 else neg_a
-        for j, sj in enumerate(signs):
-            x = e[i * n + j] - row[j]
-            yield x - bi if sj > 0 else x + bi
+    my = [sum(map(mul, e[i * n:(i + 1) * n], y)) for i in range(n)]
+    mty = [sum(map(mul, e[j::n], y)) for j in range(n)]
+    two_s = 2 * sum(map(mul, y, my))
+    a = [2 * n * c - two_s * yj for c, yj in zip(mty, y)]
+    nn = n * n
+    out = []
+    for i, yi in enumerate(y):
+        bi = 2 * n * my[i] - two_s * yi
+        out += [nn * x - yi * aj - yj * bi for x, aj, yj in zip(e[i * n:(i + 1) * n], a, y)]
+    return nn, out
 
 
 def conjugate_k(m: Matrix, kind: str) -> Matrix:
     """K·M·K for the grading involution K of `kind` (BA, SV, NM, QP)."""
-    return Matrix(m.n, tuple(involution_entries(m, kind)))
+    P, Q, D = integer_parts(m.entries)
+    s, kp = involution_entries(P, m.n, kind)
+    kq = [0] * len(kp) if Q is None else involution_entries(Q, m.n, kind)[1]
+    make = Scalar._make
+    return Matrix(m.n, tuple(make(p, q, s * D) for p, q in zip(kp, kq)))
 
 
 class BlockForm:

@@ -9,8 +9,9 @@ by one involution K of `blockform.INVOLUTIONS`, and the two parts are its
     alternating ⊕ array-sum    K = I − 2·ΣΣᵀ/n
     quartered ⊕ pandiagonal    K = T, the half-period shift (even n only)
 
-so even = ½(M + K·M·K) and odd = ½(M − K·M·K), with K·M·K read entry by
-entry from the table and never as a matrix product.
+so even = ½(M + K·M·K) and odd = ½(M − K·M·K), with K·M·K from the integer
+kernel `blockform.involution_entries` on the parts of M = (P + Q·√2)/D and
+never as a matrix product.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from .blockform import involution_entries
 from .matrix import Matrix
-from .scalar import Scalar
+from .scalar import Scalar, integer_parts
 
 
 @dataclass(frozen=True)
@@ -41,23 +42,22 @@ def split(m: Matrix, kind: str) -> GradedPair:
     SV also reports the even part's weight, total sum over n², so callers
     can peel off that multiple of E.  QP raises DimensionError at odd n.
     """
-    kmk = involution_entries(m, kind)
+    n = m.n
+    P, Q, D = integer_parts(m.entries)
+    s, kp = involution_entries(P, n, kind)
+    if Q is None:
+        Q = kq = [0] * len(P)
+    else:
+        kq = involution_entries(Q, n, kind)[1]
     make = Scalar._make
-    even, odd = [], []
-    # ½(x ± y) summed as one integer triple, one Scalar per part.
-    for x, y in zip(m.entries, kmk):
-        xd, yd = x.d, y.d
-        if xd == yd:
-            even.append(make(x.p + y.p, x.q + y.q, 2 * xd))
-            odd.append(make(x.p - y.p, x.q - y.q, 2 * xd))
-        else:
-            p1, q1, p2, q2 = x.p * yd, x.q * yd, y.p * xd, y.q * xd
-            d = 2 * xd * yd
-            even.append(make(p1 + p2, q1 + q2, d))
-            odd.append(make(p1 - p2, q1 - q2, d))
+    d = 2 * s * D
+    # M = (P + Q·√2)/D and s·K·M·K = (kp + kq·√2)/D, so ½(M ± K·M·K) =
+    # (s·P ± kp + (s·Q ± kq)·√2)/(2·s·D), one Scalar per entry.
+    even = tuple(make(s * p + x, s * q + y, d) for p, q, x, y in zip(P, Q, kp, kq))
+    odd = tuple(make(s * p - x, s * q - y, d) for p, q, x, y in zip(P, Q, kp, kq))
     kind = kind.upper()
-    w = m.total_sum() / (m.n * m.n) if kind == "SV" else None
-    return GradedPair(kind, Matrix(m.n, tuple(even)), Matrix(m.n, tuple(odd)), weight=w)
+    w = make(sum(P), sum(Q), D * n * n) if kind == "SV" else None
+    return GradedPair(kind, Matrix(n, even), Matrix(n, odd), weight=w)
 
 
 def split_ba(m: Matrix) -> GradedPair:

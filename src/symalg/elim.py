@@ -14,24 +14,25 @@ Two readings of it:
 * `rank_of_rows` is the rank of rows over Q(√2).  Q(√2) has degree 2 over
   Q, so p + q·√2 ↦ (p, q) identifies Q(√2)^w with Q^{2w}.  The Q(√2)-span
   of a row r is the Q-span of r and √2·r, and √2·(p + q·√2) = 2q + p·√2,
-  so the Q(√2)-rank of rows (P + Q·√2)/D is half the Q-rank of the integer
-  rows (P | Q) and (2Q | P).
+  so the Q(√2)-rank of rows (P + Q·√2)/D (`scalar.integer_parts`) is half
+  the Q-rank of the integer rows (P | Q) and (2Q | P).
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
+from .scalar import integer_parts
+
 
 def rank_of_rows(rows: list) -> int:
     """Rank over Q(√2) of rows given as sequences of Scalars."""
     embedded = []
     for row in rows:
-        # Each row over the lcm of its denominators: (P + Q·√2)/den.
-        den = lcm(*(x.d for x in row))
+        P, Q, _ = integer_parts(row)
         w = len(row)
-        p = {j: x.p * (den // x.d) for j, x in enumerate(row) if x.p}
-        q = {j: x.q * (den // x.d) for j, x in enumerate(row) if x.q}
+        p = {j: x for j, x in enumerate(P) if x}
+        q = {j: x for j, x in enumerate(Q or ()) if x}
         embedded.append(p | {w + j: v for j, v in q.items()})
         embedded.append({j: 2 * v for j, v in q.items()} | {w + j: v for j, v in p.items()})
     return len(_integer_rref(embedded)) // 2

@@ -9,6 +9,14 @@ K.  P and Q have none: for a permutation K it is the entrywise check.
 `classify` runs both routes and treats any disagreement as an internal bug,
 not as a statement about the input.
 
+A matrix is read once as integer parts M = (P + Q·√2)/D
+(`scalar.integer_parts`, Q left out when M is rational).  Every condition
+is linear with rational coefficients and √2 is irrational, so each route
+decides on P, then on Q, in int, and builds one weight Scalar at the end
+from the weights of the two parts.  Both routes still read the parts
+independently of each other; the algebraic ones through the integer K·M·K
+kernel `blockform.involution_entries`.
+
 One table (`SPACES`) gives each space its two routes, its parity, its rule
 and the route `in_space` takes; `COMPOSITES` gives the intersections.
 `check_entrywise`, `check_algebraic`, `classify` and `in_space` are all
@@ -26,13 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
-from typing import Callable
+from operator import mul
+from typing import Callable, NamedTuple
 
 from .blockform import INVOLUTIONS, involution_entries
 from .errors import DimensionError, PredicatePathMismatch
 from .matrix import Matrix
-from .scalar import ZERO, Scalar
+from .scalar import ZERO, Scalar, integer_parts
 
 
 @dataclass(frozen=True)
@@ -86,250 +94,233 @@ class SymmetryReport:
         return "\n".join(lines)
 
 
+# -- integer parts -------------------------------------------------------------
+
+
+class _View(NamedTuple):
+    """M = (P + Q·√2)/D, read once by `scalar.integer_parts`; Q is None if M is rational."""
+
+    n: int
+    P: list[int]
+    Q: list[int] | None
+    D: int
+
+
+def _view(m: Matrix) -> _View:
+    return _View(m.n, *integer_parts(m.entries))
+
+
+def _route(name: str):
+    """Lift a decision on one integer part to a verdict on a `_View`.
+
+    `decide(e, n)` returns (holds, num, den): whether the integer matrix e
+    meets the condition, and its weight num/den (num None where the route
+    gives no weight).  Each condition is linear with rational coefficients,
+    so M meets it exactly when P and Q do, and M's weight is
+    (num_P + num_Q·√2)/(den·D).  Q is read only when P holds.
+    """
+
+    def lift(decide):
+        def verdict(v: _View) -> PropertyVerdict:
+            holds, num, den = decide(v.P, v.n)
+            num_q = 0
+            if holds and v.Q is not None:
+                holds, num_q, _ = decide(v.Q, v.n)
+            if not holds:
+                return PropertyVerdict(False, route=name)
+            weight = None if num is None else Scalar._make(num, num_q, den * v.D)
+            return PropertyVerdict(True, weight, name)
+
+        return verdict
+
+    return lift
+
+
+def _total_zero(v: _View) -> bool:
+    return sum(v.P) == 0 and (v.Q is None or sum(v.Q) == 0)
+
+
 # -- entrywise route ---------------------------------------------------------
 
 
-def _sum(plus, minus=()) -> Scalar:
-    """Σ plus − Σ minus, exactly.
-
-    The entries are accumulated as one integer triple (P + Q√2)/D over the
-    least common denominator so far, in the idiom of `matrix._dots`, so a
-    sum builds one Scalar instead of one per entry.
-    """
-    P = Q = 0
-    D = 1
-    for sign, xs in ((1, plus), (-1, minus)):
-        for x in xs:
-            d = x.d
-            if d != D and D % d:
-                g = d // gcd(D, d)
-                P, Q, D = P * g, Q * g, D * g
-            f = sign * (D // d)
-            P += f * x.p
-            Q += f * x.q
-    return Scalar._make(P, Q, D)
+@_route("entrywise")
+def _ew_semimagic(e: list[int], n: int) -> tuple:
+    c = sum(e[:n])
+    holds = all(sum(e[i * n:(i + 1) * n]) == c for i in range(1, n)) and all(
+        sum(e[j::n]) == c for j in range(n)
+    )
+    return holds, c, n
 
 
-def _row_sums(m: Matrix) -> list[Scalar]:
-    n = m.n
-    e = m.entries
-    return [_sum(e[i * n:(i + 1) * n]) for i in range(n)]
+@_route("entrywise")
+def _ew_associated(e: list[int], n: int) -> tuple:
+    # Entry k and its centrally opposite entry n² − 1 − k.
+    two_w = e[0] + e[-1]
+    return all(x + y == two_w for x, y in zip(e, reversed(e))), two_w, 2
 
 
-def _col_sums(m: Matrix) -> list[Scalar]:
-    n = m.n
-    e = m.entries
-    return [_sum(e[j::n]) for j in range(n)]
+@_route("entrywise")
+def _ew_balanced(e: list[int], n: int) -> tuple:
+    return e == e[::-1], None, 1
 
 
-def _ew_semimagic(m: Matrix) -> PropertyVerdict:
-    rs = _row_sums(m)
-    cs = _col_sums(m)
-    c = rs[0]
-    if any(x != c for x in rs) or any(x != c for x in cs):
-        return PropertyVerdict(False)
-    return PropertyVerdict(True, c / m.n)
+@_route("entrywise")
+def _ew_reverse(e: list[int], n: int) -> tuple:
+    # Mirror-pair sums along every row, then every column, equal the end pair.
+    lines = chain((e[i * n:(i + 1) * n] for i in range(n)), (e[j::n] for j in range(n)))
+    for line in lines:
+        c = line[0] + line[-1]
+        if any(line[j] + line[-1 - j] != c for j in range(1, n - 1)):
+            return False, None, 1
+    return True, None, 1
 
 
-def _ew_associated(m: Matrix) -> PropertyVerdict:
-    n = m.n
-    e = m.entries
-    two_w = e[0] + e[n * n - 1]
-    for i in range(n):
-        for j in range(n):
-            if e[i * n + j] + e[(n - 1 - i) * n + (n - 1 - j)] != two_w:
-                return PropertyVerdict(False)
-    return PropertyVerdict(True, two_w / 2)
-
-
-def _ew_balanced(m: Matrix) -> PropertyVerdict:
-    n = m.n
-    e = m.entries
-    for i in range(n):
-        for j in range(n):
-            if e[i * n + j] != e[(n - 1 - i) * n + (n - 1 - j)]:
-                return PropertyVerdict(False)
-    return PropertyVerdict(True)
-
-
-def _ew_reverse(m: Matrix) -> PropertyVerdict:
-    n = m.n
-    e = m.entries
-    for i in range(n):
-        c = e[i * n] + e[i * n + n - 1]
-        for j in range(1, n - 1):
-            if e[i * n + j] + e[i * n + (n - 1 - j)] != c:
-                return PropertyVerdict(False)
-    for j in range(n):
-        c = e[j] + e[(n - 1) * n + j]
-        for i in range(1, n - 1):
-            if e[i * n + j] + e[(n - 1 - i) * n + j] != c:
-                return PropertyVerdict(False)
-    return PropertyVerdict(True)
-
-
-def _ew_vertex_cross(m: Matrix) -> PropertyVerdict:
+@_route("entrywise")
+def _ew_vertex_cross(e: list[int], n: int) -> tuple:
     # The adjacent-difference cases span all rectangle conditions, so only
     # (n−1)² checks are needed instead of all index quadruples.
-    n = m.n
-    e = m.entries
-    for i in range(n - 1):
-        for j in range(n - 1):
-            if e[i * n + j] + e[(i + 1) * n + j + 1] != e[i * n + j + 1] + e[(i + 1) * n + j]:
-                return PropertyVerdict(False)
-    return PropertyVerdict(True)
+    holds = all(
+        e[k] + e[k + n + 1] == e[k + 1] + e[k + n]
+        for i in range(n - 1)
+        for k in range(i * n, i * n + n - 1)
+    )
+    return holds, None, 1
 
 
-def _ew_array_sum(m: Matrix) -> PropertyVerdict:
-    n = m.n
-    e = m.entries
+@_route("entrywise")
+def _ew_array_sum(e: list[int], n: int) -> tuple:
     four_w = e[0] + e[1] + e[n] + e[n + 1]
     for i in range(n):
         i1 = (i + 1) % n
-        for j in range(n):
-            j1 = (j + 1) % n
-            s = e[i * n + j] + e[i * n + j1] + e[i1 * n + j] + e[i1 * n + j1]
-            if s != four_w:
-                return PropertyVerdict(False)
-    if _alternating_total(m) != ZERO:
-        return PropertyVerdict(False)
-    return PropertyVerdict(True, four_w / 4)
+        # Column j of rows i and i + 1, summed; a cyclic 2×2 block is two of them.
+        pairs = [x + y for x, y in zip(e[i * n:(i + 1) * n], e[i1 * n:(i1 + 1) * n])]
+        if any(pairs[j] + pairs[(j + 1) % n] != four_w for j in range(n)):
+            return False, None, 1
+    return _alternating_total(e, n) == 0, four_w, 4
 
 
-def _ew_alternating_pairs(m: Matrix) -> PropertyVerdict:
-    n = m.n
-    e = m.entries
-    for j in range(n):
-        j1 = (j + 1) % n
-        acc = ZERO
-        for i in range(n):
-            term = e[i * n + j] + e[i * n + j1]
-            acc = acc + term if i % 2 == 0 else acc - term
-        if acc != ZERO:
-            return PropertyVerdict(False)
-        acc = ZERO
-        for i in range(n):
-            term = e[j * n + i] + e[j1 * n + i]
-            acc = acc + term if i % 2 == 0 else acc - term
-        if acc != ZERO:
-            return PropertyVerdict(False)
-    return PropertyVerdict(True)
+@_route("entrywise")
+def _ew_alternating_pairs(e: list[int], n: int) -> tuple:
+    # Σ_i (−1)^i (m_ij + m_i,j+1) = 0 for every j, and the same with the
+    # roles of rows and columns swapped: adjacent alternating sums cancel.
+    sig = INVOLUTIONS["NM"].axis(n)
+    cols = [sum(map(mul, e[j::n], sig)) for j in range(n)]
+    rows = [sum(map(mul, e[j * n:(j + 1) * n], sig)) for j in range(n)]
+    holds = all(s[j] + s[(j + 1) % n] == 0 for s in (cols, rows) for j in range(n))
+    return holds, None, 1
 
 
-def _ew_pandiagonal(m: Matrix) -> PropertyVerdict:
-    n = m.n
+def _half_turned(e: list[int], n: int) -> list[int]:
+    # m_{i+ν, j+ν}, indices mod n, in row-major order.
     nu = n // 2
-    e = m.entries
-    two_w = e[0] + e[nu * n + nu]
-    for i in range(n):
-        i2 = (i + nu) % n
-        for j in range(n):
-            if e[i * n + j] + e[i2 * n + (j + nu) % n] != two_w:
-                return PropertyVerdict(False)
-    return PropertyVerdict(True, two_w / 2)
+    rows = [(i + nu) % n * n for i in range(n)]
+    cols = [(j + nu) % n for j in range(n)]
+    return [e[r + c] for r in rows for c in cols]
 
 
-def _ew_quartered(m: Matrix) -> PropertyVerdict:
-    n = m.n
-    nu = n // 2
-    e = m.entries
-    for i in range(n):
-        i2 = (i + nu) % n
-        for j in range(n):
-            if e[i * n + j] != e[i2 * n + (j + nu) % n]:
-                return PropertyVerdict(False)
-    return PropertyVerdict(True)
+@_route("entrywise")
+def _ew_pandiagonal(e: list[int], n: int) -> tuple:
+    turned = _half_turned(e, n)
+    two_w = e[0] + turned[0]
+    return all(x + y == two_w for x, y in zip(e, turned)), two_w, 2
 
 
-def _alternating_total(m: Matrix) -> Scalar:
+@_route("entrywise")
+def _ew_quartered(e: list[int], n: int) -> tuple:
+    return e == _half_turned(e, n), None, 1
+
+
+def _alternating_total(e: list[int], n: int) -> int:
     # Σᵀ·M·Σ: the entries with i + j even minus those with i + j odd.
-    n = m.n
-    e = m.entries
-    plus = [e[i * n + j] for i in range(n) for j in range(i % 2, n, 2)]
-    minus = [e[i * n + j] for i in range(n) for j in range(1 - i % 2, n, 2)]
-    return _sum(plus, minus)
+    total = 0
+    for i in range(n):
+        row = e[i * n:(i + 1) * n]
+        total += sum(row[i % 2::2]) - sum(row[1 - i % 2::2])
+    return total
 
 
 # -- algebraic route ---------------------------------------------------------
 
 
-def _eigen_pair(m: Matrix, kind: str) -> PropertyVerdict:
+def _eigen_pair(e: list[int], n: int, kind: str) -> tuple[bool, int]:
     # M commutes with the reflection K = I − 2·y·yᵀ/n of `kind` iff
     # M·y = Mᵀ·y = λ·y.  This is the O(n) form of K·M·K = M: it compares
     # the 2n entries of M·y and Mᵀ·y instead of all n² of K·M·K.
-    y = INVOLUTIONS[kind].axis(m.n)
-    my = m.apply(y)
+    y = INVOLUTIONS[kind].axis(n)
+    my = [sum(map(mul, e[i * n:(i + 1) * n], y)) for i in range(n)]
     lam = my[0] * y[0]  # (M·y)₀ / y₀, as y has ±1 entries
-    lam_y = y.scale(lam)
-    holds = my == lam_y and m.transpose().apply(y) == lam_y
-    return PropertyVerdict(holds, lam if holds else None, route="algebraic")
+    lam_y = [lam * c for c in y]
+    holds = my == lam_y and [sum(map(mul, e[j::n], y)) for j in range(n)] == lam_y
+    return holds, lam
 
 
-def _alg_semimagic(m: Matrix) -> PropertyVerdict:
-    v = _eigen_pair(m, "SV")
-    if not v.holds:
-        return v
-    return PropertyVerdict(True, v.weight / m.n, route="algebraic")
+@_route("algebraic")
+def _alg_semimagic(e: list[int], n: int) -> tuple:
+    holds, lam = _eigen_pair(e, n, "SV")
+    return holds, lam, n
 
 
-def _k_graded(m: Matrix, kind: str, sign: int, w: Scalar | None = None) -> PropertyVerdict:
-    """Whether K·(M − w·E)·K = sign·(M − w·E) for the involution of `kind`.
+def _k_graded(e: list[int], n: int, kind: str, sign: int, num: int = 0, den: int = 1) -> bool:
+    """Whether K·(M − w·E)·K = sign·(M − w·E) for w = num/den and the K of `kind`.
 
     Every K that a weight is removed for (J, and I − 2·y·yᵀ/n where y is
     1, or Σ at even n) maps E to itself, so K·(M − w·E)·K = K·M·K − w·E and
-    the test reads M = K·M·K (sign +1) or M + K·M·K = 2w·E (sign −1).  It
-    compares entry by entry and stops at the first mismatch.
+    the test reads M = K·M·K (sign +1) or M + K·M·K = 2w·E (sign −1), both
+    scaled to ints by `involution_entries`' factor s and by den.
     """
-    kmk = involution_entries(m, kind)
+    s, kmk = involution_entries(e, n, kind)
     if sign > 0:
-        holds = all(x == y for x, y in zip(m.entries, kmk))
-    else:
-        two_w = ZERO if w is None else w + w
-        holds = all(x + y == two_w for x, y in zip(m.entries, kmk))
-    return PropertyVerdict(holds, w if holds else None, route="algebraic")
+        return kmk == [s * x for x in e]
+    two_w = 2 * num * s
+    return all(den * (s * x + y) == two_w for x, y in zip(e, kmk))
 
 
-def _alg_associated(m: Matrix) -> PropertyVerdict:
-    n = m.n
-    return _k_graded(m, "BA", -1, (m[0, 0] + m[n - 1, n - 1]) / 2)
+@_route("algebraic")
+def _alg_associated(e: list[int], n: int) -> tuple:
+    two_w = e[0] + e[-1]
+    return _k_graded(e, n, "BA", -1, two_w, 2), two_w, 2
 
 
-def _alg_balanced(m: Matrix) -> PropertyVerdict:
-    return _k_graded(m, "BA", 1)
+@_route("algebraic")
+def _alg_balanced(e: list[int], n: int) -> tuple:
+    return _k_graded(e, n, "BA", 1), None, 1
 
 
-def _alg_reverse(m: Matrix) -> PropertyVerdict:
+@_route("algebraic")
+def _alg_reverse(e: list[int], n: int) -> tuple:
     # (I + J)·M and (I + J)·Mᵀ must both map everything into multiples of
     # the all-ones vector, i.e. have constant columns.  Entry i of column c
     # of (I + J)·X is c[i] + c[n−1−i], the same at i and n−1−i, so each
     # column of M, then of Mᵀ, is read as it streams past, and the test
     # stops at the first column that is not constant.
-    n = m.n
-    e = m.entries
     columns = chain((e[j::n] for j in range(n)), (e[j * n:(j + 1) * n] for j in range(n)))
     for c in columns:
         top = c[0] + c[-1]
         if any(c[i] + c[-1 - i] != top for i in range(1, (n + 1) // 2)):
-            return PropertyVerdict(False, route="algebraic")
-    return PropertyVerdict(True, route="algebraic")
+            return False, None, 1
+    return True, None, 1
 
 
-def _alg_vertex_cross(m: Matrix) -> PropertyVerdict:
+@_route("algebraic")
+def _alg_vertex_cross(e: list[int], n: int) -> tuple:
     # (I − P)·M·(I − P) = O for P = 11ᵀ/n; the mean t/n² is not a weight.
-    n = m.n
-    holds = _k_graded(m, "SV", -1, m.total_sum() / (n * n)).holds
-    return PropertyVerdict(holds, route="algebraic")
+    return _k_graded(e, n, "SV", -1, sum(e), n * n), None, 1
 
 
-def _alg_array_sum(m: Matrix) -> PropertyVerdict:
+@_route("algebraic")
+def _alg_array_sum(e: list[int], n: int) -> tuple:
     # For even n the weighted property is tested on M − w·E; for odd n the
     # algebraic condition on M itself *defines* the space, with no weight.
-    w = (m[0, 0] + m[0, 1] + m[1, 0] + m[1, 1]) / 4 if m.n % 2 == 0 else None
-    return _k_graded(m, "NM", -1, w)
+    if n % 2:
+        return _k_graded(e, n, "NM", -1), None, 1
+    four_w = e[0] + e[1] + e[n] + e[n + 1]
+    return _k_graded(e, n, "NM", -1, four_w, 4), four_w, 4
 
 
-def _alg_alternating_pairs(m: Matrix) -> PropertyVerdict:
-    return _eigen_pair(m, "NM")
+@_route("algebraic")
+def _alg_alternating_pairs(e: list[int], n: int) -> tuple:
+    holds, lam = _eigen_pair(e, n, "NM")
+    return holds, lam, 1
 
 
 # -- the space table -----------------------------------------------------------
@@ -349,8 +340,8 @@ class Space:
     """
 
     prop: str
-    entrywise: Callable[[Matrix], PropertyVerdict]
-    algebraic: Callable[[Matrix], PropertyVerdict] | None = None
+    entrywise: Callable[[_View], PropertyVerdict]
+    algebraic: Callable[[_View], PropertyVerdict] | None = None
     even_only: bool = False
     odd_algebraic: bool = False
     zero_weight: bool = False
@@ -448,7 +439,7 @@ def check_entrywise(m: Matrix, prop: str) -> PropertyVerdict:
     if space is None:
         raise ValueError(f"unknown property {prop!r}")
     check_dimension(prop.upper(), m.n)
-    return _routes(space, m.n)[0](m)
+    return _routes(space, m.n)[0](_view(m))
 
 
 def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
@@ -461,7 +452,7 @@ def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
     space = _property(prop)
     if space is None or space.algebraic is None:
         raise ValueError(f"property {prop!r} has no algebraic characterisation")
-    return space.algebraic(m)
+    return space.algebraic(_view(m))
 
 
 # -- classification ----------------------------------------------------------
@@ -491,17 +482,18 @@ def classify(m: Matrix) -> SymmetryReport:
     raises PredicatePathMismatch if they ever disagree (a self-check).
     """
     n = m.n
+    view = _view(m)
     props: dict[str, PropertyVerdict] = {}
     for tag, space in SPACES.items():
         if space.prop in props or not exists(tag, n):
             continue
         routes = _routes(space, n)
-        v = routes[0](m)
+        v = routes[0](view)
         if len(routes) == 2:
-            v = _agree(v, routes[1](m), space.prop, n)
+            v = _agree(v, routes[1](view), space.prop, n)
         props[space.prop] = v
 
-    v_sum_zero = m.total_sum() == ZERO
+    v_sum_zero = _total_zero(view)
     spaces = {
         tag: _weight_rule(space, props[tag]) and (v_sum_zero or not space.zero_sum)
         for tag, space in SPACES.items()
@@ -530,10 +522,11 @@ def in_space(m: Matrix, tag: str) -> bool:
         raise ValueError(f"unknown space tag {tag!r}")
     n = m.n
     check_dimension(tag, n)
+    view = _view(m)
     for space in parts:
-        v = _routes(space, n)[-1 if space.fast_algebraic else 0](m)
+        v = _routes(space, n)[-1 if space.fast_algebraic else 0](view)
         if not _weight_rule(space, v):
             return False
-        if space.zero_sum and m.total_sum() != ZERO:
+        if space.zero_sum and not _total_zero(view):
             return False
     return True

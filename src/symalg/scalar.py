@@ -19,7 +19,7 @@ per result instead of one per partial sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 RationalLike = "int | Fraction | Scalar"
 
@@ -201,6 +201,25 @@ def _coerce(x):
     if isinstance(x, Fraction):
         return Scalar._make(x.numerator, 0, x.denominator)
     return NotImplemented
+
+
+def integer_parts(xs) -> tuple[list[int], list[int] | None, int]:
+    """Scalars x_k read as (P, Q, D): x_k = (P[k] + Q[k]·√2)/D over integers.
+
+    D is the lcm of the denominators.  Q is None when every x_k is
+    rational.  A condition with rational coefficients holds for the x_k
+    exactly when it holds for P and for Q, as √2 is irrational, so
+    `predicates`, `decompose`, the oracle's `satisfies` and
+    `elim.rank_of_rows` decide on these integers.
+    """
+    D = lcm(*{x.d for x in xs})
+    if D == 1:
+        P = [x.p for x in xs]
+        Q = [x.q for x in xs]
+    else:
+        P = [x.p * (D // x.d) for x in xs]
+        Q = [x.q * (D // x.d) for x in xs]
+    return P, Q if any(Q) else None, D
 
 
 def as_scalar(x) -> Scalar:

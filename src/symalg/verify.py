@@ -21,7 +21,10 @@ arithmetic: the product laws and the closed form of M(x)·M(y) are
 bilinear, the triple product is trilinear, the makers are linear, and each
 rank bound follows from a linear condition on the member.  Only the
 dual-path agreement, which compares two predicates on non-members too,
-draws random matrices.
+draws random matrices.  Each grading product is judged by the oracle, on
+the target's reduced rows (its RREF, derived once per system on first
+use; a failing product is named by its first broken literal row), and by
+`in_space`.
 
 Each such proof returns one `Certificate`: the claim, the number of
 basis members, the products checked, the failures and the first three
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 
@@ -45,7 +48,7 @@ from .construct import (
     make_most_perfect,
     random_member,
 )
-from .elim import integer_nullspace, rank_of_rows
+from .elim import _integer_rref, integer_nullspace, rank_of_rows
 from .errors import DimensionError, VerificationError
 from .matrix import Matrix, Vector, alternating, ones, zeros
 from .predicates import (
@@ -57,7 +60,7 @@ from .predicates import (
     exists,
     in_space,
 )
-from .scalar import ZERO, Scalar, as_scalar
+from .scalar import ZERO, Scalar, as_scalar, integer_parts
 
 # -- constraint systems ------------------------------------------------------
 #
@@ -269,25 +272,38 @@ class ConstraintSystem:
     def satisfies(self, m: Matrix) -> bool:
         """C·vec(M) = 0, i.e. M satisfies every defining equation.
 
-        M = (P + Q·√2)/d entrywise for integer matrices P, Q over one common
-        denominator d, and C·vec(M) = 0 exactly when C·vec(P) = C·vec(Q) = 0.
+        M = (P + Q·√2)/D entrywise for integer matrices P, Q
+        (`scalar.integer_parts`), and C·vec(M) = 0 exactly when
+        C·vec(P) = C·vec(Q) = 0.
         """
-        vec = m.entries
-        den = lcm(*(x.d for x in vec))
-        parts = [[x.p * (den // x.d) for x in vec]]
-        if any(x.q for x in vec):
-            parts.append([x.q * (den // x.d) for x in vec])
-        return all(self.first_broken(part) is None for part in parts)
+        P, Q, _ = integer_parts(m.entries)
+        return all(self.first_broken(part) is None for part in (P, Q) if part is not None)
+
+    @cached_property
+    def reduced_rows(self) -> list[tuple[list[int], list[int]]]:
+        """The RREF of `rows`, rank(C) rows, each as (indices, coefficients).
+
+        C·x = 0 exactly when RREF(C)·x = 0, and there are often far fewer
+        reduced rows than literal ones (26 against 226 for V at n = 6).
+        Derived on first use and kept with the system, so building a
+        system stores nothing more.
+        """
+        return [(list(row), list(row.values())) for row in _integer_rref(self.rows).values()]
 
     def first_broken(self, vec: list[int]) -> int | None:
         """Index of the first row with C_k·vec ≠ 0, or None if vec solves all.
 
-        `vec` is an integer vector over vec(M), dense, of length n².
+        `vec` is an integer vector over vec(M), dense, of length n².  It is
+        judged on the reduced rows; only a vector that breaks one of them
+        is scanned row by row for the first literal row it breaks.
         """
+        get = vec.__getitem__
+        if not any(sum(map(mul, coeffs, map(get, idx))) for idx, coeffs in self.reduced_rows):
+            return None
         for k, row in enumerate(self.rows):
             if sum(c * vec[i] for i, c in row.items()):
                 return k
-        return None
+        raise VerificationError(f"the reduced rows of {self.space} at n={self.n} are not its rows")
 
 
 @lru_cache(maxsize=None)
@@ -478,11 +494,15 @@ def grading_certificate(pair: str, n: int) -> Certificate:
 
     A law L·R ⊂ T is bilinear, so it holds at n exactly when aᵢ·bⱼ lies in T
     for every pair of oracle basis matrices aᵢ of L and bⱼ of R.  Each
-    product is formed in int from the integer bases (the denominators only
-    scale it) and judged twice: by T's constraint rows (`first_broken`) and
-    by `in_space` on the product as a Matrix.  A product either judge
-    rejects is a failure; the first three are kept as witnesses naming the
-    law, the basis pair (i, j), the first broken equation (None when only
+    product is formed in int from the integer numerators of the bases; T is
+    a linear space, so the positive denominators, which only scale the
+    product, are left out.  It is judged twice.  The oracle judge
+    (`first_broken`) checks it against T's reduced rows, rank(T) rows
+    with the same solutions as T's literal rows, and scans the literal
+    rows only when it fails, for the first broken one.  `in_space` judges
+    it as a Matrix.  A product either judge rejects is a failure; the
+    first three are kept as witnesses naming the law, the basis pair
+    (i, j), the index of the first broken literal row (None when only
     `in_space` said no) and the judges that said no.
     """
     tag = pair.upper()
@@ -494,13 +514,13 @@ def grading_certificate(pair: str, n: int) -> Certificate:
     for law in GRADING_PAIRS[tag]:
         left, right, target = law
         sys = build_constraints(target, n)
-        rights = [(d, _by_row(n, e)) for d, e in build_constraints(right, n).basis]
-        for i, (den_a, entries) in enumerate(build_constraints(left, n).basis):
-            for j, (den_b, rows) in enumerate(rights):
+        rights = [_by_row(n, e) for _, e in build_constraints(right, n).basis]
+        for i, (_, entries) in enumerate(build_constraints(left, n).basis):
+            for j, rows in enumerate(rights):
                 vec = _int_product(n, entries, rows)
                 broken = sys.first_broken(vec)
                 judges = [] if broken is None else ["oracle"]
-                if not in_space(_int_matrix(n, vec, den_a * den_b), target):
+                if not in_space(_int_matrix(n, vec, 1), target):
                     judges.append("in_space")
                 cert.record(not judges, law=list(law), basis_pair=[i, j],
                             equation=broken, rejected_by=judges)
@@ -685,7 +705,7 @@ def rank_bound_check(space: str, n: int) -> Certificate:
     basis matrices b_1, b_2, …, plus E for the weighted most perfect
     squares, and its exact rank is `max_rank`.
     """
-    tag = space.upper().replace(" ", "")
+    tag = space.upper()
     if tag not in _RANK_BOUNDS:
         raise ValueError(f"no rank bound registered for {space!r}")
     oracle, u_of, weighted = _RANK_BOUNDS[tag]

@@ -16,7 +16,8 @@ from symalg.predicates import (
     exists,
     in_space,
 )
-from symalg.scalar import Scalar
+from symalg.scalar import SQRT2, Scalar
+from symalg.verify import random_space_member
 
 
 def rand_matrix(n, rng):
@@ -145,6 +146,56 @@ def test_dual_route_agreement_members_and_non_members():
                 assert e.holds == a.holds, (n, prop, m)
                 if e.holds and e.weight is not None and a.weight is not None:
                     assert e.weight == a.weight
+
+
+def _property_member(prop, n, rng):
+    # A rational matrix with property `prop`: an oracle member of its space,
+    # plus a multiple of E where E has the property, so that A, M and P
+    # members carry a nonzero weight too.
+    m = random_space_member("VRAW" if prop == "V" else prop, n, rng)
+    if n % 2 == 0 or prop in "SABRV":
+        m = m + all_ones(n).scale(Scalar(rng.randint(1, 5)))
+    return m
+
+
+def _property_non_member(prop, n, rng):
+    # None where every matrix has the property (R at n = 2).
+    for _ in range(20):
+        m = rand_matrix(n, rng)
+        if not check_entrywise(m, prop).holds:
+            return m
+    return None
+
+
+def test_routes_decide_the_rational_and_sqrt2_parts_separately():
+    # M = X + √2·Y has a property exactly when X and Y both have it, with
+    # weight w(X) + √2·w(Y).  The pairs put a member beside a non-member
+    # in either part, so the rational part of an irrational non-member can
+    # pass, and a member beside a member.
+    rng = random.Random(23)
+    for n in range(2, 9):
+        for prop in "SABRVMNPQ":
+            if not exists(prop, n):
+                continue
+            checks = [check_entrywise]
+            if SPACES[prop].algebraic is not None:
+                checks.append(check_algebraic)
+            x, y = _property_member(prop, n, rng), _property_non_member(prop, n, rng)
+            assert all(check(x, prop).holds for check in checks), (n, prop)
+            cases = [(x, _property_member(prop, n, rng))]
+            if y is not None:
+                cases += [(x, y), (y, x)]
+            else:
+                assert n == 2 and prop == "R"
+            for t, pairs in enumerate(cases):
+                m = pairs[0] + pairs[1].scale(SQRT2)
+                for check in checks:
+                    vx, vy, vm = (check(a, prop) for a in (*pairs, m))
+                    assert vm.holds == (vx.holds and vy.holds), (n, prop, t, check)
+                    assert vm.route == vx.route
+                    if vm.holds and vm.weight is not None:
+                        assert vm.weight == vx.weight + SQRT2 * vy.weight, (n, prop, check)
+                    assert (vm.weight is None) == (not vm.holds or vx.weight is None)
 
 
 def test_dual_route_agreement_large_n_eight():

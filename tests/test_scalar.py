@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from symalg.scalar import INV_SQRT2, ONE, SQRT2, ZERO, Scalar, as_scalar
+from symalg.scalar import INV_SQRT2, ONE, SQRT2, ZERO, Scalar, as_scalar, integer_parts
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -147,3 +148,26 @@ def test_reflected_division_by_a_scalar():
     assert Fraction(1, 2) / Scalar(2) == Scalar(Fraction(1, 4))
     with pytest.raises(TypeError, match="float"):
         0.5 / Scalar(1)
+
+
+def test_integer_parts_round_trip_over_the_common_denominator():
+    rng = random.Random(13)
+    for t in range(200):
+        k = rng.randint(1, 40)
+        with_sqrt2 = t % 2 == 0
+        xs = [
+            Scalar(
+                Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7))),
+                Fraction(rng.randint(-9, 9), rng.choice((1, 3, 5))) if with_sqrt2 else 0,
+            )
+            for _ in range(k)
+        ]
+        P, Q, D = integer_parts(xs)
+        assert D > 0 and all(D % x.d == 0 for x in xs)
+        assert (Q is None) == all(x.is_rational() for x in xs)
+        for k, x in enumerate(xs):
+            assert Scalar._make(P[k], 0 if Q is None else Q[k], D) == x
+    assert integer_parts([Scalar(1), Scalar(-2)]) == ([1, -2], None, 1)
+    assert integer_parts([Scalar(Fraction(1, 2), 1), Scalar(0, Fraction(1, 3))]) == (
+        [3, 0], [6, 2], 6
+    )

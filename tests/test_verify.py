@@ -407,6 +407,63 @@ def test_false_law_fails_with_a_witness_the_oracle_confirms(monkeypatch):
         assert all(s == 0 for s in sums[:-1]) and sums[-1] != 0
 
 
+def _literal_first_broken(sys, vec):
+    # The first literal row that vec breaks, scanning every row.
+    return next(
+        (k for k, row in enumerate(sys.rows) if sum(c * vec[i] for i, c in row.items())),
+        None,
+    )
+
+
+def _basis_products(left, right, n):
+    rights = [V._by_row(n, e) for _, e in V.build_constraints(right, n).basis]
+    return [
+        V._int_product(n, e, r) for _, e in V.build_constraints(left, n).basis for r in rights
+    ]
+
+
+def test_reduced_rows_and_literal_rows_name_the_same_first_broken_row():
+    # C·x = 0 ⇔ RREF(C)·x = 0.  On every basis product of every grading law
+    # at n ≤ 5, and on the first product (or 0) moved by each unit matrix.
+    for pair, laws in V.GRADING_PAIRS.items():
+        for n in range(2, 6):
+            if not V._grading_exists(pair, n):
+                continue
+            for left, right, target in laws:
+                sys = V.build_constraints(target, n)
+                assert len(sys.reduced_rows) == n * n - sys.nullity
+                products = _basis_products(left, right, n)
+                for vec in products:
+                    assert sys.first_broken(vec) is None
+                    assert _literal_first_broken(sys, vec) is None
+                first = products[0] if products else [0] * (n * n)
+                broken = 0
+                for k in range(n * n):
+                    moved = list(first)
+                    moved[k] += 1
+                    want = _literal_first_broken(sys, moved)
+                    assert sys.first_broken(moved) == want, (pair, n, target, k)
+                    broken += want is not None
+                assert broken or not sys.rows, (pair, n, target)
+
+
+def test_false_laws_keep_the_first_broken_literal_row_as_witness(monkeypatch):
+    # Each grading's even·even law, retargeted to its odd part, is false.
+    n = 4
+    for pair in ("BA", "SV", "NM", "QP"):
+        even, odd = pair
+        monkeypatch.setitem(V.GRADING_PAIRS, pair, ((even, even, odd),))
+        cert = V.grading_certificate(pair, n)
+        assert not cert.ok and cert.witnesses, pair
+        products = _basis_products(even, even, n)
+        width = V.build_constraints(even, n).nullity
+        target = V.build_constraints(odd, n)
+        for w in cert.witnesses:
+            i, j = w["basis_pair"]
+            assert w["equation"] == _literal_first_broken(target, products[i * width + j])
+            assert w["equation"] is not None and w["rejected_by"] == ["oracle", "in_space"]
+
+
 def test_satisfies_is_first_broken_none():
     rng = random.Random(41)
     for tag, n in (("S", 4), ("V", 5), ("A", 3), ("MPS", 4), ("RV", 6), ("NQS", 4)):
