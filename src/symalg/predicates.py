@@ -331,8 +331,9 @@ class Space:
     """One symmetry space: the property that decides it and how.
 
     `prop` names the property whose verdict decides membership (VRAW and V
-    share property V).  `algebraic` is None where the paper gives no
-    matrix-algebra characterisation.  `odd_algebraic` marks the spaces that
+    share property V).  Both routes take a matrix's integer view (`_View`).
+    `algebraic` is None where the paper gives no matrix-algebra
+    characterisation.  `odd_algebraic` marks the spaces that
     the algebraic route defines at odd n.  The space is the weight-0 part of
     the property when `zero_weight` is set, and asks for total sum 0 as well
     when `zero_sum` is set.  `in_space` takes the algebraic route where
