@@ -4,6 +4,8 @@
 and names the sub-blocks of C; since X_n is an involution the map is its
 own inverse, and since conjugation is an algebra homomorphism, products of
 block representations are block representations of products.
+`conjugate_x` is an integer kernel: it reads M as (P + Q·√2)/D, forms
+X·M·X with pair sums and differences in int, in O(n²), and never builds X.
 
 The parity-dependent layout of C for n = 2ν+1 splits rows and columns as
 (ν, 1, ν):
@@ -29,7 +31,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import DimensionError
-from .matrix import Matrix, Vector, block_involution
+from .matrix import Matrix, Vector
 from .scalar import Scalar, integer_parts
 
 
@@ -44,9 +46,33 @@ def nu_sign(nu: int) -> int:
 
 
 def conjugate_x(m: Matrix) -> Matrix:
-    """X_n·M·X_n — self-inverse, exact."""
-    x = block_involution(m.n)
-    return x @ m @ x
+    """X_n·M·X_n — self-inverse, exact, in O(n²) and without building X.
+
+    M is read as (P + Q·√2)/D (`scalar.integer_parts`), and Y = √2·X, whose
+    rows are ±1 pairs and √2 at the centre, is applied to the rows and then
+    to the columns in int: the pair (i, n−1−i) maps to (r_i + r_{n−1−i},
+    r_i − r_{n−1−i}), and a centre row or column is multiplied by √2, so
+    (P, Q) becomes (2Q, P).  Then X·M·X = Y·M·Y/2 = (P′ + Q′·√2)/(2D).
+    """
+    n = m.n
+    P, Q, D = integer_parts(m.entries)
+    if Q is None:
+        Q = [0] * len(P)
+    nu, odd = divmod(n, 2)
+    # Row pair (i, n−1−i), then column pair, as slices of the row-major list.
+    pairs = [(slice(i * n, (i + 1) * n), slice((n - 1 - i) * n, (n - i) * n)) for i in range(nu)]
+    pairs += [(slice(i, None, n), slice(n - 1 - i, None, n)) for i in range(nu)]
+    for e in (P, Q):
+        for lo, hi in pairs:
+            a, b = e[lo], e[hi]
+            e[lo] = [x + y for x, y in zip(a, b)]
+            e[hi] = [x - y for x, y in zip(a, b)]
+    if odd:
+        for centre in (slice(nu * n, (nu + 1) * n), slice(nu, None, n)):
+            P[centre], Q[centre] = [2 * q for q in Q[centre]], P[centre]
+    make = Scalar._make
+    d = 2 * D
+    return Matrix(n, tuple(make(p, q, d) for p, q in zip(P, Q)))
 
 
 def conjugate_j(m: Matrix) -> Matrix:

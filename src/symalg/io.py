@@ -9,6 +9,11 @@ Two on-disk forms, both parsed without ever touching floating point:
   matrices only.
 
 Files ending in ``.csv`` are treated as CSV, everything else as JSON.
+
+A JSON entry is read and written on the `Scalar`'s integer triple: each
+part's numerator and denominator are captured as ints and combined into
+one triple, and the printer reduces p/d and q/d with one gcd each.  Only
+CSV cells go through `Fraction`, as they may be decimals such as ``1.5``.
 """
 
 from __future__ import annotations
@@ -16,47 +21,65 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 from .matrix import Matrix
 from .scalar import Scalar
 
-_RATIONAL = r"[+-]?\d+(?:/\d+)?"
-_PLAIN = re.compile(rf"^({_RATIONAL})$")
-_FULL = re.compile(rf"^({_RATIONAL})([+-]\d+(?:/\d+)?)\*sqrt2$")
-_SQRT_ONLY = re.compile(rf"^({_RATIONAL})\*sqrt2$")
+_RATIONAL = r"([+-]?\d+)(?:/(\d+))?"
+_PLAIN = re.compile(rf"^{_RATIONAL}$")
+_FULL = re.compile(rf"^{_RATIONAL}([+-]\d+)(?:/(\d+))?\*sqrt2$")
+_SQRT_ONLY = re.compile(rf"^{_RATIONAL}\*sqrt2$")
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ParseError(f"zero denominator in {text!r}") from exc
+def _ratio(num: str, den: str | None) -> tuple[int, int]:
+    # The captured numerator and denominator of one part, as ints.
+    a = int(num)
+    if den is None:
+        return a, 1
+    b = int(den)
+    if b == 0:
+        raise ParseError(f"zero denominator in {num + '/' + den!r}")
+    return a, b
 
 
 def scalar_from_string(text: str) -> Scalar:
-    """Parse ``p/q``, ``p/q+r/s*sqrt2`` or ``r/s*sqrt2`` exactly."""
+    """Parse ``p/q``, ``p/q+r/s*sqrt2`` or ``r/s*sqrt2`` exactly.
+
+    Each part is read as an integer numerator and denominator, and a/b +
+    c/e·√2 is built as the one triple (a·e + c·b·√2)/(b·e).
+    """
     s = text.replace(" ", "")
     m = _PLAIN.match(s)
     if m:
-        return Scalar(_fraction(m.group(1)))
+        a, b = _ratio(*m.groups())
+        return Scalar._make(a, 0, b)
     m = _FULL.match(s)
     if m:
-        return Scalar(_fraction(m.group(1)), _fraction(m.group(2)))
+        a, b = _ratio(m.group(1), m.group(2))
+        c, e = _ratio(m.group(3), m.group(4))
+        return Scalar._make(a * e, c * b, b * e)
     m = _SQRT_ONLY.match(s)
     if m:
-        return Scalar(0, _fraction(m.group(1)))
+        c, e = _ratio(*m.groups())
+        return Scalar._make(0, c, e)
     raise ParseError(f"cannot parse scalar literal {text!r}")
 
 
 def scalar_to_string(s: Scalar) -> str:
-    """Canonical file form with explicit positive denominators."""
-    a, b = s.a, s.b
-    rational = f"{a.numerator}/{a.denominator}"
-    if b == 0:
+    """Canonical file form with explicit positive denominators.
+
+    Formatted from the triple (p, q, d): p/d and q/d in lowest terms.
+    """
+    p, q, d = s.p, s.q, s.d
+    g = gcd(p, d)
+    rational = f"{p // g}/{d // g}"
+    if q == 0:
         return rational
-    sign = "+" if b > 0 else "-"
-    return f"{rational}{sign}{abs(b.numerator)}/{b.denominator}*sqrt2"
+    g = gcd(q, d)
+    sign = "+" if q > 0 else "-"
+    return f"{rational}{sign}{abs(q) // g}/{d // g}*sqrt2"
 
 
 def scalar_pretty(s: Scalar) -> str:

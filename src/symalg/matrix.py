@@ -244,7 +244,8 @@ def block_involution(n: int) -> Matrix:
 
     For n = 2ν this is (1/√2)·[[I_ν, J_ν], [J_ν, −I_ν]]; for n = 2ν+1 the
     same pattern bordered by a central row/column with a lone 1.  Satisfies
-    Xᵀ = X and X² = I for every n ≥ 1 (X_1 = (1)).
+    Xᵀ = X and X² = I for every n ≥ 1 (X_1 = (1)).  `blockform.conjugate_x`
+    never builds X; this dense X is the reference its tests check it against.
     """
     _check_positive(n)
     if n == 1:

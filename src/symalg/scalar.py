@@ -12,8 +12,9 @@ normalises (p, q, d) and writes the three slots through their slot
 descriptors' bound setters (`_set_p`, `_set_q`, `_set_d`).  That bypasses
 `Scalar.__setattr__`, which always raises, so a `Scalar` stays immutable
 once built.  Loops that sum many products (`Matrix @`, `Matrix.apply`,
-oracle member draws) accumulate one integer triple and build one `Scalar`
-per result instead of one per partial sum.
+oracle member draws, the K·M·K and X·M·X kernels in `blockform`, and
+`io`'s literal parser) accumulate one integer triple and build one
+`Scalar` per result instead of one per partial sum.
 """
 
 from __future__ import annotations

@@ -50,6 +50,7 @@ from .construct import (
 )
 from .elim import _integer_rref, integer_nullspace, rank_of_rows
 from .errors import DimensionError, VerificationError
+from .io import matrix_to_json_obj
 from .matrix import Matrix, Vector, alternating, ones, zeros
 from .predicates import (
     COMPOSITES,
@@ -60,7 +61,7 @@ from .predicates import (
     exists,
     in_space,
 )
-from .scalar import ZERO, Scalar, as_scalar, integer_parts
+from .scalar import SQRT2, ZERO, Scalar, as_scalar, integer_parts
 
 # -- constraint systems ------------------------------------------------------
 #
@@ -406,9 +407,10 @@ class Certificate:
     ones where the claim broke, and `witnesses` keeps the first three of
     those, each naming the basis members and what broke.  A rank bound
     also sets `bound` and the rank `max_rank` of one member, named by
-    `member`, that shows how far the bound is reached; there `products`
-    equals `basis`, one compression per basis matrix.  `basis` is unset
-    where the laws of a grading multiply bases of different spaces.
+    `member` and given as io matrix JSON by `member_matrix`, that shows
+    how far the bound is reached; there `products` equals `basis`, one
+    compression per basis matrix.  `basis` is unset where the laws of a
+    grading multiply bases of different spaces.
     """
 
     claim: str
@@ -419,6 +421,7 @@ class Certificate:
     bound: int | None = None
     member: str | None = None
     max_rank: int | None = None
+    member_matrix: dict | None = None
     witnesses: list = field(default_factory=list)
 
     def record(self, holds: bool, **witness) -> None:
@@ -703,7 +706,8 @@ def rank_bound_check(space: str, n: int) -> Certificate:
     with C·B·C ≠ 0 is a witness, by its index into the oracle basis and
     the first nonzero entry.  The member is the combination Σ k·b_k of the
     basis matrices b_1, b_2, …, plus E for the weighted most perfect
-    squares, and its exact rank is `max_rank`.
+    squares; its exact rank is `max_rank`, and `member_matrix` gives it
+    in the io matrix JSON form.
     """
     tag = space.upper()
     if tag not in _RANK_BOUNDS:
@@ -725,6 +729,7 @@ def rank_bound_check(space: str, n: int) -> Certificate:
             vec[idx] += f * num
     rows = [dict(enumerate(vec[r * n : (r + 1) * n])) for r in range(n)]
     cert.max_rank = n - len(integer_nullspace(rows, n))
+    cert.member_matrix = matrix_to_json_obj(_int_matrix(n, vec, common))
     return cert
 
 
@@ -806,13 +811,30 @@ def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:
 def oracle_predicate_agreement(space: str, n: int) -> bool:
     """Oracle basis passes the predicate; constructed members solve its equations.
 
-    The makers are linear, so the constructor basis outputs, each checked
-    by `_constructor_outputs_solve`, cover every member they can build; one
-    that breaks an equation raises VerificationError.  Their span rank is
-    `dimension_probe`'s concern and is not computed here.
+    Two matrices with a √2 part are judged as well, as the rational basis
+    alone leaves the predicate's √2 part unjudged: b₀ + √2·b₁, from the
+    first two oracle basis matrices (zero where the basis is shorter), must
+    pass, and b₀ + √2·U, for the first unit matrix U that breaks the
+    equations, must fail.  The makers are linear, so the constructor basis
+    outputs, each checked by `_constructor_outputs_solve`, cover every
+    member they can build; one that breaks an equation raises
+    VerificationError.  Their span rank is `dimension_probe`'s concern and
+    is not computed here.
     """
-    if not all(in_space(m, space) for m in build_constraints(space, n).basis_matrices()):
+    sys = build_constraints(space, n)
+    basis = sys.basis_matrices()
+    if not all(in_space(m, space) for m in basis):
         return False
+    b0, b1 = (basis + [zeros(n)] * 2)[:2]
+    if not in_space(b0 + b1.scale(SQRT2), space):
+        return False
+    for k in range(n * n):
+        unit = [0] * (n * n)
+        unit[k] = 1
+        if sys.first_broken(unit) is not None:
+            if in_space(b0 + _int_matrix(n, unit, 1).scale(SQRT2), space):
+                return False
+            break
     if space.lower() in CONSTRUCTIBLE:
         _constructor_outputs_solve(space.lower(), n)
     return True

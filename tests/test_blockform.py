@@ -29,6 +29,24 @@ def rand_matrix(n, rng):
     return Matrix(n, tuple(Scalar(rng.randint(-9, 9)) for _ in range(n * n)))
 
 
+def _entry(rng, kind):
+    a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    b = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return {"rational": Scalar(a), "sqrt2": Scalar(0, b), "mixed": Scalar(a, b)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["rational", "sqrt2", "mixed"])
+def test_integer_kernel_equals_the_dense_conjugate(kind):
+    # block_involution builds X entry by entry; the kernel never builds it.
+    rng = random.Random(7)
+    for n in range(1, 17):
+        m = Matrix(n, tuple(_entry(rng, kind) for _ in range(n * n)))
+        x = block_involution(n)
+        c = conjugate_x(m)
+        assert c == x @ m @ x
+        assert conjugate_x(c) == m
+
+
 def test_all_ones_block_even():
     assert to_block(all_ones(2)).conjugate == Matrix.from_rows([[2, 0], [0, 0]])
     b = to_block(all_ones(4)).conjugate

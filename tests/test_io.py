@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,3 +108,100 @@ def test_zero_denominator_is_a_parse_error():
             mio.scalar_from_string(bad)
     with pytest.raises(ParseError):
         mio.loads_matrix('{"n": 1, "entries": ["1/0"]}')
+
+
+# -- the integer-triple parser and printer against a Fraction reference -------
+
+_REF_RATIONAL = r"[+-]?\d+(?:/\d+)?"
+_REF_PLAIN = re.compile(rf"^({_REF_RATIONAL})$")
+_REF_FULL = re.compile(rf"^({_REF_RATIONAL})([+-]\d+(?:/\d+)?)\*sqrt2$")
+_REF_SQRT_ONLY = re.compile(rf"^({_REF_RATIONAL})\*sqrt2$")
+
+
+def _ref_fraction(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator in {text!r}") from exc
+
+
+def _ref_from_string(text):
+    # Each part read through Fraction, the value built by Scalar(a, b).
+    s = text.replace(" ", "")
+    m = _REF_PLAIN.match(s)
+    if m:
+        return Scalar(_ref_fraction(m.group(1)))
+    m = _REF_FULL.match(s)
+    if m:
+        return Scalar(_ref_fraction(m.group(1)), _ref_fraction(m.group(2)))
+    m = _REF_SQRT_ONLY.match(s)
+    if m:
+        return Scalar(0, _ref_fraction(m.group(1)))
+    raise ParseError(f"cannot parse scalar literal {text!r}")
+
+
+def _ref_to_string(s):
+    a, b = s.a, s.b
+    rational = f"{a.numerator}/{a.denominator}"
+    if b == 0:
+        return rational
+    sign = "+" if b > 0 else "-"
+    return f"{rational}{sign}{abs(b.numerator)}/{b.denominator}*sqrt2"
+
+
+def _outcome(parse, text):
+    try:
+        return ("ok", parse(text))
+    except Exception as exc:  # the type and message must match too
+        return (type(exc), str(exc))
+
+
+def _literal_grid(rng, count):
+    nums = ["0", "1", "7", "12", "007", "360", "123456789012345678901234567890"]
+    dens = [None, "0", "1", "2", "3", "12", "00", "05", "1024"]
+    malformed = ["", " ", "sqrt2", "*sqrt2", "1.5", "1/2+sqrt2", "1//2", "1/2*sqrt3",
+                 "/2", "1/", "+", "--1", "1/-2", "1/2+-3*sqrt2", "1/2sqrt2", "1e3",
+                 "\t1", "1/2\n", "1/2+3/4*sqrt2*sqrt2", "x", "1,2", "½"]
+
+    def part(signs):
+        text = rng.choice(signs) + rng.choice(nums)
+        den = rng.choice(dens)
+        return text if den is None else f"{text}/{den}"
+
+    def spaced(text):
+        return "".join(c + " " * rng.choice((0, 0, 0, 1, 2)) for c in text)
+
+    out = list(malformed)
+    for _ in range(count):
+        form = rng.randrange(4)
+        if form == 0:
+            text = part(("", "+", "-"))
+        elif form == 1:
+            text = part(("", "+", "-")) + part(("+", "-")) + "*sqrt2"
+        elif form == 2:
+            text = part(("", "+", "-")) + "*sqrt2"
+        else:
+            text = rng.choice(malformed) + part(("", "-", "+"))
+        out.append(spaced(text) if rng.random() < 0.3 else text)
+    return out
+
+
+def test_triple_parser_and_printer_match_the_fraction_reference():
+    rng = random.Random(2016)
+    literals = _literal_grid(rng, 4000)
+    kinds = {"ok": 0, "zero": 0, "bad": 0}
+    for text in literals:
+        got = _outcome(mio.scalar_from_string, text)
+        want = _outcome(_ref_from_string, text)
+        if got[0] != "ok" or want[0] != "ok":
+            assert got == want, text
+            kinds["zero" if "zero denominator" in want[1] else "bad"] += 1
+            continue
+        kinds["ok"] += 1
+        s, r = got[1], want[1]
+        assert (s.p, s.q, s.d) == (r.p, r.q, r.d), text
+        assert mio.scalar_to_string(s) == _ref_to_string(r), text
+    # The grid reaches every outcome, the part-naming zero-denominator one included.
+    assert min(kinds.values()) > 100, kinds
+    with pytest.raises(ParseError, match=r"^zero denominator in '\+3/0'$"):
+        mio.scalar_from_string("1/2 + 3/0*sqrt2")

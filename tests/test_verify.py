@@ -14,6 +14,7 @@ from symalg.construct import (
 )
 from symalg.elim import integer_nullspace
 from symalg.errors import DimensionError, VerificationError
+from symalg.io import matrix_from_json_obj
 from symalg.matrix import Matrix, Vector, all_ones, rank, zeros
 from symalg.predicates import check_entrywise, even_only, exists, in_space
 from symalg.scalar import Scalar
@@ -192,6 +193,28 @@ def test_oracle_predicate_agreement_rejects_a_constructed_non_member(monkeypatch
     with pytest.raises(VerificationError, match="violates the s constraints"):
         V.oracle_predicate_agreement("S", 4)
     V._constructor_outputs.cache_clear()  # drop the patched outputs
+
+
+def test_oracle_predicate_agreement_judges_the_sqrt2_part(monkeypatch):
+    # A predicate that reads only the rational part passes every rational
+    # basis matrix; only the matrices with a √2 part expose it.
+    def rational_part_only(m, tag):
+        return in_space(Matrix(m.n, tuple(Scalar._make(x.p, 0, x.d) for x in m.entries)), tag)
+
+    seen = []
+
+    def recording(m, tag):
+        seen.append(m)
+        return in_space(m, tag)
+
+    monkeypatch.setattr(V, "in_space", recording)
+    for space in ("S", "V", "MPS", "RV"):
+        seen.clear()
+        assert V.oracle_predicate_agreement(space, 4)
+        assert sum(not x.is_rational() for m in seen for x in m.entries) > 0, space
+    monkeypatch.setattr(V, "in_space", rational_part_only)
+    for space in ("S", "A", "V", "MPS", "RV"):
+        assert not V.oracle_predicate_agreement(space, 4), space
 
 
 def test_oracle_predicate_agreement_computes_no_span_rank(monkeypatch):
@@ -528,6 +551,7 @@ def test_rank_certificate_matches_the_matrix_compression():
         if tag == "MPS+WE":
             witness = witness + all_ones(n)
         assert rank(witness) == res.max_rank == res.bound, tag
+        assert matrix_from_json_obj(res.to_dict()["member_matrix"]) == witness, tag
         assert "trials" not in res.to_dict()
 
 
