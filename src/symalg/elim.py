@@ -1,6 +1,6 @@
 """Exact Gaussian elimination: one fraction-free integer kernel.
 
-`_integer_rref` row-reduces rows with integer coefficients, given as sparse
+`integer_rref` row-reduces rows with integer coefficients, given as sparse
 dicts {column: int}, and never leaves `int` arithmetic: its pivot rows are
 kept primitive (content 1, positive lead) instead of normalized.  It picks
 the leftmost nonzero entry as the pivot — with exact arithmetic there is
@@ -8,9 +8,13 @@ nothing to gain from magnitude pivoting — and keeps the pivot rows fully
 reduced against each other, so reducing a new row is one pass over its
 nonzeros in pivot columns, in any order.
 
-Two readings of it:
+The RREF depends only on the row space, so rows can be reduced in parts:
+the RREF of stacked rows is the RREF of the parts' pivot rows stacked.
+Readings of it:
 
-* `integer_nullspace` is the oracle's nullspace basis of integer rows.
+* `nullspace_of_rref` reads the nullspace basis off the pivot rows; it is
+  the oracle's nullspace basis.  `integer_nullspace` is the reduction and
+  the reader in one call.
 * `rank_of_rows` is the rank of rows over Q(√2).  Q(√2) has degree 2 over
   Q, so p + q·√2 ↦ (p, q) identifies Q(√2)^w with Q^{2w}.  The Q(√2)-span
   of a row r is the Q-span of r and √2·r, and √2·(p + q·√2) = 2q + p·√2,
@@ -35,7 +39,7 @@ def rank_of_rows(rows: list) -> int:
         q = {j: x for j, x in enumerate(Q or ()) if x}
         embedded.append(p | {w + j: v for j, v in q.items()})
         embedded.append({j: 2 * v for j, v in q.items()} | {w + j: v for j, v in p.items()})
-    return len(_integer_rref(embedded)) // 2
+    return len(integer_rref(embedded)) // 2
 
 
 def _combine(row: dict, piv: dict, lead: int) -> dict:
@@ -65,7 +69,7 @@ def _primitive(row: dict, lead: int) -> dict:
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def _integer_rref(rows: list) -> dict[int, dict[int, int]]:
+def integer_rref(rows: list) -> dict[int, dict[int, int]]:
     """Reduced row echelon form of integer rows, fraction-free.
 
     Returns {pivot column: pivot row}.  Each pivot row is a sparse
@@ -93,15 +97,16 @@ def _integer_rref(rows: list) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def integer_nullspace(rows: list, width: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Basis of {x : R·x = 0} for integer rows R, in integer form.
+def nullspace_of_rref(
+    pivots: dict[int, dict[int, int]], width: int
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Basis of {x : R·x = 0}, read off the pivot rows `integer_rref(R)`.
 
-    The free-variable basis read off the RREF, one vector per non-pivot
-    column in increasing order, each as (den, [(index, num)]): entry `index` is
-    num/den, over one common denominator in lowest terms, with the nonzero
-    entries only, by increasing index.
+    The free-variable basis, one vector per non-pivot column in increasing
+    order, each as (den, [(index, num)]): entry `index` is num/den, over one
+    common denominator in lowest terms, with the nonzero entries only, by
+    increasing index.
     """
-    pivots = _integer_rref(rows)
     # For each free column, the pivot rows that reach it.
     reach: dict[int, list] = {free: [] for free in range(width) if free not in pivots}
     for col, row in pivots.items():
@@ -118,3 +123,8 @@ def integer_nullspace(rows: list, width: int) -> list[tuple[int, list[tuple[int,
         entries.sort()
         basis.append((den, entries))
     return basis
+
+
+def integer_nullspace(rows: list, width: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Basis of {x : R·x = 0} for integer rows R, as `nullspace_of_rref` gives it."""
+    return nullspace_of_rref(integer_rref(rows), width)

@@ -12,8 +12,9 @@ Files ending in ``.csv`` are treated as CSV, everything else as JSON.
 
 A JSON entry is read and written on the `Scalar`'s integer triple: each
 part's numerator and denominator are captured as ints and combined into
-one triple, and the printer reduces p/d and q/d with one gcd each.  Only
-CSV cells go through `Fraction`, as they may be decimals such as ``1.5``.
+one triple, and every printer (JSON, pretty and CSV) reduces p/d and q/d
+with one gcd each.  Only CSV cells are parsed through `Fraction`, as they
+may be decimals such as ``1.5``.
 """
 
 from __future__ import annotations
@@ -82,13 +83,19 @@ def scalar_to_string(s: Scalar) -> str:
     return f"{rational}{sign}{abs(q) // g}/{d // g}*sqrt2"
 
 
+def _ratio_text(num: int, den: int) -> str:
+    # num/den in lowest terms for den > 0, without "/1": str(Fraction(num, den)).
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
 def scalar_pretty(s: Scalar) -> str:
     """Human form: ``p/q`` when the √2 part vanishes, else ``p/q + r/s√2``."""
-    a, b = s.a, s.b
-    if b == 0:
-        return str(a)
-    sign = "+" if b > 0 else "-"
-    return f"{a} {sign} {abs(b)}√2"
+    p, q, d = s.p, s.q, s.d
+    if q == 0:
+        return _ratio_text(p, d)
+    sign = "+" if q > 0 else "-"
+    return f"{_ratio_text(p, d)} {sign} {_ratio_text(abs(q), d)}√2"
 
 
 def matrix_to_json_obj(m: Matrix) -> dict:
@@ -120,16 +127,11 @@ def loads_matrix(text: str) -> Matrix:
 
 
 def dumps_matrix_csv(m: Matrix) -> str:
-    lines = []
-    for i in range(m.n):
-        cells = []
-        for j in range(m.n):
-            x = m[i, j]
-            if not x.is_rational():
-                raise ValueError("CSV form cannot represent √2 entries")
-            cells.append(str(x.a))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    if any(x.q for x in m.entries):
+        raise ValueError("CSV form cannot represent √2 entries")
+    n = m.n
+    cells = [_ratio_text(x.p, x.d) for x in m.entries]
+    return "".join(",".join(cells[i : i + n]) + "\n" for i in range(0, n * n, n))
 
 
 def loads_matrix_csv(text: str) -> Matrix:

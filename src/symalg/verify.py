@@ -22,9 +22,15 @@ bilinear, the triple product is trilinear, the makers are linear, and each
 rank bound follows from a linear condition on the member.  Only the
 dual-path agreement, which compares two predicates on non-members too,
 draws random matrices.  Each grading product is judged by the oracle, on
-the target's reduced rows (its RREF, derived once per system on first
-use; a failing product is named by its first broken literal row), and by
+the target's reduced rows (its RREF, kept from the oracle's build; a
+failing product is named by its first broken literal row), and by
 `in_space`.
+
+The oracle reduces each atom's literal rows once per n.  Every other
+system is reduced from pivot rows already found: the RREF depends only on
+the row space, and the row space of stacked rows is the sum of the parts'
+row spaces, so a composite reduces its parts' pivot rows stacked, and V,
+whose rows are VRAW's and the total sum, starts from VRAW's.
 
 Each such proof returns one `Certificate`: the claim, the number of
 basis members, the products checked, the failures and the first three
@@ -48,7 +54,7 @@ from .construct import (
     make_most_perfect,
     random_member,
 )
-from .elim import _integer_rref, integer_nullspace, rank_of_rows
+from .elim import integer_rref, nullspace_of_rref, rank_of_rows
 from .errors import DimensionError, VerificationError
 from .io import matrix_to_json_obj
 from .matrix import Matrix, Vector, alternating, ones, zeros
@@ -155,10 +161,6 @@ def _alt_total_row(n: int) -> list:
     return _row(n, (sig, sig))
 
 
-def _rows_vertex(n: int) -> list:
-    return _rows_vertex_raw(n) + [_total_row(n)]
-
-
 def _rows_array_sum(n: int) -> list:
     # Even n: every cyclic 2×2 block sums to 0.  Odd n, the algebraic
     # definition: uᵀ·M·v = 0 on the basis of {Σ}^⊥.  Both: ΣᵀMΣ = 0.
@@ -218,20 +220,44 @@ def _rows_reverse_complement(n: int) -> list:
     return rows + [_row(n, (u, v)) for u in basis for v in basis]
 
 
+# tag: (the atoms whose rows come first, the generator of its own rows).
+# V's rows are VRAW's rows, then the total sum.
 _ATOMS = {
-    "S": _rows_semimagic,
-    "A": lambda n: _rows_central(n, 1),
-    "B": lambda n: _rows_central(n, -1),
-    "R": _rows_reverse,
-    "V": _rows_vertex,
-    "VRAW": _rows_vertex_raw,
-    "M": _rows_array_sum,
-    "N": _rows_alternating_pairs,
-    "P": lambda n: _rows_half_period(n, 1),
-    "Q": lambda n: _rows_half_period(n, -1),
-    "MENTRY": _rows_array_sum_entrywise,
-    "RCOMP": _rows_reverse_complement,
+    "S": ((), _rows_semimagic),
+    "A": ((), lambda n: _rows_central(n, 1)),
+    "B": ((), lambda n: _rows_central(n, -1)),
+    "R": ((), _rows_reverse),
+    "V": (("VRAW",), lambda n: [_total_row(n)]),
+    "VRAW": ((), _rows_vertex_raw),
+    "M": ((), _rows_array_sum),
+    "N": ((), _rows_alternating_pairs),
+    "P": ((), lambda n: _rows_half_period(n, 1)),
+    "Q": ((), lambda n: _rows_half_period(n, -1)),
+    "MENTRY": ((), _rows_array_sum_entrywise),
+    "RCOMP": ((), _rows_reverse_complement),
 }
+
+
+def _stack(parts: list[tuple[list, dict]]) -> tuple[list, dict]:
+    """The literal rows of stacked parts, in order, and their RREF pivots.
+
+    Each part is (rows, `integer_rref(rows)`).  The RREF depends only on
+    the row space, and the row space of stacked rows is the sum of the
+    parts', so it is reduced from the parts' pivot rows; one part is its
+    own stack.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    rows = [row for part_rows, _ in parts for row in part_rows]
+    return rows, integer_rref([row for _, pivots in parts for row in pivots.values()])
+
+
+@lru_cache(maxsize=None)
+def _atom(atom: str, n: int) -> tuple[list, dict]:
+    """An atom's literal rows and their pivots, reduced once per n."""
+    base, own = _ATOMS[atom]
+    rows = own(n)
+    return _stack([*(_atom(part, n) for part in base), (rows, integer_rref(rows))])
 
 
 def _int_matrix(n: int, vec: list[int], den: int) -> Matrix:
@@ -244,18 +270,21 @@ class ConstraintSystem:
     """Defining equations of one space, with its exact nullspace basis.
 
     `rows` are sparse {index into vec(M): int} dicts, as `_row` builds
-    them.  `basis` is the nullspace from `elim.integer_nullspace`, one
-    vector per free column as (den, [(index, num)]) over its nonzeros;
+    them, and `pivots` is `elim.integer_rref(rows)`, as the build found it.
+    `basis` is the nullspace read off the pivots by
+    `elim.nullspace_of_rref`, one vector per free column as
+    (den, [(index, num)]) over its nonzeros;
     `random_space_member` sums it in integers and `basis_matrices` builds
     it as matrices.  The space is the solution set of `rows`, so
     `satisfies` is its membership test.
     """
 
-    def __init__(self, space: str, n: int, rows: list):
+    def __init__(self, space: str, n: int, rows: list, pivots: dict):
         self.space = space
         self.n = n
         self.rows = rows
-        self.basis = integer_nullspace(rows, n * n)
+        self.pivots = pivots
+        self.basis = nullspace_of_rref(pivots, n * n)
 
     @property
     def nullity(self) -> int:
@@ -286,10 +315,9 @@ class ConstraintSystem:
 
         C·x = 0 exactly when RREF(C)·x = 0, and there are often far fewer
         reduced rows than literal ones (26 against 226 for V at n = 6).
-        Derived on first use and kept with the system, so building a
-        system stores nothing more.
+        Read from `pivots`, which the build already reduced.
         """
-        return [(list(row), list(row.values())) for row in _integer_rref(self.rows).values()]
+        return [(list(row), list(row.values())) for row in self.pivots.values()]
 
     def first_broken(self, vec: list[int]) -> int | None:
         """Index of the first row with C_k·vec ≠ 0, or None if vec solves all.
@@ -311,8 +339,10 @@ class ConstraintSystem:
 def build_constraints(space: str, n: int) -> ConstraintSystem:
     """Compile one space's definition to linear equations and solve them.
 
-    Composite tags stack the rows of their parts.  The result is cached,
-    once per upper-case tag; treat it as read-only.
+    Composite tags stack the rows of their parts, and reduce the parts'
+    pivot rows (`_stack`); each atom is reduced once per n (`_atom`).  The
+    result is cached, once per upper-case tag; treat it as read-only: its
+    rows are shared with its parts' systems.
     """
     tag = space.upper()
     if space != tag:
@@ -321,7 +351,7 @@ def build_constraints(space: str, n: int) -> ConstraintSystem:
     if any(part not in _ATOMS for part in parts):
         raise ValueError(f"unknown space tag {space!r}")
     check_dimension(tag, n)
-    return ConstraintSystem(tag, n, [row for part in parts for row in _ATOMS[part](n)])
+    return ConstraintSystem(tag, n, *_stack([_atom(part, n) for part in parts]))
 
 
 def random_space_member(
@@ -728,7 +758,7 @@ def rank_bound_check(space: str, n: int) -> Certificate:
         for idx, num in entries:
             vec[idx] += f * num
     rows = [dict(enumerate(vec[r * n : (r + 1) * n])) for r in range(n)]
-    cert.max_rank = n - len(integer_nullspace(rows, n))
+    cert.max_rank = len(integer_rref(rows))
     cert.member_matrix = matrix_to_json_obj(_int_matrix(n, vec, common))
     return cert
 

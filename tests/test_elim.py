@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symalg.elim import _integer_rref, integer_nullspace, rank_of_rows
+from symalg.elim import integer_nullspace, integer_rref, nullspace_of_rref, rank_of_rows
 from symalg.scalar import ZERO, Scalar
 
 
@@ -133,10 +133,22 @@ def test_integer_nullspace_matches_sympy(system):
         assert [k for k, _ in entries] == sorted(k for k, num in entries if num)
         vec = dict(entries)
         assert all(sum(c * vec.get(j, 0) for j, c in row.items()) == 0 for row in rows)
-    pivots = _integer_rref(rows)
+    pivots = integer_rref(rows)
     for col, row in pivots.items():
         assert min(row) == col and row[col] > 0 and gcd(*row.values()) == 1
         assert all(other not in row for other in pivots if other != col)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems(), st.integers(0, 8))
+def test_rref_of_stacked_rows_is_the_rref_of_the_parts_pivot_rows(system, cut):
+    # The RREF depends only on the row space, so a stack of rows may be
+    # reduced from its parts' pivot rows, entry for entry.
+    rows, width = system
+    parts = [integer_rref(rows[:cut]), integer_rref(rows[cut:])]
+    stacked = integer_rref([row for pivots in parts for row in pivots.values()])
+    assert stacked == integer_rref(rows)
+    assert nullspace_of_rref(stacked, width) == integer_nullspace(rows, width)
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,7 +159,7 @@ def test_rank_nullity_annihilation_and_membership(system):
     basis = integer_nullspace(rows, width)
     rank = rank_of_rows(dense)
     assert rank + len(basis) == width
-    assert rank == len(_integer_rref(rows))
+    assert rank == len(integer_rref(rows))
     for den, entries in basis:
         vec = dict(entries)
         assert all(sum(c * vec.get(j, 0) for j, c in row.items()) == 0 for row in rows)

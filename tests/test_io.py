@@ -205,3 +205,68 @@ def test_triple_parser_and_printer_match_the_fraction_reference():
     assert min(kinds.values()) > 100, kinds
     with pytest.raises(ParseError, match=r"^zero denominator in '\+3/0'$"):
         mio.scalar_from_string("1/2 + 3/0*sqrt2")
+
+
+# -- the triple pretty and CSV printers against a Fraction reference ----------
+
+
+def _ref_pretty(s):
+    a, b = s.a, s.b
+    if b == 0:
+        return str(a)
+    sign = "+" if b > 0 else "-"
+    return f"{a} {sign} {abs(b)}√2"
+
+
+def _ref_csv(m):
+    lines = []
+    for i in range(m.n):
+        cells = []
+        for j in range(m.n):
+            x = m[i, j]
+            if not x.is_rational():
+                raise ValueError("CSV form cannot represent √2 entries")
+            cells.append(str(x.a))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _pretty_grid(rng, count):
+    # Zero, integers, negatives, fractions, pure √2 and mixed values.
+    def part():
+        num = rng.choice((0, 1, -1, 2, -3, 7, 12, -360, 10**20 + 1))
+        return Fraction(num, rng.choice((1, 1, 2, 3, 4, 12, 1024)))
+
+    out = [Scalar(0), Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(0, -1), Scalar(-1, 1)]
+    for _ in range(count):
+        form = rng.randrange(3)
+        a = Fraction(0) if form == 1 else part()
+        b = Fraction(0) if form == 0 else part()
+        out.append(Scalar(a, b))
+    return out
+
+
+def test_pretty_and_csv_printers_match_the_fraction_reference():
+    rng = random.Random(2016)
+    values = _pretty_grid(rng, 3000)
+    kinds = {"zero": 0, "integer": 0, "negative": 0, "sqrt2 only": 0, "mixed": 0}
+    for s in values:
+        assert mio.scalar_pretty(s) == _ref_pretty(s), (s.p, s.q, s.d)
+        kinds["zero"] += s.is_zero()
+        kinds["integer"] += s.q == 0 and s.d == 1 and s.p != 0
+        kinds["negative"] += s.q == 0 and s.p < 0
+        kinds["sqrt2 only"] += s.p == 0 and s.q != 0
+        kinds["mixed"] += s.p != 0 and s.q != 0
+    assert min(kinds.values()) > 50, kinds
+    rational = [s for s in values if s.is_rational()]
+    irrational = [s for s in values if s.q]
+    for n in (1, 2, 3, 5):
+        for _ in range(40):
+            m = Matrix(n, tuple(rng.choice(rational) for _ in range(n * n)))
+            assert mio.dumps_matrix_csv(m) == _ref_csv(m)
+            entries = list(m.entries)
+            entries[rng.randrange(n * n)] = rng.choice(irrational)
+            m = Matrix(n, tuple(entries))
+            for dump in (mio.dumps_matrix_csv, _ref_csv):
+                with pytest.raises(ValueError, match="^CSV form cannot represent √2 entries$"):
+                    dump(m)

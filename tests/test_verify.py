@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from symalg.construct import (
     random_member,
     random_parameters,
 )
-from symalg.elim import integer_nullspace
+from symalg.elim import integer_nullspace, integer_rref
 from symalg.errors import DimensionError, VerificationError
 from symalg.io import matrix_from_json_obj
 from symalg.matrix import Matrix, Vector, all_ones, rank, zeros
@@ -282,6 +284,31 @@ def test_oracle_nullity_matches_sympy():
                     dense[k] = QQ(x)
             null = DomainMatrix(rows, (len(rows), n * n), QQ).nullspace()
             assert null.shape[0] == sys.nullity, (tag, n)
+
+
+def test_composed_reduction_equals_a_fresh_reduction_of_the_literal_rows():
+    # Composites and V are reduced from their parts' pivot rows; the result
+    # must be the RREF and nullspace of the stacked literal rows themselves.
+    for tag in list(V._ATOMS) + list(V.COMPOSITES):
+        for n in range(1, 13):
+            if not exists(tag, n):
+                continue
+            sys = V.build_constraints(tag, n)
+            assert sys.pivots == integer_rref(sys.rows), (tag, n)
+            assert sys.basis == integer_nullspace(sys.rows, n * n), (tag, n)
+
+
+def test_the_benchmark_clears_the_per_atom_reductions():
+    # oracle_cold stays cold only if clear_caches() reaches the atom cache.
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    V.build_constraints("RV", 4)
+    assert V._atom.cache_info().currsize > 0
+    workloads.clear_caches()
+    assert V._atom.cache_info().currsize == 0
+    assert V.build_constraints.cache_info().currsize == 0
 
 
 def test_oracle_builds_each_system_once_whatever_the_case():
