@@ -4,7 +4,7 @@
 and names the sub-blocks of C; since X_n is an involution the map is its
 own inverse, and since conjugation is an algebra homomorphism, products of
 block representations are block representations of products.
-`conjugate_x` is an integer kernel: it reads M as (P + Q·√2)/D, forms
+`conjugate_x` is an integer kernel: it reads M's parts (P + Q·√2)/D, forms
 X·M·X with pair sums and differences in int, in O(n²), and never builds X.
 
 The parity-dependent layout of C for n = 2ν+1 splits rows and columns as
@@ -19,9 +19,8 @@ and for even n = 2ν as (ν, ν) with blocks Y, Vᵀ, W, Z.
 `INVOLUTIONS` is the one table of the four grading involutions K (J, the
 reflections I − 2·11ᵀ/n and I − 2·ΣΣᵀ/n, and T at even n; see `decompose`).
 `involution_entries` is the one K·M·K kernel: it gives K·M·K of an integer
-matrix in int, in O(n²), and never builds K.  Predicates and splits read a
-matrix over Q(√2) as integer parts (`scalar.integer_parts`) and apply it to
-each part.
+matrix in int, in O(n²), and never builds K.  Predicates and splits apply
+it to each integer part of a matrix over Q(√2) (`Matrix.P`, `Matrix.Q`).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Callable, Sequence
 
 from .errors import DimensionError
 from .matrix import Matrix, Vector
-from .scalar import Scalar, integer_parts
+from .scalar import Scalar
 
 
 def nu_sign(nu: int) -> int:
@@ -48,16 +47,15 @@ def nu_sign(nu: int) -> int:
 def conjugate_x(m: Matrix) -> Matrix:
     """X_n·M·X_n — self-inverse, exact, in O(n²) and without building X.
 
-    M is read as (P + Q·√2)/D (`scalar.integer_parts`), and Y = √2·X, whose
+    M is read as its parts (P + Q·√2)/D, and Y = √2·X, whose
     rows are ±1 pairs and √2 at the centre, is applied to the rows and then
     to the columns in int: the pair (i, n−1−i) maps to (r_i + r_{n−1−i},
     r_i − r_{n−1−i}), and a centre row or column is multiplied by √2, so
     (P, Q) becomes (2Q, P).  Then X·M·X = Y·M·Y/2 = (P′ + Q′·√2)/(2D).
     """
     n = m.n
-    P, Q, D = integer_parts(m.entries)
-    if Q is None:
-        Q = [0] * len(P)
+    P = list(m.P)
+    Q = [0] * len(P) if m.Q is None else list(m.Q)
     nu, odd = divmod(n, 2)
     # Row pair (i, n−1−i), then column pair, as slices of the row-major list.
     pairs = [(slice(i * n, (i + 1) * n), slice((n - 1 - i) * n, (n - i) * n)) for i in range(nu)]
@@ -70,9 +68,7 @@ def conjugate_x(m: Matrix) -> Matrix:
     if odd:
         for centre in (slice(nu * n, (nu + 1) * n), slice(nu, None, n)):
             P[centre], Q[centre] = [2 * q for q in Q[centre]], P[centre]
-    make = Scalar._make
-    d = 2 * D
-    return Matrix(n, tuple(make(p, q, d) for p, q in zip(P, Q)))
+    return Matrix.from_parts(n, P, Q, 2 * m.D)
 
 
 def conjugate_j(m: Matrix) -> Matrix:
@@ -109,7 +105,7 @@ INVOLUTIONS = {
 }
 
 
-def involution_entries(e: list[int], n: int, kind: str) -> tuple[int, list[int]]:
+def involution_entries(e: Sequence[int], n: int, kind: str) -> tuple[int, list[int]]:
     """(s, s·K·M·K) for an integer n×n matrix M with row-major entries `e`.
 
     s = 1 for a permutation K.  For a reflection K = I − 2·y·yᵀ/n,
@@ -141,11 +137,9 @@ def involution_entries(e: list[int], n: int, kind: str) -> tuple[int, list[int]]
 
 def conjugate_k(m: Matrix, kind: str) -> Matrix:
     """K·M·K for the grading involution K of `kind` (BA, SV, NM, QP)."""
-    P, Q, D = integer_parts(m.entries)
-    s, kp = involution_entries(P, m.n, kind)
-    kq = [0] * len(kp) if Q is None else involution_entries(Q, m.n, kind)[1]
-    make = Scalar._make
-    return Matrix(m.n, tuple(make(p, q, s * D) for p, q in zip(kp, kq)))
+    s, kp = involution_entries(m.P, m.n, kind)
+    kq = None if m.Q is None else involution_entries(m.Q, m.n, kind)[1]
+    return Matrix.from_parts(m.n, kp, kq, s * m.D)
 
 
 class BlockForm:
@@ -171,8 +165,10 @@ class BlockForm:
 
     def _sub(self, rows: range, cols: range) -> Matrix:
         c = self.conjugate
-        k = len(rows)
-        return Matrix(k, tuple(c[i, j] for i in rows for j in cols))
+        n = c.n
+        index = [i * n + j for i in rows for j in cols]
+        Q = None if c.Q is None else [c.Q[k] for k in index]
+        return Matrix.from_parts(len(rows), [c.P[k] for k in index], Q, c.D)
 
     def _lo(self) -> range:
         return range(0, self.nu)

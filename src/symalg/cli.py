@@ -65,11 +65,7 @@ def _positive_int(text: str) -> int:
 
 def _print_matrix(m, fmt: str) -> None:
     if fmt == "pretty":
-        width = max(len(mio.scalar_pretty(x)) for x in m.entries)
-        for i in range(m.n):
-            print(
-                "  ".join(mio.scalar_pretty(m[i, j]).rjust(width) for j in range(m.n))
-            )
+        print(mio.dumps_matrix_pretty(m))
     elif fmt == "csv":
         sys.stdout.write(mio.dumps_matrix_csv(m))
     else:

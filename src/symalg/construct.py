@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .blockform import conjugate_x, nu_sign
 from .decompose import split_ba
@@ -37,7 +38,7 @@ from .matrix import (
     zeros,
 )
 from .predicates import in_space
-from .scalar import ONE, SQRT2, ZERO, Scalar, as_scalar
+from .scalar import ONE, SQRT2, ZERO, Scalar, as_scalar, integer_parts
 
 # -- parameter coercion ------------------------------------------------------
 
@@ -107,15 +108,42 @@ def _reject(params: dict, parity: str, n: int) -> None:
 # -- block assembly ----------------------------------------------------------
 
 
+def _parts(x) -> tuple:
+    # (P, Q, D) of a Matrix, a Vector, a Scalar or a grid (list of rows) of
+    # scalars, row-major, with Q None when rational.
+    if isinstance(x, Matrix):
+        return x.P, x.Q, x.D
+    if isinstance(x, Scalar):
+        return [x.p], [x.q] if x.q else None, x.d
+    if isinstance(x, Vector):
+        return integer_parts(x.entries)
+    return integer_parts([e for row in x for e in row])
+
+
+def _place(n: int, blocks: list) -> Matrix:
+    """The n×n matrix with each block (i, j, w, x) laid at row i, column j.
+
+    x is anything `_parts` reads, w its number of columns (1 for a column
+    vector).  The blocks are brought to their least common denominator and
+    written into the parts of the result; entries no block covers are 0.
+    """
+    parts = [(i, j, w, _parts(x)) for i, j, w, x in blocks]
+    D = lcm(*(d for *_, (_, _, d) in parts))
+    P, Q = [0] * (n * n), [0] * (n * n)
+    for i, j, w, (bp, bq, bd) in parts:
+        f = D // bd
+        for out, part in ((P, bp), (Q, bq)):
+            if part is None:
+                continue
+            for k in range(0, len(part), w):
+                start = (i + k // w) * n + j
+                out[start : start + w] = [f * x for x in part[k : k + w]]
+    return Matrix.from_parts(n, P, Q, D)
+
+
 def _assemble_even(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
     nu = tl.n
-    n = 2 * nu
-    rows = []
-    for i in range(nu):
-        rows.append(list(tl.entries[i * nu : (i + 1) * nu]) + list(tr.entries[i * nu : (i + 1) * nu]))
-    for i in range(nu):
-        rows.append(list(bl.entries[i * nu : (i + 1) * nu]) + list(br.entries[i * nu : (i + 1) * nu]))
-    return Matrix(n, tuple(x for row in rows for x in row))
+    return _place(2 * nu, [(0, 0, nu, tl), (0, nu, nu, tr), (nu, 0, nu, bl), (nu, nu, nu, br)])
 
 
 def _assemble_odd(
@@ -130,22 +158,14 @@ def _assemble_odd(
     br: Matrix,
 ) -> Matrix:
     nu = tl.n
-    n = 2 * nu + 1
-    rows = []
-    for i in range(nu):
-        rows.append(
-            list(tl.entries[i * nu : (i + 1) * nu])
-            + [v_col[i]]
-            + list(tr.entries[i * nu : (i + 1) * nu])
-        )
-    rows.append(list(y_row.entries) + [alpha] + list(z_row.entries))
-    for i in range(nu):
-        rows.append(
-            list(bl.entries[i * nu : (i + 1) * nu])
-            + [x_col[i]]
-            + list(br.entries[i * nu : (i + 1) * nu])
-        )
-    return Matrix(n, tuple(x for row in rows for x in row))
+    return _place(
+        2 * nu + 1,
+        [
+            (0, 0, nu, tl), (0, nu, 1, v_col), (0, nu + 1, nu, tr),
+            (nu, 0, nu, y_row), (nu, nu, 1, alpha), (nu, nu + 1, nu, z_row),
+            (nu + 1, 0, nu, bl), (nu + 1, nu, 1, x_col), (nu + 1, nu + 1, nu, br),
+        ],
+    )
 
 
 # -- type A and B ------------------------------------------------------------
@@ -167,14 +187,7 @@ def make_associated(phi, psi, n: int) -> Matrix:
     psi_g = _grid_param(psi, nu + 1, nu, "psi")
     if n == 1:
         return zeros(1)
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(nu + 1):
-        for j in range(nu):
-            rows[i][nu + 1 + j] = psi_g[i][j]
-    for i in range(nu):
-        for j in range(nu + 1):
-            rows[nu + 1 + i][j] = phi_g[i][j]
-    return conjugate_x(Matrix(n, tuple(x for row in rows for x in row)))
+    return conjugate_x(_place(n, [(0, nu + 1, nu, psi_g), (nu + 1, 0, nu + 1, phi_g)]))
 
 
 def make_balanced(upsilon, omega, n: int) -> Matrix:
@@ -186,17 +199,10 @@ def make_balanced(upsilon, omega, n: int) -> Matrix:
             _mat_param(omega, nu, "omega"),
         )
         return conjugate_x(block)
-    ups = _grid_param(upsilon, nu + 1, nu + 1, "upsilon")
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(nu + 1):
-        for j in range(nu + 1):
-            rows[i][j] = ups[i][j]
+    blocks = [(0, 0, nu + 1, _grid_param(upsilon, nu + 1, nu + 1, "upsilon"))]
     if nu:
-        om = _mat_param(omega, nu, "omega")
-        for i in range(nu):
-            for j in range(nu):
-                rows[nu + 1 + i][nu + 1 + j] = om[i, j]
-    return conjugate_x(Matrix(n, tuple(x for row in rows for x in row)))
+        blocks.append((nu + 1, nu + 1, nu, _mat_param(omega, nu, "omega")))
+    return conjugate_x(_place(n, blocks))
 
 
 # -- type S ------------------------------------------------------------------
@@ -568,7 +574,7 @@ def _free(size, pack) -> _Entries:
 
 
 def _as_matrix(nu: int, entries: list) -> Matrix:
-    return Matrix(nu, tuple(entries))
+    return Matrix.from_parts(nu, *integer_parts(entries))
 
 
 def _grid(extra_rows: int, extra_cols: int) -> _Entries:

@@ -11,7 +11,8 @@ by one involution K of `blockform.INVOLUTIONS`, and the two parts are its
 
 so even = ½(M + K·M·K) and odd = ½(M − K·M·K), with K·M·K from the integer
 kernel `blockform.involution_entries` on the parts of M = (P + Q·√2)/D and
-never as a matrix product.
+never as a matrix product.  Both halves are built from their integer parts
+(`Matrix.from_parts`), with no Scalar per entry.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .blockform import involution_entries
 from .matrix import Matrix
-from .scalar import Scalar, integer_parts
+from .scalar import Scalar
 
 
 @dataclass(frozen=True)
@@ -42,22 +43,26 @@ def split(m: Matrix, kind: str) -> GradedPair:
     SV also reports the even part's weight, total sum over n², so callers
     can peel off that multiple of E.  QP raises DimensionError at odd n.
     """
-    n = m.n
-    P, Q, D = integer_parts(m.entries)
+    n, P, Q, D = m.n, m.P, m.Q, m.D
     s, kp = involution_entries(P, n, kind)
-    if Q is None:
-        Q = kq = [0] * len(P)
-    else:
-        kq = involution_entries(Q, n, kind)[1]
-    make = Scalar._make
-    d = 2 * s * D
     # M = (P + Q·√2)/D and s·K·M·K = (kp + kq·√2)/D, so ½(M ± K·M·K) =
-    # (s·P ± kp + (s·Q ± kq)·√2)/(2·s·D), one Scalar per entry.
-    even = tuple(make(s * p + x, s * q + y, d) for p, q, x, y in zip(P, Q, kp, kq))
-    odd = tuple(make(s * p - x, s * q - y, d) for p, q, x, y in zip(P, Q, kp, kq))
+    # (s·P ± kp + (s·Q ± kq)·√2)/(2·s·D).
+    even_p = [s * p + x for p, x in zip(P, kp)]
+    odd_p = [s * p - x for p, x in zip(P, kp)]
+    even_q = odd_q = None
+    if Q is not None:
+        kq = involution_entries(Q, n, kind)[1]
+        even_q = [s * q + y for q, y in zip(Q, kq)]
+        odd_q = [s * q - y for q, y in zip(Q, kq)]
+    d = 2 * s * D
     kind = kind.upper()
-    w = make(sum(P), sum(Q), D * n * n) if kind == "SV" else None
-    return GradedPair(kind, Matrix(n, even), Matrix(n, odd), weight=w)
+    w = Scalar._make(sum(P), 0 if Q is None else sum(Q), D * n * n) if kind == "SV" else None
+    return GradedPair(
+        kind,
+        Matrix.from_parts(n, even_p, even_q, d),
+        Matrix.from_parts(n, odd_p, odd_q, d),
+        weight=w,
+    )
 
 
 def split_ba(m: Matrix) -> GradedPair:

@@ -15,11 +15,13 @@ Readings of it:
 * `nullspace_of_rref` reads the nullspace basis off the pivot rows; it is
   the oracle's nullspace basis.  `integer_nullspace` is the reduction and
   the reader in one call.
-* `rank_of_rows` is the rank of rows over Q(√2).  Q(√2) has degree 2 over
+* `rank_of_parts` is the rank of rows over Q(√2).  Q(√2) has degree 2 over
   Q, so p + q·√2 ↦ (p, q) identifies Q(√2)^w with Q^{2w}.  The Q(√2)-span
   of a row r is the Q-span of r and √2·r, and √2·(p + q·√2) = 2q + p·√2,
-  so the Q(√2)-rank of rows (P + Q·√2)/D (`scalar.integer_parts`) is half
-  the Q-rank of the integer rows (P | Q) and (2Q | P).
+  so the Q(√2)-rank of rows (P + Q·√2)/D is half the Q-rank of the integer
+  rows (P | Q) and (2Q | P); a row's D does not change its span.
+  `rank_of_rows` reads rows of Scalars as such parts
+  (`scalar.integer_parts`).
 """
 
 from __future__ import annotations
@@ -31,10 +33,17 @@ from .scalar import integer_parts
 
 def rank_of_rows(rows: list) -> int:
     """Rank over Q(√2) of rows given as sequences of Scalars."""
+    return rank_of_parts([integer_parts(row)[:2] for row in rows])
+
+
+def rank_of_parts(rows: list) -> int:
+    """Rank over Q(√2) of rows (P + Q·√2)/D given as integer parts (P, Q).
+
+    Q is None for a rational row.
+    """
     embedded = []
-    for row in rows:
-        P, Q, _ = integer_parts(row)
-        w = len(row)
+    for P, Q in rows:
+        w = len(P)
         p = {j: x for j, x in enumerate(P) if x}
         q = {j: x for j, x in enumerate(Q or ()) if x}
         embedded.append(p | {w + j: v for j, v in q.items()})

@@ -10,11 +10,14 @@ Two on-disk forms, both parsed without ever touching floating point:
 
 Files ending in ``.csv`` are treated as CSV, everything else as JSON.
 
-A JSON entry is read and written on the `Scalar`'s integer triple: each
+A JSON entry is read and written as an integer triple (p + q·√2)/d: each
 part's numerator and denominator are captured as ints and combined into
 one triple, and every printer (JSON, pretty and CSV) reduces p/d and q/d
-with one gcd each.  Only CSV cells are parsed through `Fraction`, as they
-may be decimals such as ``1.5``.
+with one gcd each.  A matrix is read into its integer parts over the
+entries' least common denominator and written from its parts
+(`Matrix.P`, `Matrix.Q`, `Matrix.D`), with no `Scalar` per entry.  Only
+CSV cells are parsed through `Fraction`, as they may be decimals such as
+``1.5``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ParseError
 from .matrix import Matrix
@@ -45,35 +48,53 @@ def _ratio(num: str, den: str | None) -> tuple[int, int]:
     return a, b
 
 
-def scalar_from_string(text: str) -> Scalar:
-    """Parse ``p/q``, ``p/q+r/s*sqrt2`` or ``r/s*sqrt2`` exactly.
-
-    Each part is read as an integer numerator and denominator, and a/b +
-    c/e·√2 is built as the one triple (a·e + c·b·√2)/(b·e).
-    """
+def _parse_triple(text: str) -> tuple[int, int, int]:
+    # Each part is read as an integer numerator and denominator, and a/b +
+    # c/e·√2 as the one triple (a·e + c·b·√2)/(b·e), not reduced.
     s = text.replace(" ", "")
     m = _PLAIN.match(s)
     if m:
         a, b = _ratio(*m.groups())
-        return Scalar._make(a, 0, b)
+        return a, 0, b
     m = _FULL.match(s)
     if m:
         a, b = _ratio(m.group(1), m.group(2))
         c, e = _ratio(m.group(3), m.group(4))
-        return Scalar._make(a * e, c * b, b * e)
+        return a * e, c * b, b * e
     m = _SQRT_ONLY.match(s)
     if m:
         c, e = _ratio(*m.groups())
-        return Scalar._make(0, c, e)
+        return 0, c, e
     raise ParseError(f"cannot parse scalar literal {text!r}")
 
 
-def scalar_to_string(s: Scalar) -> str:
-    """Canonical file form with explicit positive denominators.
+def scalar_from_string(text: str) -> Scalar:
+    """Parse ``p/q``, ``p/q+r/s*sqrt2`` or ``r/s*sqrt2`` exactly."""
+    return Scalar._make(*_parse_triple(text))
 
-    Formatted from the triple (p, q, d): p/d and q/d in lowest terms.
-    """
-    p, q, d = s.p, s.q, s.d
+
+def _from_triples(n: int, triples: list) -> Matrix:
+    # The matrix of row-major (p, q, d) triples, d > 0, from its integer
+    # parts over the least common denominator.
+    D = lcm(*{d for _, _, d in triples})
+    P = [p * (D // d) for p, _, d in triples]
+    Q = [q * (D // d) for _, q, d in triples]
+    return Matrix.from_parts(n, P, Q, D)
+
+
+def _cells(m: Matrix, text) -> list[str]:
+    # text(p, q, d) of every entry (p + q·√2)/d of M, row-major.
+    Q = m.Q or (0,) * len(m.P)
+    return [text(p, q, m.D) for p, q in zip(m.P, Q)]
+
+
+def scalar_to_string(s: Scalar) -> str:
+    """Canonical file form with explicit positive denominators."""
+    return _string_text(s.p, s.q, s.d)
+
+
+def _string_text(p: int, q: int, d: int) -> str:
+    # (p + q·√2)/d for d > 0 as p/d and q/d in lowest terms.
     g = gcd(p, d)
     rational = f"{p // g}/{d // g}"
     if q == 0:
@@ -91,15 +112,28 @@ def _ratio_text(num: int, den: int) -> str:
 
 def scalar_pretty(s: Scalar) -> str:
     """Human form: ``p/q`` when the √2 part vanishes, else ``p/q + r/s√2``."""
-    p, q, d = s.p, s.q, s.d
+    return _pretty_text(s.p, s.q, s.d)
+
+
+def _pretty_text(p: int, q: int, d: int) -> str:
     if q == 0:
         return _ratio_text(p, d)
     sign = "+" if q > 0 else "-"
     return f"{_ratio_text(p, d)} {sign} {_ratio_text(abs(q), d)}√2"
 
 
+def dumps_matrix_pretty(m: Matrix) -> str:
+    """Rows of human-form entries, right-aligned in columns of one width."""
+    cells = _cells(m, _pretty_text)
+    width = max(map(len, cells))
+    n = m.n
+    return "\n".join(
+        "  ".join(c.rjust(width) for c in cells[i : i + n]) for i in range(0, n * n, n)
+    )
+
+
 def matrix_to_json_obj(m: Matrix) -> dict:
-    return {"n": m.n, "entries": [scalar_to_string(x) for x in m.entries]}
+    return {"n": m.n, "entries": _cells(m, _string_text)}
 
 
 def matrix_from_json_obj(obj) -> Matrix:
@@ -111,7 +145,7 @@ def matrix_from_json_obj(obj) -> Matrix:
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ParseError(f'"entries" must list exactly {n * n} strings')
-    return Matrix(n, tuple(scalar_from_string(str(x)) for x in entries))
+    return _from_triples(n, [_parse_triple(str(x)) for x in entries])
 
 
 def dumps_matrix(m: Matrix) -> str:
@@ -127,10 +161,10 @@ def loads_matrix(text: str) -> Matrix:
 
 
 def dumps_matrix_csv(m: Matrix) -> str:
-    if any(x.q for x in m.entries):
+    if m.Q is not None:
         raise ValueError("CSV form cannot represent √2 entries")
     n = m.n
-    cells = [_ratio_text(x.p, x.d) for x in m.entries]
+    cells = [_ratio_text(p, m.D) for p in m.P]
     return "".join(",".join(cells[i : i + n]) + "\n" for i in range(0, n * n, n))
 
 
@@ -144,7 +178,8 @@ def loads_matrix_csv(text: str) -> Matrix:
         for cell in line.split(","):
             cell = cell.strip()
             try:
-                cells.append(Scalar(Fraction(cell)))
+                x = Fraction(cell)
+                cells.append((x.numerator, 0, x.denominator))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"line {lineno}: bad rational {cell!r}") from exc
         rows.append(cells)
@@ -154,7 +189,7 @@ def loads_matrix_csv(text: str) -> Matrix:
     for row in rows:
         if len(row) != n:
             raise ParseError(f"CSV matrix must be square, got a row of length {len(row)}")
-    return Matrix(n, tuple(x for row in rows for x in row))
+    return _from_triples(n, [x for row in rows for x in row])
 
 
 def read_matrix(path: str) -> Matrix:

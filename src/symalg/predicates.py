@@ -9,11 +9,11 @@ K.  P and Q have none: for a permutation K it is the entrywise check.
 `classify` runs both routes and treats any disagreement as an internal bug,
 not as a statement about the input.
 
-A matrix is read once as integer parts M = (P + Q·√2)/D
-(`scalar.integer_parts`, Q left out when M is rational).  Every condition
-is linear with rational coefficients and √2 is irrational, so each route
-decides on P, then on Q, in int, and builds one weight Scalar at the end
-from the weights of the two parts.  Both routes still read the parts
+Every route reads the matrix's own integer parts M = (P + Q·√2)/D
+(`Matrix.P`, `Matrix.Q`, `Matrix.D`; Q is None when M is rational).  Every
+condition is linear with rational coefficients and √2 is irrational, so
+each route decides on P, then on Q, in int, and builds one weight Scalar at
+the end from the weights of the two parts.  Both routes still read the parts
 independently of each other; the algebraic ones through the integer K·M·K
 kernel `blockform.involution_entries`.
 
@@ -35,12 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .blockform import INVOLUTIONS, involution_entries
 from .errors import DimensionError, PredicatePathMismatch
 from .matrix import Matrix
-from .scalar import ZERO, Scalar, integer_parts
+from .scalar import ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -97,21 +97,8 @@ class SymmetryReport:
 # -- integer parts -------------------------------------------------------------
 
 
-class _View(NamedTuple):
-    """M = (P + Q·√2)/D, read once by `scalar.integer_parts`; Q is None if M is rational."""
-
-    n: int
-    P: list[int]
-    Q: list[int] | None
-    D: int
-
-
-def _view(m: Matrix) -> _View:
-    return _View(m.n, *integer_parts(m.entries))
-
-
 def _route(name: str):
-    """Lift a decision on one integer part to a verdict on a `_View`.
+    """Lift a decision on one integer part to a verdict on a matrix's parts.
 
     `decide(e, n)` returns (holds, num, den): whether the integer matrix e
     meets the condition, and its weight num/den (num None where the route
@@ -121,14 +108,14 @@ def _route(name: str):
     """
 
     def lift(decide):
-        def verdict(v: _View) -> PropertyVerdict:
-            holds, num, den = decide(v.P, v.n)
+        def verdict(m: Matrix) -> PropertyVerdict:
+            holds, num, den = decide(m.P, m.n)
             num_q = 0
-            if holds and v.Q is not None:
-                holds, num_q, _ = decide(v.Q, v.n)
+            if holds and m.Q is not None:
+                holds, num_q, _ = decide(m.Q, m.n)
             if not holds:
                 return PropertyVerdict(False, route=name)
-            weight = None if num is None else Scalar._make(num, num_q, den * v.D)
+            weight = None if num is None else Scalar._make(num, num_q, den * m.D)
             return PropertyVerdict(True, weight, name)
 
         return verdict
@@ -136,15 +123,15 @@ def _route(name: str):
     return lift
 
 
-def _total_zero(v: _View) -> bool:
-    return sum(v.P) == 0 and (v.Q is None or sum(v.Q) == 0)
+def _total_zero(m: Matrix) -> bool:
+    return sum(m.P) == 0 and (m.Q is None or sum(m.Q) == 0)
 
 
 # -- entrywise route ---------------------------------------------------------
 
 
 @_route("entrywise")
-def _ew_semimagic(e: list[int], n: int) -> tuple:
+def _ew_semimagic(e: tuple[int, ...], n: int) -> tuple:
     c = sum(e[:n])
     holds = all(sum(e[i * n:(i + 1) * n]) == c for i in range(1, n)) and all(
         sum(e[j::n]) == c for j in range(n)
@@ -153,19 +140,19 @@ def _ew_semimagic(e: list[int], n: int) -> tuple:
 
 
 @_route("entrywise")
-def _ew_associated(e: list[int], n: int) -> tuple:
+def _ew_associated(e: tuple[int, ...], n: int) -> tuple:
     # Entry k and its centrally opposite entry n² − 1 − k.
     two_w = e[0] + e[-1]
     return all(x + y == two_w for x, y in zip(e, reversed(e))), two_w, 2
 
 
 @_route("entrywise")
-def _ew_balanced(e: list[int], n: int) -> tuple:
+def _ew_balanced(e: tuple[int, ...], n: int) -> tuple:
     return e == e[::-1], None, 1
 
 
 @_route("entrywise")
-def _ew_reverse(e: list[int], n: int) -> tuple:
+def _ew_reverse(e: tuple[int, ...], n: int) -> tuple:
     # Mirror-pair sums along every row, then every column, equal the end pair.
     lines = chain((e[i * n:(i + 1) * n] for i in range(n)), (e[j::n] for j in range(n)))
     for line in lines:
@@ -176,7 +163,7 @@ def _ew_reverse(e: list[int], n: int) -> tuple:
 
 
 @_route("entrywise")
-def _ew_vertex_cross(e: list[int], n: int) -> tuple:
+def _ew_vertex_cross(e: tuple[int, ...], n: int) -> tuple:
     # The adjacent-difference cases span all rectangle conditions, so only
     # (n−1)² checks are needed instead of all index quadruples.
     holds = all(
@@ -188,7 +175,7 @@ def _ew_vertex_cross(e: list[int], n: int) -> tuple:
 
 
 @_route("entrywise")
-def _ew_array_sum(e: list[int], n: int) -> tuple:
+def _ew_array_sum(e: tuple[int, ...], n: int) -> tuple:
     four_w = e[0] + e[1] + e[n] + e[n + 1]
     for i in range(n):
         i1 = (i + 1) % n
@@ -200,7 +187,7 @@ def _ew_array_sum(e: list[int], n: int) -> tuple:
 
 
 @_route("entrywise")
-def _ew_alternating_pairs(e: list[int], n: int) -> tuple:
+def _ew_alternating_pairs(e: tuple[int, ...], n: int) -> tuple:
     # Σ_i (−1)^i (m_ij + m_i,j+1) = 0 for every j, and the same with the
     # roles of rows and columns swapped: adjacent alternating sums cancel.
     sig = INVOLUTIONS["NM"].axis(n)
@@ -210,27 +197,27 @@ def _ew_alternating_pairs(e: list[int], n: int) -> tuple:
     return holds, None, 1
 
 
-def _half_turned(e: list[int], n: int) -> list[int]:
-    # m_{i+ν, j+ν}, indices mod n, in row-major order.
+def _half_turned(e: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # m_{i+ν, j+ν}, indices mod n, in row-major order; a tuple, as the parts are.
     nu = n // 2
     rows = [(i + nu) % n * n for i in range(n)]
     cols = [(j + nu) % n for j in range(n)]
-    return [e[r + c] for r in rows for c in cols]
+    return tuple(e[r + c] for r in rows for c in cols)
 
 
 @_route("entrywise")
-def _ew_pandiagonal(e: list[int], n: int) -> tuple:
+def _ew_pandiagonal(e: tuple[int, ...], n: int) -> tuple:
     turned = _half_turned(e, n)
     two_w = e[0] + turned[0]
     return all(x + y == two_w for x, y in zip(e, turned)), two_w, 2
 
 
 @_route("entrywise")
-def _ew_quartered(e: list[int], n: int) -> tuple:
+def _ew_quartered(e: tuple[int, ...], n: int) -> tuple:
     return e == _half_turned(e, n), None, 1
 
 
-def _alternating_total(e: list[int], n: int) -> int:
+def _alternating_total(e: tuple[int, ...], n: int) -> int:
     # Σᵀ·M·Σ: the entries with i + j even minus those with i + j odd.
     total = 0
     for i in range(n):
@@ -242,7 +229,7 @@ def _alternating_total(e: list[int], n: int) -> int:
 # -- algebraic route ---------------------------------------------------------
 
 
-def _eigen_pair(e: list[int], n: int, kind: str) -> tuple[bool, int]:
+def _eigen_pair(e: tuple[int, ...], n: int, kind: str) -> tuple[bool, int]:
     # M commutes with the reflection K = I − 2·y·yᵀ/n of `kind` iff
     # M·y = Mᵀ·y = λ·y.  This is the O(n) form of K·M·K = M: it compares
     # the 2n entries of M·y and Mᵀ·y instead of all n² of K·M·K.
@@ -255,12 +242,12 @@ def _eigen_pair(e: list[int], n: int, kind: str) -> tuple[bool, int]:
 
 
 @_route("algebraic")
-def _alg_semimagic(e: list[int], n: int) -> tuple:
+def _alg_semimagic(e: tuple[int, ...], n: int) -> tuple:
     holds, lam = _eigen_pair(e, n, "SV")
     return holds, lam, n
 
 
-def _k_graded(e: list[int], n: int, kind: str, sign: int, num: int = 0, den: int = 1) -> bool:
+def _k_graded(e: tuple[int, ...], n: int, kind: str, sign: int, num: int = 0, den: int = 1) -> bool:
     """Whether K·(M − w·E)·K = sign·(M − w·E) for w = num/den and the K of `kind`.
 
     Every K that a weight is removed for (J, and I − 2·y·yᵀ/n where y is
@@ -276,18 +263,18 @@ def _k_graded(e: list[int], n: int, kind: str, sign: int, num: int = 0, den: int
 
 
 @_route("algebraic")
-def _alg_associated(e: list[int], n: int) -> tuple:
+def _alg_associated(e: tuple[int, ...], n: int) -> tuple:
     two_w = e[0] + e[-1]
     return _k_graded(e, n, "BA", -1, two_w, 2), two_w, 2
 
 
 @_route("algebraic")
-def _alg_balanced(e: list[int], n: int) -> tuple:
+def _alg_balanced(e: tuple[int, ...], n: int) -> tuple:
     return _k_graded(e, n, "BA", 1), None, 1
 
 
 @_route("algebraic")
-def _alg_reverse(e: list[int], n: int) -> tuple:
+def _alg_reverse(e: tuple[int, ...], n: int) -> tuple:
     # (I + J)·M and (I + J)·Mᵀ must both map everything into multiples of
     # the all-ones vector, i.e. have constant columns.  Entry i of column c
     # of (I + J)·X is c[i] + c[n−1−i], the same at i and n−1−i, so each
@@ -302,13 +289,13 @@ def _alg_reverse(e: list[int], n: int) -> tuple:
 
 
 @_route("algebraic")
-def _alg_vertex_cross(e: list[int], n: int) -> tuple:
+def _alg_vertex_cross(e: tuple[int, ...], n: int) -> tuple:
     # (I − P)·M·(I − P) = O for P = 11ᵀ/n; the mean t/n² is not a weight.
     return _k_graded(e, n, "SV", -1, sum(e), n * n), None, 1
 
 
 @_route("algebraic")
-def _alg_array_sum(e: list[int], n: int) -> tuple:
+def _alg_array_sum(e: tuple[int, ...], n: int) -> tuple:
     # For even n the weighted property is tested on M − w·E; for odd n the
     # algebraic condition on M itself *defines* the space, with no weight.
     if n % 2:
@@ -318,7 +305,7 @@ def _alg_array_sum(e: list[int], n: int) -> tuple:
 
 
 @_route("algebraic")
-def _alg_alternating_pairs(e: list[int], n: int) -> tuple:
+def _alg_alternating_pairs(e: tuple[int, ...], n: int) -> tuple:
     holds, lam = _eigen_pair(e, n, "NM")
     return holds, lam, 1
 
@@ -331,7 +318,7 @@ class Space:
     """One symmetry space: the property that decides it and how.
 
     `prop` names the property whose verdict decides membership (VRAW and V
-    share property V).  Both routes take a matrix's integer view (`_View`).
+    share property V).  Both routes read a matrix's integer parts.
     `algebraic` is None where the paper gives no matrix-algebra
     characterisation.  `odd_algebraic` marks the spaces that
     the algebraic route defines at odd n.  The space is the weight-0 part of
@@ -341,8 +328,8 @@ class Space:
     """
 
     prop: str
-    entrywise: Callable[[_View], PropertyVerdict]
-    algebraic: Callable[[_View], PropertyVerdict] | None = None
+    entrywise: Callable[[Matrix], PropertyVerdict]
+    algebraic: Callable[[Matrix], PropertyVerdict] | None = None
     even_only: bool = False
     odd_algebraic: bool = False
     zero_weight: bool = False
@@ -440,7 +427,7 @@ def check_entrywise(m: Matrix, prop: str) -> PropertyVerdict:
     if space is None:
         raise ValueError(f"unknown property {prop!r}")
     check_dimension(prop.upper(), m.n)
-    return _routes(space, m.n)[0](_view(m))
+    return _routes(space, m.n)[0](m)
 
 
 def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
@@ -453,7 +440,7 @@ def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
     space = _property(prop)
     if space is None or space.algebraic is None:
         raise ValueError(f"property {prop!r} has no algebraic characterisation")
-    return space.algebraic(_view(m))
+    return space.algebraic(m)
 
 
 # -- classification ----------------------------------------------------------
@@ -483,18 +470,17 @@ def classify(m: Matrix) -> SymmetryReport:
     raises PredicatePathMismatch if they ever disagree (a self-check).
     """
     n = m.n
-    view = _view(m)
     props: dict[str, PropertyVerdict] = {}
     for tag, space in SPACES.items():
         if space.prop in props or not exists(tag, n):
             continue
         routes = _routes(space, n)
-        v = routes[0](view)
+        v = routes[0](m)
         if len(routes) == 2:
-            v = _agree(v, routes[1](view), space.prop, n)
+            v = _agree(v, routes[1](m), space.prop, n)
         props[space.prop] = v
 
-    v_sum_zero = _total_zero(view)
+    v_sum_zero = _total_zero(m)
     spaces = {
         tag: _weight_rule(space, props[tag]) and (v_sum_zero or not space.zero_sum)
         for tag, space in SPACES.items()
@@ -523,11 +509,10 @@ def in_space(m: Matrix, tag: str) -> bool:
         raise ValueError(f"unknown space tag {tag!r}")
     n = m.n
     check_dimension(tag, n)
-    view = _view(m)
     for space in parts:
-        v = _routes(space, n)[-1 if space.fast_algebraic else 0](view)
+        v = _routes(space, n)[-1 if space.fast_algebraic else 0](m)
         if not _weight_rule(space, v):
             return False
-        if space.zero_sum and not _total_zero(view):
+        if space.zero_sum and not _total_zero(m):
             return False
     return True

@@ -11,10 +11,12 @@ A `Scalar` is built from its canonical triple by `Scalar._make`, which
 normalises (p, q, d) and writes the three slots through their slot
 descriptors' bound setters (`_set_p`, `_set_q`, `_set_d`).  That bypasses
 `Scalar.__setattr__`, which always raises, so a `Scalar` stays immutable
-once built.  Loops that sum many products (`Matrix @`, `Matrix.apply`,
-oracle member draws, the K·M·K and X·M·X kernels in `blockform`, and
-`io`'s literal parser) accumulate one integer triple and build one
-`Scalar` per result instead of one per partial sum.
+once built.  Matrices do not hold Scalars: a `Matrix` stores its integer
+parts (P + Q·√2)/D, and its products, sums, the K·M·K and X·M·X kernels
+in `blockform`, the splits, oracle member draws and `io`'s reader and
+printers all work on those ints.  `Matrix.entries` and `Matrix[i, j]`
+build Scalars on access; `Matrix.apply` and `Vector.dot` sum in ints and
+build one `Scalar` per result.
 """
 
 from __future__ import annotations
@@ -209,9 +211,9 @@ def integer_parts(xs) -> tuple[list[int], list[int] | None, int]:
 
     D is the lcm of the denominators.  Q is None when every x_k is
     rational.  A condition with rational coefficients holds for the x_k
-    exactly when it holds for P and for Q, as √2 is irrational, so
-    `predicates`, `decompose`, the oracle's `satisfies` and
-    `elim.rank_of_rows` decide on these integers.
+    exactly when it holds for P and for Q, as √2 is irrational.  This is
+    how `Matrix(n, entries)` reads its entries once into the parts it
+    stores, and how `Vector` products and `elim.rank_of_rows` read Scalars.
     """
     D = lcm(*{x.d for x in xs})
     if D == 1:

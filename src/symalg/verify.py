@@ -54,7 +54,7 @@ from .construct import (
     make_most_perfect,
     random_member,
 )
-from .elim import integer_rref, nullspace_of_rref, rank_of_rows
+from .elim import integer_rref, nullspace_of_rref, rank_of_parts, rank_of_rows
 from .errors import DimensionError, VerificationError
 from .io import matrix_to_json_obj
 from .matrix import Matrix, Vector, alternating, ones, zeros
@@ -67,7 +67,7 @@ from .predicates import (
     exists,
     in_space,
 )
-from .scalar import SQRT2, ZERO, Scalar, as_scalar, integer_parts
+from .scalar import SQRT2, as_scalar, integer_parts
 
 # -- constraint systems ------------------------------------------------------
 #
@@ -260,12 +260,6 @@ def _atom(atom: str, n: int) -> tuple[list, dict]:
     return _stack([*(_atom(part, n) for part in base), (rows, integer_rref(rows))])
 
 
-def _int_matrix(n: int, vec: list[int], den: int) -> Matrix:
-    # The matrix with entries vec[k]/den, for a dense int vector over vec(M).
-    make = Scalar._make
-    return Matrix(n, tuple(make(c, 0, den) if c else ZERO for c in vec))
-
-
 class ConstraintSystem:
     """Defining equations of one space, with its exact nullspace basis.
 
@@ -296,18 +290,16 @@ class ConstraintSystem:
             vec = [0] * (self.n * self.n)
             for k, num in entries:
                 vec[k] = num
-            out.append(_int_matrix(self.n, vec, den))
+            out.append(Matrix.from_parts(self.n, vec, None, den))
         return out
 
     def satisfies(self, m: Matrix) -> bool:
         """C·vec(M) = 0, i.e. M satisfies every defining equation.
 
-        M = (P + Q·√2)/D entrywise for integer matrices P, Q
-        (`scalar.integer_parts`), and C·vec(M) = 0 exactly when
-        C·vec(P) = C·vec(Q) = 0.
+        M = (P + Q·√2)/D entrywise for its integer parts P and Q, and
+        C·vec(M) = 0 exactly when C·vec(P) = C·vec(Q) = 0.
         """
-        P, Q, _ = integer_parts(m.entries)
-        return all(self.first_broken(part) is None for part in (P, Q) if part is not None)
+        return all(self.first_broken(part) is None for part in (m.P, m.Q) if part is not None)
 
     @cached_property
     def reduced_rows(self) -> list[tuple[list[int], list[int]]]:
@@ -362,8 +354,8 @@ def random_space_member(
     Picks up to `terms` distinct basis vectors and gives each a coefficient
     a/b with a in −9..9 and b in {1, 2} (a may be 0).  The combination is
     summed in integers over one common denominator from the system's
-    integer basis, so each entry is built as one `Scalar`; it equals
-    Σ (a/b)·v summed in `Scalar` arithmetic, triple for triple.
+    integer basis, and the matrix is built from those integer parts; its
+    entries equal Σ (a/b)·v summed in `Scalar` arithmetic, triple for triple.
     """
     sys = build_constraints(space, n)
     if sys.nullity == 0:
@@ -379,7 +371,7 @@ def random_space_member(
             f = a * (common // (b * den))
             for k, num in entries:
                 acc[k] += f * num
-    return _int_matrix(n, acc, common)
+    return Matrix.from_parts(n, acc, None, common)
 
 
 @lru_cache(maxsize=1)
@@ -404,7 +396,7 @@ def _constructor_outputs_solve(kind: str, n: int) -> None:
 @lru_cache(maxsize=None)
 def _constructor_span_rank(kind: str, n: int) -> int:
     _constructor_outputs_solve(kind, n)
-    return rank_of_rows([m.entries for m in _constructor_outputs(kind, n)])
+    return rank_of_parts([(m.P, m.Q) for m in _constructor_outputs(kind, n)])
 
 
 def dimension_probe(space: str, n: int) -> int:
@@ -553,7 +545,7 @@ def grading_certificate(pair: str, n: int) -> Certificate:
                 vec = _int_product(n, entries, rows)
                 broken = sys.first_broken(vec)
                 judges = [] if broken is None else ["oracle"]
-                if not in_space(_int_matrix(n, vec, 1), target):
+                if not in_space(Matrix.from_parts(n, vec, None, 1), target):
                     judges.append("in_space")
                 cert.record(not judges, law=list(law), basis_pair=[i, j],
                             equation=broken, rejected_by=judges)
@@ -609,11 +601,12 @@ def parasymmetry_check(gamma, delta, n: int) -> bool:
     return symmetric == dependent
 
 
-def _ints(xs) -> list[int]:
-    # Exact scalars read as ints; a fraction or a √2 part would be lost.
-    if any(x.d != 1 or x.q for x in xs):
+def _ints(x: Vector | Matrix) -> list[int]:
+    # Exact entries read as ints; a fraction or a √2 part would be lost.
+    P, Q, D = integer_parts(x.entries) if isinstance(x, Vector) else (x.P, x.Q, x.D)
+    if D != 1 or Q is not None:
         raise VerificationError("expected integer entries")
-    return [x.p for x in xs]
+    return list(P)
 
 
 def _mps_members(n: int) -> list[tuple[list[int], list[int], list[int]]]:
@@ -626,7 +619,7 @@ def _mps_members(n: int) -> list[tuple[list[int], list[int], list[int]]]:
     span = _MPS_VECTOR.spanning(nu)
     zero = _MPS_VECTOR.zero(nu)
     return [
-        (_ints(g), _ints(d), _ints(make_most_perfect(g, d, n).entries))
+        (_ints(g), _ints(d), _ints(make_most_perfect(g, d, n)))
         for g, d in [(v, zero) for v in span] + [(zero, v) for v in span]
     ]
 
@@ -759,7 +752,7 @@ def rank_bound_check(space: str, n: int) -> Certificate:
             vec[idx] += f * num
     rows = [dict(enumerate(vec[r * n : (r + 1) * n])) for r in range(n)]
     cert.max_rank = len(integer_rref(rows))
-    cert.member_matrix = matrix_to_json_obj(_int_matrix(n, vec, common))
+    cert.member_matrix = matrix_to_json_obj(Matrix.from_parts(n, vec, None, common))
     return cert
 
 
@@ -826,7 +819,7 @@ def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:
         if t % 3 == 0:
             m = random_member(member_kinds[t % len(member_kinds)], n, rng)
         else:
-            m = Matrix(n, tuple(Scalar(rng.randint(-5, 5)) for _ in range(n * n)))
+            m = Matrix.from_parts(n, [rng.randint(-5, 5) for _ in range(n * n)], None, 1)
         for prop in props:
             e = check_entrywise(m, prop)
             a = check_algebraic(m, prop)
@@ -862,7 +855,7 @@ def oracle_predicate_agreement(space: str, n: int) -> bool:
         unit = [0] * (n * n)
         unit[k] = 1
         if sys.first_broken(unit) is not None:
-            if in_space(b0 + _int_matrix(n, unit, 1).scale(SQRT2), space):
+            if in_space(b0 + Matrix.from_parts(n, [0] * (n * n), unit, 1), space):
                 return False
             break
     if space.lower() in CONSTRUCTIBLE:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -143,3 +143,163 @@ def test_apply_matches_scalar_sums_and_matmul(mv):
     assert m.row(0).dot(v) == naive[0]
     for x in got:
         assert x.d > 0 and gcd(x.p, x.q, x.d) == 1
+
+
+# -- the canonical parts (P + Q·√2)/D ------------------------------------------
+#
+# A Scalar-entry reference for each operation, on tuples of Scalars in
+# row-major order, as the matrices held them before they held their parts.
+
+
+def _ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _ref_matmul(a, b, n):
+    return tuple(
+        sum((a[i * n + k] * b[k * n + j] for k in range(n)), ZERO)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def _ref_transpose(a, n):
+    return tuple(a[j * n + i] for i in range(n) for j in range(n))
+
+
+@st.composite
+def _entry_lists(draw, n=None):
+    n = draw(st.integers(1, 5)) if n is None else n
+    return n, tuple(draw(st.lists(_entries, min_size=n * n, max_size=n * n)))
+
+
+@st.composite
+def _two_entry_lists(draw):
+    n, a = draw(_entry_lists())
+    return n, a, draw(_entry_lists(n))[1]
+
+
+@given(_entry_lists())
+def test_parts_are_canonical_and_give_the_entries_back(case):
+    n, xs = case
+    m = Matrix(n, xs)
+    assert m.entries == xs
+    assert isinstance(m.P, tuple) and (m.Q is None or isinstance(m.Q, tuple))
+    assert m.D > 0 and gcd(m.D, *m.P, *(m.Q or ())) == 1
+    assert m.D == lcm(*(x.d for x in xs))
+    assert (m.Q is None) == all(x.is_rational() for x in xs)
+
+
+@given(_entry_lists(), st.integers(1, 50))
+def test_from_parts_of_scaled_parts_is_the_same_matrix(case, k):
+    n, xs = case
+    m = Matrix(n, xs)
+    Q = None if m.Q is None else [k * x for x in m.Q]
+    scaled = Matrix.from_parts(n, [k * x for x in m.P], Q, k * m.D)
+    assert scaled == m and hash(scaled) == hash(m)
+    assert (scaled.P, scaled.Q, scaled.D) == (m.P, m.Q, m.D)
+    negated = Matrix.from_parts(n, [-k * x for x in m.P], Q and [-x for x in Q], -k * m.D)
+    assert negated == m
+
+
+_int_parts = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n))
+)
+
+
+@given(_int_parts, st.integers(1, 6))
+def test_an_all_zero_sqrt2_part_becomes_none(case, D):
+    n, P = case
+    m = Matrix.from_parts(n, P, [0] * (n * n), D)
+    assert m.Q is None
+    assert m == Matrix.from_parts(n, P, None, D)
+
+
+@given(_two_entry_lists(), _entries)
+def test_operations_match_the_scalar_reference(case, c):
+    n, a, b = case
+    ma, mb = Matrix(n, a), Matrix(n, b)
+    assert (ma + mb).entries == _ref_add(a, b)
+    assert (ma - mb).entries == _ref_sub(a, b)
+    assert (-ma).entries == tuple(-x for x in a)
+    assert ma.scale(c).entries == tuple(c * x for x in a)
+    assert (ma @ mb).entries == _ref_matmul(a, b, n)
+    assert ma.transpose().entries == _ref_transpose(a, n)
+    assert ma.total_sum() == sum(a, ZERO)
+    assert ma.is_zero() == all(x.is_zero() for x in a)
+    assert (ma - ma).is_zero()
+    for i in range(n):
+        for j in range(n):
+            assert ma[i, j] == a[i * n + j]
+
+
+def test_entries_are_coerced_and_floats_are_refused():
+    m = Matrix(2, (1, Fraction(5, 2), Scalar(0, 1), 4))
+    assert m.entries == (Scalar(1), Scalar(Fraction(5, 2)), SQRT2, Scalar(4))
+    assert m == Matrix.from_rows([[1, Fraction(5, 2)], [SQRT2, 4]])
+    with pytest.raises(TypeError):
+        Matrix(2, (1, 2.5, 3, 4))
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[1, 2], [3, 4.0]])
+
+
+# -- no Scalar per entry -------------------------------------------------------
+
+
+@pytest.fixture
+def scalar_builds(monkeypatch):
+    """A counter of the Scalars built, by `Scalar._make` or `Scalar(...)`."""
+    count = [0]
+    make, init = Scalar._make.__func__, Scalar.__init__
+
+    def counted_make(cls, p, q, d):
+        count[0] += 1
+        return make(cls, p, q, d)
+
+    def counted_init(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Scalar, "_make", classmethod(counted_make))
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
+    return count
+
+
+def _dense_sqrt2(n):
+    # Every entry has a nonzero √2 part, and the denominators differ.
+    rng = random.Random(n)
+    a = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n * n)]
+    b = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n * n)]
+    return Matrix(n, tuple(Scalar(x, y) for x, y in zip(a, b)))
+
+
+def test_splits_blocks_and_io_build_no_scalar_per_entry(scalar_builds):
+    from symalg import blockform, decompose
+    from symalg import io as mio
+
+    m = _dense_sqrt2(12)
+    text = mio.dumps_matrix(m)
+    for kind in ("BA", "SV", "NM", "QP"):
+        scalar_builds[0] = 0
+        pair = decompose.split(m, kind)
+        # The SV weight is the one Scalar a split builds.
+        assert scalar_builds[0] == (kind == "SV"), kind
+        assert pair.even_part.Q is not None
+    scalar_builds[0] = 0
+    block = blockform.to_block(m)
+    assert scalar_builds[0] == 0
+    assert mio.loads_matrix(text) == m
+    assert mio.dumps_matrix(block.conjugate)
+    assert scalar_builds[0] == 0
+
+
+def test_a_grading_law_builds_no_scalar_per_entry(scalar_builds):
+    from symalg.verify import grading_certificate
+
+    cert = grading_certificate("R", 6)  # one law: R·R ⊂ R
+    assert cert.ok
+    assert scalar_builds[0] == 0
