@@ -532,7 +532,7 @@ def make_reversible(a, b, n: int, w=None) -> Matrix:
 
 
 def _rand_scalar(rng: random.Random) -> Scalar:
-    return Scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2))))
+    return Scalar._make(rng.randint(-9, 9), 0, rng.choice((1, 2)))
 
 
 class _Entries:

@@ -19,7 +19,9 @@ Readings of it:
   Q, so p + q·√2 ↦ (p, q) identifies Q(√2)^w with Q^{2w}.  The Q(√2)-span
   of a row r is the Q-span of r and √2·r, and √2·(p + q·√2) = 2q + p·√2,
   so the Q(√2)-rank of rows (P + Q·√2)/D is half the Q-rank of the integer
-  rows (P | Q) and (2Q | P); a row's D does not change its span.
+  rows (P | Q) and (2Q | P); a row's D does not change its span.  Rank
+  does not change under the field extension Q ⊂ Q(√2), so when every row
+  is rational the rows P are reduced as they are.
   `rank_of_rows` reads rows of Scalars as such parts
   (`scalar.integer_parts`).
 """
@@ -41,6 +43,8 @@ def rank_of_parts(rows: list) -> int:
 
     Q is None for a rational row.
     """
+    if all(Q is None for _, Q in rows):
+        return len(integer_rref([dict(enumerate(P)) for P, _ in rows]))
     embedded = []
     for P, Q in rows:
         w = len(P)

@@ -521,14 +521,18 @@ def grading_certificate(pair: str, n: int) -> Certificate:
     for every pair of oracle basis matrices aᵢ of L and bⱼ of R.  Each
     product is formed in int from the integer numerators of the bases; T is
     a linear space, so the positive denominators, which only scale the
-    product, are left out.  It is judged twice.  The oracle judge
-    (`first_broken`) checks it against T's reduced rows, rank(T) rows
-    with the same solutions as T's literal rows, and scans the literal
-    rows only when it fails, for the first broken one.  `in_space` judges
-    it as a Matrix.  A product either judge rejects is a failure; the
-    first three are kept as witnesses naming the law, the basis pair
-    (i, j), the index of the first broken literal row (None when only
-    `in_space` said no) and the judges that said no.
+    product, are left out.  Each distinct product in a law is judged
+    twice, once by each judge.  The oracle judge (`first_broken`) checks
+    it against T's reduced rows, rank(T) rows with the same solutions as
+    T's literal rows, and scans the literal rows only when it fails, for
+    the first broken one.  `in_space` judges it as a Matrix.  Both are
+    pure functions of (product, T), so a product identical to one already
+    judged in the law shares its verdict; many products repeat (the zero
+    matrix among them).  Every product is still recorded.  A product
+    either judge rejects is a failure; the first three are kept as
+    witnesses naming the law, the basis pair (i, j), the index of the
+    first broken literal row (None when only `in_space` said no) and the
+    judges that said no.
     """
     tag = pair.upper()
     if tag not in GRADING_PAIRS:
@@ -540,15 +544,21 @@ def grading_certificate(pair: str, n: int) -> Certificate:
         left, right, target = law
         sys = build_constraints(target, n)
         rights = [_by_row(n, e) for _, e in build_constraints(right, n).basis]
+        verdicts: dict[tuple, tuple] = {}
         for i, (_, entries) in enumerate(build_constraints(left, n).basis):
             for j, rows in enumerate(rights):
                 vec = _int_product(n, entries, rows)
-                broken = sys.first_broken(vec)
-                judges = [] if broken is None else ["oracle"]
-                if not in_space(Matrix.from_parts(n, vec, None, 1), target):
-                    judges.append("in_space")
+                key = tuple(vec)
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    broken = sys.first_broken(vec)
+                    judges = [] if broken is None else ["oracle"]
+                    if not in_space(Matrix.from_parts(n, vec, None, 1), target):
+                        judges.append("in_space")
+                    verdict = verdicts[key] = (broken, judges)
+                broken, judges = verdict
                 cert.record(not judges, law=list(law), basis_pair=[i, j],
-                            equation=broken, rejected_by=judges)
+                            equation=broken, rejected_by=list(judges))
     return cert
 
 

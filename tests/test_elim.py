@@ -4,8 +4,14 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symalg.elim import integer_nullspace, integer_rref, nullspace_of_rref, rank_of_rows
-from symalg.scalar import ZERO, Scalar
+from symalg.elim import (
+    integer_nullspace,
+    integer_rref,
+    nullspace_of_rref,
+    rank_of_parts,
+    rank_of_rows,
+)
+from symalg.scalar import ZERO, Scalar, integer_parts
 
 
 def S(x):
@@ -76,8 +82,23 @@ def test_rational_rank_matches_sympy(system):
     rows, width = system
     if not rows:
         return
+    parts = [integer_parts(row)[:2] for row in rows]
+    assert all(Q is None for _, Q in parts)
     entries = [[QQ(x.p, x.d) for x in row] for row in rows]
-    assert rank_of_rows(rows) == DomainMatrix(entries, (len(rows), width), QQ).rank()
+    want = DomainMatrix(entries, (len(rows), width), QQ).rank()
+    assert rank_of_parts(parts) == _embedded_rank(parts) == want
+    assert rank_of_rows(rows) == want
+
+
+def _embedded_rank(parts):
+    # The reference for rational rows: each (P + Q·√2)/D embedded as the
+    # integer rows (P | Q) and (2Q | P), half their Q-rank.
+    embedded = []
+    for P, Q in parts:
+        Q = Q or [0] * len(P)
+        embedded.append(dict(enumerate(P + Q)))
+        embedded.append(dict(enumerate([2 * q for q in Q] + P)))
+    return len(integer_rref(embedded)) // 2
 
 
 @settings(max_examples=100, deadline=None)

@@ -514,6 +514,76 @@ def test_false_laws_keep_the_first_broken_literal_row_as_witness(monkeypatch):
             assert w["equation"] is not None and w["rejected_by"] == ["oracle", "in_space"]
 
 
+def _unmemoised_certificate(pair, n):
+    # The reference: every basis product judged by both judges, none shared.
+    cert = V.Certificate(pair, n)
+    for law in V.GRADING_PAIRS[pair]:
+        left, right, target = law
+        sys = V.build_constraints(target, n)
+        width = V.build_constraints(right, n).nullity
+        for k, vec in enumerate(_basis_products(left, right, n)):
+            broken = sys.first_broken(vec)
+            judges = [] if broken is None else ["oracle"]
+            if not in_space(Matrix.from_parts(n, vec, None, 1), target):
+                judges.append("in_space")
+            cert.record(not judges, law=list(law), basis_pair=list(divmod(k, width)),
+                        equation=broken, rejected_by=judges)
+    return cert
+
+
+# Each grading's even·even law retargeted to its odd part, and SV's
+# even·odd law retargeted to its even part, whose first three failing
+# products repeat: all false at n = 4.
+FALSE_LAWS = [
+    ("BA", (("B", "B", "A"),)),
+    ("SV", (("S", "S", "V"),)),
+    ("NM", (("N", "N", "M"),)),
+    ("QP", (("Q", "Q", "P"),)),
+    ("SV", (("S", "V", "S"),)),
+]
+
+
+def test_grading_certificate_matches_the_unmemoised_reference(monkeypatch):
+    for pair in V.GRADING_PAIRS:
+        for n in (2, 3, 4, 5):
+            if V._grading_exists(pair, n):
+                want = _unmemoised_certificate(pair, n).to_dict()
+                assert V.grading_certificate(pair, n).to_dict() == want, (pair, n)
+    for pair, laws in FALSE_LAWS:
+        monkeypatch.setitem(V.GRADING_PAIRS, pair, laws)
+        cert = V.grading_certificate(pair, 4)
+        assert not cert.ok and cert.to_dict() == _unmemoised_certificate(pair, 4).to_dict()
+        # No two witnesses share a list, even where their products are equal.
+        lists = [w["rejected_by"] for w in cert.witnesses]
+        assert len({id(x) for x in lists}) == len(lists), pair
+
+
+def test_each_distinct_product_is_judged_once_per_law(monkeypatch):
+    n = 4
+    calls = {}
+    first_broken, judge = V.ConstraintSystem.first_broken, V.in_space
+
+    def counted_first_broken(self, vec):
+        calls["oracle"] += 1
+        return first_broken(self, vec)
+
+    def counted_in_space(m, tag):
+        calls["in_space"] += 1
+        return judge(m, tag)
+
+    monkeypatch.setattr(V.ConstraintSystem, "first_broken", counted_first_broken)
+    monkeypatch.setattr(V, "in_space", counted_in_space)
+    for pair, laws in [*V.GRADING_PAIRS.items(), *FALSE_LAWS]:
+        if not V._grading_exists(pair, n):
+            continue
+        monkeypatch.setitem(V.GRADING_PAIRS, pair, laws)
+        calls.update(oracle=0, in_space=0)
+        cert = V.grading_certificate(pair, n)
+        distinct = sum(len({tuple(v) for v in _basis_products(l, r, n)}) for l, r, _ in laws)
+        assert calls == {"oracle": distinct, "in_space": distinct}, pair
+        assert distinct < cert.products, pair
+
+
 def test_satisfies_is_first_broken_none():
     rng = random.Random(41)
     for tag, n in (("S", 4), ("V", 5), ("A", 3), ("MPS", 4), ("RV", 6), ("NQS", 4)):
