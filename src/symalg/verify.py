@@ -521,18 +521,17 @@ def grading_certificate(pair: str, n: int) -> Certificate:
     for every pair of oracle basis matrices aᵢ of L and bⱼ of R.  Each
     product is formed in int from the integer numerators of the bases; T is
     a linear space, so the positive denominators, which only scale the
-    product, are left out.  Each distinct product in a law is judged
-    twice, once by each judge.  The oracle judge (`first_broken`) checks
-    it against T's reduced rows, rank(T) rows with the same solutions as
-    T's literal rows, and scans the literal rows only when it fails, for
-    the first broken one.  `in_space` judges it as a Matrix.  Both are
-    pure functions of (product, T), so a product identical to one already
-    judged in the law shares its verdict; many products repeat (the zero
-    matrix among them).  Every product is still recorded.  A product
-    either judge rejects is a failure; the first three are kept as
-    witnesses naming the law, the basis pair (i, j), the index of the
-    first broken literal row (None when only `in_space` said no) and the
-    judges that said no.
+    product, are left out.  Each distinct product in a law is judged once
+    by each of two judges.  The oracle judge (`first_broken`) checks it
+    against T's reduced rows, rank(T) rows with the same solutions as T's
+    literal rows, and scans the literal rows only when it fails, for the
+    first broken one.  `in_space` judges it as a Matrix.  Both are pure
+    functions of (product, T), so identical products in a law (many
+    repeat, the zero matrix among them) share one verdict; every product
+    is still recorded.  A product either judge rejects is a failure; the
+    first three are kept as witnesses naming the law, the basis pair
+    (i, j), the index of the first broken literal row (None when only
+    `in_space` said no) and the judges that said no.
     """
     tag = pair.upper()
     if tag not in GRADING_PAIRS:
