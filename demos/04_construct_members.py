@@ -9,6 +9,7 @@
 import random
 
 from symalg import (
+    alternating,
     classify,
     extract_most_perfect_vectors,
     in_space,
@@ -16,7 +17,7 @@ from symalg import (
     make_most_perfect_block,
     make_reversible,
     make_semimagic,
-    mps_triple_product_check,
+    mps_certificates,
     random_member,
 )
 
@@ -56,11 +57,17 @@ assert make_most_perfect(gamma, delta, 6) == m
 print("vector form recovered and re-assembled exactly")
 
 # Products of three most perfect squares are most perfect again, with a
-# closed formula for the resulting vectors.
-g2, d2 = extract_most_perfect_vectors(random_member("mps", 6, rng))
-g3, d3 = extract_most_perfect_vectors(random_member("mps", 6, rng))
-assert mps_triple_product_check(gamma, delta, g2, d2, g3, d3, 6)
+# closed formula for the resulting vectors:
+# M(γ₁;δ₁)·M(γ₂;δ₂)·M(γ₃;δ₃) = n·((δ₂ᵀγ₃)·γ₁Σᵀ + (δ₁ᵀγ₂)·Σδ₃ᵀ).
+m2, m3 = random_member("mps", 6, rng), random_member("mps", 6, rng)
+(g2, d2), (g3, d3) = extract_most_perfect_vectors(m2), extract_most_perfect_vectors(m3)
+sig = alternating(6)
+assert m @ m2 @ m3 == gamma.scale(d2.dot(g3) * 6).outer(sig) + sig.outer(d3.scale(delta.dot(g2) * 6))
 print("triple-product identity: exact")
+# The identity is trilinear, so checking it on every triple of basis
+# members, in integers, proves it for all most perfect squares at n = 6.
+pairs, triples = mps_certificates(6)
+print(f"proved on all {triples.products} basis triples:", triples.ok)
 
 # Reversible squares: two free vectors and an optional weight.  They are
 # exactly the associated ∧ vertex-cross matrices and never exceed rank 2.

@@ -71,11 +71,7 @@ from .verify import (
     dual_path_agreement,
     grading_certificate,
     mps_certificates,
-    mps_triple_product_check,
     oracle_predicate_agreement,
-    parasymmetry_check,
-    r_complement_membership,
-    random_space_member,
     rank_bound_check,
     reversible_implies_associated,
     run_suite,

@@ -17,7 +17,8 @@ The parity-dependent layout of C for n = 2ν+1 splits rows and columns as
 and for even n = 2ν as (ν, ν) with blocks Y, Vᵀ, W, Z.
 
 `INVOLUTIONS` is the one table of the four grading involutions K (J, the
-reflections I − 2·11ᵀ/n and I − 2·ΣΣᵀ/n, and T at even n; see `decompose`).
+reflections I − 2·11ᵀ/n and I − 2·ΣΣᵀ/n, and T at even n; see `decompose`),
+and `SPLIT_TAGS` names the (even, odd) spaces of each.
 `involution_entries` is the one K·M·K kernel: it gives K·M·K of an integer
 matrix in int, in O(n²), and never builds K.  Predicates and splits apply
 it to each integer part of a matrix over Q(√2) (`Matrix.P`, `Matrix.Q`).
@@ -103,6 +104,9 @@ INVOLUTIONS = {
     "NM": Involution(axis=lambda n: [1 - 2 * (i % 2) for i in range(n)]),
     "QP": Involution(permutation=_half_shift),
 }
+
+# The (even, odd) space tags of each involution: its +1 and −1 eigenspaces.
+SPLIT_TAGS = {"BA": ("B", "A"), "SV": ("S", "V"), "NM": ("N", "M"), "QP": ("Q", "P")}
 
 
 def involution_entries(e: Sequence[int], n: int, kind: str) -> tuple[int, list[int]]:

@@ -16,7 +16,7 @@ import random
 import sys
 
 from . import io as mio
-from .blockform import to_block
+from .blockform import SPLIT_TAGS, to_block
 from .construct import (
     CONSTRUCTIBLE,
     make_most_perfect_block,
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="split a matrix along one direct sum")
     p.add_argument("input")
-    p.add_argument("--split", choices=("ba", "sv", "nm", "qp"), required=True)
+    p.add_argument("--split", choices=[kind.lower() for kind in SPLIT_TAGS], required=True)
     p.add_argument("--even-out", required=True)
     p.add_argument("--odd-out", required=True)
     p.set_defaults(func=cmd_decompose)

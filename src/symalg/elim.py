@@ -22,20 +22,11 @@ Readings of it:
   rows (P | Q) and (2Q | P); a row's D does not change its span.  Rank
   does not change under the field extension Q ⊂ Q(√2), so when every row
   is rational the rows P are reduced as they are.
-  `rank_of_rows` reads rows of Scalars as such parts
-  (`scalar.integer_parts`).
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-
-from .scalar import integer_parts
-
-
-def rank_of_rows(rows: list) -> int:
-    """Rank over Q(√2) of rows given as sequences of Scalars."""
-    return rank_of_parts([integer_parts(row)[:2] for row in rows])
 
 
 def rank_of_parts(rows: list) -> int:

@@ -17,8 +17,8 @@ the end from the weights of the two parts.  Both routes still read the parts
 independently of each other; the algebraic ones through the integer K·M·K
 kernel `blockform.involution_entries`.
 
-One table (`SPACES`) gives each space its two routes, its parity, its rule
-and the route `in_space` takes; `COMPOSITES` gives the intersections.
+One table (`SPACES`) gives each space its two routes, its parity and its
+rule; `COMPOSITES` gives the intersections.
 `check_entrywise`, `check_algebraic`, `classify` and `in_space` are all
 derived from the two, and so are the oracle's dimension checks.
 
@@ -323,8 +323,8 @@ class Space:
     characterisation.  `odd_algebraic` marks the spaces that
     the algebraic route defines at odd n.  The space is the weight-0 part of
     the property when `zero_weight` is set, and asks for total sum 0 as well
-    when `zero_sum` is set.  `in_space` takes the algebraic route where
-    `fast_algebraic` is set, else the entrywise one.
+    when `zero_sum` is set.  `in_space` takes the entrywise route, or the
+    algebraic one where it alone decides (M and N at odd n).
     """
 
     prop: str
@@ -334,11 +334,10 @@ class Space:
     odd_algebraic: bool = False
     zero_weight: bool = False
     zero_sum: bool = False
-    fast_algebraic: bool = False
 
 
 SPACES = {
-    "S": Space("S", _ew_semimagic, _alg_semimagic, fast_algebraic=True),
+    "S": Space("S", _ew_semimagic, _alg_semimagic),
     "A": Space("A", _ew_associated, _alg_associated, zero_weight=True),
     "B": Space("B", _ew_balanced, _alg_balanced),
     "R": Space("R", _ew_reverse, _alg_reverse),
@@ -510,7 +509,7 @@ def in_space(m: Matrix, tag: str) -> bool:
     n = m.n
     check_dimension(tag, n)
     for space in parts:
-        v = _routes(space, n)[-1 if space.fast_algebraic else 0](m)
+        v = _routes(space, n)[0](m)
         if not _weight_rule(space, v):
             return False
         if space.zero_sum and not _total_zero(m):

@@ -213,7 +213,7 @@ def integer_parts(xs) -> tuple[list[int], list[int] | None, int]:
     rational.  A condition with rational coefficients holds for the x_k
     exactly when it holds for P and for Q, as √2 is irrational.  This is
     how `Matrix(n, entries)` reads its entries once into the parts it
-    stores, and how `Vector` products and `elim.rank_of_rows` read Scalars.
+    stores, and how `Vector` products read Scalars.
     """
     D = lcm(*{x.d for x in xs})
     if D == 1:

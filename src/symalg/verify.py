@@ -54,10 +54,11 @@ from .construct import (
     make_most_perfect,
     random_member,
 )
-from .elim import integer_rref, nullspace_of_rref, rank_of_parts, rank_of_rows
+from .blockform import INVOLUTIONS, SPLIT_TAGS
+from .elim import integer_rref, nullspace_of_rref, rank_of_parts
 from .errors import DimensionError, VerificationError
 from .io import matrix_to_json_obj
-from .matrix import Matrix, Vector, alternating, ones, zeros
+from .matrix import Matrix, Vector, zeros
 from .predicates import (
     COMPOSITES,
     check_algebraic,
@@ -67,7 +68,7 @@ from .predicates import (
     exists,
     in_space,
 )
-from .scalar import SQRT2, as_scalar, integer_parts
+from .scalar import SQRT2, integer_parts
 
 # -- constraint systems ------------------------------------------------------
 #
@@ -267,10 +268,9 @@ class ConstraintSystem:
     them, and `pivots` is `elim.integer_rref(rows)`, as the build found it.
     `basis` is the nullspace read off the pivots by
     `elim.nullspace_of_rref`, one vector per free column as
-    (den, [(index, num)]) over its nonzeros;
-    `random_space_member` sums it in integers and `basis_matrices` builds
-    it as matrices.  The space is the solution set of `rows`, so
-    `satisfies` is its membership test.
+    (den, [(index, num)]) over its nonzeros; `basis_matrices` builds it as
+    matrices.  The space is the solution set of `rows`, so `satisfies` is
+    its membership test.
     """
 
     def __init__(self, space: str, n: int, rows: list, pivots: dict):
@@ -346,57 +346,21 @@ def build_constraints(space: str, n: int) -> ConstraintSystem:
     return ConstraintSystem(tag, n, *_stack([_atom(part, n) for part in parts]))
 
 
-def random_space_member(
-    space: str, n: int, rng: random.Random, terms: int = 3
-) -> Matrix:
-    """Random rational combination of oracle nullspace basis vectors.
-
-    Picks up to `terms` distinct basis vectors and gives each a coefficient
-    a/b with a in −9..9 and b in {1, 2} (a may be 0).  The combination is
-    summed in integers over one common denominator from the system's
-    integer basis, and the matrix is built from those integer parts; its
-    entries equal Σ (a/b)·v summed in `Scalar` arithmetic, triple for triple.
-    """
-    sys = build_constraints(space, n)
-    if sys.nullity == 0:
-        return zeros(n)
-    basis = sys.basis
-    picks = rng.sample(range(sys.nullity), k=min(terms, sys.nullity))
-    # Draw order per pick: randint, then choice.
-    draws = [(basis[idx], rng.randint(-9, 9), rng.choice((1, 2))) for idx in picks]
-    common = lcm(*(b * den for (den, _), a, b in draws if a))
-    acc = [0] * (n * n)
-    for (den, entries), a, b in draws:
-        if a:
-            f = a * (common // (b * den))
-            for k, num in entries:
-                acc[k] += f * num
-    return Matrix.from_parts(n, acc, None, common)
-
-
-@lru_cache(maxsize=1)
-def _constructor_outputs(kind: str, n: int) -> list[Matrix]:
-    # Only the latest: the span rank reads the outputs that the pass
-    # before it just built, and holding every kind's would cost megabytes.
-    return constructor_basis(kind, n)
-
-
 @lru_cache(maxsize=None)
-def _constructor_outputs_solve(kind: str, n: int) -> None:
-    """Raise VerificationError unless every constructor basis output solves
-    the kind's oracle equations."""
+def _constructor_span_rank(kind: str, n: int) -> int:
+    """Rank of the constructor outputs over a parameter basis.
+
+    Raises VerificationError unless every output solves the kind's oracle
+    equations.
+    """
     sys = build_constraints(kind.upper(), n)
-    for m in _constructor_outputs(kind, n):
+    outputs = constructor_basis(kind, n)
+    for m in outputs:
         if not sys.satisfies(m):
             raise VerificationError(
                 f"constructor output violates the {kind} constraints at n={n}"
             )
-
-
-@lru_cache(maxsize=None)
-def _constructor_span_rank(kind: str, n: int) -> int:
-    _constructor_outputs_solve(kind, n)
-    return rank_of_parts([(m.P, m.Q) for m in _constructor_outputs(kind, n)])
+    return rank_of_parts([(m.P, m.Q) for m in outputs])
 
 
 def dimension_probe(space: str, n: int) -> int:
@@ -499,11 +463,13 @@ def _graded(even: str, odd: str) -> tuple:
     return ((even, even, even), (odd, odd, even), (odd, even, odd), (even, odd, odd))
 
 
+# The four involution gradings, the permutations (BA, QP) before the
+# reflections (SV, NM) as the report lists them, then the other laws.
 GRADING_PAIRS = {
-    "BA": _graded("B", "A"),
-    "QP": _graded("Q", "P"),
-    "SV": _graded("S", "V"),
-    "NM": _graded("N", "M"),
+    **{
+        kind: _graded(*SPLIT_TAGS[kind])
+        for kind in sorted(SPLIT_TAGS, key=lambda kind: INVOLUTIONS[kind].permutation is None)
+    },
     "R": (("R", "R", "R"),),
     "NQS-MPS": _graded("NQS", "MPS"),
     "BS-RV": _graded("BS", "RV"),
@@ -562,52 +528,6 @@ def grading_certificate(pair: str, n: int) -> Certificate:
 
 
 # -- most perfect square identities ------------------------------------------
-#
-# `mps_triple_product_check` and `parasymmetry_check` check the identities
-# on given vectors in Matrix arithmetic; `mps_certificates` proves them at
-# n in int, on a basis.
-
-
-def mps_triple_product_check(
-    gamma1, delta1, gamma2, delta2, gamma3, delta3, n: int
-) -> bool:
-    """(γ₁;δ₁)(γ₂;δ₂)(γ₃;δ₃) = n·((δ₂ᵀγ₃)γ₁; (δ₁ᵀγ₂)δ₃), exactly."""
-    ms = [
-        make_most_perfect(g, d, n)
-        for g, d in ((gamma1, delta1), (gamma2, delta2), (gamma3, delta3))
-    ]
-    lhs = ms[0] @ ms[1] @ ms[2]
-    sig = alternating(n)
-    g1 = Vector(gamma1)
-    d1 = Vector(delta1)
-    g2 = Vector(gamma2)
-    d2 = Vector(delta2)
-    g3 = Vector(gamma3)
-    d3 = Vector(delta3)
-    c_left = d2.dot(g3) * n
-    c_right = d1.dot(g2) * n
-    rhs = g1.scale(c_left).outer(sig) + sig.outer(d3.scale(c_right))
-    return lhs == rhs
-
-
-def parasymmetry_check(gamma, delta, n: int) -> bool:
-    """M² is symmetric iff γ and δ are linearly dependent.
-
-    Also asserts the closed form M² = n·γδᵀ + (δᵀγ)·ΣΣᵀ.  (The coefficient
-    is n: expanding (γΣᵀ + Σδᵀ)² with Σᵀγ = δᵀΣ = 0 and ΣᵀΣ = n leaves
-    n·γδᵀ from the cross term.)
-    """
-    m = make_most_perfect(gamma, delta, n)
-    g = Vector(gamma)
-    d = Vector(delta)
-    sig = alternating(n)
-    m2 = m @ m
-    closed = g.scale(as_scalar(n)).outer(d) + sig.scale(d.dot(g)).outer(sig)
-    if m2 != closed:
-        raise VerificationError("closed form for the squared most perfect square failed")
-    symmetric = m2 == m2.transpose()
-    dependent = rank_of_rows([g.entries, d.entries]) <= 1
-    return symmetric == dependent
 
 
 def _ints(x: Vector | Matrix) -> list[int]:
@@ -778,32 +698,6 @@ def reversible_implies_associated(n: int) -> bool:
     return all(check_entrywise(m, "A").holds for m in basis)
 
 
-def r_complement_membership(m: Matrix) -> bool:
-    """Membership in the proposed complement of the reverse space.
-
-    Tests (1_n + u)ᵀ·M·(1_n + v) = 0 with u, v running over the −1
-    eigenspace of the half-turn J, via the four homogeneous families on a
-    basis (including u = v = 0).
-    """
-    n = m.n
-    one = ones(n)
-    basis = [Vector(u) for u in _reflect_neg_basis(n)]
-    if not one.dot(m.apply(one)).is_zero():
-        return False
-    mt = m.transpose()
-    for u in basis:
-        if not one.dot(m.apply(u)).is_zero():
-            return False
-        if not one.dot(mt.apply(u)).is_zero():
-            return False
-    for u in basis:
-        mu = m.apply(u)
-        for v in basis:
-            if not v.dot(mu).is_zero():
-                return False
-    return True
-
-
 def rv_equals_av(n: int) -> bool:
     """Mutual span inclusion of the reverse∧vertex and associated∧vertex spaces."""
     rv = build_constraints("RV", n)
@@ -841,17 +735,16 @@ def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:
 
 
 def oracle_predicate_agreement(space: str, n: int) -> bool:
-    """Oracle basis passes the predicate; constructed members solve its equations.
+    """Oracle basis passes the predicate; constructed members solve and span it.
 
     Two matrices with a √2 part are judged as well, as the rational basis
     alone leaves the predicate's √2 part unjudged: b₀ + √2·b₁, from the
     first two oracle basis matrices (zero where the basis is shorter), must
     pass, and b₀ + √2·U, for the first unit matrix U that breaks the
     equations, must fail.  The makers are linear, so the constructor basis
-    outputs, each checked by `_constructor_outputs_solve`, cover every
-    member they can build; one that breaks an equation raises
-    VerificationError.  Their span rank is `dimension_probe`'s concern and
-    is not computed here.
+    outputs cover every member they can build; `dimension_probe` checks
+    that each solves the equations and that they span the oracle
+    nullspace, and raises VerificationError if not.
     """
     sys = build_constraints(space, n)
     basis = sys.basis_matrices()
@@ -867,14 +760,12 @@ def oracle_predicate_agreement(space: str, n: int) -> bool:
             if in_space(b0 + Matrix.from_parts(n, [0] * (n * n), unit, 1), space):
                 return False
             break
-    if space.lower() in CONSTRUCTIBLE:
-        _constructor_outputs_solve(space.lower(), n)
+    dimension_probe(space, n)
     return True
 
 
 # -- suites --------------------------------------------------------------------
 
-_SPLIT_DIM_PAIRS = (("B", "A"), ("S", "V"), ("N", "M"), ("Q", "P"))
 _AGREEMENT_SPACES = ("S", "A", "B", "R", "V", "M", "N", "P", "Q", "MPS", "NQS", "RV")
 
 
@@ -898,7 +789,7 @@ def suite_dimensions(n_max: int = 8, **_) -> list[dict]:
             _check(f"dim S_{n} = n²−2n+2", dim_s == n * n - 2 * n + 2, value=dim_s)
         )
         checks.append(_check(f"dim V_{n} = 2n−2", dim_v == 2 * n - 2, value=dim_v))
-        for even_tag, odd_tag in _SPLIT_DIM_PAIRS:
+        for even_tag, odd_tag in SPLIT_TAGS.values():
             if not (exists(even_tag, n) and exists(odd_tag, n)):
                 continue
             de = dimension_probe(even_tag, n)

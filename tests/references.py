@@ -1,0 +1,89 @@
+"""Matrix-arithmetic references for the `int` proofs of `symalg.verify`.
+
+The library proves the most-perfect identities and the reverse
+complement's equations in `int`, on a basis.  The checks here state the
+same claims in `Matrix` and `Scalar` arithmetic, on given vectors and
+matrices, so that the tests can compare the two.  `space_member` draws a
+random member of an oracle space as a `Scalar` combination of its basis.
+"""
+
+from fractions import Fraction
+
+from symalg import verify as V
+from symalg.construct import make_most_perfect
+from symalg.elim import rank_of_parts
+from symalg.errors import VerificationError
+from symalg.matrix import Matrix, Vector, alternating, ones, zeros
+from symalg.scalar import Scalar, as_scalar, integer_parts
+
+
+def space_member(space, n, rng, terms=3):
+    """A random rational combination of oracle nullspace basis vectors.
+
+    Picks up to `terms` distinct basis vectors and gives each a coefficient
+    a/b with a in −9..9 and b in {1, 2} (a may be 0); per pick the draw
+    order is randint, then choice.
+    """
+    sys = V.build_constraints(space, n)
+    if sys.nullity == 0:
+        return zeros(n)
+    basis = sys.basis_matrices()
+    picks = rng.sample(range(sys.nullity), k=min(terms, sys.nullity))
+    acc = [Scalar(0)] * (n * n)
+    for idx in picks:
+        c = Scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2))))
+        if not c:
+            continue
+        for k, x in enumerate(basis[idx].entries):
+            if x:
+                acc[k] = acc[k] + c * x
+    return Matrix(n, tuple(acc))
+
+
+def mps_triple_product_check(gamma1, delta1, gamma2, delta2, gamma3, delta3, n):
+    """(γ₁;δ₁)(γ₂;δ₂)(γ₃;δ₃) = n·((δ₂ᵀγ₃)γ₁; (δ₁ᵀγ₂)δ₃), exactly."""
+    ms = [
+        make_most_perfect(g, d, n)
+        for g, d in ((gamma1, delta1), (gamma2, delta2), (gamma3, delta3))
+    ]
+    lhs = ms[0] @ ms[1] @ ms[2]
+    sig = alternating(n)
+    g1, d1, g2, d2, g3, d3 = map(Vector, (gamma1, delta1, gamma2, delta2, gamma3, delta3))
+    rhs = g1.scale(d2.dot(g3) * n).outer(sig) + sig.outer(d3.scale(d1.dot(g2) * n))
+    return lhs == rhs
+
+
+def parasymmetry_check(gamma, delta, n):
+    """M² is symmetric iff γ and δ are linearly dependent.
+
+    Also asserts the closed form M² = n·γδᵀ + (δᵀγ)·ΣΣᵀ.
+    """
+    m = make_most_perfect(gamma, delta, n)
+    g = Vector(gamma)
+    d = Vector(delta)
+    sig = alternating(n)
+    m2 = m @ m
+    closed = g.scale(as_scalar(n)).outer(d) + sig.scale(d.dot(g)).outer(sig)
+    if m2 != closed:
+        raise VerificationError("closed form for the squared most perfect square failed")
+    symmetric = m2 == m2.transpose()
+    dependent = rank_of_parts([integer_parts(v.entries)[:2] for v in (g, d)]) <= 1
+    return symmetric == dependent
+
+
+def r_complement_membership(m):
+    """Membership in the proposed complement of the reverse space.
+
+    Tests (1_n + u)ᵀ·M·(1_n + v) = 0 with u, v running over the −1
+    eigenspace of the half-turn J, via the four homogeneous families on a
+    basis (including u = v = 0).
+    """
+    n = m.n
+    one = ones(n)
+    basis = [Vector(u) for u in V._reflect_neg_basis(n)]
+    mt = m.transpose()
+    return (
+        one.dot(m.apply(one)).is_zero()
+        and all(one.dot(m.apply(u)).is_zero() and one.dot(mt.apply(u)).is_zero() for u in basis)
+        and all(v.dot(m.apply(u)).is_zero() for u in basis for v in basis)
+    )

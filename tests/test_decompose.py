@@ -3,15 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from symalg.blockform import SPLIT_TAGS
 from symalg.construct import random_member
 from symalg.decompose import GradedPair, split, split_ba, split_nm, split_qp, split_sv
 from symalg.errors import DimensionError
 from symalg.matrix import Matrix, all_ones, alternating, zeros
 from symalg.predicates import check_algebraic, check_entrywise, in_space
 from symalg.scalar import Scalar
-
-SPLIT_SPACES = {"BA": ("B", "A"), "SV": ("S", "V"), "NM": ("N", "M"), "QP": ("Q", "P")}
-
 
 def rand_matrix(n, rng):
     return Matrix(n, tuple(Scalar(rng.randint(-9, 9)) for _ in range(n * n)))
@@ -72,7 +70,7 @@ def test_reconstruction_and_membership_thousand_matrices():
             for kind in kinds:
                 pair = split(m, kind)
                 assert pair.reassemble() == m
-                even_tag, odd_tag = SPLIT_SPACES[kind]
+                even_tag, odd_tag = SPLIT_TAGS[kind]
                 assert in_space(pair.even_part, even_tag), (kind, n)
                 assert in_space(pair.odd_part, odd_tag), (kind, n)
 

@@ -2,23 +2,21 @@
 
 Each split is conjugation by one involution K: K·M·K read from the table
 must match the explicit product, applying it twice must give M back, and
-the oracle's bases of the even and odd parts must be the +1 and −1
-eigenspaces of M ↦ K·M·K.
+the oracle's bases of the even and odd parts that `blockform.SPLIT_TAGS`
+names must be the +1 and −1 eigenspaces of M ↦ K·M·K.
 """
 
 import random
 from fractions import Fraction
 
-from symalg.blockform import conjugate_k
+from symalg.blockform import SPLIT_TAGS, conjugate_k
 from symalg.matrix import Matrix, alternating, exchange, identity, ones
 from symalg.scalar import Scalar
 from symalg.verify import build_constraints
 
-SPLIT_SPACES = {"BA": ("B", "A"), "SV": ("S", "V"), "NM": ("N", "M"), "QP": ("Q", "P")}
-
 
 def _kinds(n):
-    return [k for k in SPLIT_SPACES if k != "QP" or n % 2 == 0]
+    return [k for k in SPLIT_TAGS if k != "QP" or n % 2 == 0]
 
 
 def _sqrt2_matrix(n, rng):
@@ -62,7 +60,7 @@ def test_conjugating_twice_is_the_identity():
 def test_oracle_bases_are_the_two_eigenspaces():
     for n in range(1, 11):
         for kind in _kinds(n):
-            even, odd = (build_constraints(tag, n) for tag in SPLIT_SPACES[kind])
+            even, odd = (build_constraints(tag, n) for tag in SPLIT_TAGS[kind])
             assert even.nullity + odd.nullity == n * n, (kind, n)
             for b in even.basis_matrices():
                 assert conjugate_k(b, kind) == b, (kind, n)

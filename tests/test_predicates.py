@@ -17,7 +17,8 @@ from symalg.predicates import (
     in_space,
 )
 from symalg.scalar import SQRT2, Scalar
-from symalg.verify import random_space_member
+
+from references import space_member
 
 
 def rand_matrix(n, rng):
@@ -152,7 +153,7 @@ def _property_member(prop, n, rng):
     # A rational matrix with property `prop`: an oracle member of its space,
     # plus a multiple of E where E has the property, so that A, M and P
     # members carry a nonzero weight too.
-    m = random_space_member("VRAW" if prop == "V" else prop, n, rng)
+    m = space_member("VRAW" if prop == "V" else prop, n, rng)
     if n % 2 == 0 or prop in "SABRV":
         m = m + all_ones(n).scale(Scalar(rng.randint(1, 5)))
     return m

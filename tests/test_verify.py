@@ -21,6 +21,13 @@ from symalg.matrix import Matrix, Vector, all_ones, rank, zeros
 from symalg.predicates import check_entrywise, even_only, exists, in_space
 from symalg.scalar import Scalar
 
+from references import (
+    mps_triple_product_check,
+    parasymmetry_check,
+    r_complement_membership,
+    space_member,
+)
+
 
 def test_contract_examples():
     assert V.build_constraints("V", 3).nullity == 4
@@ -84,7 +91,7 @@ def test_random_space_member_is_a_member():
     rng = random.Random(31)
     for space in ("S", "A", "B", "R", "V", "M", "N", "RV", "MPS", "NQS"):
         for n in (4, 6):
-            m = V.random_space_member(space, n, rng)
+            m = space_member(space, n, rng)
             assert in_space(m, space)
 
 
@@ -95,28 +102,28 @@ def _mps_vectors(n, rng):
 
 def test_triple_product_trivial_and_random():
     z = Vector([Scalar(0)] * 4)
-    assert V.mps_triple_product_check(z, z, z, z, z, z, 4)
+    assert mps_triple_product_check(z, z, z, z, z, z, 4)
     rng = random.Random(32)
     for n in (4, 6, 8):
         for _ in range(10):
             t = [_mps_vectors(n, rng) for _ in range(3)]
-            assert V.mps_triple_product_check(
+            assert mps_triple_product_check(
                 t[0][0], t[0][1], t[1][0], t[1][1], t[2][0], t[2][1], n
             )
 
 
 def test_triple_product_single_direction():
     g = Vector([1, 0, -1, 0])
-    assert V.mps_triple_product_check(g, g, g, g, g, g, 4)
+    assert mps_triple_product_check(g, g, g, g, g, g, 4)
 
 
 def test_parasymmetry_cases():
     g = Vector([1, 0, -1, 0])
     d = Vector([0, 1, 0, -1])
     z = Vector([Scalar(0)] * 4)
-    assert V.parasymmetry_check(g, g.scale(Scalar(2)), 4)  # dependent
-    assert V.parasymmetry_check(g, d, 4)  # independent: square asymmetric
-    assert V.parasymmetry_check(z, d, 4)  # zero γ: dependent and symmetric
+    assert parasymmetry_check(g, g.scale(Scalar(2)), 4)  # dependent
+    assert parasymmetry_check(g, d, 4)  # independent: square asymmetric
+    assert parasymmetry_check(z, d, 4)  # zero γ: dependent and symmetric
     m = (
         g.outer(Vector([1, -1, 1, -1]))
         + Vector([1, -1, 1, -1]).outer(d)
@@ -148,13 +155,13 @@ def test_reversible_implies_associated_cases():
 
 
 def test_reverse_complement():
-    assert V.r_complement_membership(zeros(4))
-    assert not V.r_complement_membership(all_ones(4))
+    assert r_complement_membership(zeros(4))
+    assert not r_complement_membership(all_ones(4))
     for n in (2, 3, 4, 5, 6):
         comp = V.build_constraints("RCOMP", n).nullity
         assert comp + V.dimension_probe("R", n) == n * n
         for m in V.build_constraints("RCOMP", n).basis_matrices():
-            assert V.r_complement_membership(m)
+            assert r_complement_membership(m)
 
 
 def test_rv_equals_av():
@@ -183,18 +190,25 @@ def test_oracle_predicate_agreement_small():
                 assert V.oracle_predicate_agreement(space, n)
 
 
-def test_oracle_predicate_agreement_rejects_a_constructed_non_member(monkeypatch):
+@pytest.fixture
+def fresh_span_ranks():
+    # A cached rank would hide patched constructor outputs, and patched
+    # outputs must not outlive the test.
+    V._constructor_span_rank.cache_clear()
+    yield
+    V._constructor_span_rank.cache_clear()
+
+
+def test_oracle_predicate_agreement_rejects_a_constructed_non_member(
+    monkeypatch, fresh_span_ranks
+):
     # A constructor whose basis output (one nonzero corner entry, so its row
     # sums differ) breaks the semimagic equations.
     corner = Matrix(4, (Scalar(1),) + (Scalar(0),) * 15)
     assert not in_space(corner, "S")
     monkeypatch.setattr(V, "constructor_basis", lambda kind, n: [corner])
-    # A cached pass would hide it.
-    V._constructor_outputs.cache_clear()
-    V._constructor_outputs_solve.cache_clear()
     with pytest.raises(VerificationError, match="violates the s constraints"):
         V.oracle_predicate_agreement("S", 4)
-    V._constructor_outputs.cache_clear()  # drop the patched outputs
 
 
 def test_oracle_predicate_agreement_judges_the_sqrt2_part(monkeypatch):
@@ -219,31 +233,32 @@ def test_oracle_predicate_agreement_judges_the_sqrt2_part(monkeypatch):
         assert not V.oracle_predicate_agreement(space, 4), space
 
 
-def test_oracle_predicate_agreement_computes_no_span_rank(monkeypatch):
-    def no_rank(rows):
-        raise AssertionError("the agreement computed a span rank")
+def test_oracle_predicate_agreement_rejects_a_short_constructor_span(
+    monkeypatch, fresh_span_ranks
+):
+    # The agreement runs the span check too, so a constructor that misses
+    # part of a composite space fails it, and the lemma suite with it.
+    full = V.constructor_basis
+    for kind in ("mps", "nqs", "rv"):
+        monkeypatch.setattr(
+            V, "constructor_basis",
+            lambda k, n, short=kind: full(k, n)[1:] if k == short else full(k, n),
+        )
+        V._constructor_span_rank.cache_clear()
+        with pytest.raises(VerificationError, match=f"span for {kind.upper()} at n=4 has dimension"):
+            V.oracle_predicate_agreement(kind.upper(), 4)
+        V._constructor_span_rank.cache_clear()
+        with pytest.raises(VerificationError, match=f"span for {kind.upper()} at n=. has dimension"):
+            V.run_suite("lemmas", n_max=4, trials=1)
 
-    monkeypatch.setattr(V, "rank_of_rows", no_rank)
-    V._constructor_outputs_solve.cache_clear()
-    V._constructor_span_rank.cache_clear()
-    for space in ("MPS", "NQS", "RV", "S"):
-        assert V.oracle_predicate_agreement(space, 4)
-    V._constructor_outputs_solve.cache_clear()
 
-
-def test_constructor_span_mismatch_detection(monkeypatch):
+def test_constructor_span_mismatch_detection(monkeypatch, fresh_span_ranks):
     # Outputs that each solve the equations but span too little: one
     # dropped output leaves the span a dimension short of the oracle.
     full = V.constructor_basis
-
     monkeypatch.setattr(V, "constructor_basis", lambda kind, n: full(kind, n)[1:])
-    caches = (V._constructor_outputs, V._constructor_outputs_solve, V._constructor_span_rank)
-    for cache in caches:
-        cache.cache_clear()
     with pytest.raises(VerificationError, match="has dimension"):
         V.dimension_probe("S", 4)
-    for cache in caches:
-        cache.cache_clear()  # drop the patched outputs
 
 
 def test_run_suite_quick():
@@ -316,56 +331,6 @@ def test_oracle_builds_each_system_once_whatever_the_case():
     assert V.build_constraints("mps", 4) is V.build_constraints("MPS", 4)
 
 
-def _scalar_member(space, n, rng, terms=3):
-    # The member draw as a plain Scalar combination of the nullspace basis.
-    sys = V.build_constraints(space, n)
-    if sys.nullity == 0:
-        return zeros(n)
-    basis = sys.basis_matrices()
-    picks = rng.sample(range(sys.nullity), k=min(terms, sys.nullity))
-    acc = [Scalar(0)] * (n * n)
-    for idx in picks:
-        c = Scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2))))
-        if not c:
-            continue
-        for k, x in enumerate(basis[idx].entries):
-            if x:
-                acc[k] = acc[k] + c * x
-    return Matrix(n, tuple(acc))
-
-
-class _ZeroCoefficients(random.Random):
-    # Draws as random.Random does, but every coefficient comes out 0.
-    def randint(self, a, b):
-        super().randint(a, b)
-        return 0
-
-
-def _triples(m):
-    return [(x.p, x.q, x.d) for x in m.entries]
-
-
-def test_random_space_member_equals_the_scalar_combination():
-    for tag in list(V._ATOMS) + list(V.COMPOSITES):
-        for n in range(1, 7):
-            if not exists(tag, n):
-                continue
-            for seed in (0, 1, 29):
-                got_rng, want_rng = random.Random(seed), random.Random(seed)
-                got = V.random_space_member(tag, n, got_rng)
-                want = _scalar_member(tag, n, want_rng)
-                assert _triples(got) == _triples(want), (tag, n, seed)
-                assert got_rng.getstate() == want_rng.getstate(), (tag, n, seed)
-
-
-def test_random_space_member_with_zero_coefficients_is_zero():
-    for tag, n in (("S", 4), ("V", 5), ("MPS", 4), ("P", 2)):
-        got_rng, want_rng = _ZeroCoefficients(3), _ZeroCoefficients(3)
-        got = V.random_space_member(tag, n, got_rng)
-        assert got == zeros(n) == _scalar_member(tag, n, want_rng)
-        assert got_rng.getstate() == want_rng.getstate()
-
-
 def test_satisfies_rejects_a_member_moved_off_its_space():
     # C·vec(M) is checked on the rational and the √2 part of M, so moving a
     # member along e_k for a column k that some equation reads breaks it,
@@ -373,7 +338,7 @@ def test_satisfies_rejects_a_member_moved_off_its_space():
     steps = (Scalar(0, 1), Scalar(Fraction(1, 3)))
     for tag, n in (("S", 4), ("V", 5), ("MPS", 4), ("RV", 6), ("N", 3)):
         sys = V.build_constraints(tag, n)
-        m = V.random_space_member(tag, n, random.Random(7))
+        m = space_member(tag, n, random.Random(7))
         assert sys.satisfies(m) and sys.satisfies(m.scale(Scalar(1, 1)))
         read = sorted({k for row in sys.rows for k in row})
         for k in (read[0], read[-1]):
@@ -588,7 +553,7 @@ def test_satisfies_is_first_broken_none():
     rng = random.Random(41)
     for tag, n in (("S", 4), ("V", 5), ("A", 3), ("MPS", 4), ("RV", 6), ("NQS", 4)):
         sys = V.build_constraints(tag, n)
-        members = [V.random_space_member(tag, n, rng) for _ in range(3)]
+        members = [space_member(tag, n, rng) for _ in range(3)]
         others = [
             Matrix(n, tuple(Scalar(rng.randint(-3, 3)) for _ in range(n * n)))
             for _ in range(3)
@@ -702,9 +667,9 @@ def test_mps_certificate_agrees_with_the_matrix_path():
         k = len(basis)
         for i, j, l in ((0, 0, 0), (0, k - 1, 1), (k - 1, 1, k // 2), (1, k // 2, k - 1)):
             (g1, d1), (g2, d2), (g3, d3) = basis[i], basis[j], basis[l]
-            assert V.mps_triple_product_check(g1, d1, g2, d2, g3, d3, n)
+            assert mps_triple_product_check(g1, d1, g2, d2, g3, d3, n)
             # The member x + y: its square expands over the pair (x, y).
-            assert V.parasymmetry_check(g1 + g2, d1 + d2, n)
+            assert parasymmetry_check(g1 + g2, d1 + d2, n)
 
 
 def test_perturbed_mps_identity_fails_with_its_basis_witness(monkeypatch):
@@ -733,4 +698,4 @@ def test_perturbed_mps_identity_fails_with_its_basis_witness(monkeypatch):
     want = gx.scale(dy.dot(gz) * n).outer(sig) + sig.outer(dz.scale(dx.dot(gy) * n))
     assert mats[x] @ mats[y] @ mats[z] != want
     # The unperturbed members pass both on the same witnesses.
-    assert V.mps_triple_product_check(gx, dx, gy, dy, gz, dz, n)
+    assert mps_triple_product_check(gx, dx, gy, dy, gz, dz, n)
