@@ -6,11 +6,14 @@ kept primitive (content 1, positive lead) instead of normalized.  It picks
 the leftmost nonzero entry as the pivot — with exact arithmetic there is
 nothing to gain from magnitude pivoting — and keeps the pivot rows fully
 reduced against each other, so reducing a new row is one pass over its
-nonzeros in pivot columns, in any order.
+nonzeros in pivot columns, in any order.  It takes the rows rightmost
+lead first, so that a new pivot's lead is seldom in an earlier pivot row
+and seldom needs back-substituting into it.  That order is a heuristic: it
+changes the work, never the result, as the RREF is unique.
 
 The RREF depends only on the row space, so rows can be reduced in parts:
-the RREF of stacked rows is the RREF of the parts' pivot rows stacked.
-Readings of it:
+the RREF of stacked rows is the RREF of one part's RREF with the other
+parts' rows added to it (`integer_rref`'s `start`).  Readings of it:
 
 * `nullspace_of_rref` reads the nullspace basis off the pivot rows; it is
   the oracle's nullspace basis.  `integer_nullspace` is the reduction and
@@ -49,7 +52,7 @@ def rank_of_parts(rows: list) -> int:
 def _combine(row: dict, piv: dict, lead: int) -> dict:
     # L·row − f·piv, for f = row[lead] and L = piv[lead], with the factor
     # gcd(L, f) divided out.  Entries that cancel are dropped, the lead
-    # entry among them.
+    # entry among them.  `row` itself is updated when L/g is 1.
     L, f = piv[lead], row[lead]
     g = gcd(L, f)
     a, f = L // g, f // g
@@ -73,16 +76,21 @@ def _primitive(row: dict, lead: int) -> dict:
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def integer_rref(rows: list) -> dict[int, dict[int, int]]:
+def integer_rref(rows: list, start: dict | None = None) -> dict[int, dict[int, int]]:
     """Reduced row echelon form of integer rows, fraction-free.
 
     Returns {pivot column: pivot row}.  Each pivot row is a sparse
     {column: int} dict whose leftmost entry is its pivot column; it is
     primitive with a positive lead and zero in every other pivot column,
     so it is its RREF row times its denominators' least common multiple.
+    The form is unique, whatever the order of `rows`.
+
+    `start`, if given, must itself be an `integer_rref` result; the rows
+    are added to its row space, and the result is the RREF of its pivot
+    rows and `rows` stacked.  It is copied, rows and all, and left as it was.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    pivots = {col: dict(row) for col, row in (start or {}).items()}
+    for row in sorted(filter(None, rows), key=min, reverse=True):
         row = {j: x for j, x in row.items() if x}
         # A pivot row is zero in every other pivot column, so eliminating
         # one column only rescales the others' coefficients.

@@ -13,7 +13,8 @@ Every route reads the matrix's own integer parts M = (P + Q·√2)/D
 (`Matrix.P`, `Matrix.Q`, `Matrix.D`; Q is None when M is rational).  Every
 condition is linear with rational coefficients and √2 is irrational, so
 each route decides on P, then on Q, in int, and builds one weight Scalar at
-the end from the weights of the two parts.  Both routes still read the parts
+the end from the weights of the two parts (`in_space`, which asks only
+whether the weight is 0, builds none).  Both routes still read the parts
 independently of each other; the algebraic ones through the integer K·M·K
 kernel `blockform.involution_entries`.
 
@@ -105,6 +106,10 @@ def _route(name: str):
     gives no weight).  Each condition is linear with rational coefficients,
     so M meets it exactly when P and Q do, and M's weight is
     (num_P + num_Q·√2)/(den·D).  Q is read only when P holds.
+
+    The verdict's `member(m, zero_weight)` is membership without the weight
+    Scalar: M meets the condition, with weight 0 if `zero_weight` is set.
+    The weight is 0 exactly when num_P and num_Q are, √2 being irrational.
     """
 
     def lift(decide):
@@ -118,6 +123,15 @@ def _route(name: str):
             weight = None if num is None else Scalar._make(num, num_q, den * m.D)
             return PropertyVerdict(True, weight, name)
 
+        def member(m: Matrix, zero_weight: bool) -> bool:
+            for e in (m.P, m.Q):
+                if e is not None:
+                    holds, num, _ = decide(e, m.n)
+                    if not holds or zero_weight and num:
+                        return False
+            return True
+
+        verdict.member = member
         return verdict
 
     return lift
@@ -509,8 +523,7 @@ def in_space(m: Matrix, tag: str) -> bool:
     n = m.n
     check_dimension(tag, n)
     for space in parts:
-        v = _routes(space, n)[0](m)
-        if not _weight_rule(space, v):
+        if not _routes(space, n)[0].member(m, space.zero_weight):
             return False
         if space.zero_sum and not _total_zero(m):
             return False

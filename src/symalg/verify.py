@@ -29,8 +29,9 @@ failing product is named by its first broken literal row), and by
 The oracle reduces each atom's literal rows once per n.  Every other
 system is reduced from pivot rows already found: the RREF depends only on
 the row space, and the row space of stacked rows is the sum of the parts'
-row spaces, so a composite reduces its parts' pivot rows stacked, and V,
-whose rows are VRAW's and the total sum, starts from VRAW's.
+row spaces, so a composite reduces its other parts' pivot rows into a copy
+of the RREF of its largest part, and V, whose rows are VRAW's and the total
+sum, starts from a copy of VRAW's.
 
 Each such proof returns one `Certificate`: the claim, the number of
 basis members, the products checked, the failures and the first three
@@ -244,13 +245,15 @@ def _stack(parts: list[tuple[list, dict]]) -> tuple[list, dict]:
 
     Each part is (rows, `integer_rref(rows)`).  The RREF depends only on
     the row space, and the row space of stacked rows is the sum of the
-    parts', so it is reduced from the parts' pivot rows; one part is its
-    own stack.
+    parts', so the other parts' pivot rows are reduced into a copy of the
+    RREF of the part with the most pivots; one part is its own stack.
     """
     if len(parts) == 1:
         return parts[0]
     rows = [row for part_rows, _ in parts for row in part_rows]
-    return rows, integer_rref([row for _, pivots in parts for row in pivots.values()])
+    largest = max((pivots for _, pivots in parts), key=len)
+    rest = [row for _, pivots in parts if pivots is not largest for row in pivots.values()]
+    return rows, integer_rref(rest, start=largest)
 
 
 @lru_cache(maxsize=None)
@@ -331,10 +334,11 @@ class ConstraintSystem:
 def build_constraints(space: str, n: int) -> ConstraintSystem:
     """Compile one space's definition to linear equations and solve them.
 
-    Composite tags stack the rows of their parts, and reduce the parts'
-    pivot rows (`_stack`); each atom is reduced once per n (`_atom`).  The
-    result is cached, once per upper-case tag; treat it as read-only: its
-    rows are shared with its parts' systems.
+    Composite tags stack the rows of their parts, and reduce the other
+    parts' pivot rows into a copy of the largest part's RREF (`_stack`);
+    each atom is reduced once per n (`_atom`).  The result is cached, once
+    per upper-case tag; treat it as read-only: its rows are shared with its
+    parts' systems.
     """
     tag = space.upper()
     if space != tag:

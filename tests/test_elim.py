@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symalg.elim import (
     integer_nullspace,
@@ -173,6 +173,28 @@ def test_rref_of_stacked_rows_is_the_rref_of_the_parts_pivot_rows(system, cut):
     stacked = integer_rref([row for pivots in parts for row in pivots.values()])
     assert stacked == integer_rref(rows)
     assert nullspace_of_rref(stacked, width) == integer_nullspace(rows, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems(), st.randoms(use_true_random=False))
+def test_rref_does_not_depend_on_the_row_order(system, rnd):
+    rows, _ = system
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert integer_rref(shuffled) == integer_rref(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems(), st.integers(0, 8))
+@example(([{1: 1, 2: 1}, {2: 1}], 3), 1)  # back-substitutes into a start row
+def test_rref_from_a_start_is_the_rref_of_the_stack(system, cut):
+    # Rows added to the RREF of a part give the RREF of the whole stack,
+    # and the start, rows and all, is left as it was.
+    rows, _ = system
+    start = integer_rref(rows[:cut])
+    snapshot = {col: dict(row) for col, row in start.items()}
+    assert integer_rref(rows[cut:], start=start) == integer_rref(rows)
+    assert start == snapshot
 
 
 @settings(max_examples=150, deadline=None)

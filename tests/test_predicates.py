@@ -199,6 +199,24 @@ def test_routes_decide_the_rational_and_sqrt2_parts_separately():
                     assert (vm.weight is None) == (not vm.holds or vx.weight is None)
 
 
+def test_in_space_judges_the_weight_of_both_parts():
+    # A, M and P are the weight-0 parts of their properties.  X + √2·Y with
+    # X of weight 0 and Y of weight w ≠ 0 has the property, with weight
+    # √2·w, so it is not in the space although its rational part is.
+    rng = random.Random(31)
+    for n in range(2, 9):
+        for tag in ("A", "M", "P"):
+            if n % 2 and tag != "A":
+                continue
+            x, y = space_member(tag, n, rng), _property_member(tag, n, rng)
+            assert in_space(x, tag) and not in_space(y, tag), (n, tag)
+            for m in (x + y.scale(SQRT2), y + x.scale(SQRT2), x + x.scale(SQRT2)):
+                assert check_entrywise(m, tag).holds, (n, tag)
+                assert in_space(m, tag) == classify(m).spaces[tag], (n, tag)
+            assert not in_space(x + y.scale(SQRT2), tag), (n, tag)
+            assert in_space(x + x.scale(SQRT2), tag), (n, tag)
+
+
 def test_dual_route_agreement_large_n_eight():
     from symalg.verify import dual_path_agreement
 

@@ -282,13 +282,15 @@ def test_oracle_rejects_nonpositive_n():
 
 
 def test_oracle_nullity_matches_sympy():
-    # A second, independent exact solver on the same equations.
+    # A second, independent exact solver on the same equations.  Its
+    # nullspace uses the same free-variable basis, so the bases must agree
+    # entry for entry, not only in number.
     pytest.importorskip("sympy")
     from sympy.polys.domains import QQ
     from sympy.polys.matrices import DomainMatrix
 
     for tag in list(V._ATOMS) + list(V.COMPOSITES):
-        for n in range(1, 7):
+        for n in range(1, 9):
             if n % 2 and even_only(tag):
                 continue
             sys = V.build_constraints(tag, n)
@@ -299,6 +301,17 @@ def test_oracle_nullity_matches_sympy():
                     dense[k] = QQ(x)
             null = DomainMatrix(rows, (len(rows), n * n), QQ).nullspace()
             assert null.shape[0] == sys.nullity, (tag, n)
+            want = [
+                [Fraction(int(x.numerator), int(x.denominator)) for x in vec]
+                for vec in null.to_list()
+            ]
+            got = []
+            for den, entries in sys.basis:
+                vec = [Fraction(0)] * (n * n)
+                for k, num in entries:
+                    vec[k] = Fraction(num, den)
+                got.append(vec)
+            assert got == want, (tag, n)
 
 
 def test_composed_reduction_equals_a_fresh_reduction_of_the_literal_rows():
@@ -311,6 +324,28 @@ def test_composed_reduction_equals_a_fresh_reduction_of_the_literal_rows():
             sys = V.build_constraints(tag, n)
             assert sys.pivots == integer_rref(sys.rows), (tag, n)
             assert sys.basis == integer_nullspace(sys.rows, n * n), (tag, n)
+
+
+def test_stacking_leaves_the_cached_atoms_as_they_were():
+    # A stack is reduced into a copy of its largest part's RREF; reducing
+    # into the cached rows themselves would change every system built on
+    # them.  Snapshot every atom but V (built on VRAW), then build V and
+    # every composite.
+    V._atom.cache_clear()
+    V.build_constraints.cache_clear()
+    sizes = range(2, 11)
+    snapshot = {
+        (tag, n): {col: dict(row) for col, row in V._atom(tag, n)[1].items()}
+        for tag in V._ATOMS
+        for n in sizes
+        if tag != "V" and exists(tag, n)
+    }
+    for tag in ["V", *V.COMPOSITES]:
+        for n in sizes:
+            if exists(tag, n):
+                V.build_constraints(tag, n)
+    for (tag, n), pivots in snapshot.items():
+        assert V._atom(tag, n)[1] == pivots, (tag, n)
 
 
 def test_the_benchmark_clears_the_per_atom_reductions():
