@@ -167,12 +167,15 @@ class BlockForm:
     def __eq__(self, other) -> bool:
         return isinstance(other, BlockForm) and self.conjugate == other.conjugate
 
-    def _sub(self, rows: range, cols: range) -> Matrix:
+    def _sub(self, rows: Sequence[int], cols: Sequence[int], kind=Matrix):
+        # The conjugate's parts at rows × cols: a square block, or a Vector
+        # for the central row or column.
         c = self.conjugate
         n = c.n
         index = [i * n + j for i in rows for j in cols]
         Q = None if c.Q is None else [c.Q[k] for k in index]
-        return Matrix.from_parts(len(rows), [c.P[k] for k in index], Q, c.D)
+        size = len(rows) if kind is Matrix else len(index)
+        return kind.from_parts(size, [c.P[k] for k in index], Q, c.D)
 
     def _lo(self) -> range:
         return range(0, self.nu)
@@ -210,22 +213,22 @@ class BlockForm:
     @property
     def v_col(self) -> Vector:
         c = self._central()
-        return Vector([self.conjugate[i, c] for i in self._lo()])
+        return self._sub(self._lo(), [c], Vector)
 
     @property
     def x_col(self) -> Vector:
         c = self._central()
-        return Vector([self.conjugate[i, c] for i in self._hi()])
+        return self._sub(self._hi(), [c], Vector)
 
     @property
     def y_row(self) -> Vector:
         c = self._central()
-        return Vector([self.conjugate[c, j] for j in self._lo()])
+        return self._sub([c], self._lo(), Vector)
 
     @property
     def z_row(self) -> Vector:
         c = self._central()
-        return Vector([self.conjugate[c, j] for j in self._hi()])
+        return self._sub([c], self._hi(), Vector)
 
     @property
     def alpha(self) -> Scalar:

@@ -111,12 +111,10 @@ def _reject(params: dict, parity: str, n: int) -> None:
 def _parts(x) -> tuple:
     # (P, Q, D) of a Matrix, a Vector, a Scalar or a grid (list of rows) of
     # scalars, row-major, with Q None when rational.
-    if isinstance(x, Matrix):
+    if isinstance(x, (Matrix, Vector)):
         return x.P, x.Q, x.D
     if isinstance(x, Scalar):
         return [x.p], [x.q] if x.q else None, x.d
-    if isinstance(x, Vector):
-        return integer_parts(x.entries)
     return integer_parts([e for row in x for e in row])
 
 

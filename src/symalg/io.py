@@ -141,7 +141,7 @@ def matrix_from_json_obj(obj) -> Matrix:
         raise ParseError('matrix JSON must be an object with "n" and "entries"')
     n = obj["n"]
     entries = obj["entries"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ParseError(f'"entries" must list exactly {n * n} strings')

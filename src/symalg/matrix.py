@@ -4,15 +4,16 @@ Values are immutable after construction; all operations return fresh
 objects, so instances can be shared freely between threads.  Sizes here are
 desk-scale (n ≲ 64), so products are straight loops over `int`.
 
-A `Matrix` holds one form, its canonical integer parts: M = (P + Q·√2)/D
-row-major, with P a tuple of ints, Q a tuple of ints or None when every
-entry is rational, and D > 0 the smallest common denominator, so that
-gcd(D, *P, *Q) = 1.  The form is unique, so `==` and `hash` read the parts.
-`Matrix.from_parts` normalises any (P, Q, D) to it, and every operation
-builds its result that way: products and sums are taken in `int` on the
-parts and reduced by one gcd, never per entry.  `Matrix.entries` builds the
-`Scalar` of each entry on each access and is not kept.  A `Vector` holds
-its `Scalar`s.
+One private base, `_Parts`, holds an exact array as its canonical integer
+parts: entries (P + Q·√2)/D in order (row-major for a matrix), with P a
+tuple of ints, Q a tuple of ints or None when every entry is rational, and
+D > 0 the smallest common denominator, so that gcd(D, *P, *Q) = 1.  The
+form is unique, so `==` and `hash` read the parts.  `from_parts` normalises
+any (P, Q, D) to it, and every operation builds its result that way: sums,
+scalings and products are taken in `int` on the parts and reduced by one
+gcd, never per entry.  `entries` builds the `Scalar` of each entry on each
+access and is not kept.  `Vector` and `Matrix` are the two subclasses; each
+adds only its size check and its own operations.
 """
 
 from __future__ import annotations
@@ -26,95 +27,29 @@ from .errors import DimensionError
 from .scalar import ONE, SQRT2, ZERO, Scalar, as_scalar, integer_parts
 
 
-class Vector:
-    """Column vector with exact entries."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, entries: Iterable):
-        e = tuple(as_scalar(x) for x in entries)
-        object.__setattr__(self, "n", len(e))
-        object.__setattr__(self, "entries", e)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vector is immutable")
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> Scalar:
-        return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __add__(self, other: Vector) -> Vector:
-        _same_length(self, other)
-        return Vector(x + y for x, y in zip(self.entries, other.entries))
-
-    def __sub__(self, other: Vector) -> Vector:
-        _same_length(self, other)
-        return Vector(x - y for x, y in zip(self.entries, other.entries))
-
-    def __neg__(self) -> Vector:
-        return Vector(-x for x in self.entries)
-
-    def scale(self, c) -> Vector:
-        c = as_scalar(c)
-        return Vector(c * x for x in self.entries)
-
-    def dot(self, other: Vector) -> Scalar:
-        _same_length(self, other)
-        P, Q, D = _product(_dot, integer_parts(self.entries), integer_parts(other.entries))
-        return Scalar._make(P[0], 0 if Q is None else Q[0], D)
-
-    def outer(self, other: Vector) -> Matrix:
-        """Rank-≤1 square matrix self·otherᵀ (lengths must match)."""
-        _same_length(self, other)
-        P, Q, D = _product(_outer, integer_parts(self.entries), integer_parts(other.entries))
-        return Matrix.from_parts(self.n, P, Q, D)
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.entries)
-
-    def __repr__(self) -> str:
-        return "Vector([" + ", ".join(str(x) for x in self.entries) + "])"
-
-
-def _same_length(u: Vector, v: Vector) -> None:
-    if u.n != v.n:
-        raise DimensionError(f"vector lengths differ: {u.n} vs {v.n}")
-
-
-class Matrix:
-    """Square n×n matrix over Q(√2), as its canonical parts (P + Q·√2)/D."""
+class _Parts:
+    """Exact entries over Q(√2) as their canonical parts (P + Q·√2)/D."""
 
     __slots__ = ("n", "P", "Q", "D")
 
     def __init__(self, n: int, entries: Sequence):
-        """The matrix with row-major `entries`: Scalars, ints or Fractions.
+        """The value with `entries` (row-major for a Matrix): Scalars, ints or Fractions.
 
         A float, or anything else that is not an exact element of Q(√2),
         raises TypeError.
         """
-        _check_size(n, len(entries))
+        self._check_size(n, len(entries))
         P, Q, D = integer_parts([as_scalar(x) for x in entries])
         _set(self, n, tuple(P), None if Q is None else tuple(Q), D)
 
     @classmethod
-    def from_parts(cls, n: int, P: Sequence[int], Q: Sequence[int] | None, D: int) -> Matrix:
-        """The matrix (P + Q·√2)/D, row-major, for ints P, Q (None is 0) and D ≠ 0.
+    def from_parts(cls, n: int, P: Sequence[int], Q: Sequence[int] | None, D: int):
+        """The value (P + Q·√2)/D, for ints P, Q (None is 0) and D ≠ 0.
 
         The parts are normalised to the canonical form: D > 0, Q None when
         it is zero, and the common factor gcd(D, *P, *Q) divided out.
         """
-        _check_size(n, len(P))
+        cls._check_size(n, len(P))
         if Q is not None:
             if len(Q) != len(P):
                 raise DimensionError(f"expected {len(P)} √2 parts, got {len(Q)}")
@@ -124,7 +59,7 @@ class Matrix:
             P, D = [-x for x in P], -D
             Q = Q and [-x for x in Q]
         elif D == 0:
-            raise ZeroDivisionError("matrix denominator is zero")
+            raise ZeroDivisionError(f"{cls.__name__.lower()} denominator is zero")
         if D != 1:
             g = gcd(D, *P) if Q is None else gcd(D, *P, *Q)
             if g != 1:
@@ -135,44 +70,26 @@ class Matrix:
         return m
 
     def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> Matrix:
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise DimensionError("matrix rows must all have length n")
-        return cls(n, [x for row in rows for x in row])
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def entries(self) -> tuple[Scalar, ...]:
-        """The row-major entries as Scalars, built on each access."""
-        return tuple(self._scalars(slice(None)))
-
-    def _scalars(self, s: slice) -> list[Scalar]:
-        # The Scalars of the entries in the row-major slice s.
+        """The entries as Scalars, in order, built on each access."""
         make = Scalar._make
         D = self.D
         if self.Q is None:
-            return [make(p, 0, D) for p in self.P[s]]
-        return [make(p, q, D) for p, q in zip(self.P[s], self.Q[s])]
+            return tuple(make(p, 0, D) for p in self.P)
+        return tuple(make(p, q, D) for p, q in zip(self.P, self.Q))
 
-    def __getitem__(self, ij: tuple) -> Scalar:
-        i, j = ij
-        k = i * self.n + j
+    def _at(self, k: int) -> Scalar:
         return Scalar._make(self.P[k], 0 if self.Q is None else self.Q[k], self.D)
 
-    def row(self, i: int) -> Vector:
-        n = self.n
-        return Vector(self._scalars(slice(i * n, (i + 1) * n)))
-
-    def col(self, j: int) -> Vector:
-        return Vector(self._scalars(slice(j, None, self.n)))
+    def _parts(self) -> tuple:
+        return self.P, self.Q, self.D
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Matrix)
+            type(other) is type(self)
             and self.n == other.n
             and self.D == other.D
             and self.P == other.P
@@ -182,37 +99,119 @@ class Matrix:
     def __hash__(self):
         return hash((self.n, self.P, self.Q, self.D))
 
-    def __add__(self, other: Matrix) -> Matrix:
+    def __add__(self, other):
         return _sum(self, other, 1)
 
-    def __sub__(self, other: Matrix) -> Matrix:
+    def __sub__(self, other):
         return _sum(self, other, -1)
 
-    def __neg__(self) -> Matrix:
-        # −M keeps D and the common factor, so its parts stay canonical.
-        m = _new(Matrix)
+    def __neg__(self):
+        # −x keeps D and the common factor, so its parts stay canonical.
+        m = _new(type(self))
         Q = self.Q and tuple(-x for x in self.Q)
         _set(m, self.n, tuple(-x for x in self.P), Q, self.D)
         return m
 
-    def scale(self, c) -> Matrix:
+    def scale(self, c):
         c = as_scalar(c)
-        # c·M is the outer product of the 1-vector (c) with M's entries.
-        P, Q, D = _product(_outer, ([c.p], [c.q] if c.q else None, c.d), _parts(self))
-        return Matrix.from_parts(self.n, P, Q, D)
+        # c·x is the outer product of the 1-vector (c) with x's entries.
+        P, Q, D = _product(_outer, ([c.p], [c.q] if c.q else None, c.d), self._parts())
+        return self.from_parts(self.n, P, Q, D)
+
+    def is_zero(self) -> bool:
+        return self.Q is None and not any(self.P)
+
+    def _same_size(self, other) -> None:
+        if self.n != other.n:
+            raise DimensionError(f"{self._SIZES} differ: {self.n} vs {other.n}")
+
+
+class Vector(_Parts):
+    """Column vector with exact entries, as its canonical parts."""
+
+    __slots__ = ()
+    _SIZES = "vector lengths"
+
+    def __init__(self, entries: Iterable):
+        entries = tuple(entries)
+        super().__init__(len(entries), entries)
+
+    @staticmethod
+    def _check_size(n: int, count: int) -> None:
+        if count != n:
+            raise DimensionError(f"expected {n} entries, got {count}")
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __getitem__(self, i):
+        # An index gives a Scalar, a slice a tuple of them, as `entries` does.
+        return self.entries[i] if isinstance(i, slice) else self._at(i)
+
+    def dot(self, other: Vector) -> Scalar:
+        self._same_size(other)
+        P, Q, D = _product(_dot, self._parts(), other._parts())
+        return Scalar._make(P[0], 0 if Q is None else Q[0], D)
+
+    def outer(self, other: Vector) -> Matrix:
+        """Rank-≤1 square matrix self·otherᵀ (lengths must match)."""
+        self._same_size(other)
+        return Matrix.from_parts(self.n, *_product(_outer, self._parts(), other._parts()))
+
+    def __repr__(self) -> str:
+        return "Vector([" + ", ".join(str(x) for x in self.entries) + "])"
+
+
+class Matrix(_Parts):
+    """Square n×n matrix over Q(√2), as its canonical parts, row-major."""
+
+    __slots__ = ()
+    _SIZES = "matrix dimensions"
+
+    @staticmethod
+    def _check_size(n: int, count: int) -> None:
+        if n < 1:
+            raise DimensionError(f"matrix dimension must be positive, got {n}")
+        if count != n * n:
+            raise DimensionError(f"expected {n * n} entries, got {count}")
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence]) -> Matrix:
+        n = len(rows)
+        for r in rows:
+            if len(r) != n:
+                raise DimensionError("matrix rows must all have length n")
+        return cls(n, [x for row in rows for x in row])
+
+    def __getitem__(self, ij: tuple) -> Scalar:
+        i, j = ij
+        return self._at(i * self.n + j)
+
+    def _vector(self, s: slice) -> Vector:
+        P = self.P[s]
+        return Vector.from_parts(len(P), P, self.Q and self.Q[s], self.D)
+
+    def row(self, i: int) -> Vector:
+        n = self.n
+        return self._vector(slice(i * n, (i + 1) * n))
+
+    def col(self, j: int) -> Vector:
+        return self._vector(slice(j, None, self.n))
 
     def __matmul__(self, other):
         if isinstance(other, Vector):
             return self.apply(other)
-        _same_dim(self, other)
+        self._same_size(other)
         n = self.n
 
         def matmul(a, b):
             cols = [b[j::n] for j in range(n)]
             return [sum(map(mul, a[i : i + n], c)) for i in range(0, n * n, n) for c in cols]
 
-        P, Q, D = _product(matmul, _parts(self), _parts(other))
-        return Matrix.from_parts(n, P, Q, D)
+        return Matrix.from_parts(n, *_product(matmul, self._parts(), other._parts()))
 
     def apply(self, v: Vector) -> Vector:
         if v.n != self.n:
@@ -222,9 +221,7 @@ class Matrix:
         def apply(a, x):
             return [sum(map(mul, a[i : i + n], x)) for i in range(0, n * n, n)]
 
-        P, Q, D = _product(apply, _parts(self), integer_parts(v.entries))
-        make = Scalar._make
-        return Vector([make(p, q, D) for p, q in zip(P, Q or [0] * n)])
+        return Vector.from_parts(n, *_product(apply, self._parts(), v._parts()))
 
     def transpose(self) -> Matrix:
         # A permutation of the entries keeps the parts canonical.
@@ -232,9 +229,6 @@ class Matrix:
         m = _new(Matrix)
         _set(m, n, _transposed(self.P, n), self.Q and _transposed(self.Q, n), self.D)
         return m
-
-    def is_zero(self) -> bool:
-        return self.Q is None and not any(self.P)
 
     def total_sum(self) -> Scalar:
         return Scalar._make(sum(self.P), 0 if self.Q is None else sum(self.Q), self.D)
@@ -246,35 +240,24 @@ class Matrix:
         return f"Matrix({self.n}: [{body}])"
 
 
-# Slot writers for `Matrix.from_parts`, as `scalar` has for `Scalar`: they
-# bypass `Matrix.__setattr__`, which always raises.
+# Slot writers for `from_parts`, as `scalar` has for `Scalar`: they bypass
+# `_Parts.__setattr__`, which always raises, and serve both subclasses.
 _new = object.__new__
-_SLOTS = tuple(getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+_SLOTS = tuple(getattr(_Parts, name).__set__ for name in _Parts.__slots__)
 
 
-def _set(m: Matrix, n: int, P: tuple, Q: tuple | None, D: int) -> None:
+def _set(m: _Parts, n: int, P: tuple, Q: tuple | None, D: int) -> None:
     for setter, value in zip(_SLOTS, (n, P, Q, D)):
         setter(m, value)
-
-
-def _check_size(n: int, count: int) -> None:
-    if n < 1:
-        raise DimensionError(f"matrix dimension must be positive, got {n}")
-    if count != n * n:
-        raise DimensionError(f"expected {n * n} entries, got {count}")
-
-
-def _parts(m: Matrix) -> tuple:
-    return m.P, m.Q, m.D
 
 
 def _transposed(e: tuple, n: int) -> tuple:
     return tuple(x for j in range(n) for x in e[j::n])
 
 
-def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
+def _sum(a: _Parts, b: _Parts, sign: int):
     # a + sign·b over the least common denominator.
-    _same_dim(a, b)
+    a._same_size(b)
     D = lcm(a.D, b.D)
     fa, fb = D // a.D, sign * (D // b.D)
     P = [fa * x + fb * y for x, y in zip(a.P, b.P)]
@@ -283,7 +266,7 @@ def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
     else:
         zero = (0,) * len(P)
         Q = [fa * x + fb * y for x, y in zip(a.Q or zero, b.Q or zero)]
-    return Matrix.from_parts(a.n, P, Q, D)
+    return a.from_parts(a.n, P, Q, D)
 
 
 def _product(prod, x: tuple, y: tuple) -> tuple:
@@ -312,11 +295,6 @@ def _dot(u, v) -> list[int]:
 
 def _outer(u, v) -> list[int]:
     return [x * y for x in u for y in v]
-
-
-def _same_dim(a: Matrix, b: Matrix) -> None:
-    if a.n != b.n:
-        raise DimensionError(f"matrix dimensions differ: {a.n} vs {b.n}")
 
 
 # -- special matrices and vectors -------------------------------------------
@@ -387,12 +365,12 @@ def special_matrix(kind: str, n: int) -> Matrix:
 
 def ones(n: int) -> Vector:
     _check_positive(n)
-    return Vector([ONE] * n)
+    return Vector.from_parts(n, (1,) * n, None, 1)
 
 
 def zero_vector(n: int) -> Vector:
     _check_positive(n)
-    return Vector([ZERO] * n)
+    return Vector.from_parts(n, (0,) * n, None, 1)
 
 
 def alternating(n: int) -> Vector:
@@ -402,7 +380,7 @@ def alternating(n: int) -> Vector:
     last entry is 1 and the dot product is 1.
     """
     _check_positive(n)
-    return Vector([ONE if j % 2 == 0 else -ONE for j in range(n)])
+    return Vector.from_parts(n, [1 - 2 * (j % 2) for j in range(n)], None, 1)
 
 
 _VECTOR_KINDS = {"ones": ones, "zeros": zero_vector, "sigma": alternating}

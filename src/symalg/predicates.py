@@ -1,13 +1,18 @@
 """Membership tests for the nine matrix symmetry types.
 
-Every property is decided two independent ways: from the entrywise
-definition (cyclic indices, weights recovered by a single probe and then
-confirmed exactly) and from the matrix-algebra characterisation.  For B,
-A, V and M that is K·(M − w·E)·K = ±(M − w·E) for a grading involution K of
+Every property is decided from the entrywise definition (cyclic indices,
+weights recovered by a single probe and then confirmed exactly) and, but
+for P and Q, from the matrix-algebra characterisation.  For B, A, V and M
+that is K·(M − w·E)·K = ±(M − w·E) for a grading involution K of
 `blockform.INVOLUTIONS`, and for S and N that M commutes with a reflection
 K.  P and Q have none: for a permutation K it is the entrywise check.
 `classify` runs both routes and treats any disagreement as an internal bug,
-not as a statement about the input.
+not as a statement about the input.  For S and R the two routes are not
+independent: the algebraic S route (M·1 = Mᵀ·1 = λ·1) compares the same row
+and column sums as the entrywise one, and both R routes compare the same
+mirror-pair sums.  There the disagreement guard and `verify`'s dual-path
+agreement catch only a slip in one copy, not a wrong condition in both;
+only the oracle agreement in `verify` checks S and R independently.
 
 Every route reads the matrix's own integer parts M = (P + Q·√2)/D
 (`Matrix.P`, `Matrix.Q`, `Matrix.D`; Q is None when M is rational).  Every

@@ -11,20 +11,18 @@ A `Scalar` is built from its canonical triple by `Scalar._make`, which
 normalises (p, q, d) and writes the three slots through their slot
 descriptors' bound setters (`_set_p`, `_set_q`, `_set_d`).  That bypasses
 `Scalar.__setattr__`, which always raises, so a `Scalar` stays immutable
-once built.  Matrices do not hold Scalars: a `Matrix` stores its integer
-parts (P + Q·√2)/D, and its products, sums, the K·M·K and X·M·X kernels
-in `blockform`, the splits, oracle member draws and `io`'s reader and
-printers all work on those ints.  `Matrix.entries` and `Matrix[i, j]`
-build Scalars on access; `Matrix.apply` and `Vector.dot` sum in ints and
-build one `Scalar` per result.
+once built.  Arrays do not hold Scalars: a `Vector` or `Matrix` stores its
+integer parts (P + Q·√2)/D, and their products, sums, the K·M·K and X·M·X
+kernels in `blockform`, the splits, oracle member draws and `io`'s reader
+and printers all work on those ints.  `entries`, `Vector[i]` and
+`Matrix[i, j]` build Scalars on access; `Vector.dot` and
+`Matrix.total_sum` sum in ints and build one `Scalar`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-RationalLike = "int | Fraction | Scalar"
 
 
 class Scalar:
@@ -212,8 +210,8 @@ def integer_parts(xs) -> tuple[list[int], list[int] | None, int]:
     D is the lcm of the denominators.  Q is None when every x_k is
     rational.  A condition with rational coefficients holds for the x_k
     exactly when it holds for P and for Q, as √2 is irrational.  This is
-    how `Matrix(n, entries)` reads its entries once into the parts it
-    stores, and how `Vector` products read Scalars.
+    how `Vector(entries)` and `Matrix(n, entries)` read their entries once
+    into the parts they store.
     """
     D = lcm(*{x.d for x in xs})
     if D == 1:

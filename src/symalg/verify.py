@@ -69,7 +69,7 @@ from .predicates import (
     exists,
     in_space,
 )
-from .scalar import SQRT2, integer_parts
+from .scalar import SQRT2
 
 # -- constraint systems ------------------------------------------------------
 #
@@ -536,10 +536,9 @@ def grading_certificate(pair: str, n: int) -> Certificate:
 
 def _ints(x: Vector | Matrix) -> list[int]:
     # Exact entries read as ints; a fraction or a √2 part would be lost.
-    P, Q, D = integer_parts(x.entries) if isinstance(x, Vector) else (x.P, x.Q, x.D)
-    if D != 1 or Q is not None:
+    if x.D != 1 or x.Q is not None:
         raise VerificationError("expected integer entries")
-    return list(P)
+    return list(x.P)
 
 
 def _mps_members(n: int) -> list[tuple[list[int], list[int], list[int]]]:
@@ -770,8 +769,6 @@ def oracle_predicate_agreement(space: str, n: int) -> bool:
 
 # -- suites --------------------------------------------------------------------
 
-_AGREEMENT_SPACES = ("S", "A", "B", "R", "V", "M", "N", "P", "Q", "MPS", "NQS", "RV")
-
 
 def _check(name: str, ok: bool, **extra) -> dict:
     return {"name": name, "ok": bool(ok), **extra}
@@ -871,7 +868,7 @@ def suite_lemmas(n_max: int = 7, trials: int = 100, seed: int = 0, **_) -> list[
         )
         ok = all(
             oracle_predicate_agreement(sp, n)
-            for sp in _AGREEMENT_SPACES
+            for sp in map(str.upper, CONSTRUCTIBLE)
             if exists(sp, n)
         )
         checks.append(_check(f"oracle/predicate span agreement (n={n})", ok))

@@ -5,6 +5,10 @@ complement's equations in `int`, on a basis.  The checks here state the
 same claims in `Matrix` and `Scalar` arithmetic, on given vectors and
 matrices, so that the tests can compare the two.  `space_member` draws a
 random member of an oracle space as a `Scalar` combination of its basis.
+
+The `ref_*` functions state the array operations per entry, on tuples of
+`Scalar`s (row-major for a matrix), so that the tests can compare the
+integer-parts arithmetic of `Vector` and `Matrix` with them.
 """
 
 from fractions import Fraction
@@ -87,3 +91,42 @@ def r_complement_membership(m):
         and all(one.dot(m.apply(u)).is_zero() and one.dot(mt.apply(u)).is_zero() for u in basis)
         and all(v.dot(m.apply(u)).is_zero() for u in basis for v in basis)
     )
+
+
+# -- per-entry Scalar references for the array operations ----------------------
+
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_scale(c, a):
+    return tuple(c * x for x in a)
+
+
+def ref_dot(u, v):
+    return sum((x * y for x, y in zip(u, v)), Scalar(0))
+
+
+def ref_outer(u, v):
+    return tuple(x * y for x in u for y in v)
+
+
+def ref_row(a, n, i):
+    return a[i * n : (i + 1) * n]
+
+
+def ref_col(a, n, j):
+    return a[j::n]
+
+
+def ref_apply(a, n, v):
+    return tuple(ref_dot(ref_row(a, n, i), v) for i in range(n))
+
+
+def ref_matmul(a, b, n):
+    return tuple(ref_dot(ref_row(a, n, i), ref_col(b, n, j)) for i in range(n) for j in range(n))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -134,6 +135,31 @@ def test_views_reassemble_exactly():
         else:
             with pytest.raises(ValueError):
                 bf.v_col
+
+
+@pytest.mark.parametrize("kind", ["rational", "sqrt2", "mixed"])
+def test_central_views_are_vectors_of_the_conjugate_entries(kind):
+    rng = random.Random(5)
+    for n in range(1, 10):
+        bf = to_block(Matrix(n, tuple(_entry(rng, kind) for _ in range(n * n))))
+        if not bf.odd:
+            for name in ("v_col", "x_col", "y_row", "z_row"):
+                with pytest.raises(ValueError):
+                    getattr(bf, name)
+            continue
+        c, nu = bf.conjugate, bf.nu
+        lo, hi = range(nu), range(nu + 1, n)
+        views = {
+            "v_col": [c[i, nu] for i in lo],
+            "x_col": [c[i, nu] for i in hi],
+            "y_row": [c[nu, j] for j in lo],
+            "z_row": [c[nu, j] for j in hi],
+        }
+        for name, entries in views.items():
+            view = getattr(bf, name)
+            assert view == Vector(entries), (n, name)
+            assert view.D > 0 and gcd(view.D, *view.P, *(view.Q or ())) == 1
+            assert (view.Q is None) == all(x.is_rational() for x in entries)
 
 
 def test_nu_sign_convention():

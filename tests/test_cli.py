@@ -294,6 +294,15 @@ def test_matrix_file_zero_denominator_is_input_error(capsys, tmp_path):
     assert code == 2 and "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def test_matrix_file_bool_size_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bool.json"
+    bad.write_text('{"n": true, "entries": ["1/2"]}')
+    code, out, err = run(capsys, "block", str(bad))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert '"n" must be a positive integer, got True' in err
+
+
 def test_verify_command_ok(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "dimensions", "--n-max", "4")
     assert code == 0

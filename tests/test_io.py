@@ -90,6 +90,13 @@ def test_matrix_json_validation():
         mio.loads_matrix("not json")
 
 
+@pytest.mark.parametrize("n", ["true", "false", "1.0", '"1"'])
+def test_matrix_json_size_must_be_an_integer_not_a_bool(n):
+    # bool is a subclass of int, so `true` would otherwise read as n = 1.
+    with pytest.raises(ParseError, match='"n" must be a positive integer'):
+        mio.loads_matrix('{"n": %s, "entries": ["1/2"]}' % n)
+
+
 def test_file_round_trip(tmp_path):
     m = all_ones(3)
     p = tmp_path / "m.json"

@@ -23,6 +23,18 @@ from symalg.matrix import (
 )
 from symalg.scalar import SQRT2, ZERO, Scalar
 
+from references import (
+    ref_add,
+    ref_apply,
+    ref_col,
+    ref_dot,
+    ref_matmul,
+    ref_outer,
+    ref_row,
+    ref_scale,
+    ref_sub,
+)
+
 
 def rand_matrix(n, rng):
     return Matrix(n, tuple(Scalar(rng.randint(-9, 9)) for _ in range(n * n)))
@@ -123,10 +135,17 @@ _entries = st.one_of(st.just(ZERO), st.builds(Scalar, _rationals, _rationals))
 
 
 @st.composite
+def _vector_entries(draw, n=None):
+    # Lengths 0..6 unless given; length 0 is the vector at ν = 0 (n = 1).
+    n = draw(st.integers(0, 6)) if n is None else n
+    return tuple(draw(st.lists(_entries, min_size=n, max_size=n)))
+
+
+@st.composite
 def _matrix_and_vector(draw):
     n = draw(st.integers(1, 5))
     m = Matrix(n, tuple(draw(st.lists(_entries, min_size=n * n, max_size=n * n))))
-    v = Vector(draw(st.lists(_entries, min_size=n, max_size=n)))
+    v = Vector(draw(_vector_entries(n)))
     return m, v
 
 
@@ -147,24 +166,8 @@ def test_apply_matches_scalar_sums_and_matmul(mv):
 
 # -- the canonical parts (P + Q·√2)/D ------------------------------------------
 #
-# A Scalar-entry reference for each operation, on tuples of Scalars in
-# row-major order, as the matrices held them before they held their parts.
-
-
-def _ref_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _ref_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _ref_matmul(a, b, n):
-    return tuple(
-        sum((a[i * n + k] * b[k * n + j] for k in range(n)), ZERO)
-        for i in range(n)
-        for j in range(n)
-    )
+# Each operation is checked against the per-entry Scalar references of
+# `references`, on tuples of Scalars in row-major order.
 
 
 def _ref_transpose(a, n):
@@ -223,11 +226,11 @@ def test_an_all_zero_sqrt2_part_becomes_none(case, D):
 def test_operations_match_the_scalar_reference(case, c):
     n, a, b = case
     ma, mb = Matrix(n, a), Matrix(n, b)
-    assert (ma + mb).entries == _ref_add(a, b)
-    assert (ma - mb).entries == _ref_sub(a, b)
+    assert (ma + mb).entries == ref_add(a, b)
+    assert (ma - mb).entries == ref_sub(a, b)
     assert (-ma).entries == tuple(-x for x in a)
-    assert ma.scale(c).entries == tuple(c * x for x in a)
-    assert (ma @ mb).entries == _ref_matmul(a, b, n)
+    assert ma.scale(c).entries == ref_scale(c, a)
+    assert (ma @ mb).entries == ref_matmul(a, b, n)
     assert ma.transpose().entries == _ref_transpose(a, n)
     assert ma.total_sum() == sum(a, ZERO)
     assert ma.is_zero() == all(x.is_zero() for x in a)
@@ -235,6 +238,96 @@ def test_operations_match_the_scalar_reference(case, c):
     for i in range(n):
         for j in range(n):
             assert ma[i, j] == a[i * n + j]
+
+
+def _assert_canonical(x):
+    # The parts of a Vector or Matrix are its one canonical form.
+    assert isinstance(x.P, tuple) and (x.Q is None or isinstance(x.Q, tuple))
+    assert x.D > 0 and gcd(x.D, *x.P, *(x.Q or ())) == 1
+    assert (x.Q is None) == all(e.is_rational() for e in x.entries)
+
+
+@st.composite
+def _two_vectors(draw):
+    u = draw(_vector_entries())
+    return u, draw(_vector_entries(len(u)))
+
+
+@given(_two_vectors(), _entries)
+def test_vector_operations_match_the_scalar_reference(case, c):
+    a, b = case
+    u, v = Vector(a), Vector(b)
+    assert u.entries == a and len(u) == len(a) and list(u) == list(a)
+    assert [u[i] for i in range(-len(a), len(a))] == list(a + a) and u[1::2] == a[1::2]
+    results = [u + v, u - v, -u, u.scale(c)]
+    want = [ref_add(a, b), ref_sub(a, b), tuple(-x for x in a), ref_scale(c, a)]
+    for got, ref in zip(results, want):
+        assert got.entries == ref
+        _assert_canonical(got)
+    _assert_canonical(u)
+    assert u.dot(v) == ref_dot(a, b)
+    assert u.is_zero() == all(x.is_zero() for x in a)
+    if a:
+        outer = u.outer(v)
+        assert outer.entries == ref_outer(a, b)
+        _assert_canonical(outer)
+    else:
+        with pytest.raises(DimensionError):
+            u.outer(v)
+
+
+@given(_entry_lists(), st.data())
+def test_apply_row_and_col_match_the_scalar_reference(case, data):
+    n, a = case
+    m = Matrix(n, a)
+    x = data.draw(_vector_entries(n))
+    got = m.apply(Vector(x))
+    assert got.entries == ref_apply(a, n, x)
+    _assert_canonical(got)
+    for i in range(n):
+        for view, ref in ((m.row(i), ref_row(a, n, i)), (m.col(i), ref_col(a, n, i))):
+            assert isinstance(view, Vector) and view.entries == ref
+            _assert_canonical(view)
+
+
+@given(st.lists(_rationals, max_size=6))
+def test_equal_vectors_from_ints_fractions_and_scalars_hash_alike(xs):
+    exact = [int(x) if x.denominator == 1 else x for x in xs]
+    built = [Vector(exact), Vector(xs), Vector(Scalar(x) for x in xs)]
+    for v in built:
+        _assert_canonical(v)
+        assert v == built[0] and hash(v) == hash(built[0])
+
+
+def test_a_vector_never_equals_a_matrix_with_the_same_parts():
+    v, m = Vector([1, 2, 3, 4]), Matrix(2, (1, 2, 3, 4))
+    assert (v.P, v.Q, v.D) == (m.P, m.Q, m.D)
+    assert v != m and m != v
+    assert Vector([SQRT2]) != Matrix(1, (SQRT2,))
+
+
+def test_arrays_are_immutable():
+    v, m = Vector([1, 2]), identity(2)
+    with pytest.raises(AttributeError, match="^Vector is immutable$"):
+        v.n = 3
+    with pytest.raises(AttributeError, match="^Vector is immutable$"):
+        v.P = (0, 0)
+    with pytest.raises(AttributeError, match="^Matrix is immutable$"):
+        m.D = 2
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    assert v == Vector([1, 2]) and m == identity(2)
+
+
+def test_an_empty_vector_is_the_zero_of_length_zero():
+    e = Vector([])
+    assert e.n == 0 and (e.P, e.Q, e.D) == ((), None, 1)
+    assert e.is_zero() and e.dot(e) == ZERO and e + e == e
+    assert Vector.from_parts(0, [], None, 1) == e
+    with pytest.raises(DimensionError, match="vector lengths differ: 0 vs 1"):
+        e + Vector([1])
+    with pytest.raises(DimensionError, match="matrix dimensions differ: 1 vs 2"):
+        identity(1) - identity(2)
 
 
 def test_entries_are_coerced_and_floats_are_refused():
