@@ -257,6 +257,8 @@ def _transposed(e: tuple, n: int) -> tuple:
 
 def _sum(a: _Parts, b: _Parts, sign: int):
     # a + sign·b over the least common denominator.
+    if type(b) is not type(a):
+        raise TypeError(f"cannot combine {type(a).__name__} and {type(b).__name__} by + or −")
     a._same_size(b)
     D = lcm(a.D, b.D)
     fa, fb = D // a.D, sign * (D // b.D)

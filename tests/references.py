@@ -9,8 +9,13 @@ random member of an oracle space as a `Scalar` combination of its basis.
 The `ref_*` functions state the array operations per entry, on tuples of
 `Scalar`s (row-major for a matrix), so that the tests can compare the
 integer-parts arithmetic of `Vector` and `Matrix` with them.
+
+`rows_vertex_raw` and `rows_array_sum_entrywise` write every instance of
+the VRAW and MENTRY definitions, where the oracle writes a generating set;
+`reference_oracle` builds the oracle on them.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 from symalg import verify as V
@@ -91,6 +96,46 @@ def r_complement_membership(m):
         and all(one.dot(m.apply(u)).is_zero() and one.dot(mt.apply(u)).is_zero() for u in basis)
         and all(v.dot(m.apply(u)).is_zero() for u in basis for v in basis)
     )
+
+
+# -- every instance of the VRAW and MENTRY definitions ---------------------------
+
+
+def rows_vertex_raw(n):
+    """(e_i − e_k)ᵀ·M·(e_j − e_l) = 0 for i < k, j < l: every rectangle."""
+    diffs = [[(i, 1), (k, -1)] for i in range(n) for k in range(i + 1, n)]
+    return [V._row(n, (u, v)) for u in diffs for v in diffs]
+
+
+def rows_array_sum_entrywise(n):
+    """Every cyclic 2×2 sum less block (0, 0), then the alternating total."""
+    blocks = V._adjacent(n)
+    first = (V._neg(blocks[0]), blocks[0])
+    return [
+        V._row(n, (u, v), first)
+        for a, u in enumerate(blocks)
+        for b, v in enumerate(blocks)
+        if a or b
+    ] + [V._alt_total_row(n)]
+
+
+@contextmanager
+def reference_oracle():
+    """The oracle with VRAW and MENTRY on the generators above.
+
+    Clears the oracle's caches on entry and on exit, so that no system
+    built on one set of generators is served under the other.
+    """
+    saved = dict(V._ATOMS)
+    V._ATOMS.update(VRAW=((), rows_vertex_raw), MENTRY=((), rows_array_sum_entrywise))
+    V._atom.cache_clear()
+    V.build_constraints.cache_clear()
+    try:
+        yield
+    finally:
+        V._ATOMS.update(saved)
+        V._atom.cache_clear()
+        V.build_constraints.cache_clear()
 
 
 # -- per-entry Scalar references for the array operations ----------------------

@@ -306,6 +306,15 @@ def test_a_vector_never_equals_a_matrix_with_the_same_parts():
     assert Vector([SQRT2]) != Matrix(1, (SQRT2,))
 
 
+def test_a_vector_and_a_matrix_never_add():
+    v, m = Vector([1, 2]), Matrix(2, (1, 2, 3, 4))
+    for a, b in ((v, m), (m, v)):
+        with pytest.raises(TypeError, match=f"^cannot combine {type(a).__name__} and "):
+            a + b
+        with pytest.raises(TypeError, match=f"^cannot combine {type(a).__name__} and "):
+            a - b
+
+
 def test_arrays_are_immutable():
     v, m = Vector([1, 2]), identity(2)
     with pytest.raises(AttributeError, match="^Vector is immutable$"):

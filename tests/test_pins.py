@@ -11,7 +11,11 @@ A second sha256 covers the oracle: for every space and composite tag at
 every n = 1..12 where it exists (240 constraint systems), each row
 coefficient and each entry of each nullspace basis vector as a (p, q, d)
 triple, so an `int` coefficient and the equal `Scalar` hash alike.  It was
-computed while the oracle still eliminated in `Scalar` arithmetic.
+computed while the oracle still eliminated in `Scalar` arithmetic, and
+while VRAW and MENTRY still wrote every instance of their definitions, so
+it is checked with those generators (`references.reference_oracle`).  The
+same digest over the oracle's own rows has its own pin: the RREF depends
+only on the row space, so both digests hash the same bases.
 
 A third sha256 covers the constructors: for every constructible kind at
 every n = 1..8 where it has a form (80 cases), the (p, q, d) triples of
@@ -30,6 +34,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from symalg import verify as V
 from symalg.construct import CONSTRUCTIBLE, constructor_basis, random_member
 from symalg.decompose import split
@@ -38,10 +44,11 @@ from symalg.matrix import Matrix, all_ones
 from symalg.predicates import classify, exists
 from symalg.scalar import Scalar, as_scalar
 
-from references import space_member
+from references import reference_oracle, space_member
 
 PINNED = "b377bf6f9f936be41d44bc1dd1526a55f70a050e86ee63956a71cb08cb5b4437"
 ORACLE_PINNED = "611f0b21991fd50089e7c71eb023994da3410cc4c89f0d99ff157fd6886cdbde"
+ORACLE_ROWS_PINNED = "d0f73631543c01be624fb4aa18a4d4754421a3f45a267dacdada0d3969c478ee"
 CONSTRUCTOR_PINNED = "48f026ecd4494e22c72b6432ac0c8f4648d171c1dd60cc7fed06c2705d66e082"
 REPORT_PINNED = "9f4204c8babf560e2e4f210354be3661943146592fafabbb2e6ed1ebfd4c741f"
 
@@ -113,8 +120,36 @@ def oracle_digest() -> tuple[int, str]:
     return count, h.hexdigest()
 
 
-def test_oracle_rows_and_bases_match_the_pin():
+@pytest.fixture
+def reference_generators():
+    with reference_oracle():
+        yield
+
+
+def test_oracle_rows_and_bases_match_the_pin(reference_generators):
     assert oracle_digest() == (240, ORACLE_PINNED)
+
+
+def test_oracle_generating_rows_and_bases_match_the_pin():
+    assert oracle_digest() == (240, ORACLE_ROWS_PINNED)
+
+
+def _reductions():
+    return {
+        (tag, n): (sys.pivots, sys.basis)
+        for tag in list(V._ATOMS) + list(V.COMPOSITES)
+        for n in range(1, 13)
+        if exists(tag, n)
+        for sys in [V.build_constraints(tag, n)]
+    }
+
+
+def test_generating_rows_reduce_as_every_instance_does():
+    # The RREF is unique given the row space, so a generating set of each
+    # definition must give every system the same pivot rows and basis.
+    generating = _reductions()
+    with reference_oracle():
+        assert _reductions() == generating
 
 
 def constructor_digest() -> tuple[int, str]:

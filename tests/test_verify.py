@@ -25,6 +25,8 @@ from references import (
     mps_triple_product_check,
     parasymmetry_check,
     r_complement_membership,
+    rows_array_sum_entrywise,
+    rows_vertex_raw,
     space_member,
 )
 
@@ -78,6 +80,43 @@ def test_disjointness_of_split_pairs():
     for n in (2, 4):
         rows = V.build_constraints("P", n).rows + V.build_constraints("Q", n).rows
         assert integer_nullspace(rows, n * n) == []
+
+
+def _row_sum(rows):
+    total = {}
+    for row in rows:
+        for k, c in row.items():
+            total[k] = total.get(k, 0) + c
+    return {k: c for k, c in total.items() if c}
+
+
+def test_every_rectangle_is_the_sum_of_the_adjacent_ones_inside_it():
+    # VRAW row a·(n − 1) + b is the rectangle on rows a, a + 1, columns b, b + 1.
+    for n in range(2, 9):
+        adjacent = V._rows_vertex_raw(n)
+        assert len(adjacent) == (n - 1) ** 2
+        rectangles = iter(rows_vertex_raw(n))
+        sides = [(i, k) for i in range(n) for k in range(i + 1, n)]
+        for i, k in sides:
+            for j, l in sides:
+                inside = [adjacent[a * (n - 1) + b] for a in range(i, k) for b in range(j, l)]
+                assert next(rectangles) == _row_sum(inside), (n, i, k, j, l)
+
+
+def test_every_block_less_block_0_0_telescopes_to_neighbour_differences():
+    # MENTRY row a·n + b − 1 differences block (a, b) against its neighbour:
+    # (a, b − 1), or (a − 1, 0) at b = 0.  The alternating total comes last.
+    for n in range(2, 9):
+        steps = V._rows_array_sum_entrywise(n)
+        reference = rows_array_sum_entrywise(n)
+        assert len(steps) == len(reference) == n * n and steps[-1] == reference[-1]
+        for a in range(n):
+            for b in range(n):
+                if a or b:
+                    path = [a * n + c - 1 for c in range(1, b + 1)]
+                    path += [c * n - 1 for c in range(1, a + 1)]
+                    want = _row_sum(steps[k] for k in path)
+                    assert reference[a * n + b - 1] == want, (n, a, b)
 
 
 def test_odd_entrywise_array_sum_space_is_null():
