@@ -10,10 +10,11 @@ predicates.
 
 One table (`_FORMS`) gives, for each kind and parity, the maker and its
 ordered (name, parameter space) list; `constructor_basis`, `random_member`
-and `member_from_params` are all derived from it.  Member parameters
-recurse to size ν, grounding at n = 1 where the spaces are a free scalar
-(semimagic, alternating-pairs, balanced, reverse) or null (vertex-cross,
-array-sum, associated).
+and `member_from_params` are all derived from it.  Each maker is called
+with n, and a parameter left out is None, which every maker reads as
+zero.  Member parameters recurse to size ν, grounding at n = 1 where the
+spaces are a free scalar (semimagic, alternating-pairs, balanced,
+reverse) or null (vertex-cross, array-sum, associated).
 
 Random parameter draws use small rationals (numerators in [−9, 9]) so that
 failing cases stay readable; exactness makes the magnitude irrelevant.
@@ -45,9 +46,11 @@ from .scalar import ONE, SQRT2, ZERO, Scalar, as_scalar, integer_parts
 
 def _mat_param(p, nu: int | None, name: str) -> Matrix:
     # nu = None accepts any size: the parameter fixes the size itself.
-    if p is None:
-        return zeros(nu)
     shape = f"{name} must be a " + ("square matrix" if nu is None else f"{nu}×{nu} matrix")
+    if p is None:
+        if nu is None:
+            raise PreconditionError(f"{shape}; without n it fixes ν")
+        return zeros(nu)
     if not isinstance(p, Matrix):
         try:
             p = Matrix.from_rows(p)
@@ -60,7 +63,7 @@ def _mat_param(p, nu: int | None, name: str) -> Matrix:
 
 def _vec_param(p, nu: int, name: str) -> Vector:
     if p is None:
-        return Vector([ZERO] * nu)  # also at ν = 0, where it is empty
+        return Vector.from_parts(nu, (0,) * nu, None, 1)  # also at ν = 0, where it is empty
     shape = f"{name} must be a vector of length {nu}"
     if not isinstance(p, Vector):
         try:
@@ -387,17 +390,23 @@ def make_reverse(n: int, gamma=None, x=None, z=None, Z=None) -> Matrix:
 # -- types P and Q (plain block structure, no conjugation) -------------------
 
 
-def make_pandiagonal(A, B) -> Matrix:
+def _halves(A, B, n: int | None) -> tuple[Matrix, Matrix]:
+    # A and B are ν×ν for ν = n/2; without n, A's size is ν.
+    if n is not None and n % 2:
+        raise DimensionError("types p and q need even dimension")
+    A = _mat_param(A, None if n is None else n // 2, "A")
+    return A, _mat_param(B, A.n, "B")
+
+
+def make_pandiagonal(A, B, n: int | None = None) -> Matrix:
     """Weight-0 strong-pandiagonal matrix [[A, B], [−B, −A]]."""
-    A = _mat_param(A, None, "A")
-    B = _mat_param(B, A.n, "B")
+    A, B = _halves(A, B, n)
     return _assemble_even(A, B, -B, -A)
 
 
-def make_quartered(A, B) -> Matrix:
+def make_quartered(A, B, n: int | None = None) -> Matrix:
     """Quartered matrix [[A, B], [B, A]]."""
-    A = _mat_param(A, None, "A")
-    B = _mat_param(B, A.n, "B")
+    A, B = _halves(A, B, n)
     return _assemble_even(A, B, B, A)
 
 
@@ -415,7 +424,8 @@ def make_most_perfect_block(a, b, Z, n: int) -> Matrix:
     """Weightless most perfect square from its block representation.
 
     Needs a, b ⟂ 1_ν with the mirror parity J·a = ∓a (upper sign for even
-    ν) and Z in the intersection of the associated and array-sum spaces.
+    ν) and Z in the intersection of the associated and array-sum spaces;
+    with those it is the array-sum member on the same a, b and Z.
     """
     nu, odd = divmod(n, 2)
     if odd:
@@ -429,9 +439,7 @@ def make_most_perfect_block(a, b, Z, n: int) -> Matrix:
     _check_mirror_parity(a, nu, "a")
     _check_mirror_parity(b, nu, "b")
     _require(in_space(Z, "A"), "Z must be associated with weight 0 (Z ∈ A_ν)")
-    _require(in_space(Z, "M"), "Z must be an array-sum member (Z ∈ M_ν)")
-    sig = alternating(nu)
-    return conjugate_x(_assemble_even(zeros(nu), a.outer(sig), sig.outer(b), Z))
+    return make_array_sum(n, a, b, Z)
 
 
 def make_most_perfect(gamma, delta, n: int) -> Matrix:
@@ -554,9 +562,6 @@ class _Entries:
                 entries[idx] = entries[idx] + c if sign == 1 else entries[idx] - c
         return self._pack(nu, entries) if entries else None
 
-    def zero(self, nu: int):
-        return self._combine(nu, [])
-
     def spanning(self, nu: int) -> list:
         return [self._combine(nu, [(ONE, element)]) for element in self._span(nu)]
 
@@ -622,9 +627,6 @@ class _Member:
         self.kind = kind
         self.project = project or (lambda m: m)
 
-    def zero(self, nu: int) -> Matrix:
-        return zeros(nu)
-
     def spanning(self, nu: int) -> list:
         return [self.project(m) for m in constructor_basis(self.kind, nu)]
 
@@ -655,27 +657,20 @@ class _Form:
     """A maker with its ordered (name, parameter space) list.
 
     `weight` names the parameter or keyword that a given weight goes to;
-    `sized` is False for makers whose size follows from their blocks.
+    `names` are the parameters' names, then `weight` if it is not one.
     """
 
-    def __init__(self, maker, params: tuple, weight: str | None = None, sized: bool = True):
+    def __init__(self, maker, params: tuple, weight: str | None = None):
         self.maker = maker
         self.params = params
         self.weight = weight
-        self.sized = sized
-
-    @property
-    def names(self) -> tuple:
-        names = tuple(name for name, _ in self.params)
-        if self.weight is None or self.weight in names:
-            return names
-        return names + (self.weight,)
-
-    def zeros(self, nu: int) -> dict:
-        return {name: space.zero(nu) for name, space in self.params}
+        self.names = tuple(name for name, _ in params)
+        if weight is not None and weight not in self.names:
+            self.names += (weight,)
 
     def build(self, n: int, args: dict) -> Matrix:
-        return self.maker(**args, n=n) if self.sized else self.maker(**args)
+        # An absent parameter is None, which every maker reads as zero.
+        return self.maker(**{**dict.fromkeys(self.names), **args}, n=n)
 
 
 _REVERSE = _Form(make_reverse, (("gamma", _SCALAR), ("x", _VECTOR), ("z", _VECTOR), ("Z", _MATRIX)))
@@ -727,8 +722,8 @@ _FORMS = {
         _Form(make_array_sum, (("v", _VECTOR), ("x", _VECTOR), ("y", _VECTOR), ("z", _VECTOR))),
     ),
     "r": (_REVERSE, _REVERSE),
-    "p": (_Form(make_pandiagonal, (("A", _MATRIX), ("B", _MATRIX)), sized=False), None),
-    "q": (_Form(make_quartered, (("A", _MATRIX), ("B", _MATRIX)), sized=False), None),
+    "p": (_Form(make_pandiagonal, (("A", _MATRIX), ("B", _MATRIX))), None),
+    "q": (_Form(make_quartered, (("A", _MATRIX), ("B", _MATRIX))), None),
     "mps": (_Form(make_most_perfect, (("gamma", _MPS_VECTOR), ("delta", _MPS_VECTOR))), None),
     "nqs": (
         _Form(
@@ -769,17 +764,15 @@ def constructor_basis(kind: str, n: int) -> list[Matrix]:
     complete, which `verify.dimension_probe` checks against the oracle.
     """
     form = _form(kind, n)
-    nu = n // 2
-    zero = form.zeros(nu)
     return [
-        form.build(n, {**zero, name: value})
+        form.build(n, {name: value})
         for name, space in form.params
-        for value in space.spanning(nu)
+        for value in space.spanning(n // 2)
     ]
 
 
-def random_parameters(kind: str, n: int, rng: random.Random, weight=None) -> dict:
-    """Random named parameters of a constructible space at size n.
+def random_member(kind: str, n: int, rng: random.Random, weight=None) -> Matrix:
+    """Random member of a constructible space: its maker on random parameters.
 
     Each parameter is a random rational combination of its spanning set;
     `weight` (semimagic and reversible types only) fixes the weight.
@@ -788,19 +781,13 @@ def random_parameters(kind: str, n: int, rng: random.Random, weight=None) -> dic
     w = None if weight is None else as_scalar(weight)
     if w is not None and form.weight is None:
         raise ValueError(f"type {kind.lower()} takes no weight")
-    nu = n // 2
     args = {
-        name: space.draw(nu, rng, w if name == form.weight else None)
+        name: space.draw(n // 2, rng, w if name == form.weight else None)
         for name, space in form.params
     }
     if w is not None and form.weight not in args:
         args[form.weight] = w
-    return args
-
-
-def random_member(kind: str, n: int, rng: random.Random, weight=None) -> Matrix:
-    """Random member of a constructible space: its maker on random parameters."""
-    return _form(kind, n).build(n, random_parameters(kind, n, rng, weight))
+    return form.build(n, args)
 
 
 def member_from_params(kind: str, n: int, params: dict) -> Matrix:
@@ -816,4 +803,4 @@ def member_from_params(kind: str, n: int, params: dict) -> Matrix:
             f"unknown parameter {', '.join(map(repr, unknown))} for type "
             f"{kind.lower()} at n={n}; expected {', '.join(form.names)}"
         )
-    return form.build(n, {**form.zeros(n // 2), **params})
+    return form.build(n, params)

@@ -49,17 +49,16 @@ from math import lcm
 from operator import mul
 
 from .construct import (
-    _MPS_VECTOR,
     CONSTRUCTIBLE,
     constructor_basis,
-    make_most_perfect,
+    extract_most_perfect_vectors,
     random_member,
 )
 from .blockform import INVOLUTIONS, SPLIT_TAGS
 from .elim import integer_rref, nullspace_of_rref, rank_of_parts
 from .errors import DimensionError, VerificationError
 from .io import matrix_to_json_obj
-from .matrix import Matrix, Vector, zeros
+from .matrix import Matrix, Vector, rank, zeros
 from .predicates import (
     COMPOSITES,
     check_algebraic,
@@ -542,17 +541,16 @@ def _ints(x: Vector | Matrix) -> list[int]:
 
 
 def _mps_members(n: int) -> list[tuple[list[int], list[int], list[int]]]:
-    """(γ, δ, vec M) in int for the 2k basis members M = M(γ, δ).
+    """(γ, δ, vec M) in int for the 2k members M = M(γ, δ) of the mps basis.
 
-    Each of the k spanning vectors of the mps parameter space is γ with
-    δ = 0, then δ with γ = 0; `make_most_perfect` builds M.
+    They are `constructor_basis("mps", n)`: each of the k spanning vectors
+    of the parameter space as γ with δ = 0, then as δ with γ = 0.  Σᵀγ =
+    δᵀΣ = 0 gives M·Σ = n·γ and Mᵀ·Σ = n·δ, so
+    `extract_most_perfect_vectors` reads (γ, δ) back exactly.
     """
-    nu = n // 2
-    span = _MPS_VECTOR.spanning(nu)
-    zero = _MPS_VECTOR.zero(nu)
     return [
-        (_ints(g), _ints(d), _ints(make_most_perfect(g, d, n)))
-        for g, d in [(v, zero) for v in span] + [(zero, v) for v in span]
+        (*map(_ints, extract_most_perfect_vectors(m)), _ints(m))
+        for m in constructor_basis("mps", n)
     ]
 
 
@@ -682,9 +680,9 @@ def rank_bound_check(space: str, n: int) -> Certificate:
         f = k * (common // den)
         for idx, num in entries:
             vec[idx] += f * num
-    rows = [dict(enumerate(vec[r * n : (r + 1) * n])) for r in range(n)]
-    cert.max_rank = len(integer_rref(rows))
-    cert.member_matrix = matrix_to_json_obj(Matrix.from_parts(n, vec, None, common))
+    member = Matrix.from_parts(n, vec, None, common)
+    cert.max_rank = rank(member)
+    cert.member_matrix = matrix_to_json_obj(member)
     return cert
 
 
@@ -702,14 +700,12 @@ def reversible_implies_associated(n: int) -> bool:
 
 
 def rv_equals_av(n: int) -> bool:
-    """Mutual span inclusion of the reverse∧vertex and associated∧vertex spaces."""
-    rv = build_constraints("RV", n)
-    av = build_constraints("AV", n)
-    if rv.nullity != av.nullity:
-        return False
-    return all(av.satisfies(m) for m in rv.basis_matrices()) and all(
-        rv.satisfies(m) for m in av.basis_matrices()
-    )
+    """The reverse∧vertex and associated∧vertex spaces are one space.
+
+    Two systems have the same solutions exactly when their rows span the
+    same space, and the RREF (`pivots`) is unique per row space.
+    """
+    return build_constraints("RV", n).pivots == build_constraints("AV", n).pivots
 
 
 def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:

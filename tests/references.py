@@ -4,7 +4,9 @@ The library proves the most-perfect identities and the reverse
 complement's equations in `int`, on a basis.  The checks here state the
 same claims in `Matrix` and `Scalar` arithmetic, on given vectors and
 matrices, so that the tests can compare the two.  `space_member` draws a
-random member of an oracle space as a `Scalar` combination of its basis.
+random member of an oracle space as a `Scalar` combination of its basis,
+and `basis_combination` one of a constructible space as a combination of
+its constructor basis.
 
 The `ref_*` functions state the array operations per entry, on tuples of
 `Scalar`s (row-major for a matrix), so that the tests can compare the
@@ -19,7 +21,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from symalg import verify as V
-from symalg.construct import make_most_perfect
+from symalg.construct import constructor_basis, make_most_perfect
 from symalg.elim import rank_of_parts
 from symalg.errors import VerificationError
 from symalg.matrix import Matrix, Vector, alternating, ones, zeros
@@ -47,6 +49,18 @@ def space_member(space, n, rng, terms=3):
             if x:
                 acc[k] = acc[k] + c * x
     return Matrix(n, tuple(acc))
+
+
+def basis_combination(kind, n, rng):
+    """Σ cᵢ·Bᵢ over the outputs Bᵢ of `constructor_basis(kind, n)`.
+
+    One coefficient cᵢ = a/b per output, in order, with a in −9..9 and
+    b in {1, 2}; per output the draw order is randint, then choice.
+    """
+    acc = zeros(n)
+    for b in constructor_basis(kind, n):
+        acc = acc + b.scale(Scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2)))))
+    return acc
 
 
 def mps_triple_product_check(gamma1, delta1, gamma2, delta2, gamma3, delta3, n):

@@ -193,14 +193,21 @@ def test_construct_params_bad_shape_is_precondition_violation(capsys, tmp_path):
 
 
 def test_construct_params_shape_messages_name_the_shape(capsys, tmp_path):
-    # r at n = 4: Z is a 2×2 matrix and x a vector of length 2.
-    for params, expected in (
-        ({"Z": ["1", "2", "3", "4"]}, "Z must be a 2×2 matrix"),
-        ({"x": [["1"]]}, "x must be a vector of length 2"),
+    # r at n = 4: Z is a 2×2 matrix and x a vector of length 2; p and q take
+    # ν×ν blocks A and B for the given n, and A is checked first.
+    one_by_one = {"A": [["1"]], "B": [["2"]]}
+    for kind, n, params, expected in (
+        ("r", 4, {"Z": ["1", "2", "3", "4"]}, "Z must be a 2×2 matrix"),
+        ("r", 4, {"x": [["1"]]}, "x must be a vector of length 2"),
+        ("p", 4, one_by_one, "A must be a 2×2 matrix, got 1×1"),
+        ("q", 8, one_by_one, "A must be a 4×4 matrix, got 1×1"),
+        ("p", 4, {"A": [["1"]]}, "A must be a 2×2 matrix, got 1×1"),
+        ("q", 4, {"A": [["1"]]}, "A must be a 2×2 matrix, got 1×1"),
     ):
         path = write_params(tmp_path, params)
-        code, _, err = run(capsys, "construct", "--type", "r", "--n", "4", "--params", path)
-        assert code == 3 and expected in err and len(err.splitlines()) == 1, err
+        code, out, err = run(capsys, "construct", "--type", kind, "--n", str(n), "--params", path)
+        assert code == 3 and out == "" and expected in err, (kind, err)
+        assert len(err.splitlines()) == 1, err
 
 
 def test_construct_params_at_n_one_are_checked_against_nu_zero(capsys, tmp_path):

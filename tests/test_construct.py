@@ -5,11 +5,14 @@ import pytest
 
 from symalg import construct as C
 from symalg.blockform import conjugate_x
+from symalg.elim import rank_of_parts
 from symalg.errors import DimensionError, PreconditionError
 from symalg.matrix import Matrix, Vector, all_ones, alternating, identity, ones, rank, zeros
 from symalg.predicates import check_entrywise, classify, even_only, in_space
 from symalg.scalar import SQRT2, Scalar
 from symalg.verify import build_constraints, dimension_probe
+
+from references import basis_combination
 
 
 def entrywise_vertex_all_quadruples(m):
@@ -173,6 +176,18 @@ def test_pandiagonal_and_quartered():
         for j in range(4):
             assert (m[i, j] + m[(i + 2) % 4, (j + 2) % 4]).is_zero()
     assert C.make_quartered(all_ones(2), all_ones(2)) == all_ones(4)
+    # With n, A and B are ν×ν and may be left out; without it, A fixes ν.
+    for make in (C.make_pandiagonal, C.make_quartered):
+        assert make(None, None, 4) == zeros(4)
+        assert make(None, identity(2), 4) == make(zeros(2), identity(2))
+        with pytest.raises(PreconditionError, match="^A must be a 2×2 matrix, got 1×1$"):
+            make([[1]], [[2]], 4)
+        with pytest.raises(PreconditionError, match="^A must be a square matrix"):
+            make(None, identity(2))
+        with pytest.raises(PreconditionError, match="^B must be a 2×2 matrix, got 1×1$"):
+            make(None, [[2]], 4)
+        with pytest.raises(DimensionError):
+            make(None, None, 5)
 
 
 def test_most_perfect_block_explicit_parameters():
@@ -359,3 +374,50 @@ def test_even_only_kinds_match_the_space_table():
     no_odd_form = {kind for kind, (_, odd) in C._FORMS.items() if odd is None}
     assert no_odd_form == {kind for kind in C.CONSTRUCTIBLE if even_only(kind)}
     assert no_odd_form
+
+
+@pytest.mark.parametrize("kind", C.CONSTRUCTIBLE)
+def test_a_draw_is_a_combination_of_the_constructor_basis(kind):
+    # The makers are linear, so a draw of one coefficient per parameter
+    # spanning element is the same combination of the constructor basis,
+    # drawn from the generator in the same order.
+    for n in range(1, 7):
+        if n % 2 and even_only(kind):
+            continue
+        for seed in range(3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert C.random_member(kind, n, rng) == basis_combination(kind, n, ref), (n, seed)
+            assert rng.getstate() == ref.getstate(), (n, seed)
+
+
+def test_a_draw_never_builds_a_basis(monkeypatch):
+    # A draw runs the makers on drawn parameters; at n = 32 a basis costs
+    # hundreds of maker calls where a draw costs one per level.
+    def no_basis(kind, n):
+        raise AssertionError(f"a draw built the {kind} basis at n={n}")
+
+    monkeypatch.setattr(C, "constructor_basis", no_basis)
+    for kind in ("s", "nqs"):
+        assert C.random_member(kind, 32, random.Random(0)).n == 32
+
+
+@pytest.mark.parametrize("kind", [kind for kind in C.CONSTRUCTIBLE if kind != "nqs"])
+def test_each_formula_is_a_bijective_parametrisation(kind):
+    # The constructor basis is as large as its rank and the oracle nullity:
+    # distinct parameters give distinct members.
+    for n in range(1, 9):
+        if n % 2 and even_only(kind):
+            continue
+        basis = C.constructor_basis(kind, n)
+        span_rank = rank_of_parts([(m.P, m.Q) for m in basis])
+        assert len(basis) == span_rank == build_constraints(kind.upper(), n).nullity, n
+
+
+def test_the_nqs_formula_is_redundant():
+    # Its Y, Z, V and W are projections of full S, N and A bases at size ν,
+    # so the spanning set outgrows the space; it still spans all of it.
+    for n, size, dim in ((4, 8, 6), (6, 18, 10), (8, 36, 22)):
+        basis = C.constructor_basis("nqs", n)
+        assert len(basis) == size
+        assert rank_of_parts([(m.P, m.Q) for m in basis]) == dim
+        assert build_constraints("NQS", n).nullity == dim

@@ -8,11 +8,11 @@ import pytest
 
 from symalg import verify as V
 from symalg.construct import (
-    _MPS_VECTOR,
+    constructor_basis,
+    extract_most_perfect_vectors,
     make_most_perfect,
     make_reversible,
     random_member,
-    random_parameters,
 )
 from symalg.elim import integer_nullspace, integer_rref
 from symalg.errors import DimensionError, VerificationError
@@ -135,8 +135,7 @@ def test_random_space_member_is_a_member():
 
 
 def _mps_vectors(n, rng):
-    p = random_parameters("mps", n, rng)
-    return p["gamma"], p["delta"]
+    return extract_most_perfect_vectors(random_member("mps", n, rng))
 
 
 def test_triple_product_trivial_and_random():
@@ -206,6 +205,18 @@ def test_reverse_complement():
 def test_rv_equals_av():
     for n in (2, 3, 4, 5, 6):
         assert V.rv_equals_av(n)
+
+
+def test_rv_equals_av_compares_the_reduced_rows(monkeypatch):
+    # AM has RV's nullity at n = 3..7 but is another space: the check must
+    # compare the reduced rows, not only the dimensions.
+    build = V.build_constraints
+    monkeypatch.setattr(
+        V, "build_constraints", lambda tag, n: build("AM" if tag == "AV" else tag, n)
+    )
+    for n in range(3, 8):
+        assert build("AM", n).nullity == build("RV", n).nullity
+        assert not V.rv_equals_av(n), n
 
 
 def test_reversible_constructor_spans_whole_space():
@@ -726,10 +737,8 @@ def test_mps_certificate_counts_every_basis_pair_and_triple():
 
 
 def _mps_basis(n):
-    # The (γ, δ) pairs the certificate builds its members from.
-    span = _MPS_VECTOR.spanning(n // 2)
-    zero = _MPS_VECTOR.zero(n // 2)
-    return [(v, zero) for v in span] + [(zero, v) for v in span]
+    # The (γ, δ) pairs of the members the certificate is proved on.
+    return [extract_most_perfect_vectors(m) for m in constructor_basis("mps", n)]
 
 
 def test_mps_certificate_agrees_with_the_matrix_path():
