@@ -17,12 +17,7 @@ import sys
 
 from . import io as mio
 from .blockform import SPLIT_TAGS, to_block
-from .construct import (
-    CONSTRUCTIBLE,
-    make_most_perfect_block,
-    member_from_params,
-    random_member,
-)
+from .construct import CONSTRUCTIBLE, member_from_params, random_member
 from .decompose import split
 from .errors import (
     DimensionError,
@@ -110,11 +105,6 @@ def _param_value(x):
     raise ParseError(f"cannot interpret parameter value {x!r}")
 
 
-# make_most_perfect_block's parameters; every other form's come from the
-# constructor table.
-_MPS_BLOCK = ("a", "b", "Z")
-
-
 def cmd_construct(args) -> int:
     kind = args.type.lower()
     if kind not in CONSTRUCTIBLE:
@@ -128,18 +118,12 @@ def cmd_construct(args) -> int:
             raise ParseError(f"cannot read parameter file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParseError("parameter file must hold a JSON object")
-        if w is not None:
-            raw.setdefault("w", args.w)
         p = {key: _param_value(val) for key, val in raw.items()}
-        if kind == "mps" and p.keys() & set(_MPS_BLOCK):
-            unknown = sorted(p.keys() - set(_MPS_BLOCK))
-            if unknown:
-                raise ParseError(
-                    f"unknown parameter {', '.join(map(repr, unknown))} for the mps block form"
-                )
-            m = make_most_perfect_block(*(p.get(k) for k in _MPS_BLOCK), args.n)
-        else:
-            m = member_from_params(kind, args.n, p)
+        if w is not None:
+            if "w" in p:
+                raise ParseError('the weight is given twice: by --w and by "w" in the parameter file')
+            p["w"] = w
+        m = member_from_params(kind, args.n, p)
     else:
         rng = random.Random(_default_seed(args.seed))
         m = random_member(kind, args.n, rng, weight=w)

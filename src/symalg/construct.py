@@ -10,13 +10,15 @@ predicates.
 
 One table (`_FORMS`) gives, for each kind and parity, the maker and its
 ordered (name, parameter space) list; `constructor_basis`, `random_member`
-and `member_from_params` are all derived from it.  Each maker is called
-with n, and a parameter left out is None, which every maker reads as
-zero.  Member parameters recurse to size ν, grounding at n = 1 where the
-spaces are a free scalar (semimagic, alternating-pairs, balanced,
+and `member_from_params` are all derived from it; `member_from_params`
+also reads the mps block form a, b, Z (`_NAMED_FORMS`).  Each maker is
+called with n, and a parameter left out is None, which every maker reads
+as zero.  Member parameters recurse to size ν, grounding at n = 1 where
+the spaces are a free scalar (semimagic, alternating-pairs, balanced,
 reverse) or null (vertex-cross, array-sum, associated).
 
-Random parameter draws use small rationals (numerators in [−9, 9]) so that
+Entry parameters are summed in `int` and the packs take ints.  Random
+draws use small rationals (numerators in [−9, 9] over 1 or 2) so that
 failing cases stay readable; exactness makes the magnitude irrelevant.
 """
 
@@ -39,7 +41,7 @@ from .matrix import (
     zeros,
 )
 from .predicates import in_space
-from .scalar import ONE, SQRT2, ZERO, Scalar, as_scalar, integer_parts
+from .scalar import SQRT2, ZERO, Scalar, as_scalar, integer_parts
 
 # -- parameter coercion ------------------------------------------------------
 
@@ -73,6 +75,11 @@ def _vec_param(p, nu: int, name: str) -> Vector:
     if p.n != nu:
         raise PreconditionError(f"{shape}, got length {p.n}")
     return p
+
+
+def _blocks(nu: int, **blocks) -> list[Matrix]:
+    # The ν×ν blocks of a form, in the order given, each read by _mat_param.
+    return [_mat_param(p, nu, name) for name, p in blocks.items()]
 
 
 def _scalar_param(p, name: str) -> Scalar:
@@ -203,6 +210,8 @@ def make_balanced(upsilon, omega, n: int) -> Matrix:
     blocks = [(0, 0, nu + 1, _grid_param(upsilon, nu + 1, nu + 1, "upsilon"))]
     if nu:
         blocks.append((nu + 1, nu + 1, nu, _mat_param(omega, nu, "omega")))
+    else:
+        _reject({"omega": omega}, "ν = 0", n)
     return conjugate_x(_place(n, blocks))
 
 
@@ -220,10 +229,7 @@ def make_semimagic(n: int, Y=None, V=None, W=None, Z=None, w=None) -> Matrix:
     if not odd:
         if w is not None:
             raise PreconditionError("the even form has no weight parameter; set it via Y")
-        Y = _mat_param(Y, nu, "Y")
-        V = _mat_param(V, nu, "V")
-        W = _mat_param(W, nu, "W")
-        Z = _mat_param(Z, nu, "Z")
+        Y, V, W, Z = _blocks(nu, Y=Y, V=V, W=W, Z=Z)
         _require(in_space(Y, "S"), "Y must be semimagic (Y ∈ S_ν)")
         _require(V.apply(ones(nu)).is_zero(), "V must have zero row sums")
         _require(W.apply(ones(nu)).is_zero(), "W must have zero row sums")
@@ -238,11 +244,7 @@ def make_semimagic(n: int, Y=None, V=None, W=None, Z=None, w=None) -> Matrix:
 def _odd_free_blocks(u: Vector, r: Scalar, Y, V, W, Z, lam: Scalar) -> Matrix:
     # The odd forms of S (u = 1_ν, r = √2, λ = w) and N (u = Σ_ν,
     # r = nu_sign(ν)·√2): free blocks Y, V, W, Z and the scalar λ.
-    nu = u.n
-    Y = _mat_param(Y, nu, "Y")
-    V = _mat_param(V, nu, "V")
-    W = _mat_param(W, nu, "W")
-    Z = _mat_param(Z, nu, "Z")
+    Y, V, W, Z = _blocks(u.n, Y=Y, V=V, W=W, Z=Z)
     yu = Y.apply(u)
     tl = Y + u.outer(u).scale(2 * lam)
     v_col = (u.scale(lam) - yu).scale(r)
@@ -313,10 +315,7 @@ def make_alternating_pairs(n: int, Y=None, V=None, W=None, Z=None, lam=None) -> 
     if not odd:
         if lam is not None:
             raise PreconditionError("λ applies only to the odd form")
-        Y = _mat_param(Y, nu, "Y")
-        V = _mat_param(V, nu, "V")
-        W = _mat_param(W, nu, "W")
-        Z = _mat_param(Z, nu, "Z")
+        Y, V, W, Z = _blocks(nu, Y=Y, V=V, W=W, Z=Z)
         sig = alternating(nu)
         _require(V.transpose().apply(sig).is_zero(), "V must have zero alternating column sums")
         _require(W.transpose().apply(sig).is_zero(), "W must have zero alternating column sums")
@@ -490,10 +489,7 @@ def make_quartered_semimagic(Y, Z, V, W, n: int) -> Matrix:
     nu, odd = divmod(n, 2)
     if odd:
         raise DimensionError("the quartered-semimagic space needs even dimension")
-    Y = _mat_param(Y, nu, "Y")
-    Z = _mat_param(Z, nu, "Z")
-    V = _mat_param(V, nu, "V")
-    W = _mat_param(W, nu, "W")
+    Y, Z, V, W = _blocks(nu, Y=Y, Z=Z, V=V, W=W)
     _require(in_space(Y, "B") and in_space(Y, "S"), "Y must be balanced semimagic")
     _require(
         in_space(Z, "B") and in_space(Z, "N"),
@@ -537,16 +533,13 @@ def make_reversible(a, b, n: int, w=None) -> Matrix:
 # combination of them onto a random member (`random_member`).
 
 
-def _rand_scalar(rng: random.Random) -> Scalar:
-    return Scalar._make(rng.randint(-9, 9), 0, rng.choice((1, 2)))
-
-
 class _Entries:
     """A parameter stored as `size(ν)` entries with a sparse spanning set.
 
     `span(ν)` lists each spanning element as [(entry index, ±1), ...] and
-    `pack(ν, entries)` turns an entry list into the value the maker takes.
-    A parameter without entries (ν = 0, at n = 1) is passed as None.
+    `pack(ν, P, D)` turns the entries P[k]/D (ints P, D) into the value the
+    maker takes.  A parameter without entries (ν = 0, at n = 1) is passed
+    as None.
     """
 
     def __init__(self, size, span, pack):
@@ -554,35 +547,44 @@ class _Entries:
         self._span = span
         self._pack = pack
 
-    def _combine(self, nu: int, terms: list):
-        # Σ c·element over (c, element) terms, touching only listed entries.
-        entries = [ZERO] * self.size(nu)
+    def _combine(self, nu: int, terms: list, D: int = 1):
+        # Σ (c/D)·element over (c, element) terms, touching only listed entries.
+        P = [0] * self.size(nu)
         for c, element in terms:
             for idx, sign in element:
-                entries[idx] = entries[idx] + c if sign == 1 else entries[idx] - c
-        return self._pack(nu, entries) if entries else None
+                P[idx] += sign * c
+        return self._pack(nu, P, D) if P else None
 
     def spanning(self, nu: int) -> list:
-        return [self._combine(nu, [(ONE, element)]) for element in self._span(nu)]
+        return [self._combine(nu, [(1, element)]) for element in self._span(nu)]
 
     def draw(self, nu: int, rng: random.Random, weight=None):
         # A weight aimed at this parameter fixes it: it is the weight slot.
+        # Each coefficient is drawn as (numerator, denominator), in order.
         if weight is not None:
             return weight
-        return self._combine(nu, [(_rand_scalar(rng), element) for element in self._span(nu)])
+        span = self._span(nu)
+        coeffs = [(rng.randint(-9, 9), rng.choice((1, 2))) for _ in span]
+        D = lcm(*(d for _, d in coeffs))
+        return self._combine(nu, [(c * (D // d), e) for (c, d), e in zip(coeffs, span)], D)
 
 
 def _free(size, pack) -> _Entries:
     return _Entries(size, lambda nu: [[(k, 1)] for k in range(size(nu))], pack)
 
 
-def _as_matrix(nu: int, entries: list) -> Matrix:
-    return Matrix.from_parts(nu, *integer_parts(entries))
+def _as_vector(nu: int, P: list, D: int) -> Vector:
+    return Vector.from_parts(len(P), P, None, D)
+
+
+def _as_matrix(nu: int, P: list, D: int) -> Matrix:
+    return Matrix.from_parts(nu, P, None, D)
 
 
 def _grid(extra_rows: int, extra_cols: int) -> _Entries:
-    def pack(nu: int, entries: list) -> list:
+    def pack(nu: int, P: list, D: int) -> list:
         cols = nu + extra_cols
+        entries = [Scalar._make(p, 0, D) for p in P]
         return [entries[r * cols : (r + 1) * cols] for r in range(nu + extra_rows)]
 
     return _free(lambda nu: (nu + extra_rows) * (nu + extra_cols), pack)
@@ -598,8 +600,8 @@ def _mps_span(nu: int) -> list:
     return [h + [(nu + i, -s * sign) for i, sign in h] for h in halves]
 
 
-_SCALAR = _free(lambda nu: 1, lambda nu, entries: entries[0])
-_VECTOR = _free(lambda nu: nu, lambda nu, entries: Vector(entries))
+_SCALAR = _free(lambda nu: 1, lambda nu, P, D: Scalar._make(P[0], 0, D))
+_VECTOR = _free(lambda nu: nu, _as_vector)
 _MATRIX = _free(lambda nu: nu * nu, _as_matrix)
 _ZERO_ROW_SUMS = _Entries(
     lambda nu: nu * nu,
@@ -617,7 +619,7 @@ _ZERO_ALT_COL_SUMS = _Entries(
     ],
     _as_matrix,
 )
-_MPS_VECTOR = _Entries(lambda nu: 2 * nu, _mps_span, lambda nu, entries: Vector(entries))
+_MPS_VECTOR = _Entries(lambda nu: 2 * nu, _mps_span, _as_vector)
 
 
 class _Member:
@@ -740,6 +742,12 @@ _FORMS = {
     "rv": (_REVERSIBLE, _REVERSIBLE),
 }
 
+# kind -> a second even-n form, chosen when any of its names is given.  Its
+# spaces are not spanned: the kind's `_FORMS` entry spans the space alone.
+_NAMED_FORMS = {
+    "mps": _Form(make_most_perfect_block, (("a", None), ("b", None), ("Z", None))),
+}
+
 CONSTRUCTIBLE = tuple(_FORMS)
 
 
@@ -793,10 +801,15 @@ def random_member(kind: str, n: int, rng: random.Random, weight=None) -> Matrix:
 def member_from_params(kind: str, n: int, params: dict) -> Matrix:
     """Member of a constructible space from named parameters.
 
-    The names are those of the maker for the parity of n; a missing name is
-    the zero parameter and an unknown one raises ValueError.
+    The names are those of the maker for the parity of n, or of the kind's
+    named form (the mps block form a, b, Z) when any of its names is given;
+    a missing name is the zero parameter and an unknown one, or a mix of
+    the two forms' names, raises ValueError.
     """
     form = _form(kind, n)
+    named = _NAMED_FORMS.get(kind.lower())
+    if named is not None and not params.keys().isdisjoint(named.names):
+        form = named
     unknown = sorted(set(params) - set(form.names))
     if unknown:
         raise ValueError(

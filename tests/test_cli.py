@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from symalg import io as mio
 from symalg import predicates
 from symalg.cli import main
-from symalg.construct import CONSTRUCTIBLE
+from symalg.construct import _FORMS, CONSTRUCTIBLE, make_most_perfect_block
 from symalg.matrix import Matrix, all_ones
 from symalg.predicates import PropertyVerdict, classify, even_only, in_space
 from symalg.scalar import Scalar
@@ -136,6 +137,25 @@ def test_construct_weight_flag(capsys, tmp_path):
     assert code == 2  # weight is meaningless for the balanced type
 
 
+def test_construct_weight_flag_with_params(capsys, tmp_path):
+    # --w joins the parameters, and a file "w" beside it is an input error.
+    params = write_params(tmp_path, {"a": ["1", "2"], "w": "3"})
+    code, out, err = run(
+        capsys, "construct", "--type", "rv", "--n", "4", "--w", "1/2", "--params", params
+    )
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "--w" in err and '"w"' in err
+    params = write_params(tmp_path, {"a": ["1", "2"]})
+    code, out, _ = run(
+        capsys, "construct", "--type", "rv", "--n", "4", "--w", "1/2", "--params", params
+    )
+    assert code == 0
+    # A reversible square of weight w is RV + w·E_n, associated with weight w.
+    rep = classify(mio.loads_matrix(out))
+    assert rep.props["R"].holds and rep.props["V"].holds
+    assert rep.props["A"].weight == Scalar(Fraction(1, 2))
+
+
 def test_construct_params_file(capsys, tmp_path):
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"gamma": ["1", "0", "-1", "0"], "delta": ["0", "1", "0", "-1"]}))
@@ -146,6 +166,50 @@ def test_construct_params_file(capsys, tmp_path):
     )
     assert code == 0
     assert classify(mio.read_matrix(str(out_path))).composites["MPS"]
+
+
+def test_construct_mps_block_form(capsys, tmp_path):
+    params = write_params(tmp_path, {"a": ["1", "-1"], "b": ["0", "0"]})
+    code, out, _ = run(capsys, "construct", "--type", "mps", "--n", "4", "--params", params)
+    assert code == 0
+    m = mio.loads_matrix(out)
+    assert in_space(m, "MPS")
+    assert m == make_most_perfect_block([1, -1], [0, 0], None, 4)
+    # The block form's names do not mix with the vector form's.
+    params = write_params(tmp_path, {"a": ["1", "-1"], "gamma": ["1", "0", "-1", "0"]})
+    code, out, err = run(capsys, "construct", "--type", "mps", "--n", "4", "--params", params)
+    assert code == 2 and out == ""
+    assert "'gamma'" in err and len(err.splitlines()) == 1
+
+
+def _param_json(value):
+    # A parameter value as the --params file writes it: exact scalar
+    # literals, matrices and grids as lists of rows.
+    if isinstance(value, Scalar):
+        return mio.scalar_to_string(value)
+    if isinstance(value, Matrix):
+        return [[mio.scalar_to_string(value[i, j]) for j in range(value.n)] for i in range(value.n)]
+    return [_param_json(x) for x in value]
+
+
+def test_construct_params_reach_every_table_name(capsys, tmp_path):
+    # Each parameter of each form in the constructor table, set to its
+    # first spanning value, builds through --params what the form builds.
+    for kind, forms in _FORMS.items():
+        for n in range(1, 9):
+            form = forms[n % 2]
+            if form is None:
+                continue
+            for name, space in form.params:
+                values = space.spanning(n // 2)
+                if not values:
+                    continue
+                path = write_params(tmp_path, {name: _param_json(values[0])})
+                code, out, err = run(
+                    capsys, "construct", "--type", kind, "--n", str(n), "--params", path
+                )
+                assert code == 0, (kind, n, name, err)
+                assert mio.loads_matrix(out) == form.build(n, {name: values[0]}), (kind, n, name)
 
 
 def test_construct_bad_params_exit_three(capsys, tmp_path):
@@ -222,6 +286,7 @@ def test_construct_params_at_n_one_are_checked_against_nu_zero(capsys, tmp_path)
         ("m", {"z": [1, 2]}, "z must be a vector of length 0"),
         ("v", {"v": [1]}, "v must be a vector of length 0, got length 1"),
         ("a", {"psi": [[1]]}, "psi must be a 1×0 matrix"),
+        ("b", {"omega": [[1]]}, "['omega'] do not apply"),
     ):
         path = write_params(tmp_path, params)
         code, out, err = run(capsys, "construct", "--type", kind, "--n", "1", "--params", path)

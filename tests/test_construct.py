@@ -75,6 +75,13 @@ def test_balanced_hand_examples():
     assert in_space(m, "B")
 
 
+def test_balanced_at_n_one_has_no_omega():
+    # At n = 1 (ν = 0) there is no ν×ν block for omega.
+    assert C.make_balanced([[3]], None, 1) == Matrix(1, (3,))
+    with pytest.raises(PreconditionError, match=r"\['omega'\] do not apply"):
+        C.make_balanced([[1]], [[5]], 1)
+
+
 def test_semimagic_hand_examples():
     assert C.make_semimagic(3, w=1) == all_ones(3)
     m = C.make_semimagic(4, Z=identity(2))
@@ -215,6 +222,13 @@ def test_most_perfect_block_preconditions():
         C.make_most_perfect_block(None, None, identity(2), 4)  # Z not associated
     with pytest.raises(DimensionError):
         C.make_most_perfect_block(None, None, None, 5)
+
+
+def test_most_perfect_block_form_from_named_parameters():
+    # Any of a, b or Z selects the block form.
+    assert C.member_from_params("mps", 4, {"a": [1, -1]}) == C.make_most_perfect_block(
+        [1, -1], None, None, 4
+    )
 
 
 def test_most_perfect_vectors_examples():
@@ -388,6 +402,28 @@ def test_a_draw_is_a_combination_of_the_constructor_basis(kind):
             rng, ref = random.Random(seed), random.Random(seed)
             assert C.random_member(kind, n, rng) == basis_combination(kind, n, ref), (n, seed)
             assert rng.getstate() == ref.getstate(), (n, seed)
+
+
+def test_entry_spaces_do_no_scalar_arithmetic(monkeypatch):
+    # Spanning elements and draws are summed in int and packed from parts.
+    def no_arithmetic(*args):
+        raise AssertionError("Scalar arithmetic in a parameter space")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Scalar, op, no_arithmetic)
+    spaces = {
+        id(space): space
+        for forms in C._FORMS.values()
+        for form in forms
+        if form is not None
+        for _, space in form.params
+        if isinstance(space, C._Entries)
+    }
+    rng = random.Random(0)
+    for space in spaces.values():
+        for nu in range(5):
+            assert len(space.spanning(nu)) == len(space._span(nu))
+            space.draw(nu, rng)
 
 
 def test_a_draw_never_builds_a_basis(monkeypatch):
