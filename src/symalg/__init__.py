@@ -10,7 +10,7 @@ space, and a verification layer that mechanically checks the dimension
 formulas, product laws, rank bounds and identities.
 """
 
-from .blockform import BlockForm, conjugate_j, conjugate_x, from_block, nu_sign, to_block
+from .blockform import BlockForm, conjugate_x, from_block, nu_sign, to_block
 from .construct import (
     constructor_basis,
     extract_most_perfect_vectors,
@@ -29,7 +29,7 @@ from .construct import (
     make_vertex_cross,
     random_member,
 )
-from .decompose import GradedPair, split, split_ba, split_nm, split_qp, split_sv
+from .decompose import GradedPair, split
 from .errors import (
     DimensionError,
     ParseError,
@@ -46,12 +46,8 @@ from .matrix import (
     block_involution,
     exchange,
     identity,
-    nullspace_dim,
     ones,
     rank,
-    special_matrix,
-    special_vector,
-    zero_vector,
     zeros,
 )
 from .predicates import (

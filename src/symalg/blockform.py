@@ -72,11 +72,6 @@ def conjugate_x(m: Matrix) -> Matrix:
     return Matrix.from_parts(n, P, Q, 2 * m.D)
 
 
-def conjugate_j(m: Matrix) -> Matrix:
-    """J_n·M·J_n: rotates the matrix by a half-turn."""
-    return conjugate_k(m, "BA")
-
-
 # -- the four grading involutions ---------------------------------------------
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -28,24 +27,12 @@ from .errors import (
     VerificationError,
 )
 from .predicates import classify
-from .verify import dimension_probe, run_suite
+from .verify import build_constraints, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
-
-
-def _default_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("SYMALG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"SYMALG_SEED must be an integer, got {env!r}") from exc
-    return 0
 
 
 def _positive_int(text: str) -> int:
@@ -125,7 +112,7 @@ def cmd_construct(args) -> int:
             p["w"] = w
         m = member_from_params(kind, args.n, p)
     else:
-        rng = random.Random(_default_seed(args.seed))
+        rng = random.Random(args.seed)
         m = random_member(kind, args.n, rng, weight=w)
     if args.out:
         mio.write_matrix(m, args.out)
@@ -135,15 +122,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(
-        args.suite, n_max=args.n_max, trials=args.trials, seed=_default_seed(args.seed)
-    )
+    report = run_suite(args.suite, n_max=args.n_max, trials=args.trials, seed=args.seed)
     print(json.dumps(report, indent=2, default=str))
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
 def cmd_dim(args) -> int:
-    value = dimension_probe(args.space, args.n)
+    value = build_constraints(args.space, args.n).nullity
     print(json.dumps({"space": args.space.upper(), "n": args.n, "dimension": value}))
     return EXIT_OK
 
@@ -177,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit a member of a symmetry space")
     p.add_argument("--type", required=True, metavar="{" + ",".join(CONSTRUCTIBLE) + "}")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--w", help="weight, as an exact scalar literal")
     p.add_argument("--params", help="JSON file with explicit construction parameters")
     p.add_argument("--out")
@@ -197,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="random matrices per n in the dual-path agreement, the only "
         "sampled check; --trials and --seed steer nothing else",
     )
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dim", help="dimension of a symmetry space")

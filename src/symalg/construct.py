@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from .blockform import conjugate_x, nu_sign
-from .decompose import split_ba
+from .decompose import split
 from .errors import DimensionError, PreconditionError
 from .matrix import (
     Matrix,
@@ -639,7 +639,7 @@ class _Member:
 
 
 def _balanced_part(m: Matrix) -> Matrix:
-    return split_ba(m).even_part
+    return split(m, "BA").even_part
 
 
 def _strip_sums(m: Matrix) -> Matrix:

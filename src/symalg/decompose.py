@@ -63,23 +63,3 @@ def split(m: Matrix, kind: str) -> GradedPair:
         Matrix.from_parts(n, odd_p, odd_q, d),
         weight=w,
     )
-
-
-def split_ba(m: Matrix) -> GradedPair:
-    """Balanced part plus associated part (K = J)."""
-    return split(m, "BA")
-
-
-def split_sv(m: Matrix) -> GradedPair:
-    """Semimagic part plus vertex-cross part, with the even part's weight."""
-    return split(m, "SV")
-
-
-def split_nm(m: Matrix) -> GradedPair:
-    """N-type part plus M-type part (K = I − 2·ΣΣᵀ/n)."""
-    return split(m, "NM")
-
-
-def split_qp(m: Matrix) -> GradedPair:
-    """Quartered part plus pandiagonal part (K = T), for even n."""
-    return split(m, "QP")

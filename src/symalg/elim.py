@@ -16,8 +16,7 @@ the RREF of stacked rows is the RREF of one part's RREF with the other
 parts' rows added to it (`integer_rref`'s `start`).  Readings of it:
 
 * `nullspace_of_rref` reads the nullspace basis off the pivot rows; it is
-  the oracle's nullspace basis.  `integer_nullspace` is the reduction and
-  the reader in one call.
+  the oracle's nullspace basis.
 * `rank_of_parts` is the rank of rows over Q(√2).  Q(√2) has degree 2 over
   Q, so p + q·√2 ↦ (p, q) identifies Q(√2)^w with Q^{2w}.  The Q(√2)-span
   of a row r is the Q-span of r and √2·r, and √2·(p + q·√2) = 2q + p·√2,
@@ -135,8 +134,3 @@ def nullspace_of_rref(
         entries.sort()
         basis.append((den, entries))
     return basis
-
-
-def integer_nullspace(rows: list, width: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Basis of {x : R·x = 0} for integer rows R, as `nullspace_of_rref` gives it."""
-    return nullspace_of_rref(integer_rref(rows), width)

@@ -347,32 +347,9 @@ def block_involution(n: int) -> Matrix:
     return Matrix(n, [x for row in rows for x in row])
 
 
-_MATRIX_KINDS = {
-    "E": all_ones,
-    "O": zeros,
-    "J": exchange,
-    "I": identity,
-    "X": block_involution,
-}
-
-
-def special_matrix(kind: str, n: int) -> Matrix:
-    """Named matrix by tag: E (all ones), O (zero), J (antidiagonal), I, X."""
-    try:
-        builder = _MATRIX_KINDS[kind.upper()]
-    except KeyError:
-        raise ValueError(f"unknown special matrix kind {kind!r}") from None
-    return builder(n)
-
-
 def ones(n: int) -> Vector:
     _check_positive(n)
     return Vector.from_parts(n, (1,) * n, None, 1)
-
-
-def zero_vector(n: int) -> Vector:
-    _check_positive(n)
-    return Vector.from_parts(n, (0,) * n, None, 1)
 
 
 def alternating(n: int) -> Vector:
@@ -385,30 +362,15 @@ def alternating(n: int) -> Vector:
     return Vector.from_parts(n, [1 - 2 * (j % 2) for j in range(n)], None, 1)
 
 
-_VECTOR_KINDS = {"ones": ones, "zeros": zero_vector, "sigma": alternating}
-
-
-def special_vector(kind: str, n: int) -> Vector:
-    try:
-        builder = _VECTOR_KINDS[kind.lower()]
-    except KeyError:
-        raise ValueError(f"unknown special vector kind {kind!r}") from None
-    return builder(n)
-
-
 def _check_positive(n: int) -> None:
     if n < 1:
         raise DimensionError(f"dimension must be positive, got {n}")
 
 
-# -- rank / nullity ----------------------------------------------------------
+# -- rank -------------------------------------------------------------------
 
 
 def rank(m: Matrix) -> int:
     """Exact rank over Q(√2) of the rows of M's parts, by `elim.rank_of_parts`."""
     n, P, Q = m.n, m.P, m.Q
     return rank_of_parts([(P[i : i + n], Q and Q[i : i + n]) for i in range(0, n * n, n)])
-
-
-def nullspace_dim(m: Matrix) -> int:
-    return m.n - rank(m)

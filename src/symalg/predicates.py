@@ -464,11 +464,17 @@ def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
 # -- classification ----------------------------------------------------------
 
 
+def verdicts_agree(e: PropertyVerdict, a: PropertyVerdict) -> bool:
+    """Two routes agree: the same `holds`, and the same weight where both give one."""
+    if e.holds != a.holds:
+        return False
+    if e.holds and e.weight is not None and a.weight is not None:
+        return e.weight == a.weight
+    return True
+
+
 def _agree(e: PropertyVerdict, a: PropertyVerdict, prop: str, n: int) -> PropertyVerdict:
-    same = e.holds == a.holds
-    if same and e.holds and e.weight is not None and a.weight is not None:
-        same = e.weight == a.weight
-    if not same:
+    if not verdicts_agree(e, a):
         raise PredicatePathMismatch(
             f"entrywise and algebraic verdicts differ for ({prop}) at n={n}: "
             f"{e} vs {a}"

@@ -234,4 +234,3 @@ def as_scalar(x) -> Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 SQRT2 = Scalar(0, 1)
-INV_SQRT2 = Scalar(0, Fraction(1, 2))  # 1/√2 = √2/2

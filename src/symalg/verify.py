@@ -67,6 +67,7 @@ from .predicates import (
     dual_routes,
     exists,
     in_space,
+    verdicts_agree,
 )
 from .scalar import SQRT2
 
@@ -610,20 +611,17 @@ def mps_certificates(n: int) -> tuple[Certificate, Certificate]:
 # For u with uᵀu = n, P = u·uᵀ/n is a projector and C = n·I − u·uᵀ = n·(I − P).
 # If C·M·C = 0 then M = P·M + (I − P)·M·P, a sum of two terms of rank ≤ 1,
 # so rank M ≤ 2.  The condition is linear in M: it holds on a space once it
-# holds on every oracle basis matrix.
-
-
-def _ones(n: int) -> list:
-    return _e(*range(n))
+# holds on every oracle basis matrix.  u is the ±1 axis of a reflection
+# grading involution K = I − 2·u·uᵀ/n, so C = (n/2)·(I + K).
 
 
 _RANK_BOUNDS = {
-    # tag: (oracle space, u, weighted); the bound is 2, plus 1 = rank E
-    # when the weight part w·E is added.
-    "MPS": ("MPS", _sigma, False),  # weightless most perfect squares
-    "MPS+WE": ("MPS", _sigma, True),  # general (weighted) most perfect squares
-    "REVERSIBLE": ("RVRAW", _ones, False),  # reverse ∧ vertex-cross, any weight
-    "V": ("V", _ones, False),  # every member is a·1ᵀ + 1·bᵀ
+    # tag: (oracle space, involution of u, weighted); the bound is 2, plus
+    # 1 = rank E when the weight part w·E is added.
+    "MPS": ("MPS", "NM", False),  # weightless most perfect squares
+    "MPS+WE": ("MPS", "NM", True),  # general (weighted) most perfect squares
+    "REVERSIBLE": ("RVRAW", "SV", False),  # reverse ∧ vertex-cross, any weight
+    "V": ("V", "SV", False),  # every member is a·1ᵀ + 1·bᵀ
 }
 
 
@@ -665,9 +663,9 @@ def rank_bound_check(space: str, n: int) -> Certificate:
     tag = space.upper()
     if tag not in _RANK_BOUNDS:
         raise ValueError(f"no rank bound registered for {space!r}")
-    oracle, u_of, weighted = _RANK_BOUNDS[tag]
+    oracle, kind, weighted = _RANK_BOUNDS[tag]
     basis = build_constraints(oracle, n).basis
-    u = [c for _, c in u_of(n)]
+    u = INVOLUTIONS[kind].axis(n)
     cert = Certificate(tag, n, len(basis), bound=3 if weighted else 2,
                        member="Σ k·b_k + E" if weighted else "Σ k·b_k")
     for idx, (_, entries) in enumerate(basis):
@@ -723,13 +721,7 @@ def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:
         else:
             m = Matrix.from_parts(n, [rng.randint(-5, 5) for _ in range(n * n)], None, 1)
         for prop in props:
-            e = check_entrywise(m, prop)
-            a = check_algebraic(m, prop)
-            if e.holds != a.holds:
-                mismatches += 1
-            elif e.holds and e.weight is not None and a.weight is not None:
-                if e.weight != a.weight:
-                    mismatches += 1
+            mismatches += not verdicts_agree(check_entrywise(m, prop), check_algebraic(m, prop))
     return mismatches
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from symalg.blockform import (
     BlockForm,
-    conjugate_j,
+    conjugate_k,
     conjugate_x,
     from_block,
     nu_sign,
@@ -21,7 +21,6 @@ from symalg.matrix import (
     exchange,
     identity,
     ones,
-    zero_vector,
 )
 from symalg.scalar import SQRT2, Scalar
 
@@ -74,14 +73,14 @@ def test_hand_conjugation():
 
 
 def test_half_turn_rotation():
-    assert conjugate_j(identity(3)) == identity(3)
-    assert conjugate_j(Matrix.from_rows([[1, 2], [3, 4]])) == Matrix.from_rows(
+    assert conjugate_k(identity(3), "BA") == identity(3)
+    assert conjugate_k(Matrix.from_rows([[1, 2], [3, 4]]), "BA") == Matrix.from_rows(
         [[4, 3], [2, 1]]
     )
     rng = random.Random(0)
     m = rand_matrix(5, rng)
-    assert conjugate_j(conjugate_j(m)) == m
-    assert conjugate_j(m) == exchange(5) @ m @ exchange(5)
+    assert conjugate_k(conjugate_k(m, "BA"), "BA") == m
+    assert conjugate_k(m, "BA") == exchange(5) @ m @ exchange(5)
 
 
 def test_exchange_conjugate_in_block_form():
@@ -173,11 +172,11 @@ def test_image_of_ones_vector():
     for n in (4, 6):
         nu = n // 2
         img = block_involution(n).apply(ones(n))
-        assert img == Vector(list(ones(nu).scale(SQRT2)) + list(zero_vector(nu)))
+        assert img == Vector(list(ones(nu).scale(SQRT2)) + [Scalar(0)] * nu)
     for n in (3, 5, 7):
         nu = n // 2
         img = block_involution(n).apply(ones(n))
-        expected = list(ones(nu).scale(SQRT2)) + [Scalar(1)] + list(zero_vector(nu))
+        expected = list(ones(nu).scale(SQRT2)) + [Scalar(1)] + [Scalar(0)] * nu
         assert img == Vector(expected)
 
 
@@ -189,12 +188,12 @@ def test_image_of_alternating_vector():
         s = nu_sign(nu)
         img = block_involution(n).apply(alternating(n))
         tail = alternating(nu).scale(SQRT2 * (-s))
-        assert img == Vector(list(zero_vector(nu)) + list(tail))
+        assert img == Vector([Scalar(0)] * nu + list(tail))
     for n in (3, 5, 7, 9):
         nu = n // 2
         s = nu_sign(nu)
         img = block_involution(n).apply(alternating(n))
         expected = (
-            list(alternating(nu).scale(SQRT2)) + [Scalar(s)] + list(zero_vector(nu))
+            list(alternating(nu).scale(SQRT2)) + [Scalar(s)] + [Scalar(0)] * nu
         )
         assert img == Vector(expected)

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from symalg import construct, predicates, verify
 from symalg import io as mio
-from symalg import predicates
 from symalg.cli import main
 from symalg.construct import _FORMS, CONSTRUCTIBLE, make_most_perfect_block
 from symalg.matrix import Matrix, all_ones
@@ -325,12 +325,12 @@ def test_construct_unknown_type(capsys):
     assert code == 2
 
 
-def test_seed_env_fallback(capsys, tmp_path, monkeypatch):
+def test_construct_seed_defaults_to_zero(capsys, tmp_path, monkeypatch):
+    # --seed is the one setting of the seed; the environment does not reach it.
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     monkeypatch.setenv("SYMALG_SEED", "11")
     run(capsys, "construct", "--type", "r", "--n", "4", "--out", str(a))
-    monkeypatch.delenv("SYMALG_SEED")
-    run(capsys, "construct", "--type", "r", "--n", "4", "--seed", "11", "--out", str(b))
+    run(capsys, "construct", "--type", "r", "--n", "4", "--seed", "0", "--out", str(b))
     assert mio.read_matrix(str(a)) == mio.read_matrix(str(b))
 
 
@@ -339,6 +339,17 @@ def test_dim_command(capsys):
     assert code == 0 and json.loads(out)["dimension"] == 17
     code, _, _ = run(capsys, "dim", "--space", "??", "--n", "5")
     assert code == 2
+
+
+def test_dim_reads_only_the_oracle_nullity(capsys, monkeypatch):
+    def no_basis(kind, n):
+        raise AssertionError(f"dim built the {kind} constructor basis at n={n}")
+
+    monkeypatch.setattr(construct, "constructor_basis", no_basis)
+    monkeypatch.setattr(verify, "constructor_basis", no_basis)
+    code, out, _ = run(capsys, "dim", "--space", "S", "--n", "24")
+    assert code == 0
+    assert json.loads(out) == {"space": "S", "n": 24, "dimension": 530}
 
 
 def test_dim_nonpositive_n_is_input_error(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from symalg.blockform import SPLIT_TAGS
 from symalg.construct import random_member
-from symalg.decompose import GradedPair, split, split_ba, split_nm, split_qp, split_sv
+from symalg.decompose import GradedPair, split
 from symalg.errors import DimensionError
 from symalg.matrix import Matrix, all_ones, alternating, zeros
 from symalg.predicates import check_algebraic, check_entrywise, in_space
@@ -16,7 +16,7 @@ def rand_matrix(n, rng):
 
 
 def test_hand_example_balanced_associated():
-    pair = split_ba(Matrix.from_rows([[1, 2], [3, 4]]))
+    pair = split(Matrix.from_rows([[1, 2], [3, 4]]), "BA")
     h = Fraction(1, 2)
     assert pair.even_part == Matrix.from_rows([[5 * h, 5 * h], [5 * h, 5 * h]])
     assert pair.odd_part == Matrix.from_rows([[-3 * h, -h], [h, 3 * h]])
@@ -24,8 +24,8 @@ def test_hand_example_balanced_associated():
 
 def test_hand_example_quartered_pandiagonal_coincides_at_two():
     m = Matrix.from_rows([[1, 2], [3, 4]])
-    assert split_qp(m).even_part == split_ba(m).even_part
-    assert split_qp(m).odd_part == split_ba(m).odd_part
+    assert split(m, "QP").even_part == split(m, "BA").even_part
+    assert split(m, "QP").odd_part == split(m, "BA").odd_part
 
 
 def test_all_ones_is_fixed_by_even_projections():
@@ -34,31 +34,31 @@ def test_all_ones_is_fixed_by_even_projections():
             pair = split(all_ones(n), kind)
             assert pair.even_part == all_ones(n)
             assert pair.odd_part.is_zero()
-    pair = split_qp(all_ones(4))
+    pair = split(all_ones(4), "QP")
     assert pair.even_part == all_ones(4) and pair.odd_part.is_zero()
 
 
 def test_alternating_outer_is_semimagic_with_weight_zero():
     m = alternating(2).outer(alternating(2))
-    pair = split_sv(m)
+    pair = split(m, "SV")
     assert pair.even_part == m and pair.odd_part.is_zero()
     assert pair.weight == Scalar(0)
 
 
 def test_all_ones_under_alternating_split():
-    pair = split_nm(all_ones(2))
+    pair = split(all_ones(2), "NM")
     assert pair.even_part == all_ones(2)
     assert pair.odd_part.is_zero()
 
 
 def test_sv_weight_reported():
     m = Matrix.from_rows([[1, 2], [3, 4]])
-    assert split_sv(m).weight == Scalar(10) / 4
+    assert split(m, "SV").weight == Scalar(10) / 4
 
 
 def test_qp_needs_even_dimension():
     with pytest.raises(DimensionError):
-        split_qp(zeros(3))
+        split(zeros(3), "QP")
 
 
 def test_reconstruction_and_membership_thousand_matrices():
@@ -79,25 +79,25 @@ def test_membership_by_both_routes():
     rng = random.Random(14)
     for n in (3, 4):
         m = rand_matrix(n, rng)
-        ba = split_ba(m)
+        ba = split(m, "BA")
         assert check_entrywise(ba.even_part, "B").holds
         assert check_algebraic(ba.even_part, "B").holds
         a = check_entrywise(ba.odd_part, "A")
         assert a.holds and a.weight == Scalar(0)
         assert check_algebraic(ba.odd_part, "A").holds
-        sv = split_sv(m)
+        sv = split(m, "SV")
         assert check_entrywise(sv.even_part, "S").holds
         assert check_algebraic(sv.even_part, "S").holds
         assert check_entrywise(sv.odd_part, "V").holds
         assert sv.odd_part.total_sum().is_zero()
-        nm = split_nm(m)
+        nm = split(m, "NM")
         assert check_algebraic(nm.even_part, "N").holds
         assert check_algebraic(nm.odd_part, "M").holds
         if n % 2 == 0:
             assert check_entrywise(nm.even_part, "N").holds
             v = check_entrywise(nm.odd_part, "M")
             assert v.holds and v.weight == Scalar(0)
-            qp = split_qp(m)
+            qp = split(m, "QP")
             assert check_entrywise(qp.even_part, "Q").holds
             v = check_entrywise(qp.odd_part, "P")
             assert v.holds and v.weight == Scalar(0)
@@ -118,17 +118,17 @@ def test_projection_fixes_odd_member():
     rng = random.Random(16)
     for n in (2, 3, 4, 5, 6):
         m = random_member("a", n, rng)
-        pair = split_ba(m)
+        pair = split(m, "BA")
         assert pair.even_part.is_zero() and pair.odd_part == m
         m = random_member("v", n, rng)
-        pair = split_sv(m)
+        pair = split(m, "SV")
         assert pair.even_part.is_zero() and pair.odd_part == m
         m = random_member("m", n, rng)
-        pair = split_nm(m)
+        pair = split(m, "NM")
         assert pair.even_part.is_zero() and pair.odd_part == m
         if n % 2 == 0:
             m = random_member("p", n, rng)
-            pair = split_qp(m)
+            pair = split(m, "QP")
             assert pair.even_part.is_zero() and pair.odd_part == m
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symalg.elim import (
-    integer_nullspace,
     integer_rref,
     nullspace_of_rref,
     rank_of_parts,
@@ -25,7 +24,7 @@ def _rank(rows):
 def test_rank_and_nullspace_of_simple_system():
     rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
     assert _rank([_dense(r, 3) for r in rows]) == 2
-    basis = integer_nullspace(rows, 3)
+    basis = nullspace_of_rref(integer_rref(rows), 3)
     assert len(basis) == 1
     vec = dict(basis[0][1])
     for row in rows:
@@ -33,7 +32,7 @@ def test_rank_and_nullspace_of_simple_system():
 
 
 def test_nullspace_of_empty_system_is_everything():
-    basis = integer_nullspace([], 3)
+    basis = nullspace_of_rref(integer_rref([]), 3)
     assert len(basis) == 3
 
 
@@ -147,7 +146,7 @@ def test_integer_nullspace_matches_sympy(system):
     from sympy.polys.matrices import DomainMatrix
 
     rows, width = system
-    basis = integer_nullspace(rows, width)
+    basis = nullspace_of_rref(integer_rref(rows), width)
     dense = [[QQ(row.get(j, 0)) for j in range(width)] for row in rows]
     null = DomainMatrix(dense, (len(rows), width), QQ).nullspace().to_list()
     want = [[Fraction(int(x.numerator), int(x.denominator)) for x in vec] for vec in null]
@@ -172,7 +171,7 @@ def test_rref_of_stacked_rows_is_the_rref_of_the_parts_pivot_rows(system, cut):
     parts = [integer_rref(rows[:cut]), integer_rref(rows[cut:])]
     stacked = integer_rref([row for pivots in parts for row in pivots.values()])
     assert stacked == integer_rref(rows)
-    assert nullspace_of_rref(stacked, width) == integer_nullspace(rows, width)
+    assert nullspace_of_rref(stacked, width) == nullspace_of_rref(integer_rref(rows), width)
 
 
 @settings(max_examples=150, deadline=None)
@@ -202,7 +201,7 @@ def test_rref_from_a_start_is_the_rref_of_the_stack(system, cut):
 def test_rank_nullity_annihilation_and_membership(system):
     rows, width = system
     dense = [_dense(row, width) for row in rows]
-    basis = integer_nullspace(rows, width)
+    basis = nullspace_of_rref(integer_rref(rows), width)
     rank = _rank(dense)
     assert rank + len(basis) == width
     assert rank == len(integer_rref(rows))

@@ -14,11 +14,8 @@ from symalg.matrix import (
     block_involution,
     exchange,
     identity,
-    nullspace_dim,
     ones,
     rank,
-    special_matrix,
-    special_vector,
     zeros,
 )
 from symalg.scalar import SQRT2, ZERO, Scalar
@@ -41,27 +38,24 @@ def rand_matrix(n, rng):
 
 
 def test_special_matrices():
-    assert special_matrix("E", 2) == Matrix.from_rows([[1, 1], [1, 1]])
-    assert special_matrix("J", 3) == Matrix.from_rows(
+    assert all_ones(2) == Matrix.from_rows([[1, 1], [1, 1]])
+    assert exchange(3) == Matrix.from_rows(
         [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     )
-    assert special_matrix("I", 2) == Matrix.from_rows([[1, 0], [0, 1]])
-    assert special_matrix("O", 2).is_zero()
+    assert identity(2) == Matrix.from_rows([[1, 0], [0, 1]])
+    assert zeros(2).is_zero()
     half = Fraction(1, 2)
-    assert special_matrix("X", 2) == Matrix.from_rows(
+    assert block_involution(2) == Matrix.from_rows(
         [[Scalar(0, half), Scalar(0, half)], [Scalar(0, half), Scalar(0, -half)]]
     )
-    with pytest.raises(ValueError):
-        special_matrix("Z", 2)
     with pytest.raises(DimensionError):
-        special_matrix("E", 0)
+        all_ones(0)
 
 
 def test_special_vectors():
-    assert special_vector("sigma", 4) == Vector([1, -1, 1, -1])
-    assert special_vector("sigma", 3) == Vector([1, -1, 1])
-    assert special_vector("ones", 2) == Vector([1, 1])
-    assert special_vector("zeros", 3).is_zero()
+    assert alternating(4) == Vector([1, -1, 1, -1])
+    assert alternating(3) == Vector([1, -1, 1])
+    assert ones(2) == Vector([1, 1])
     # Σ ⟂ 1 exactly for even length.
     for n in range(1, 8):
         d = alternating(n).dot(ones(n))
@@ -103,7 +97,6 @@ def test_dimension_mismatch():
 def test_rank_examples():
     assert rank(all_ones(4)) == 1
     assert rank(identity(3)) == 3
-    assert nullspace_dim(all_ones(4)) == 3
     # Rank-2 sum of two rank-1 terms built from independent admissible
     # vectors; expected value fixed by hand elimination on the 4×4 case.
     sig = alternating(4)

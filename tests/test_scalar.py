@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from symalg.scalar import INV_SQRT2, ONE, SQRT2, ZERO, Scalar, as_scalar, integer_parts
+from symalg.scalar import ONE, SQRT2, ZERO, Scalar, as_scalar, integer_parts
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -44,7 +44,7 @@ def test_int_and_fraction_interop():
     assert 2 * SQRT2 == Scalar(0, 2)
     assert Scalar(1) / 2 == Fraction(1, 2)
     assert Fraction(1, 2) - Scalar(Fraction(1, 2)) == ZERO
-    assert 1 / SQRT2 == INV_SQRT2
+    assert 1 / SQRT2 == Scalar(0, Fraction(1, 2))
 
 
 def test_immutability_and_hash():
