@@ -14,7 +14,8 @@ The parity-dependent layout of C for n = 2ν+1 splits rows and columns as
     [ yᵀ  α   zᵀ ]
     [ W   x   Z  ]
 
-and for even n = 2ν as (ν, ν) with blocks Y, Vᵀ, W, Z.
+and for even n = 2ν as (ν, ν) with blocks Y, Vᵀ, W, Z.  `layout(n)` gives
+each named block its rows and columns.
 
 `INVOLUTIONS` is the one table of the four grading involutions K (J, the
 reflections I − 2·11ᵀ/n and I − 2·ΣΣᵀ/n, and T at even n; see `decompose`),
@@ -141,11 +142,58 @@ def conjugate_k(m: Matrix, kind: str) -> Matrix:
     return Matrix.from_parts(m.n, kp, kq, s * m.D)
 
 
+def layout(n: int) -> dict[str, tuple[range, range]]:
+    """The rows and columns of each named block of C = X_n·M·X_n.
+
+    The one statement of the layout above: (ν, ν) at even n and (ν, 1, ν)
+    at odd n, the centre row and column only at odd n.  The names are the
+    `BlockForm` views, which read C here, and `construct` writes C here.
+    """
+    nu = n // 2
+    lo, hi = range(nu), range(n - nu, n)
+    at = {"y_block": (lo, lo), "vt_block": (lo, hi), "w_block": (hi, lo), "z_block": (hi, hi)}
+    if n % 2:
+        c = range(nu, nu + 1)
+        at.update(v_col=(lo, c), x_col=(hi, c), y_row=(c, lo), z_row=(c, hi), alpha=(c, c))
+    return at
+
+
+class _View:
+    """A named block of the conjugate, at the rows and columns `layout` gives it.
+
+    A square block is a Matrix, a centre row or column a Vector, and α a
+    Scalar.  A centre view at even n raises ValueError, and a square block
+    at n = 1, which is 0×0, raises DimensionError.
+    """
+
+    def __init__(self, kind, doc: str):
+        self.kind = kind
+        self.__doc__ = doc
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, bf, owner=None):
+        if bf is None:
+            return self
+        try:
+            rows, cols = layout(bf.n)[self.name]
+        except KeyError:
+            raise ValueError("central views are defined only for odd n") from None
+        c = bf.conjugate
+        if self.kind is Scalar:
+            return c[rows[0], cols[0]]
+        index = [i * c.n + j for i in rows for j in cols]
+        Q = None if c.Q is None else [c.Q[k] for k in index]
+        size = len(rows) if self.kind is Matrix else len(index)
+        return self.kind.from_parts(size, [c.P[k] for k in index], Q, c.D)
+
+
 class BlockForm:
     """The conjugate C = X_n·M·X_n with named views into its sub-blocks.
 
-    Stores the full conjugate plus index ranges only; views are sliced out
-    on demand, so reassembly is trivially exact.
+    Stores the full conjugate only; views are sliced out on demand, so
+    reassembly is trivially exact.
     """
 
     __slots__ = ("n", "nu", "odd", "conjugate")
@@ -162,73 +210,15 @@ class BlockForm:
     def __eq__(self, other) -> bool:
         return isinstance(other, BlockForm) and self.conjugate == other.conjugate
 
-    def _sub(self, rows: Sequence[int], cols: Sequence[int], kind=Matrix):
-        # The conjugate's parts at rows × cols: a square block, or a Vector
-        # for the central row or column.
-        c = self.conjugate
-        n = c.n
-        index = [i * n + j for i in rows for j in cols]
-        Q = None if c.Q is None else [c.Q[k] for k in index]
-        size = len(rows) if kind is Matrix else len(index)
-        return kind.from_parts(size, [c.P[k] for k in index], Q, c.D)
-
-    def _lo(self) -> range:
-        return range(0, self.nu)
-
-    def _hi(self) -> range:
-        return range(self.n - self.nu, self.n)
-
-    @property
-    def y_block(self) -> Matrix:
-        """Top-left ν×ν block Y."""
-        return self._sub(self._lo(), self._lo())
-
-    @property
-    def vt_block(self) -> Matrix:
-        """Top-right ν×ν block (Vᵀ in the layout)."""
-        return self._sub(self._lo(), self._hi())
-
-    @property
-    def w_block(self) -> Matrix:
-        """Bottom-left ν×ν block W."""
-        return self._sub(self._hi(), self._lo())
-
-    @property
-    def z_block(self) -> Matrix:
-        """Bottom-right ν×ν block Z."""
-        return self._sub(self._hi(), self._hi())
-
-    # Central row/column views exist only for odd n.
-
-    def _central(self) -> int:
-        if not self.odd:
-            raise ValueError("central views are defined only for odd n")
-        return self.nu
-
-    @property
-    def v_col(self) -> Vector:
-        c = self._central()
-        return self._sub(self._lo(), [c], Vector)
-
-    @property
-    def x_col(self) -> Vector:
-        c = self._central()
-        return self._sub(self._hi(), [c], Vector)
-
-    @property
-    def y_row(self) -> Vector:
-        c = self._central()
-        return self._sub([c], self._lo(), Vector)
-
-    @property
-    def z_row(self) -> Vector:
-        c = self._central()
-        return self._sub([c], self._hi(), Vector)
-
-    @property
-    def alpha(self) -> Scalar:
-        c = self._central()
-        return self.conjugate[c, c]
+    y_block = _View(Matrix, "Top-left ν×ν block Y.")
+    vt_block = _View(Matrix, "Top-right ν×ν block (Vᵀ in the layout).")
+    w_block = _View(Matrix, "Bottom-left ν×ν block W.")
+    z_block = _View(Matrix, "Bottom-right ν×ν block Z.")
+    v_col = _View(Vector, "Centre column above α (odd n).")
+    x_col = _View(Vector, "Centre column below α (odd n).")
+    y_row = _View(Vector, "Centre row left of α (odd n).")
+    z_row = _View(Vector, "Centre row right of α (odd n).")
+    alpha = _View(Scalar, "Centre entry α (odd n).")
 
 
 def to_block(m: Matrix) -> BlockForm:

@@ -2,6 +2,12 @@
 
 Each function assembles the block-representation of a member from free (or
 mildly constrained) parameters and conjugates back with the involution X_n.
+It passes its blocks to `_write` by the names of the `BlockForm` views
+(a block left out is zero), and `_write` lays each where `blockform.layout`
+puts it; P and Q lay out their plain quadrants the same way, without
+conjugating.  Only the odd A and B forms, which split J's grading as
+(ν+1, ν), place their blocks at explicit ranges.
+
 Parameters are validated eagerly — the ν-parity sign conventions are easy
 to get wrong at call sites — and the failed constraint is named in the
 error.  Where a parameter must itself belong to a lower-dimensional
@@ -28,7 +34,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .blockform import conjugate_x, nu_sign
+from .blockform import conjugate_x, layout, nu_sign
 from .decompose import split
 from .errors import DimensionError, PreconditionError
 from .matrix import (
@@ -129,13 +135,13 @@ def _parts(x) -> tuple:
 
 
 def _place(n: int, blocks: list) -> Matrix:
-    """The n×n matrix with each block (i, j, w, x) laid at row i, column j.
+    """The n×n matrix with each block (rows, cols, x) laid at those ranges.
 
-    x is anything `_parts` reads, w its number of columns (1 for a column
-    vector).  The blocks are brought to their least common denominator and
-    written into the parts of the result; entries no block covers are 0.
+    x is anything `_parts` reads, with len(cols) columns.  The blocks are
+    brought to their least common denominator and written into the parts
+    of the result; entries no block covers are 0.
     """
-    parts = [(i, j, w, _parts(x)) for i, j, w, x in blocks]
+    parts = [(rows.start, cols.start, len(cols), _parts(x)) for rows, cols, x in blocks]
     D = lcm(*(d for *_, (_, _, d) in parts))
     P, Q = [0] * (n * n), [0] * (n * n)
     for i, j, w, (bp, bq, bd) in parts:
@@ -149,31 +155,13 @@ def _place(n: int, blocks: list) -> Matrix:
     return Matrix.from_parts(n, P, Q, D)
 
 
-def _assemble_even(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
-    nu = tl.n
-    return _place(2 * nu, [(0, 0, nu, tl), (0, nu, nu, tr), (nu, 0, nu, bl), (nu, nu, nu, br)])
+def _write(n: int, **blocks) -> Matrix:
+    """The n×n matrix with each named block where `layout(n)` puts it.
 
-
-def _assemble_odd(
-    tl: Matrix,
-    v_col: Vector,
-    tr: Matrix,
-    y_row: Vector,
-    alpha: Scalar,
-    z_row: Vector,
-    bl: Matrix,
-    x_col: Vector,
-    br: Matrix,
-) -> Matrix:
-    nu = tl.n
-    return _place(
-        2 * nu + 1,
-        [
-            (0, 0, nu, tl), (0, nu, 1, v_col), (0, nu + 1, nu, tr),
-            (nu, 0, nu, y_row), (nu, nu, 1, alpha), (nu, nu + 1, nu, z_row),
-            (nu + 1, 0, nu, bl), (nu + 1, nu, 1, x_col), (nu + 1, nu + 1, nu, br),
-        ],
-    )
+    The names are those of the `BlockForm` views (y_block, vt_block, …,
+    alpha); a block left out is zero.
+    """
+    return _place(n, [(*layout(n)[name], x) for name, x in blocks.items()])
 
 
 # -- type A and B ------------------------------------------------------------
@@ -187,29 +175,27 @@ def make_associated(phi, psi, n: int) -> Matrix:
     """
     nu, odd = divmod(n, 2)
     if not odd:
-        block = _assemble_even(
-            zeros(nu), _mat_param(psi, nu, "psi"), _mat_param(phi, nu, "phi"), zeros(nu)
-        )
-        return conjugate_x(block)
+        psi, phi = _blocks(nu, psi=psi, phi=phi)
+        return conjugate_x(_write(n, vt_block=psi, w_block=phi))
     phi_g = _grid_param(phi, nu, nu + 1, "phi")
     psi_g = _grid_param(psi, nu + 1, nu, "psi")
     if n == 1:
         return zeros(1)
-    return conjugate_x(_place(n, [(0, nu + 1, nu, psi_g), (nu + 1, 0, nu + 1, phi_g)]))
+    # J's grading splits C as (ν+1, ν), not as the layout's (ν, 1, ν).
+    top, bottom = range(nu + 1), range(nu + 1, n)
+    return conjugate_x(_place(n, [(top, bottom, psi_g), (bottom, top, phi_g)]))
 
 
 def make_balanced(upsilon, omega, n: int) -> Matrix:
     """Balanced (half-turn symmetric) member from two free diagonal blocks."""
     nu, odd = divmod(n, 2)
     if not odd:
-        block = _assemble_even(
-            _mat_param(upsilon, nu, "upsilon"), zeros(nu), zeros(nu),
-            _mat_param(omega, nu, "omega"),
-        )
-        return conjugate_x(block)
-    blocks = [(0, 0, nu + 1, _grid_param(upsilon, nu + 1, nu + 1, "upsilon"))]
+        upsilon, omega = _blocks(nu, upsilon=upsilon, omega=omega)
+        return conjugate_x(_write(n, y_block=upsilon, z_block=omega))
+    top, bottom = range(nu + 1), range(nu + 1, n)
+    blocks = [(top, top, _grid_param(upsilon, nu + 1, nu + 1, "upsilon"))]
     if nu:
-        blocks.append((nu + 1, nu + 1, nu, _mat_param(omega, nu, "omega")))
+        blocks.append((bottom, bottom, _mat_param(omega, nu, "omega")))
     else:
         _reject({"omega": omega}, "ν = 0", n)
     return conjugate_x(_place(n, blocks))
@@ -233,7 +219,7 @@ def make_semimagic(n: int, Y=None, V=None, W=None, Z=None, w=None) -> Matrix:
         _require(in_space(Y, "S"), "Y must be semimagic (Y ∈ S_ν)")
         _require(V.apply(ones(nu)).is_zero(), "V must have zero row sums")
         _require(W.apply(ones(nu)).is_zero(), "W must have zero row sums")
-        return conjugate_x(_assemble_even(Y, V.transpose(), W, Z))
+        return conjugate_x(_write(n, y_block=Y, vt_block=V.transpose(), w_block=W, z_block=Z))
     w = _scalar_param(w, "w")
     if n == 1:
         _reject({"Y": Y, "V": V, "W": W, "Z": Z}, "ν = 0", n)
@@ -246,13 +232,18 @@ def _odd_free_blocks(u: Vector, r: Scalar, Y, V, W, Z, lam: Scalar) -> Matrix:
     # r = nu_sign(ν)·√2): free blocks Y, V, W, Z and the scalar λ.
     Y, V, W, Z = _blocks(u.n, Y=Y, V=V, W=W, Z=Z)
     yu = Y.apply(u)
-    tl = Y + u.outer(u).scale(2 * lam)
-    v_col = (u.scale(lam) - yu).scale(r)
-    y_row = (u.scale(lam) - Y.transpose().apply(u)).scale(r)
-    alpha = lam + 2 * u.dot(yu)
-    z_row = V.apply(u).scale(-r)
-    x_col = W.apply(u).scale(-r)
-    block = _assemble_odd(tl, v_col, V.transpose(), y_row, alpha, z_row, W, x_col, Z)
+    block = _write(
+        2 * u.n + 1,
+        y_block=Y + u.outer(u).scale(2 * lam),
+        vt_block=V.transpose(),
+        w_block=W,
+        z_block=Z,
+        v_col=(u.scale(lam) - yu).scale(r),
+        x_col=W.apply(u).scale(-r),
+        y_row=(u.scale(lam) - Y.transpose().apply(u)).scale(r),
+        z_row=V.apply(u).scale(-r),
+        alpha=lam + 2 * u.dot(yu),
+    )
     return conjugate_x(block)
 
 
@@ -273,7 +264,7 @@ def make_vertex_cross(n: int, Y=None, a=None, b=None, v=None, x=None, y=None, z=
         b = _vec_param(b, nu, "b")
         _require(in_space(Y, "V"), "Y must be a vertex-cross member (Y ∈ V_ν)")
         one = ones(nu)
-        return conjugate_x(_assemble_even(Y, one.outer(a), b.outer(one), zeros(nu)))
+        return conjugate_x(_write(n, y_block=Y, vt_block=one.outer(a), w_block=b.outer(one)))
     _reject({"Y": Y, "a": a, "b": b}, "odd", n)
     return _odd_free_vectors(nu, False, v, x, y, z)
 
@@ -293,10 +284,16 @@ def _odd_free_vectors(nu: int, alt: bool, v, x, y, z) -> Matrix:
     r = SQRT2 * nu_sign(nu) if alt else SQRT2
     c = 2 * nu - 1
     total = u.dot(v) + u.dot(y)
-    tl = (v.outer(u) + u.outer(y)).scale(r) - u.outer(u).scale(r * 2 * total / c)
-    alpha = r * total / c
-    block = _assemble_odd(
-        tl, v, u.outer(z).scale(r), y, alpha, z, x.outer(u).scale(r), x, zeros(nu)
+    block = _write(
+        2 * nu + 1,
+        y_block=(v.outer(u) + u.outer(y)).scale(r) - u.outer(u).scale(r * 2 * total / c),
+        vt_block=u.outer(z).scale(r),
+        w_block=x.outer(u).scale(r),
+        v_col=v,
+        x_col=x,
+        y_row=y,
+        z_row=z,
+        alpha=r * total / c,
     )
     return conjugate_x(block)
 
@@ -320,7 +317,7 @@ def make_alternating_pairs(n: int, Y=None, V=None, W=None, Z=None, lam=None) -> 
         _require(V.transpose().apply(sig).is_zero(), "V must have zero alternating column sums")
         _require(W.transpose().apply(sig).is_zero(), "W must have zero alternating column sums")
         _require(in_space(Z, "N"), "Z must be an alternating-pairs member (Z ∈ N_ν)")
-        return conjugate_x(_assemble_even(Y, V.transpose(), W, Z))
+        return conjugate_x(_write(n, y_block=Y, vt_block=V.transpose(), w_block=W, z_block=Z))
     lam = _scalar_param(lam, "lam")
     if n == 1:
         _reject({"Y": Y, "V": V, "W": W, "Z": Z}, "ν = 0", n)
@@ -346,7 +343,7 @@ def make_array_sum(n: int, a=None, b=None, Z=None, v=None, x=None, y=None, z=Non
         Z = _mat_param(Z, nu, "Z")
         _require(in_space(Z, "M"), "Z must be an array-sum member (Z ∈ M_ν)")
         sig = alternating(nu)
-        return conjugate_x(_assemble_even(zeros(nu), a.outer(sig), sig.outer(b), Z))
+        return conjugate_x(_write(n, vt_block=a.outer(sig), w_block=sig.outer(b), z_block=Z))
     _reject({"a": a, "b": b, "Z": Z}, "odd", n)
     return _odd_free_vectors(nu, True, v, x, y, z)
 
@@ -364,26 +361,19 @@ def make_reverse(n: int, gamma=None, x=None, z=None, Z=None) -> Matrix:
         # ν = 0: x and z are empty and there is no Z block.
         _reject({"Z": Z}, "ν = 0", n)
         return Matrix(1, (gamma / SQRT2,))
-    Z = _mat_param(Z, nu, "Z")
     one = ones(nu)
-    if not odd:
-        block = _assemble_even(
-            all_ones(nu).scale(gamma), one.outer(z), x.outer(one), Z
-        )
-        return conjugate_x(block)
-    rt2 = SQRT2
-    block = _assemble_odd(
-        all_ones(nu).scale(rt2 * gamma),
-        one.scale(gamma),
-        one.outer(z).scale(rt2),
-        one.scale(gamma),
-        gamma / rt2,
-        z,
-        x.outer(one).scale(rt2),
-        x,
-        Z,
-    )
-    return conjugate_x(block)
+    # The odd form scales the square blocks by √2 and adds the centre.
+    r = SQRT2 if odd else 1
+    blocks = {
+        "y_block": all_ones(nu).scale(r * gamma),
+        "vt_block": one.outer(z).scale(r),
+        "w_block": x.outer(one).scale(r),
+        "z_block": _mat_param(Z, nu, "Z"),
+    }
+    if odd:
+        g = one.scale(gamma)
+        blocks.update(v_col=g, x_col=x, y_row=g, z_row=z, alpha=gamma / SQRT2)
+    return conjugate_x(_write(n, **blocks))
 
 
 # -- types P and Q (plain block structure, no conjugation) -------------------
@@ -400,13 +390,13 @@ def _halves(A, B, n: int | None) -> tuple[Matrix, Matrix]:
 def make_pandiagonal(A, B, n: int | None = None) -> Matrix:
     """Weight-0 strong-pandiagonal matrix [[A, B], [−B, −A]]."""
     A, B = _halves(A, B, n)
-    return _assemble_even(A, B, -B, -A)
+    return _write(2 * A.n, y_block=A, vt_block=B, w_block=-B, z_block=-A)
 
 
 def make_quartered(A, B, n: int | None = None) -> Matrix:
     """Quartered matrix [[A, B], [B, A]]."""
     A, B = _halves(A, B, n)
-    return _assemble_even(A, B, B, A)
+    return _write(2 * A.n, y_block=A, vt_block=B, w_block=B, z_block=A)
 
 
 # -- most perfect squares ----------------------------------------------------
@@ -504,7 +494,7 @@ def make_quartered_semimagic(Y, Z, V, W, n: int) -> Matrix:
             U.transpose().apply(sig).is_zero(),
             f"{name} must have zero alternating column sums",
         )
-    return conjugate_x(_assemble_even(Y, V.transpose(), W, Z))
+    return conjugate_x(_write(n, y_block=Y, vt_block=V.transpose(), w_block=W, z_block=Z))
 
 
 # -- reversible squares ------------------------------------------------------

@@ -186,20 +186,26 @@ class Matrix(_Parts):
                 raise DimensionError("matrix rows must all have length n")
         return cls(n, [x for row in rows for x in row])
 
+    def _index(self, i: int) -> int:
+        # −n ≤ i < n, counted from the end when negative, as a Vector's.
+        if not -self.n <= i < self.n:
+            raise IndexError(f"matrix index {i} out of range for n = {self.n}")
+        return i % self.n
+
     def __getitem__(self, ij: tuple) -> Scalar:
         i, j = ij
-        return self._at(i * self.n + j)
+        return self._at(self._index(i) * self.n + self._index(j))
 
     def _vector(self, s: slice) -> Vector:
         P = self.P[s]
         return Vector.from_parts(len(P), P, self.Q and self.Q[s], self.D)
 
     def row(self, i: int) -> Vector:
-        n = self.n
+        n, i = self.n, self._index(i)
         return self._vector(slice(i * n, (i + 1) * n))
 
     def col(self, j: int) -> Vector:
-        return self._vector(slice(j, None, self.n))
+        return self._vector(slice(self._index(j), None, self.n))
 
     def __matmul__(self, other):
         if isinstance(other, Vector):

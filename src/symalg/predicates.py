@@ -7,12 +7,13 @@ that is K·(M − w·E)·K = ±(M − w·E) for a grading involution K of
 `blockform.INVOLUTIONS`, and for S and N that M commutes with a reflection
 K.  P and Q have none: for a permutation K it is the entrywise check.
 `classify` runs both routes and treats any disagreement as an internal bug,
-not as a statement about the input.  For S and R the two routes are not
-independent: the algebraic S route (M·1 = Mᵀ·1 = λ·1) compares the same row
-and column sums as the entrywise one, and both R routes compare the same
-mirror-pair sums.  There the disagreement guard and `verify`'s dual-path
+not as a statement about the input.  For S, R, A and B the two routes are
+not independent: the algebraic S route (M·1 = Mᵀ·1 = λ·1) compares the same
+row and column sums as the entrywise one, both R routes compare the same
+mirror-pair sums, and both A and B routes read J's index map (i, j) ↦
+(n−1−i, n−1−j).  There the disagreement guard and `verify`'s dual-path
 agreement catch only a slip in one copy, not a wrong condition in both;
-only the oracle agreement in `verify` checks S and R independently.
+only the oracle agreement in `verify` checks these four independently.
 
 Every route reads the matrix's own integer parts M = (P + Q·√2)/D
 (`Matrix.P`, `Matrix.Q`, `Matrix.D`; Q is None when M is rational).  Every
@@ -420,7 +421,12 @@ def _routes(space: Space, n: int) -> tuple:
 
 
 def dual_routes(n: int) -> tuple[str, ...]:
-    """The properties that two independent routes decide at size n."""
+    """The properties that two routes decide at size n.
+
+    The routes are not independent for four of them: both S routes and both
+    R routes compare the same sums, and both A routes and both B routes read
+    J's index map.  For those the oracle agreement is the independent check.
+    """
     return tuple(
         tag
         for tag, space in SPACES.items()

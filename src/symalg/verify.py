@@ -200,22 +200,12 @@ def _rows_array_sum_entrywise(n: int) -> list:
     ] + [_alt_total_row(n)]
 
 
-def _reflect_neg_basis(n: int) -> list[list[int]]:
-    # Basis of {u : J·u = −u}: e_a − e_{n−1−a} for a < ν.
-    out = []
-    for a in range(n // 2):
-        v = [0] * n
-        v[a] = 1
-        v[n - 1 - a] = -1
-        out.append(v)
-    return out
-
-
 def _rows_reverse_complement(n: int) -> list:
     # (1 + u)ᵀ·M·(1 + v) = 0 over the −1 eigenspace of J: its four
-    # homogeneous families 1ᵀM1, uᵀM1, 1ᵀMu and uᵀMv on its basis.
+    # homogeneous families 1ᵀM1, uᵀM1, 1ᵀMu and uᵀMv on its basis
+    # e_a − e_{n−1−a}, a < ν.
     one = _e(*range(n))
-    basis = [[(i, c) for i, c in enumerate(u) if c] for u in _reflect_neg_basis(n)]
+    basis = [[(a, 1), (n - 1 - a, -1)] for a in range(n // 2)]
     rows = [_total_row(n)]
     for u in basis:
         rows += [_row(n, (u, one)), _row(n, (one, u))]
@@ -580,7 +570,7 @@ def mps_certificates(n: int) -> tuple[Certificate, Certificate]:
     parasymmetry theorem follows from the pair certificate.
     """
     members = _mps_members(n)
-    sig = [c for _, c in _sigma(n)]
+    sig = INVOLUTIONS["NM"].axis(n)
     sparse = [_sparse(m) for _, _, m in members]
     rows = [_by_row(n, m) for m in sparse]
     pairs = Certificate("M(x)·M(y) = n·γₓδᵧᵀ + (δₓᵀγᵧ)·ΣΣᵀ", n, len(members))

@@ -103,7 +103,8 @@ def r_complement_membership(m):
     """
     n = m.n
     one = ones(n)
-    basis = [Vector(u) for u in V._reflect_neg_basis(n)]
+    # e_a − e_{n−1−a} for a < ν.
+    basis = [Vector([(i == a) - (i == n - 1 - a) for i in range(n)]) for a in range(n // 2)]
     mt = m.transpose()
     return (
         one.dot(m.apply(one)).is_zero()

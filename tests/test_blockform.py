@@ -9,9 +9,12 @@ from symalg.blockform import (
     conjugate_k,
     conjugate_x,
     from_block,
+    layout,
     nu_sign,
     to_block,
 )
+from symalg.construct import _write
+from symalg.errors import DimensionError
 from symalg.matrix import (
     Matrix,
     Vector,
@@ -159,6 +162,31 @@ def test_central_views_are_vectors_of_the_conjugate_entries(kind):
             assert view == Vector(entries), (n, name)
             assert view.D > 0 and gcd(view.D, *view.P, *(view.Q or ())) == 1
             assert (view.Q is None) == all(x.is_rational() for x in entries)
+
+
+def test_layout_covers_every_cell_once():
+    for n in range(1, 13):
+        cells = [(i, j) for rows, cols in layout(n).values() for i in rows for j in cols]
+        assert sorted(cells) == [(i, j) for i in range(n) for j in range(n)], n
+
+
+def test_writing_the_views_back_gives_the_conjugate():
+    rng = random.Random(11)
+    for n in range(2, 10):
+        bf = to_block(Matrix(n, tuple(_entry(rng, "mixed") for _ in range(n * n))))
+        assert _write(n, **{name: getattr(bf, name) for name in layout(n)}) == bf.conjugate
+
+
+def test_views_at_n_1():
+    # ν = 0: the square views are 0×0 and raise, the centre views are empty
+    # and α is the one entry.
+    bf = to_block(Matrix(1, (Scalar(3, 2),)))
+    for name in ("y_block", "vt_block", "w_block", "z_block"):
+        with pytest.raises(DimensionError):
+            getattr(bf, name)
+    for name in ("v_col", "x_col", "y_row", "z_row"):
+        assert getattr(bf, name) == Vector([])
+    assert bf.alpha == Scalar(3, 2) == bf.conjugate[0, 0]
 
 
 def test_nu_sign_convention():

@@ -283,6 +283,21 @@ def test_apply_row_and_col_match_the_scalar_reference(case, data):
             _assert_canonical(view)
 
 
+
+def test_matrix_indices_run_from_minus_n_to_n_as_a_vectors_do():
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    assert m[0, -1] == Scalar(2) and m[-1, -2] == Scalar(3) and m[1, 1] == Scalar(4)
+    assert m.row(-1) == Vector([3, 4]) and m.col(-1) == Vector([2, 4])
+    for i in (2, -3):
+        with pytest.raises(IndexError, match="out of range for n = 2"):
+            m[0, i]
+        with pytest.raises(IndexError, match="out of range for n = 2"):
+            m[i, 0]
+        with pytest.raises(IndexError, match="out of range for n = 2"):
+            m.row(i)
+        with pytest.raises(IndexError, match="out of range for n = 2"):
+            m.col(i)
+
 @given(st.lists(_rationals, max_size=6))
 def test_equal_vectors_from_ints_fractions_and_scalars_hash_alike(xs):
     exact = [int(x) if x.denominator == 1 else x for x in xs]
