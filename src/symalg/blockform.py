@@ -54,20 +54,24 @@ def conjugate_x(m: Matrix) -> Matrix:
     to the columns in int: the pair (i, n−1−i) maps to (r_i + r_{n−1−i},
     r_i − r_{n−1−i}), and a centre row or column is multiplied by √2, so
     (P, Q) becomes (2Q, P).  Then X·M·X = Y·M·Y/2 = (P′ + Q′·√2)/(2D).
+    A rational M (Q None) skips the pair sums on Q, which stay zero; only
+    the centre swap at odd n makes a √2 part.
     """
     n = m.n
     P = list(m.P)
-    Q = [0] * len(P) if m.Q is None else list(m.Q)
+    Q = None if m.Q is None else list(m.Q)
     nu, odd = divmod(n, 2)
     # Row pair (i, n−1−i), then column pair, as slices of the row-major list.
     pairs = [(slice(i * n, (i + 1) * n), slice((n - 1 - i) * n, (n - i) * n)) for i in range(nu)]
     pairs += [(slice(i, None, n), slice(n - 1 - i, None, n)) for i in range(nu)]
-    for e in (P, Q):
+    for e in (P,) if Q is None else (P, Q):
         for lo, hi in pairs:
             a, b = e[lo], e[hi]
             e[lo] = [x + y for x, y in zip(a, b)]
             e[hi] = [x - y for x, y in zip(a, b)]
     if odd:
+        if Q is None:
+            Q = [0] * len(P)
         for centre in (slice(nu * n, (nu + 1) * n), slice(nu, None, n)):
             P[centre], Q[centre] = [2 * q for q in Q[centre]], P[centre]
     return Matrix.from_parts(n, P, Q, 2 * m.D)

@@ -1,9 +1,11 @@
 """Mechanical verification of the structural identities.
 
 An independent oracle compiles each space's defining equations into a
-linear constraint system over the n² matrix entries and computes its exact
-nullspace.  The suites then check, against that oracle and against the
-predicates:
+linear constraint system over the n² matrix entries and reduces it
+exactly.  Its nullity is n² − rank, read from the pivot count; its
+nullspace basis is read off the pivots on first use and then cached, so a
+dimension check never builds it.  The suites then check, against that
+oracle and against the predicates:
 
 * dimension formulas and the four direct-sum splits,
 * the seven graded-algebra product laws, proved on every product of two
@@ -259,8 +261,9 @@ class ConstraintSystem:
 
     `rows` are sparse {index into vec(M): int} dicts, as `_row` builds
     them, and `pivots` is `elim.integer_rref(rows)`, as the build found it.
-    `basis` is the nullspace read off the pivots by
-    `elim.nullspace_of_rref`, one vector per free column as
+    `nullity` is n² − rank, the number of free columns.  `basis` is the
+    nullspace read off the pivots by `elim.nullspace_of_rref` on first
+    use and then cached, one vector per free column as
     (den, [(index, num)]) over its nonzeros; `basis_matrices` builds it as
     matrices.  The space is the solution set of `rows`, so `satisfies` is
     its membership test.
@@ -271,11 +274,15 @@ class ConstraintSystem:
         self.n = n
         self.rows = rows
         self.pivots = pivots
-        self.basis = nullspace_of_rref(pivots, n * n)
 
     @property
     def nullity(self) -> int:
-        return len(self.basis)
+        """n² − rank: `nullspace_of_rref` gives one vector per non-pivot column."""
+        return self.n * self.n - len(self.pivots)
+
+    @cached_property
+    def basis(self) -> list[tuple[int, list[tuple[int, int]]]]:
+        return nullspace_of_rref(self.pivots, self.n * self.n)
 
     def basis_matrices(self) -> list[Matrix]:
         out = []

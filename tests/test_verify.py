@@ -376,6 +376,37 @@ def test_composed_reduction_equals_a_fresh_reduction_of_the_literal_rows():
             assert sys.basis == nullspace_of_rref(integer_rref(sys.rows), n * n), (tag, n)
 
 
+def test_nullity_from_the_pivot_count_is_the_basis_size():
+    # Rank–nullity: the nullity is read from the pivot count, the basis off
+    # the pivot rows, one vector per free column.
+    for tag in list(V._ATOMS) + list(V.COMPOSITES):
+        for n in range(1, 11):
+            if not exists(tag, n):
+                continue
+            sys = V.build_constraints(tag, n)
+            assert sys.nullity == len(sys.basis) == n * n - len(sys.pivots), (tag, n)
+
+
+def test_nullity_never_builds_the_basis(monkeypatch):
+    calls = []
+
+    def counted(pivots, width):
+        calls.append(width)
+        return nullspace_of_rref(pivots, width)
+
+    monkeypatch.setattr(V, "nullspace_of_rref", counted)
+    V._atom.cache_clear()
+    V.build_constraints.cache_clear()
+    for tag in list(V._ATOMS) + list(V.COMPOSITES):
+        if exists(tag, 6):
+            V.build_constraints(tag, 6).nullity
+    assert calls == []
+    sys = V.build_constraints("RV", 6)
+    basis = sys.basis
+    assert calls == [36] and len(basis) == sys.nullity
+    assert sys.basis is basis and calls == [36]
+
+
 def test_stacking_leaves_the_cached_atoms_as_they_were():
     # A stack is reduced into a copy of its largest part's RREF; reducing
     # into the cached rows themselves would change every system built on
