@@ -23,13 +23,19 @@ and `SPLIT_TAGS` names the (even, odd) spaces of each.
 `involution_entries` is the one K·M·K kernel: it gives K·M·K of an integer
 matrix in int, in O(n²), and never builds K.  Predicates and splits apply
 it to each integer part of a matrix over Q(√2) (`Matrix.P`, `Matrix.Q`).
+
+Every table that depends only on n is an `lru_cache` of this module,
+built once per size: the layout, which is shared and so read-only,
+`conjugate_x`'s pair slices and the index maps of J and T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionError
 from .matrix import Matrix, Vector
@@ -60,21 +66,29 @@ def conjugate_x(m: Matrix) -> Matrix:
     n = m.n
     P = list(m.P)
     Q = None if m.Q is None else list(m.Q)
-    nu, odd = divmod(n, 2)
-    # Row pair (i, n−1−i), then column pair, as slices of the row-major list.
-    pairs = [(slice(i * n, (i + 1) * n), slice((n - 1 - i) * n, (n - i) * n)) for i in range(nu)]
-    pairs += [(slice(i, None, n), slice(n - 1 - i, None, n)) for i in range(nu)]
+    pairs, centres = _pair_slices(n)
     for e in (P,) if Q is None else (P, Q):
         for lo, hi in pairs:
             a, b = e[lo], e[hi]
             e[lo] = [x + y for x, y in zip(a, b)]
             e[hi] = [x - y for x, y in zip(a, b)]
-    if odd:
+    if centres:
         if Q is None:
             Q = [0] * len(P)
-        for centre in (slice(nu * n, (nu + 1) * n), slice(nu, None, n)):
+        for centre in centres:
             P[centre], Q[centre] = [2 * q for q in Q[centre]], P[centre]
     return Matrix.from_parts(n, P, Q, 2 * m.D)
+
+
+@lru_cache(maxsize=None)
+def _pair_slices(n: int) -> tuple[tuple, tuple]:
+    # The row pairs (i, n−1−i), then the column pairs, and at odd n the
+    # centre row and column, as slices of the row-major list.
+    nu, odd = divmod(n, 2)
+    pairs = [(slice(i * n, (i + 1) * n), slice((n - 1 - i) * n, (n - i) * n)) for i in range(nu)]
+    pairs += [(slice(i, None, n), slice(n - 1 - i, None, n)) for i in range(nu)]
+    centres = (slice(nu * n, (nu + 1) * n), slice(nu, None, n)) if odd else ()
+    return tuple(pairs), centres
 
 
 # -- the four grading involutions ---------------------------------------------
@@ -119,13 +133,13 @@ def involution_entries(e: Sequence[int], n: int, kind: str) -> tuple[int, list[i
     as K is rational.  Raises DimensionError for QP at odd n, where T is no
     involution.
     """
+    tag = kind.upper()
     try:
-        k = INVOLUTIONS[kind.upper()]
+        k = INVOLUTIONS[tag]
     except KeyError:
         raise ValueError(f"unknown split kind {kind!r}") from None
     if k.permutation is not None:
-        sigma = k.permutation(n)
-        return 1, [e[si * n + sj] for si in sigma for sj in sigma]
+        return 1, list(map(e.__getitem__, _index_map(tag, n)))
     y = k.axis(n)
     my = [sum(map(mul, e[i * n:(i + 1) * n], y)) for i in range(n)]
     mty = [sum(map(mul, e[j::n], y)) for j in range(n)]
@@ -139,6 +153,14 @@ def involution_entries(e: Sequence[int], n: int, kind: str) -> tuple[int, list[i
     return nn, out
 
 
+@lru_cache(maxsize=None)
+def _index_map(kind: str, n: int) -> tuple[int, ...]:
+    # Row-major k ↦ σi·n + σj for the permutation σ of `kind`, so that
+    # (K·M·K)[k] = M[map[k]].
+    sigma = INVOLUTIONS[kind].permutation(n)
+    return tuple(si * n + sj for si in sigma for sj in sigma)
+
+
 def conjugate_k(m: Matrix, kind: str) -> Matrix:
     """K·M·K for the grading involution K of `kind` (BA, SV, NM, QP)."""
     s, kp = involution_entries(m.P, m.n, kind)
@@ -146,12 +168,14 @@ def conjugate_k(m: Matrix, kind: str) -> Matrix:
     return Matrix.from_parts(m.n, kp, kq, s * m.D)
 
 
-def layout(n: int) -> dict[str, tuple[range, range]]:
+@lru_cache(maxsize=None)
+def layout(n: int) -> Mapping[str, tuple[range, range]]:
     """The rows and columns of each named block of C = X_n·M·X_n.
 
     The one statement of the layout above: (ν, ν) at even n and (ν, 1, ν)
     at odd n, the centre row and column only at odd n.  The names are the
     `BlockForm` views, which read C here, and `construct` writes C here.
+    Built once per n and shared, so it is a read-only mapping.
     """
     nu = n // 2
     lo, hi = range(nu), range(n - nu, n)
@@ -159,7 +183,7 @@ def layout(n: int) -> dict[str, tuple[range, range]]:
     if n % 2:
         c = range(nu, nu + 1)
         at.update(v_col=(lo, c), x_col=(hi, c), y_row=(c, lo), z_row=(c, hi), alpha=(c, c))
-    return at
+    return MappingProxyType(at)
 
 
 class _View:

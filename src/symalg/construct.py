@@ -17,7 +17,10 @@ predicates.
 One table (`_FORMS`) gives, for each kind and parity, the maker and its
 ordered (name, parameter space) list; `constructor_basis`, `random_member`
 and `member_from_params` are all derived from it; `member_from_params`
-also reads the mps block form a, b, Z (`_NAMED_FORMS`).  Each maker is
+also reads the mps block form a, b, Z (`_NAMED_FORMS`).
+`constructor_basis` is cached per (kind, n) and returns one shared tuple,
+so the span checks, the member parameters that recurse to size ν and the
+MPS certificates build each basis once.  Each maker is
 called with n, and a parameter left out is None, which every maker reads
 as zero.  Member parameters recurse to size ν, grounding at n = 1 where
 the spaces are a free scalar (semimagic, alternating-pairs, balanced,
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .blockform import conjugate_x, layout, nu_sign
@@ -149,9 +153,11 @@ def _place(n: int, blocks: list) -> Matrix:
         for out, part in ((P, bp), (Q, bq)):
             if part is None:
                 continue
+            if f != 1:
+                part = [f * x for x in part]
             for k in range(0, len(part), w):
                 start = (i + k // w) * n + j
-                out[start : start + w] = [f * x for x in part[k : k + w]]
+                out[start : start + w] = part[k : k + w]
     return Matrix.from_parts(n, P, Q, D)
 
 
@@ -753,20 +759,22 @@ def _form(kind: str, n: int) -> _Form:
     return form
 
 
-def constructor_basis(kind: str, n: int) -> list[Matrix]:
+@lru_cache(maxsize=None)
+def constructor_basis(kind: str, n: int) -> tuple[Matrix, ...]:
     """Constructor outputs over a spanning set of the parameter space.
 
     Each output is the maker applied to one spanning element of one
     parameter, every other parameter zero; as the makers are linear, the
     outputs span the symmetry space whenever the representation formula is
     complete, which `verify.dimension_probe` checks against the oracle.
+    Built once per (kind, n); every caller shares the one tuple.
     """
     form = _form(kind, n)
-    return [
+    return tuple(
         form.build(n, {name: value})
         for name, space in form.params
         for value in space.spanning(n // 2)
-    ]
+    )
 
 
 def random_member(kind: str, n: int, rng: random.Random, weight=None) -> Matrix:

@@ -205,5 +205,8 @@ def read_matrix(path: str) -> Matrix:
 
 def write_matrix(m: Matrix, path: str) -> None:
     text = dumps_matrix_csv(m) if str(path).endswith(".csv") else dumps_matrix(m) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc

@@ -249,12 +249,14 @@ class Matrix(_Parts):
 # Slot writers for `from_parts`, as `scalar` has for `Scalar`: they bypass
 # `_Parts.__setattr__`, which always raises, and serve both subclasses.
 _new = object.__new__
-_SLOTS = tuple(getattr(_Parts, name).__set__ for name in _Parts.__slots__)
+_set_n, _set_P, _set_Q, _set_D = (getattr(_Parts, name).__set__ for name in _Parts.__slots__)
 
 
 def _set(m: _Parts, n: int, P: tuple, Q: tuple | None, D: int) -> None:
-    for setter, value in zip(_SLOTS, (n, P, Q, D)):
-        setter(m, value)
+    _set_n(m, n)
+    _set_P(m, P)
+    _set_Q(m, Q)
+    _set_D(m, D)
 
 
 def _transposed(e: tuple, n: int) -> tuple:

@@ -28,6 +28,9 @@ One table (`SPACES`) gives each space its two routes, its parity and its
 rule; `COMPOSITES` gives the intersections.
 `check_entrywise`, `check_algebraic`, `classify` and `in_space` are all
 derived from the two, and so are the oracle's dimension checks.
+`check_entrywise` resolves each (prop, n) to its route once, and
+`check_algebraic` each prop, in module-level `lru_cache`s; a call then only
+runs the route.
 
 Weight conventions: rows/columns of an S-matrix sum to n·w, centrally
 opposite entries of an A-matrix to 2w, cyclic 2×2 blocks of an M-matrix to
@@ -40,6 +43,7 @@ verdicts accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import mul
 from typing import Callable
@@ -441,17 +445,30 @@ def _property(prop: str) -> Space | None:
     return space if space is not None and space.prop == prop.upper() else None
 
 
+@lru_cache(maxsize=None)
+def _entrywise_route(prop: str, n: int) -> Callable[[Matrix], PropertyVerdict]:
+    space = _property(prop)
+    if space is None:
+        raise ValueError(f"unknown property {prop!r}")
+    check_dimension(prop.upper(), n)
+    return _routes(space, n)[0]
+
+
+@lru_cache(maxsize=None)
+def _algebraic_route(prop: str) -> Callable[[Matrix], PropertyVerdict]:
+    space = _property(prop)
+    if space is None or space.algebraic is None:
+        raise ValueError(f"property {prop!r} has no algebraic characterisation")
+    return space.algebraic
+
+
 def check_entrywise(m: Matrix, prop: str) -> PropertyVerdict:
     """Entrywise verdict for one property tag (S A B R V M N P Q).
 
     The spaces the algebraic route defines at odd n (M and N) return that
     verdict there; the even-only ones (P and Q) raise DimensionError.
     """
-    space = _property(prop)
-    if space is None:
-        raise ValueError(f"unknown property {prop!r}")
-    check_dimension(prop.upper(), m.n)
-    return _routes(space, m.n)[0](m)
+    return _entrywise_route(prop, m.n)(m)
 
 
 def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
@@ -461,10 +478,7 @@ def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
     M − w·E, for the grading involutions K.  Valid for every dimension; for odd n this route *is* the definition of
     the M- and N-type spaces.  P and Q have no such route.
     """
-    space = _property(prop)
-    if space is None or space.algebraic is None:
-        raise ValueError(f"property {prop!r} has no algebraic characterisation")
-    return space.algebraic(m)
+    return _algebraic_route(prop)(m)
 
 
 # -- classification ----------------------------------------------------------

@@ -390,9 +390,9 @@ def dimension_probe(space: str, n: int) -> int:
 class Certificate:
     """A claim proved at n on every product of `basis` oracle basis members.
 
-    Each product is `record`ed: `products` counts them, `failures` the
-    ones where the claim broke, and `witnesses` keeps the first three of
-    those, each naming the basis members and what broke.  A rank bound
+    `products` counts the products checked, `failures` the ones where the
+    claim broke, and `witnesses` keeps the first three of those, each
+    naming the basis members and what broke; `record` adds one product.  A rank bound
     also sets `bound` and the rank `max_rank` of one member, named by
     `member` and given as io matrix JSON by `member_matrix`, that shows
     how far the bound is reached; there `products` equals `basis`, one
@@ -437,21 +437,25 @@ class Certificate:
         return out
 
 
-def _by_row(n: int, entries: list) -> dict[int, list]:
-    # A sparse basis vector over vec(M) as {row i: [(column j, num)]}.
-    rows: dict = {}
+def _by_row(n: int, entries: list) -> list[list]:
+    # A sparse basis vector over vec(M) as its rows, row i [(column j, num)].
+    rows: list = [[] for _ in range(n)]
     for k, num in entries:
-        rows.setdefault(k // n, []).append((k % n, num))
+        i, j = divmod(k, n)
+        rows[i].append((j, num))
     return rows
 
 
-def _int_product(n: int, left: list, right: dict) -> list[int]:
-    # vec(L·R) for L sparse over vec(M) and R from `_by_row`, in int.
+def _terms(n: int, entries: list) -> list[tuple[int, int, int]]:
+    # A sparse basis vector over vec(M) as (row offset i·n, column, num).
+    return [(k - k % n, k % n, num) for k, num in entries]
+
+
+def _int_product(n: int, left: list, right: list) -> list[int]:
+    # vec(L·R) for L from `_terms` and R from `_by_row`, in int.
     out = [0] * (n * n)
-    for k, a in left:
-        i, mid = divmod(k, n)
-        base = i * n
-        for j, b in right.get(mid, ()):
+    for base, mid, a in left:
+        for j, b in right[mid]:
             out[base + j] += a * b
     return out
 
@@ -495,10 +499,12 @@ def grading_certificate(pair: str, n: int) -> Certificate:
     first broken one.  `in_space` judges it as a Matrix.  Both are pure
     functions of (product, T), so identical products in a law (many
     repeat, the zero matrix among them) share one verdict; every product
-    is still recorded.  A product either judge rejects is a failure; the
+    is still counted.  A product either judge rejects is a failure; the
     first three are kept as witnesses naming the law, the basis pair
     (i, j), the index of the first broken literal row (None when only
-    `in_space` said no) and the judges that said no.
+    `in_space` said no) and the judges that said no; a product both
+    accept builds no witness.  Each left basis matrix is read into its
+    (row offset, column, num) terms once, for all right basis matrices.
     """
     tag = pair.upper()
     if tag not in GRADING_PAIRS:
@@ -512,8 +518,9 @@ def grading_certificate(pair: str, n: int) -> Certificate:
         rights = [_by_row(n, e) for _, e in build_constraints(right, n).basis]
         verdicts: dict[tuple, tuple] = {}
         for i, (_, entries) in enumerate(build_constraints(left, n).basis):
+            terms = _terms(n, entries)
             for j, rows in enumerate(rights):
-                vec = _int_product(n, entries, rows)
+                vec = _int_product(n, terms, rows)
                 key = tuple(vec)
                 verdict = verdicts.get(key)
                 if verdict is None:
@@ -523,8 +530,11 @@ def grading_certificate(pair: str, n: int) -> Certificate:
                         judges.append("in_space")
                     verdict = verdicts[key] = (broken, judges)
                 broken, judges = verdict
-                cert.record(not judges, law=list(law), basis_pair=[i, j],
-                            equation=broken, rejected_by=list(judges))
+                if judges:
+                    cert.record(False, law=list(law), basis_pair=[i, j],
+                                equation=broken, rejected_by=list(judges))
+                else:
+                    cert.products += 1
     return cert
 
 
@@ -579,6 +589,7 @@ def mps_certificates(n: int) -> tuple[Certificate, Certificate]:
     members = _mps_members(n)
     sig = INVOLUTIONS["NM"].axis(n)
     sparse = [_sparse(m) for _, _, m in members]
+    terms = [_terms(n, m) for m in sparse]
     rows = [_by_row(n, m) for m in sparse]
     pairs = Certificate("M(x)·M(y) = n·γₓδᵧᵀ + (δₓᵀγᵧ)·ΣΣᵀ", n, len(members))
     triples = Certificate(
@@ -586,11 +597,11 @@ def mps_certificates(n: int) -> tuple[Certificate, Certificate]:
     )
     for i, (gx, dx, _) in enumerate(members):
         for j, (gy, dy, _) in enumerate(members):
-            xy = _int_product(n, sparse[i], rows[j])
+            xy = _int_product(n, terms[i], rows[j])
             c = _dot(dx, gy)
             want = [n * g * d + c * s * t for g, s in zip(gx, sig) for d, t in zip(dy, sig)]
             pairs.record(xy == want, basis_pair=[i, j])
-            xy = _sparse(xy)
+            xy = _terms(n, _sparse(xy))
             right = n * c
             for k, (gz, dz, _) in enumerate(members):
                 left = n * _dot(dy, gz)

@@ -170,6 +170,16 @@ def test_layout_covers_every_cell_once():
         assert sorted(cells) == [(i, j) for i in range(n) for j in range(n)], n
 
 
+def test_layout_is_shared_and_read_only():
+    # One layout per n, shared by every view and writer, so no caller may
+    # change it.
+    for n in range(1, 13):
+        at = layout(n)
+        assert layout(n) is at
+        with pytest.raises(TypeError):
+            at["y_block"] = (range(0), range(0))
+
+
 def test_writing_the_views_back_gives_the_conjugate():
     rng = random.Random(11)
     for n in range(2, 10):

@@ -104,6 +104,33 @@ def test_decompose_qp_odd_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
+def assert_unwritable(result):
+    # An output path that cannot be written is an input error: exit 2 and
+    # one line, never a traceback.
+    code, _, err = result
+    assert code == 2 and "Traceback" not in err, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write"), err
+
+
+def test_block_unwritable_out_is_input_error(capsys, e4_file, tmp_path):
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert_unwritable(run(capsys, "block", e4_file, "--out", str(out)))
+
+
+def test_construct_unwritable_out_is_input_error(capsys, tmp_path):
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert_unwritable(run(capsys, "construct", "--type", "s", "--n", "4", "--out", str(out)))
+
+
+def test_decompose_unwritable_out_is_input_error(capsys, e4_file, tmp_path):
+    ok, missing = str(tmp_path / "part.json"), str(tmp_path / "missing" / "x.json")
+    for even, odd in ((missing, ok), (ok, missing), (str(tmp_path), ok)):
+        assert_unwritable(run(
+            capsys, "decompose", e4_file, "--split", "ba", "--even-out", even, "--odd-out", odd,
+        ))
+
+
 def test_construct_classify_closure_all_types(capsys, tmp_path):
     out_path = tmp_path / "c.json"
     for kind in CONSTRUCTIBLE:

@@ -449,6 +449,19 @@ def test_each_formula_is_a_bijective_parametrisation(kind):
         assert len(basis) == span_rank == build_constraints(kind.upper(), n).nullity, n
 
 
+def test_constructor_basis_is_one_shared_tuple_per_kind_and_size():
+    # The cached basis equals a fresh build, and every caller gets the same
+    # immutable tuple.
+    for kind in C.CONSTRUCTIBLE:
+        for n in range(1, 9):
+            if n % 2 and even_only(kind):
+                continue
+            basis = C.constructor_basis(kind, n)
+            assert isinstance(basis, tuple), (kind, n)
+            assert basis == C.constructor_basis.__wrapped__(kind, n), (kind, n)
+            assert C.constructor_basis(kind, n) is basis, (kind, n)
+
+
 def test_the_nqs_formula_is_redundant():
     # Its Y, Z, V and W are projections of full S, N and A bases at size ν,
     # so the spanning set outgrows the space; it still spans all of it.
