@@ -21,8 +21,13 @@ each named block its rows and columns.
 reflections I − 2·11ᵀ/n and I − 2·ΣΣᵀ/n, and T at even n; see `decompose`),
 and `SPLIT_TAGS` names the (even, odd) spaces of each.
 `involution_entries` is the one K·M·K kernel: it gives K·M·K of an integer
-matrix in int, in O(n²), and never builds K.  Predicates and splits apply
-it to each integer part of a matrix over Q(√2) (`Matrix.P`, `Matrix.Q`).
+matrix in int, in O(n²), and never builds K.  For a reflection
+K = I − 2·y·yᵀ/n, K·M·K is M less a rank-2 correction fixed by M·y, Mᵀ·y
+and yᵀ·M·y; `reflection_odd` is the one statement of that closed form, and
+gives n²·½(M − K·M·K) entry by entry, so the reflection splits build no
+K·M·K list and the algebraic routes stop at the first entry that breaks.
+Predicates and splits apply these to each integer part of a matrix over
+Q(√2) (`Matrix.P`, `Matrix.Q`).
 
 Every table that depends only on n is an `lru_cache` of this module,
 built once per size: the layout, which is shared and so read-only,
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError
 from .matrix import Matrix, Vector
@@ -123,34 +128,50 @@ INVOLUTIONS = {
 SPLIT_TAGS = {"BA": ("B", "A"), "SV": ("S", "V"), "NM": ("N", "M"), "QP": ("Q", "P")}
 
 
-def involution_entries(e: Sequence[int], n: int, kind: str) -> tuple[int, list[int]]:
-    """(s, s·K·M·K) for an integer n×n matrix M with row-major entries `e`.
+def involution(kind: str) -> Involution:
+    """The grading involution of `kind` (BA, SV, NM, QP, in any case).
 
-    s = 1 for a permutation K.  For a reflection K = I − 2·y·yᵀ/n,
-    s = n² and s·K·M·K = n²·M − y·aᵀ − b·yᵀ in int, for a = 2n·Mᵀ·y −
-    2·(yᵀ·M·y)·y and b = 2n·M·y − 2·(yᵀ·M·y)·y.  A matrix over Q(√2) is
-    read as integer parts (P + Q·√2)/D, and K·M·K = (K·P·K + √2·K·Q·K)/D
-    as K is rational.  Raises DimensionError for QP at odd n, where T is no
-    involution.
+    Raises ValueError for any other kind.
     """
-    tag = kind.upper()
     try:
-        k = INVOLUTIONS[tag]
+        return INVOLUTIONS[kind.upper()]
     except KeyError:
         raise ValueError(f"unknown split kind {kind!r}") from None
+
+
+def involution_entries(e: Sequence[int], n: int, kind: str) -> tuple[int, Sequence[int]]:
+    """(s, s·K·M·K) for an integer n×n matrix M with row-major entries `e`.
+
+    s = 1 for a permutation K, whose K·M·K is gathered through the index
+    map as a tuple.  For a reflection, s = n² and s·K·M·K = n²·M − 2·O,
+    with O = n²·½(M − K·M·K) from `reflection_odd`.  A matrix over Q(√2) is read as
+    integer parts (P + Q·√2)/D, and K·M·K = (K·P·K + √2·K·Q·K)/D as K is
+    rational.  Raises DimensionError for QP at odd n, where T is no
+    involution.
+    """
+    k = involution(kind)
     if k.permutation is not None:
-        return 1, list(map(e.__getitem__, _index_map(tag, n)))
-    y = k.axis(n)
+        return 1, tuple(map(e.__getitem__, _index_map(kind.upper(), n)))
+    nn = n * n
+    return nn, [nn * x - 2 * c for x, c in zip(e, reflection_odd(e, n, k.axis(n)))]
+
+
+def reflection_odd(e: Sequence[int], n: int, y: Sequence[int]) -> Iterator[int]:
+    """n²·½(M − K·M·K) for K = I − 2·y·yᵀ/n, row-major, one entry at a time.
+
+    The one statement of the reflection closed form.  As yᵀ·y = n, it reads
+    only M·y, Mᵀ·y and t = yᵀ·M·y: entry (i, j) is
+    n·(y_i·(Mᵀ·y)_j + (M·y)_i·y_j) − 2t·y_i·y_j = y_i·a_j + b_i·y_j for
+    a = n·Mᵀ·y − t·y and b = n·M·y − t·y.  The even part ½(M + K·M·K) is
+    then M − O/n², and a caller that stops early builds no entry of either
+    past the one it stopped at.
+    """
     my = [sum(map(mul, e[i * n:(i + 1) * n], y)) for i in range(n)]
     mty = [sum(map(mul, e[j::n], y)) for j in range(n)]
-    two_s = 2 * sum(map(mul, y, my))
-    a = [2 * n * c - two_s * yj for c, yj in zip(mty, y)]
-    nn = n * n
-    out = []
-    for i, yi in enumerate(y):
-        bi = 2 * n * my[i] - two_s * yi
-        out += [nn * x - yi * aj - yj * bi for x, aj, yj in zip(e[i * n:(i + 1) * n], a, y)]
-    return nn, out
+    t = sum(map(mul, y, my))
+    a = [n * c - t * yj for c, yj in zip(mty, y)]
+    b = [n * c - t * yi for c, yi in zip(my, y)]
+    return (yi * aj + bi * yj for yi, bi in zip(y, b) for aj, yj in zip(a, y))
 
 
 @lru_cache(maxsize=None)

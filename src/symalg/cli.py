@@ -74,8 +74,7 @@ def cmd_block(args) -> int:
 
 def cmd_decompose(args) -> int:
     pair = split(mio.read_matrix(args.input), args.split)
-    mio.write_matrix(pair.even_part, args.even_out)
-    mio.write_matrix(pair.odd_part, args.odd_out)
+    mio.write_matrices([(pair.even_part, args.even_out), (pair.odd_part, args.odd_out)])
     if pair.weight is not None:
         print(f"even-part weight: {mio.scalar_pretty(pair.weight)}")
     return EXIT_OK

@@ -9,17 +9,20 @@ by one involution K of `blockform.INVOLUTIONS`, and the two parts are its
     alternating ⊕ array-sum    K = I − 2·ΣΣᵀ/n
     quartered ⊕ pandiagonal    K = T, the half-period shift (even n only)
 
-so even = ½(M + K·M·K) and odd = ½(M − K·M·K), with K·M·K from the integer
-kernel `blockform.involution_entries` on the parts of M = (P + Q·√2)/D and
-never as a matrix product.  Both halves are built from their integer parts
-(`Matrix.from_parts`), with no Scalar per entry.
+so even = ½(M + K·M·K) and odd = ½(M − K·M·K), on the parts of
+M = (P + Q·√2)/D and never by a matrix product.  For J and T, K·M·K is
+gathered by `blockform.involution_entries`.  For the two reflections the
+odd part is n²·odd = O from the closed form `blockform.reflection_odd`,
+which reads M·y, Mᵀ·y and yᵀ·M·y, and the even part n²·M − O, both over
+n²·D: two passes over the entries and no K·M·K list.  Both halves are built
+from their integer parts (`Matrix.from_parts`), with no Scalar per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockform import involution_entries
+from .blockform import involution, involution_entries, reflection_odd
 from .matrix import Matrix
 from .scalar import Scalar
 
@@ -44,17 +47,26 @@ def split(m: Matrix, kind: str) -> GradedPair:
     can peel off that multiple of E.  QP raises DimensionError at odd n.
     """
     n, P, Q, D = m.n, m.P, m.Q, m.D
-    s, kp = involution_entries(P, n, kind)
-    # M = (P + Q·√2)/D and s·K·M·K = (kp + kq·√2)/D, so ½(M ± K·M·K) =
-    # (s·P ± kp + (s·Q ± kq)·√2)/(2·s·D).
-    even_p = [s * p + x for p, x in zip(P, kp)]
-    odd_p = [s * p - x for p, x in zip(P, kp)]
-    even_q = odd_q = None
-    if Q is not None:
-        kq = involution_entries(Q, n, kind)[1]
-        even_q = [s * q + y for q, y in zip(Q, kq)]
-        odd_q = [s * q - y for q, y in zip(Q, kq)]
-    d = 2 * s * D
+    k = involution(kind)
+    if k.permutation is not None:
+        # K·M·K = (kp + kq·√2)/D, so ½(M ± K·M·K) = (P ± kp + (Q ± kq)·√2)/(2D).
+        def halves(e):
+            ke = involution_entries(e, n, kind)[1]
+            return [x + y for x, y in zip(e, ke)], [x - y for x, y in zip(e, ke)]
+
+        d = 2 * D
+    else:
+        # n²·½(M − K·M·K) = O from the closed form, and n²·½(M + K·M·K) =
+        # n²·M − O, both over n²·D.
+        y, nn = k.axis(n), n * n
+
+        def halves(e):
+            odd = list(reflection_odd(e, n, y))
+            return [nn * x - c for x, c in zip(e, odd)], odd
+
+        d = nn * D
+    even_p, odd_p = halves(P)
+    even_q, odd_q = (None, None) if Q is None else halves(Q)
     kind = kind.upper()
     w = Scalar._make(sum(P), 0 if Q is None else sum(Q), D * n * n) if kind == "SV" else None
     return GradedPair(

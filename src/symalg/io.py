@@ -10,14 +10,15 @@ Two on-disk forms, both parsed without ever touching floating point:
 
 Files ending in ``.csv`` are treated as CSV, everything else as JSON.
 
-A JSON entry is read and written as an integer triple (p + q·√2)/d: each
-part's numerator and denominator are captured as ints and combined into
-one triple, and every printer (JSON, pretty and CSV) reduces p/d and q/d
-with one gcd each.  A matrix is read into its integer parts over the
-entries' least common denominator and written from its parts
-(`Matrix.P`, `Matrix.Q`, `Matrix.D`), with no `Scalar` per entry.  Only
-CSV cells are parsed through `Fraction`, as they may be decimals such as
-``1.5``.
+A JSON entry is read and written as an integer triple (p + q·√2)/d: one
+anchored pattern matches the entry once, each part's numerator and
+denominator are captured as ints and combined into one triple, and every
+printer (JSON, pretty and CSV) reduces p/d and q/d with one gcd each.  A
+matrix is read into its integer parts over the entries' least common
+denominator and written from its parts (`Matrix.P`, `Matrix.Q`,
+`Matrix.D`), with no `Scalar` per entry.  Only CSV cells are parsed
+through `Fraction`, as they may be decimals such as ``1.5``.
+`write_matrices` renders every text before it opens any file.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from .errors import ParseError
 from .matrix import Matrix
 from .scalar import Scalar
 
-_RATIONAL = r"([+-]?\d+)(?:/(\d+))?"
-_PLAIN = re.compile(rf"^{_RATIONAL}$")
-_FULL = re.compile(rf"^{_RATIONAL}([+-]\d+)(?:/(\d+))?\*sqrt2$")
-_SQRT_ONLY = re.compile(rf"^{_RATIONAL}\*sqrt2$")
+# One anchored pattern for all three forms: a/b, then either c/e·√2 with its
+# sign (groups 3, 4) or a bare ``*sqrt2`` that makes a/b the √2 part (group 5).
+_ENTRY = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?\*sqrt2|(\*sqrt2))?$")
 
 
 def _ratio(num: str, den: str | None) -> tuple[int, int]:
@@ -51,21 +51,17 @@ def _ratio(num: str, den: str | None) -> tuple[int, int]:
 def _parse_triple(text: str) -> tuple[int, int, int]:
     # Each part is read as an integer numerator and denominator, and a/b +
     # c/e·√2 as the one triple (a·e + c·b·√2)/(b·e), not reduced.
-    s = text.replace(" ", "")
-    m = _PLAIN.match(s)
-    if m:
-        a, b = _ratio(*m.groups())
-        return a, 0, b
-    m = _FULL.match(s)
-    if m:
-        a, b = _ratio(m.group(1), m.group(2))
-        c, e = _ratio(m.group(3), m.group(4))
+    m = _ENTRY.match(text.replace(" ", ""))
+    if m is None:
+        raise ParseError(f"cannot parse scalar literal {text!r}")
+    num, den, sqrt_num, sqrt_den, sqrt_only = m.groups()
+    a, b = _ratio(num, den)
+    if sqrt_num is not None:
+        c, e = _ratio(sqrt_num, sqrt_den)
         return a * e, c * b, b * e
-    m = _SQRT_ONLY.match(s)
-    if m:
-        c, e = _ratio(*m.groups())
-        return 0, c, e
-    raise ParseError(f"cannot parse scalar literal {text!r}")
+    if sqrt_only is not None:
+        return 0, a, b
+    return a, 0, b
 
 
 def scalar_from_string(text: str) -> Scalar:
@@ -204,9 +200,22 @@ def read_matrix(path: str) -> Matrix:
 
 
 def write_matrix(m: Matrix, path: str) -> None:
-    text = dumps_matrix_csv(m) if str(path).endswith(".csv") else dumps_matrix(m) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ParseError(f"cannot write {path}: {exc}") from exc
+    write_matrices([(m, path)])
+
+
+def write_matrices(outputs) -> None:
+    """Write each (matrix, path) of `outputs`, as CSV for a ``.csv`` path, else JSON.
+
+    Every text is rendered before any file is opened, so a matrix that its
+    form cannot hold (√2 entries in CSV) leaves no file written.
+    """
+    texts = [
+        (dumps_matrix_csv(m) if str(path).endswith(".csv") else dumps_matrix(m) + "\n", path)
+        for m, path in outputs
+    ]
+    for text, path in texts:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc

@@ -21,16 +21,20 @@ condition is linear with rational coefficients and √2 is irrational, so
 each route decides on P, then on Q, in int, and builds one weight Scalar at
 the end from the weights of the two parts (`in_space`, which asks only
 whether the weight is 0, builds none).  Both routes still read the parts
-independently of each other; the algebraic ones through the integer K·M·K
-kernel `blockform.involution_entries`.
+independently of each other; the algebraic ones through the integer
+kernels of `blockform`.  The algebraic V and M routes read the reflection
+closed form `blockform.reflection_odd`, from M·y, Mᵀ·y and yᵀ·M·y, and
+stop at the first entry where ½(M + K·M·K) is not w; most inputs are not
+members, and no K·M·K list is built for them.  The P and Q routes gather
+T·M·T through T's index map.
 
 One table (`SPACES`) gives each space its two routes, its parity and its
 rule; `COMPOSITES` gives the intersections.
 `check_entrywise`, `check_algebraic`, `classify` and `in_space` are all
 derived from the two, and so are the oracle's dimension checks.
-`check_entrywise` resolves each (prop, n) to its route once, and
-`check_algebraic` each prop, in module-level `lru_cache`s; a call then only
-runs the route.
+`check_entrywise` resolves each (prop, n) to its route once,
+`check_algebraic` each prop and `in_space` each (tag, n) to its parts'
+routes, in module-level `lru_cache`s; a call then only runs the routes.
 
 Weight conventions: rows/columns of an S-matrix sum to n·w, centrally
 opposite entries of an A-matrix to 2w, cyclic 2×2 blocks of an M-matrix to
@@ -48,7 +52,7 @@ from itertools import chain
 from operator import mul
 from typing import Callable
 
-from .blockform import INVOLUTIONS, involution_entries
+from .blockform import INVOLUTIONS, involution_entries, reflection_odd
 from .errors import DimensionError, PredicatePathMismatch
 from .matrix import Matrix
 from .scalar import ZERO, Scalar
@@ -222,11 +226,8 @@ def _ew_alternating_pairs(e: tuple[int, ...], n: int) -> tuple:
 
 
 def _half_turned(e: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # m_{i+ν, j+ν}, indices mod n, in row-major order; a tuple, as the parts are.
-    nu = n // 2
-    rows = [(i + nu) % n * n for i in range(n)]
-    cols = [(j + nu) % n for j in range(n)]
-    return tuple(e[r + c] for r in rows for c in cols)
+    # m_{i+ν, j+ν}, indices mod n: T·M·T, gathered through T's index map.
+    return involution_entries(e, n, "QP")[1]
 
 
 @_route("entrywise")
@@ -271,30 +272,35 @@ def _alg_semimagic(e: tuple[int, ...], n: int) -> tuple:
     return holds, lam, n
 
 
-def _k_graded(e: tuple[int, ...], n: int, kind: str, sign: int, num: int = 0, den: int = 1) -> bool:
-    """Whether K·(M − w·E)·K = sign·(M − w·E) for w = num/den and the K of `kind`.
+def _k_odd(e: tuple[int, ...], n: int, kind: str, num: int = 0, den: int = 1) -> bool:
+    """Whether K·(M − w·E)·K = −(M − w·E) for w = num/den and the K of `kind`.
 
     Every K that a weight is removed for (J, and I − 2·y·yᵀ/n where y is
     1, or Σ at even n) maps E to itself, so K·(M − w·E)·K = K·M·K − w·E and
-    the test reads M = K·M·K (sign +1) or M + K·M·K = 2w·E (sign −1), both
-    scaled to ints by `involution_entries`' factor s and by den.
+    the test reads ½(M + K·M·K) = w·E.  For J that is M + K·M·K = 2w·E on
+    the gathered entries.  For a reflection the even part is M − O/n², with
+    O from the closed form `reflection_odd`, read entry by entry and only up
+    to the first entry that breaks.
     """
-    s, kmk = involution_entries(e, n, kind)
-    if sign > 0:
-        return kmk == [s * x for x in e]
-    two_w = 2 * num * s
-    return all(den * (s * x + y) == two_w for x, y in zip(e, kmk))
+    k = INVOLUTIONS[kind]
+    if k.axis is None:
+        two_w = 2 * num
+        return all(den * (x + y) == two_w for x, y in zip(e, involution_entries(e, n, kind)[1]))
+    nn = n * n
+    w = nn * num
+    return all(den * (nn * x - c) == w for x, c in zip(e, reflection_odd(e, n, k.axis(n))))
 
 
 @_route("algebraic")
 def _alg_associated(e: tuple[int, ...], n: int) -> tuple:
     two_w = e[0] + e[-1]
-    return _k_graded(e, n, "BA", -1, two_w, 2), two_w, 2
+    return _k_odd(e, n, "BA", two_w, 2), two_w, 2
 
 
 @_route("algebraic")
 def _alg_balanced(e: tuple[int, ...], n: int) -> tuple:
-    return _k_graded(e, n, "BA", 1), None, 1
+    # J·M·J = M, on J's gathered entries.
+    return involution_entries(e, n, "BA")[1] == e, None, 1
 
 
 @_route("algebraic")
@@ -315,7 +321,7 @@ def _alg_reverse(e: tuple[int, ...], n: int) -> tuple:
 @_route("algebraic")
 def _alg_vertex_cross(e: tuple[int, ...], n: int) -> tuple:
     # (I − P)·M·(I − P) = O for P = 11ᵀ/n; the mean t/n² is not a weight.
-    return _k_graded(e, n, "SV", -1, sum(e), n * n), None, 1
+    return _k_odd(e, n, "SV", sum(e), n * n), None, 1
 
 
 @_route("algebraic")
@@ -323,9 +329,9 @@ def _alg_array_sum(e: tuple[int, ...], n: int) -> tuple:
     # For even n the weighted property is tested on M − w·E; for odd n the
     # algebraic condition on M itself *defines* the space, with no weight.
     if n % 2:
-        return _k_graded(e, n, "NM", -1), None, 1
+        return _k_odd(e, n, "NM"), None, 1
     four_w = e[0] + e[1] + e[n] + e[n + 1]
-    return _k_graded(e, n, "NM", -1, four_w, 4), four_w, 4
+    return _k_odd(e, n, "NM", four_w, 4), four_w, 4
 
 
 @_route("algebraic")
@@ -541,21 +547,25 @@ def classify(m: Matrix) -> SymmetryReport:
 # -- fast membership (single cheapest route, used by the verification suites) -
 
 
+@lru_cache(maxsize=None)
+def _space_routes(tag: str, n: int) -> tuple:
+    # (member, zero_weight, zero_sum) of each part of `tag`, its route at size n.
+    parts = _PARTS.get(tag.upper())
+    if parts is None:
+        raise ValueError(f"unknown space tag {tag!r}")
+    check_dimension(tag, n)
+    return tuple((_routes(space, n)[0].member, space.zero_weight, space.zero_sum) for space in parts)
+
+
 def in_space(m: Matrix, tag: str) -> bool:
     """Exact membership in a space of `SPACES` or a composite of `COMPOSITES`.
 
     Each space applies its table rule: weight 0 for A, M and P, total sum 0
     for V (VRAW is property V alone).  A tag that exists only at even n
-    raises DimensionError at odd n.
+    raises DimensionError at odd n.  Each (tag, n) is resolved to its
+    routes once, in a module-level `lru_cache`.
     """
-    parts = _PARTS.get(tag.upper())
-    if parts is None:
-        raise ValueError(f"unknown space tag {tag!r}")
-    n = m.n
-    check_dimension(tag, n)
-    for space in parts:
-        if not _routes(space, n)[0].member(m, space.zero_weight):
-            return False
-        if space.zero_sum and not _total_zero(m):
+    for member, zero_weight, zero_sum in _space_routes(tag, m.n):
+        if not member(m, zero_weight) or zero_sum and not _total_zero(m):
             return False
     return True

@@ -131,6 +131,21 @@ def test_decompose_unwritable_out_is_input_error(capsys, e4_file, tmp_path):
         ))
 
 
+def test_decompose_writes_no_half_when_a_form_fails(capsys, tmp_path):
+    # √2 parts cannot be written as CSV: the command exits 2 and leaves
+    # neither file, even the one that it could have written.
+    r2 = Scalar(0, 1)
+    m = Matrix.from_rows([[1 + r2, 2 + r2], [3 - r2, 4 - r2]])
+    src = tmp_path / "m.json"
+    mio.write_matrix(m, str(src))
+    ev, od = tmp_path / "e.csv", tmp_path / "o.csv"
+    code, _, err = run(
+        capsys, "decompose", str(src), "--split", "sv", "--even-out", str(ev), "--odd-out", str(od),
+    )
+    assert code == 2 and "CSV form cannot represent" in err, err
+    assert not ev.exists() and not od.exists()
+
+
 def test_construct_classify_closure_all_types(capsys, tmp_path):
     out_path = tmp_path / "c.json"
     for kind in CONSTRUCTIBLE:

@@ -3,15 +3,20 @@
 Each split is conjugation by one involution K: K·M·K read from the table
 must match the explicit product, applying it twice must give M back, and
 the oracle's bases of the even and odd parts that `blockform.SPLIT_TAGS`
-names must be the +1 and −1 eigenspaces of M ↦ K·M·K.
+names must be the +1 and −1 eigenspaces of M ↦ K·M·K.  The reflection
+splits and the V and M algebraic verdicts, which read the closed form
+from M·y, Mᵀ·y and yᵀ·M·y, must match the dense product K@M@K.
 """
 
 import random
 from fractions import Fraction
 
 from symalg.blockform import SPLIT_TAGS, conjugate_k
-from symalg.matrix import Matrix, alternating, exchange, identity, ones
-from symalg.scalar import Scalar
+from symalg.construct import random_member
+from symalg.decompose import split
+from symalg.matrix import Matrix, all_ones, alternating, exchange, identity, ones
+from symalg.predicates import check_algebraic
+from symalg.scalar import SQRT2, Scalar
 from symalg.verify import build_constraints
 
 
@@ -66,3 +71,62 @@ def test_oracle_bases_are_the_two_eigenspaces():
                 assert conjugate_k(b, kind) == b, (kind, n)
             for b in odd.basis_matrices():
                 assert conjugate_k(b, kind) == -b, (kind, n)
+
+
+def _rational_matrix(n, rng):
+    return Matrix(n, tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n * n)))
+
+
+def test_reflection_splits_match_the_dense_product():
+    rng = random.Random(63)
+    half = Fraction(1, 2)
+    for n in range(1, 10):
+        for m in (_rational_matrix(n, rng), _sqrt2_matrix(n, rng)):
+            for kind in ("SV", "NM"):
+                k = _explicit_k(kind, n)
+                kmk = k @ m @ k
+                pair = split(m, kind)
+                assert pair.even_part == (m + kmk).scale(half), (kind, n)
+                assert pair.odd_part == (m - kmk).scale(half), (kind, n)
+
+
+def _dense_odd(m, prop):
+    # K·(M − w·E)·K = −(M − w·E) by the dense product, with V's w the mean
+    # and M's a quarter of the first 2×2 block (none at odd n).
+    n = m.n
+    if prop == "V":
+        kind, w = "SV", m.total_sum() / (n * n)
+    else:
+        kind, w = "NM", Scalar(0) if n % 2 else (m[0, 0] + m[0, 1] + m[1, 0] + m[1, 1]) / 4
+    k = _explicit_k(kind, n)
+    d = m - all_ones(n).scale(w)
+    return k @ d @ k == -d
+
+
+def _odd_route_cases(prop, n, rng):
+    # Members with √2 parts and a weight, random non-members, and members
+    # changed only at the first or only at the last entry.
+    kind = prop.lower()
+    w = Scalar(Fraction(rng.randint(-5, 5), 3), Fraction(rng.randint(-5, 5), 2))
+    if prop == "M" and n % 2:
+        w = Scalar(0)
+    member = random_member(kind, n, rng) + random_member(kind, n, rng).scale(SQRT2)
+    member = member + all_ones(n).scale(w)
+    cases = [member, _rational_matrix(n, rng), _sqrt2_matrix(n, rng)]
+    for k in (0, n * n - 1):
+        for delta in (Scalar(1), SQRT2):
+            bump = Matrix(n, [delta if j == k else 0 for j in range(n * n)])
+            cases.append(member + bump)
+    return member, cases
+
+
+def test_odd_algebraic_routes_match_the_dense_definition():
+    rng = random.Random(64)
+    for n in range(1, 10):
+        for prop in ("V", "M"):
+            member, cases = _odd_route_cases(prop, n, rng)
+            assert check_algebraic(member, prop).holds, (prop, n)
+            if n > 1:  # one changed entry, first or last, breaks membership
+                assert not any(check_algebraic(m, prop).holds for m in cases[1:]), (prop, n)
+            for m in cases:
+                assert check_algebraic(m, prop).holds == _dense_odd(m, prop), (prop, n, m)
