@@ -19,13 +19,13 @@ each named block its rows and columns.
 
 `INVOLUTIONS` is the one table of the four grading involutions K (J, the
 reflections I − 2·11ᵀ/n and I − 2·ΣΣᵀ/n, and T at even n; see `decompose`),
-and `SPLIT_TAGS` names the (even, odd) spaces of each.
-`involution_entries` is the one K·M·K kernel: it gives K·M·K of an integer
-matrix in int, in O(n²), and never builds K.  For a reflection
-K = I − 2·y·yᵀ/n, K·M·K is M less a rank-2 correction fixed by M·y, Mᵀ·y
-and yᵀ·M·y; `reflection_odd` is the one statement of that closed form, and
-gives n²·½(M − K·M·K) entry by entry, so the reflection splits build no
-K·M·K list and the algebraic routes stop at the first entry that breaks.
+and `SPLIT_TAGS` names the (even, odd) spaces of each.  K·M·K of an integer
+matrix is read through two kernels, in int, in O(n²), and never by building
+K: `permuted` gathers it through the index map of J or T, and
+`reflection_odd` states the closed form for a reflection K = I − 2·y·yᵀ/n,
+M less a rank-2 correction fixed by M·y, Mᵀ·y and yᵀ·M·y, as
+n²·½(M − K·M·K) entry by entry, so the reflection splits build no K·M·K
+list and the algebraic routes stop at the first entry that breaks.
 Predicates and splits apply these to each integer part of a matrix over
 Q(√2) (`Matrix.P`, `Matrix.Q`).
 
@@ -128,32 +128,14 @@ INVOLUTIONS = {
 SPLIT_TAGS = {"BA": ("B", "A"), "SV": ("S", "V"), "NM": ("N", "M"), "QP": ("Q", "P")}
 
 
-def involution(kind: str) -> Involution:
-    """The grading involution of `kind` (BA, SV, NM, QP, in any case).
+def permuted(e: Sequence[int], n: int, kind: str) -> tuple[int, ...]:
+    """K·M·K for the permutation K of `kind` (BA or QP), gathered as a tuple.
 
-    Raises ValueError for any other kind.
+    `e` holds the row-major entries of an integer n×n matrix M, and
+    (K·M·K)[i, j] = M[σi, σj].  Raises DimensionError for QP at odd n,
+    where T is no involution.
     """
-    try:
-        return INVOLUTIONS[kind.upper()]
-    except KeyError:
-        raise ValueError(f"unknown split kind {kind!r}") from None
-
-
-def involution_entries(e: Sequence[int], n: int, kind: str) -> tuple[int, Sequence[int]]:
-    """(s, s·K·M·K) for an integer n×n matrix M with row-major entries `e`.
-
-    s = 1 for a permutation K, whose K·M·K is gathered through the index
-    map as a tuple.  For a reflection, s = n² and s·K·M·K = n²·M − 2·O,
-    with O = n²·½(M − K·M·K) from `reflection_odd`.  A matrix over Q(√2) is read as
-    integer parts (P + Q·√2)/D, and K·M·K = (K·P·K + √2·K·Q·K)/D as K is
-    rational.  Raises DimensionError for QP at odd n, where T is no
-    involution.
-    """
-    k = involution(kind)
-    if k.permutation is not None:
-        return 1, tuple(map(e.__getitem__, _index_map(kind.upper(), n)))
-    nn = n * n
-    return nn, [nn * x - 2 * c for x, c in zip(e, reflection_odd(e, n, k.axis(n)))]
+    return tuple(map(e.__getitem__, _index_map(kind, n)))
 
 
 def reflection_odd(e: Sequence[int], n: int, y: Sequence[int]) -> Iterator[int]:
@@ -180,13 +162,6 @@ def _index_map(kind: str, n: int) -> tuple[int, ...]:
     # (K·M·K)[k] = M[map[k]].
     sigma = INVOLUTIONS[kind].permutation(n)
     return tuple(si * n + sj for si in sigma for sj in sigma)
-
-
-def conjugate_k(m: Matrix, kind: str) -> Matrix:
-    """K·M·K for the grading involution K of `kind` (BA, SV, NM, QP)."""
-    s, kp = involution_entries(m.P, m.n, kind)
-    kq = None if m.Q is None else involution_entries(m.Q, m.n, kind)[1]
-    return Matrix.from_parts(m.n, kp, kq, s * m.D)
 
 
 @lru_cache(maxsize=None)

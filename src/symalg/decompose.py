@@ -11,7 +11,7 @@ by one involution K of `blockform.INVOLUTIONS`, and the two parts are its
 
 so even = ½(M + K·M·K) and odd = ½(M − K·M·K), on the parts of
 M = (P + Q·√2)/D and never by a matrix product.  For J and T, K·M·K is
-gathered by `blockform.involution_entries`.  For the two reflections the
+gathered by `blockform.permuted`.  For the two reflections the
 odd part is n²·odd = O from the closed form `blockform.reflection_odd`,
 which reads M·y, Mᵀ·y and yᵀ·M·y, and the even part n²·M − O, both over
 n²·D: two passes over the entries and no K·M·K list.  Both halves are built
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockform import involution, involution_entries, reflection_odd
+from .blockform import INVOLUTIONS, permuted, reflection_odd
 from .matrix import Matrix
 from .scalar import Scalar
 
@@ -44,14 +44,19 @@ def split(m: Matrix, kind: str) -> GradedPair:
     """even = ½(M + K·M·K), odd = ½(M − K·M·K) for the involution of `kind`.
 
     SV also reports the even part's weight, total sum over n², so callers
-    can peel off that multiple of E.  QP raises DimensionError at odd n.
+    can peel off that multiple of E.  `kind` is BA, SV, NM or QP, in any
+    case; any other kind raises ValueError.  QP raises DimensionError at
+    odd n.
     """
     n, P, Q, D = m.n, m.P, m.Q, m.D
-    k = involution(kind)
+    k = INVOLUTIONS.get(kind.upper())
+    if k is None:
+        raise ValueError(f"unknown split kind {kind!r}")
+    kind = kind.upper()
     if k.permutation is not None:
         # K·M·K = (kp + kq·√2)/D, so ½(M ± K·M·K) = (P ± kp + (Q ± kq)·√2)/(2D).
         def halves(e):
-            ke = involution_entries(e, n, kind)[1]
+            ke = permuted(e, n, kind)
             return [x + y for x, y in zip(e, ke)], [x - y for x, y in zip(e, ke)]
 
         d = 2 * D
@@ -67,7 +72,6 @@ def split(m: Matrix, kind: str) -> GradedPair:
         d = nn * D
     even_p, odd_p = halves(P)
     even_q, odd_q = (None, None) if Q is None else halves(Q)
-    kind = kind.upper()
     w = Scalar._make(sum(P), 0 if Q is None else sum(Q), D * n * n) if kind == "SV" else None
     return GradedPair(
         kind,

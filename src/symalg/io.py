@@ -18,13 +18,17 @@ matrix is read into its integer parts over the entries' least common
 denominator and written from its parts (`Matrix.P`, `Matrix.Q`,
 `Matrix.D`), with no `Scalar` per entry.  Only CSV cells are parsed
 through `Fraction`, as they may be decimals such as ``1.5``.
-`write_matrices` renders every text before it opens any file.
+`write_matrices` renders every text before it opens any file, and moves
+the files into place only once every one of them is written.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
+from contextlib import suppress
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -207,15 +211,37 @@ def write_matrices(outputs) -> None:
     """Write each (matrix, path) of `outputs`, as CSV for a ``.csv`` path, else JSON.
 
     Every text is rendered before any file is opened, so a matrix that its
-    form cannot hold (√2 entries in CSV) leaves no file written.
+    form cannot hold (√2 entries in CSV) leaves no file written.  Each text
+    for a file is then written to a temporary file next to the file a path
+    names (through any symlink), and the temporary files replace their
+    files only once all are written, so a path that cannot be written
+    leaves no file written either.  A path that names a device or a pipe,
+    such as /dev/stdout, is written in place, last.
     """
     texts = [
         (dumps_matrix_csv(m) if str(path).endswith(".csv") else dumps_matrix(m) + "\n", path)
         for m, path in outputs
     ]
-    for text, path in texts:
-        try:
+    staged, in_place = [], []
+    try:
+        for i, (text, path) in enumerate(texts):
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if os.path.exists(path) and not os.path.isfile(path):
+                in_place.append((text, path))
+                continue
+            target = os.path.realpath(path)
+            tmp = f"{target}.{os.getpid()}-{i}.tmp"
+            with open(tmp, "x", encoding="utf-8") as fh:
+                staged.append((tmp, target, path))
+                fh.write(text)
+        for tmp, target, path in staged:
+            os.replace(tmp, target)
+        for text, path in in_place:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ParseError(f"cannot write {path}: {exc}") from exc
+    except OSError as exc:
+        for tmp, _, _ in staged:
+            with suppress(OSError):
+                os.remove(tmp)
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc

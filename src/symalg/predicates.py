@@ -25,8 +25,8 @@ independently of each other; the algebraic ones through the integer
 kernels of `blockform`.  The algebraic V and M routes read the reflection
 closed form `blockform.reflection_odd`, from M·y, Mᵀ·y and yᵀ·M·y, and
 stop at the first entry where ½(M + K·M·K) is not w; most inputs are not
-members, and no K·M·K list is built for them.  The P and Q routes gather
-T·M·T through T's index map.
+members, and no K·M·K list is built for them.  The B, A, P and Q routes
+gather J·M·J or T·M·T through `blockform.permuted`.
 
 One table (`SPACES`) gives each space its two routes, its parity and its
 rule; `COMPOSITES` gives the intersections.
@@ -52,7 +52,7 @@ from itertools import chain
 from operator import mul
 from typing import Callable
 
-from .blockform import INVOLUTIONS, involution_entries, reflection_odd
+from .blockform import INVOLUTIONS, permuted, reflection_odd
 from .errors import DimensionError, PredicatePathMismatch
 from .matrix import Matrix
 from .scalar import ZERO, Scalar
@@ -225,30 +225,22 @@ def _ew_alternating_pairs(e: tuple[int, ...], n: int) -> tuple:
     return holds, None, 1
 
 
-def _half_turned(e: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # m_{i+ν, j+ν}, indices mod n: T·M·T, gathered through T's index map.
-    return involution_entries(e, n, "QP")[1]
-
-
 @_route("entrywise")
 def _ew_pandiagonal(e: tuple[int, ...], n: int) -> tuple:
-    turned = _half_turned(e, n)
+    turned = permuted(e, n, "QP")  # m_{i+ν, j+ν}, indices mod n
     two_w = e[0] + turned[0]
     return all(x + y == two_w for x, y in zip(e, turned)), two_w, 2
 
 
 @_route("entrywise")
 def _ew_quartered(e: tuple[int, ...], n: int) -> tuple:
-    return e == _half_turned(e, n), None, 1
+    return e == permuted(e, n, "QP"), None, 1
 
 
 def _alternating_total(e: tuple[int, ...], n: int) -> int:
-    # Σᵀ·M·Σ: the entries with i + j even minus those with i + j odd.
-    total = 0
-    for i in range(n):
-        row = e[i * n:(i + 1) * n]
-        total += sum(row[i % 2::2]) - sum(row[1 - i % 2::2])
-    return total
+    # Σᵀ·M·Σ, for the axis Σ of the NM reflection.
+    sig = INVOLUTIONS["NM"].axis(n)
+    return sum(s * sum(map(mul, e[i * n:(i + 1) * n], sig)) for i, s in enumerate(sig))
 
 
 # -- algebraic route ---------------------------------------------------------
@@ -285,7 +277,7 @@ def _k_odd(e: tuple[int, ...], n: int, kind: str, num: int = 0, den: int = 1) ->
     k = INVOLUTIONS[kind]
     if k.axis is None:
         two_w = 2 * num
-        return all(den * (x + y) == two_w for x, y in zip(e, involution_entries(e, n, kind)[1]))
+        return all(den * (x + y) == two_w for x, y in zip(e, permuted(e, n, kind)))
     nn = n * n
     w = nn * num
     return all(den * (nn * x - c) == w for x, c in zip(e, reflection_odd(e, n, k.axis(n))))
@@ -300,7 +292,7 @@ def _alg_associated(e: tuple[int, ...], n: int) -> tuple:
 @_route("algebraic")
 def _alg_balanced(e: tuple[int, ...], n: int) -> tuple:
     # J·M·J = M, on J's gathered entries.
-    return involution_entries(e, n, "BA")[1] == e, None, 1
+    return permuted(e, n, "BA") == e, None, 1
 
 
 @_route("algebraic")

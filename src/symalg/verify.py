@@ -56,7 +56,7 @@ from .construct import (
     extract_most_perfect_vectors,
     random_member,
 )
-from .blockform import INVOLUTIONS, SPLIT_TAGS
+from .blockform import INVOLUTIONS, SPLIT_TAGS, reflection_odd
 from .elim import integer_rref, nullspace_of_rref, rank_of_parts
 from .errors import DimensionError, VerificationError
 from .io import matrix_to_json_obj
@@ -637,23 +637,18 @@ def _compressed_entry(n: int, u: list[int], entries: list) -> list[int] | None:
     """First entry [i, j] with (C·B·C)ᵢⱼ ≠ 0, or None if C·B·C = 0.
 
     C = n·I − u·uᵀ and B is the integer matrix with the nonzeros `entries`
-    over vec(M).  C·B·C = n²·B − n·(u·(uᵀB) + (Bu)·uᵀ) + (uᵀBu)·u·uᵀ,
-    formed in O(n²) from uᵀB, Bu and uᵀBu.
+    over vec(M).  As C = (n/2)·(I + K) for the reflection K = I − 2·u·uᵀ/n,
+    C·B·C = n²·B − O − t·u·uᵀ, with O = n²·½(B − K·B·K) from the closed form
+    `reflection_odd` and t = uᵀ·B·u, in O(n²).
     """
-    b = [0] * (n * n)
-    ub = [0] * n
-    bu = [0] * n
-    for k, num in entries:
-        i, j = divmod(k, n)
-        b[k] = num
-        ub[j] += u[i] * num
-        bu[i] += num * u[j]
-    ubu = _dot(u, bu)
     nn = n * n
-    for i in range(n):
-        for j in range(n):
-            if nn * b[i * n + j] - n * (u[i] * ub[j] + bu[i] * u[j]) + ubu * u[i] * u[j]:
-                return [i, j]
+    b = [0] * nn
+    for k, num in entries:
+        b[k] = num
+    t = sum(num * u[k // n] * u[k % n] for k, num in entries)
+    for k, (x, o) in enumerate(zip(b, reflection_odd(b, n, u))):
+        if nn * x - o - t * u[k // n] * u[k % n]:
+            return list(divmod(k, n))
     return None
 
 
@@ -740,10 +735,11 @@ def oracle_predicate_agreement(space: str, n: int) -> bool:
     alone leaves the predicate's √2 part unjudged: b₀ + √2·b₁, from the
     first two oracle basis matrices (zero where the basis is shorter), must
     pass, and b₀ + √2·U, for the first unit matrix U that breaks the
-    equations, must fail.  The makers are linear, so the constructor basis
-    outputs cover every member they can build; `dimension_probe` checks
-    that each solves the equations and that they span the oracle
-    nullspace, and raises VerificationError if not.
+    equations, must fail.  U sits at the first pivot column, as no reduced
+    row has a nonzero left of its pivot.  The makers are linear, so the
+    constructor basis outputs cover every member they can build;
+    `dimension_probe` checks that each solves the equations and that they
+    span the oracle nullspace, and raises VerificationError if not.
     """
     sys = build_constraints(space, n)
     basis = sys.basis_matrices()
@@ -752,13 +748,11 @@ def oracle_predicate_agreement(space: str, n: int) -> bool:
     b0, b1 = (basis + [zeros(n)] * 2)[:2]
     if not in_space(b0 + b1.scale(SQRT2), space):
         return False
-    for k in range(n * n):
+    if sys.pivots:
         unit = [0] * (n * n)
-        unit[k] = 1
-        if sys.first_broken(unit) is not None:
-            if in_space(b0 + Matrix.from_parts(n, [0] * (n * n), unit, 1), space):
-                return False
-            break
+        unit[min(sys.pivots)] = 1
+        if in_space(b0 + Matrix.from_parts(n, [0] * (n * n), unit, 1), space):
+            return False
     dimension_probe(space, n)
     return True
 

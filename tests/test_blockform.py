@@ -5,7 +5,6 @@ from math import gcd
 import pytest
 
 from symalg.blockform import (
-    conjugate_k,
     conjugate_x,
     from_block,
     layout,
@@ -13,6 +12,7 @@ from symalg.blockform import (
     to_block,
 )
 from symalg.construct import _write
+from symalg.decompose import split
 from symalg.errors import DimensionError
 from symalg.matrix import (
     Matrix,
@@ -73,6 +73,12 @@ def test_all_ones_block_odd():
 def test_hand_conjugation():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     assert to_block(m).conjugate == Matrix.from_rows([[5, -1], [-2, 0]])
+
+
+def conjugate_k(m, kind):
+    # K·M·K = ½(M + K·M·K) − ½(M − K·M·K), from the split of `kind`.
+    pair = split(m, kind)
+    return pair.even_part - pair.odd_part
 
 
 def test_half_turn_rotation():

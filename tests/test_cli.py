@@ -146,6 +146,20 @@ def test_decompose_writes_no_half_when_a_form_fails(capsys, tmp_path):
     assert not ev.exists() and not od.exists()
 
 
+def test_decompose_writes_no_half_when_a_path_fails(capsys, e4_file, tmp_path):
+    # The even half is writable but the odd one is not: the command exits 2
+    # and leaves neither the even file nor any temporary file behind.
+    out = tmp_path / "out"
+    out.mkdir()
+    ev = out / "e.json"
+    for odd in (out / "missing" / "o.json", out):
+        assert_unwritable(run(
+            capsys, "decompose", e4_file, "--split", "sv",
+            "--even-out", str(ev), "--odd-out", str(odd),
+        ))
+        assert list(out.iterdir()) == [], odd
+
+
 def test_construct_classify_closure_all_types(capsys, tmp_path):
     out_path = tmp_path / "c.json"
     for kind in CONSTRUCTIBLE:

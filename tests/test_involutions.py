@@ -1,23 +1,30 @@
 """The table of the four grading involutions (`blockform.INVOLUTIONS`).
 
 Each split is conjugation by one involution K: K·M·K read from the table
-must match the explicit product, applying it twice must give M back, and
-the oracle's bases of the even and odd parts that `blockform.SPLIT_TAGS`
-names must be the +1 and −1 eigenspaces of M ↦ K·M·K.  The reflection
-splits and the V and M algebraic verdicts, which read the closed form
-from M·y, Mᵀ·y and yᵀ·M·y, must match the dense product K@M@K.
+(as even − odd of `split`) must match the explicit product, applying it
+twice must give M back, and the oracle's bases of the even and odd parts
+that `blockform.SPLIT_TAGS` names must be the +1 and −1 eigenspaces of
+M ↦ K·M·K.  The splits of all four kinds, and the V and M algebraic
+verdicts, which read the closed form from M·y, Mᵀ·y and yᵀ·M·y, must match
+the dense product K@M@K.
 """
 
 import random
 from fractions import Fraction
 
-from symalg.blockform import SPLIT_TAGS, conjugate_k
+from symalg.blockform import SPLIT_TAGS
 from symalg.construct import random_member
 from symalg.decompose import split
 from symalg.matrix import Matrix, all_ones, alternating, exchange, identity, ones
 from symalg.predicates import check_algebraic
 from symalg.scalar import SQRT2, Scalar
 from symalg.verify import build_constraints
+
+
+def conjugate_k(m, kind):
+    # K·M·K = ½(M + K·M·K) − ½(M − K·M·K), from the split of `kind`.
+    pair = split(m, kind)
+    return pair.even_part - pair.odd_part
 
 
 def _kinds(n):
@@ -81,13 +88,16 @@ def test_reflection_splits_match_the_dense_product():
     rng = random.Random(63)
     half = Fraction(1, 2)
     for n in range(1, 10):
-        for m in (_rational_matrix(n, rng), _sqrt2_matrix(n, rng)):
-            for kind in ("SV", "NM"):
-                k = _explicit_k(kind, n)
-                kmk = k @ m @ k
-                pair = split(m, kind)
-                assert pair.even_part == (m + kmk).scale(half), (kind, n)
-                assert pair.odd_part == (m - kmk).scale(half), (kind, n)
+        cases = [(m, kind) for m in (_rational_matrix(n, rng), _sqrt2_matrix(n, rng))
+                 for kind in ("SV", "NM")]
+        # The permutation splits, gathered through J's and T's index maps.
+        cases += [(_sqrt2_matrix(n, rng), kind) for kind in _kinds(n) if kind in ("BA", "QP")]
+        for m, kind in cases:
+            k = _explicit_k(kind, n)
+            kmk = k @ m @ k
+            pair = split(m, kind)
+            assert pair.even_part == (m + kmk).scale(half), (kind, n)
+            assert pair.odd_part == (m - kmk).scale(half), (kind, n)
 
 
 def _dense_odd(m, prop):

@@ -1,5 +1,7 @@
+import os
 import random
 import re
+import stat
 from fractions import Fraction
 
 import pytest
@@ -107,6 +109,25 @@ def test_file_round_trip(tmp_path):
     assert mio.read_matrix(str(c)) == m
     with pytest.raises(ParseError):
         mio.read_matrix(str(tmp_path / "missing.json"))
+
+
+def test_writes_go_through_symlinks_and_into_pipes(tmp_path):
+    # A symlinked path writes its target and stays a link; a pipe is written
+    # in place, not replaced by a file; no temporary file is left behind.
+    m = all_ones(3)
+    target, link, pipe = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "pipe"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        mio.write_matrices([(m, str(link)), (m, str(pipe))])
+        assert os.read(reader, 4096).decode() == mio.dumps_matrix(m) + "\n"
+    finally:
+        os.close(reader)
+    assert link.is_symlink() and mio.read_matrix(str(target)) == m
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pipe", "target.json"]
 
 
 def test_zero_denominator_is_a_parse_error():

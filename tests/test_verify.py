@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from symalg import verify as V
+from symalg.blockform import INVOLUTIONS
 from symalg.construct import (
     constructor_basis,
     extract_most_perfect_vectors,
@@ -18,7 +19,7 @@ from symalg.elim import integer_rref, nullspace_of_rref
 from symalg.errors import DimensionError, VerificationError
 from symalg.io import matrix_from_json_obj
 from symalg.matrix import Matrix, Vector, all_ones, rank, zeros
-from symalg.predicates import check_entrywise, even_only, exists, in_space
+from symalg.predicates import COMPOSITES, SPACES, check_entrywise, even_only, exists, in_space
 from symalg.scalar import Scalar
 
 from references import (
@@ -735,6 +736,48 @@ def test_rank_certificate_matches_the_matrix_compression():
         assert rank(witness) == res.max_rank == res.bound, tag
         assert matrix_from_json_obj(res.to_dict()["member_matrix"]) == witness, tag
         assert "trials" not in res.to_dict()
+
+
+def test_compressed_entry_is_the_first_nonzero_of_the_dense_compression():
+    # `_compressed_entry` reads C·B·C = n²·B − O − t·u·uᵀ from the closed
+    # form; here C@B@C is the dense product, on every oracle basis matrix of
+    # the rank-bound spaces and on each with a unit added at its first or
+    # at its last entry, so both the zero and the witness branch are met.
+    found = {True: 0, False: 0}
+    for tag in ("MPS", "REVERSIBLE", "V"):
+        oracle, kind, _ = V._RANK_BOUNDS[tag]
+        for n in range(1, 9):
+            if not exists(oracle, n):
+                continue
+            u = INVOLUTIONS[kind].axis(n)
+            for _, entries in V.build_constraints(oracle, n).basis:
+                for bump in ((), (0,), (n * n - 1,)):
+                    vec = [0] * (n * n)
+                    for k, num in entries:
+                        vec[k] = num
+                    for k in bump:
+                        vec[k] += 1
+                    cbc = _compressed(Matrix.from_parts(n, vec, None, 1), u)
+                    first = next(
+                        ([r, c] for r in range(n) for c in range(n) if cbc[r, c] != 0), None
+                    )
+                    assert V._compressed_entry(n, u, V._sparse(vec)) == first, (tag, n, bump)
+                    found[first is None] += 1
+    assert found[True] > 0 and found[False] > 0, found
+
+
+def test_first_broken_unit_sits_at_the_first_pivot_column():
+    # No reduced row has a nonzero left of its pivot, so the first unit
+    # matrix that breaks a system's equations is at its first pivot column.
+    for tag in [*SPACES, *COMPOSITES]:
+        for n in range(1, 8):
+            if not exists(tag, n):
+                continue
+            sys = V.build_constraints(tag, n)
+            units = ([int(j == k) for j in range(n * n)] for k in range(n * n))
+            broken = (k for k, unit in enumerate(units) if sys.first_broken(unit) is not None)
+            first = next(broken, None)
+            assert first == min(sys.pivots, default=None), (tag, n)
 
 
 def test_rank_certificate_names_the_basis_matrix_it_breaks(monkeypatch):
