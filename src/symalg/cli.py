@@ -80,12 +80,15 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _param_value(x):
-    # JSON parameter value: strings are exact scalar literals, lists nest.
+def _param_value(x, depth: int = 2):
+    # JSON parameter value: strings are exact scalar literals, and lists nest
+    # at most `depth` deep, as a matrix holds rows of scalars.
     if isinstance(x, str):
         return mio.scalar_from_string(x)
     if isinstance(x, list):
-        return [_param_value(v) for v in x]
+        if not depth:
+            raise ParseError("parameter values nest lists at most two deep (rows of scalars)")
+        return [_param_value(v, depth - 1) for v in x]
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     raise ParseError(f"cannot interpret parameter value {x!r}")
@@ -100,8 +103,10 @@ def cmd_construct(args) -> int:
         try:
             with open(args.params, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read parameter file: {exc}") from exc
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"cannot read {args.params}: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError(f"cannot read {args.params}: {mio.TOO_DEEP}") from exc
         if not isinstance(raw, dict):
             raise ParseError("parameter file must hold a JSON object")
         p = {key: _param_value(val) for key, val in raw.items()}

@@ -36,6 +36,10 @@ from .errors import ParseError
 from .matrix import Matrix
 from .scalar import Scalar
 
+# The JSON decoder recurses per level of nesting and stops at the recursion
+# limit with a RecursionError, reported with this text.
+TOO_DEEP = "JSON nested too deeply to read"
+
 # One anchored pattern for all three forms: a/b, then either c/e·√2 with its
 # sign (groups 3, 4) or a bare ``*sqrt2`` that makes a/b the √2 part (group 5).
 _ENTRY = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?\*sqrt2|(\*sqrt2))?$")
@@ -157,6 +161,8 @@ def loads_matrix(text: str) -> Matrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(TOO_DEEP) from exc
     return matrix_from_json_obj(obj)
 
 
@@ -196,7 +202,7 @@ def read_matrix(path: str) -> Matrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if str(path).endswith(".csv"):
         return loads_matrix_csv(text)

@@ -23,10 +23,12 @@ arithmetic: the product laws and the closed form of M(x)·M(y) are
 bilinear, the triple product is trilinear, the makers are linear, and each
 rank bound follows from a linear condition on the member.  Only the
 dual-path agreement, which compares two predicates on non-members too,
-draws random matrices.  Each grading product is judged by the oracle, on
-the target's reduced rows (its RREF, kept from the oracle's build; a
-failing product is named by its first broken literal row), and by
-`in_space`.
+draws random matrices; its members are seeded combinations of the cached
+constructor basis (`basis_member`), the same matrices that
+`random_member` draws, with no maker run per draw.  Each grading product
+is judged by the oracle, on the target's reduced rows (its RREF, kept
+from the oracle's build; a failing product is named by its first broken
+literal row), and by `in_space`.
 
 The oracle reduces each atom's literal rows once per n.  Every other
 system is reduced from pivot rows already found: the RREF depends only on
@@ -52,9 +54,9 @@ from operator import mul
 
 from .construct import (
     CONSTRUCTIBLE,
+    basis_member,
     constructor_basis,
     extract_most_perfect_vectors,
-    random_member,
 )
 from .blockform import INVOLUTIONS, SPLIT_TAGS, reflection_odd
 from .elim import integer_rref, nullspace_of_rref, rank_of_parts
@@ -712,7 +714,11 @@ def rv_equals_av(n: int) -> bool:
 def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:
     """Entrywise vs algebraic verdicts on random members and non-members.
 
-    Returns the number of disagreements (0 on a correct implementation).
+    Every third trial is a member: a seeded combination of the cached
+    constructor basis (`basis_member`), the matrix that `random_member`
+    draws from the same generator state.  The others are integer matrices
+    with entries in −5..5.  Returns the number of disagreements (0 on a
+    correct implementation).
     """
     rng = random.Random(seed)
     member_kinds = ("s", "a", "b", "r", "v", "n", "m")
@@ -720,7 +726,7 @@ def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:
     mismatches = 0
     for t in range(trials):
         if t % 3 == 0:
-            m = random_member(member_kinds[t % len(member_kinds)], n, rng)
+            m = basis_member(member_kinds[t % len(member_kinds)], n, rng)
         else:
             m = Matrix.from_parts(n, [rng.randint(-5, 5) for _ in range(n * n)], None, 1)
         for prop in props:

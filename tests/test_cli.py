@@ -442,6 +442,41 @@ def test_matrix_file_bool_size_is_input_error(capsys, tmp_path):
     assert '"n" must be a positive integer, got True' in err
 
 
+def _one_error_line(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_deeply_nested_json_is_input_error(capsys, tmp_path):
+    # The JSON decoder recurses per level, and a parameter value nests at
+    # most as deep as a matrix's rows of scalars.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"Z": ' + "[" * 900 + '"1"' + "]" * 900 + "}")
+    construct = ["construct", "--type", "r", "--n", "4", "--params"]
+    for argv, reason in (
+        (["classify", str(deep)], "nested too deeply"),
+        (construct + [str(deep)], "nested too deeply"),
+        (construct + [str(nested)], "at most two deep"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and _one_error_line(err), (argv, err)
+        assert reason in err, (argv, err)
+
+
+def test_non_utf8_file_error_names_the_file(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"n": 1, "entries": ["\xff"]}')
+    for argv in (
+        ["classify", str(bad)],
+        ["construct", "--type", "r", "--n", "4", "--params", str(bad)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and _one_error_line(err), (argv, err)
+        assert err.startswith(f"error: cannot read {bad}: "), err
+
+
 def test_verify_command_ok(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "dimensions", "--n-max", "4")
     assert code == 0

@@ -9,6 +9,7 @@ import pytest
 from symalg import verify as V
 from symalg.blockform import INVOLUTIONS
 from symalg.construct import (
+    _Form,
     constructor_basis,
     extract_most_perfect_vectors,
     make_most_perfect,
@@ -230,6 +231,22 @@ def test_reversible_constructor_spans_whole_space():
 def test_dual_path_agreement_small():
     for n in (2, 3, 4, 5):
         assert V.dual_path_agreement(n, 40, seed=8) == 0
+
+
+def test_dual_path_members_run_no_maker(monkeypatch):
+    # Each member is drawn from the cached constructor basis: once the seven
+    # bases are built, a draw builds no parameters and runs no maker.
+    kinds = ("s", "a", "b", "r", "v", "n", "m")
+    for n in (4, 5):
+        for kind in kinds:
+            constructor_basis(kind, n)
+
+    def no_maker(*args):
+        raise AssertionError("a dual-path draw ran a maker")
+
+    monkeypatch.setattr(_Form, "build", no_maker)
+    for n in (4, 5):
+        assert V.dual_path_agreement(n, 3 * len(kinds), seed=2) == 0
 
 
 def test_oracle_predicate_agreement_small():
