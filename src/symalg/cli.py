@@ -91,7 +91,7 @@ def _param_value(x, depth: int = 2):
         return [_param_value(v, depth - 1) for v in x]
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    raise ParseError(f"cannot interpret parameter value {x!r}")
+    raise ParseError(f"cannot interpret parameter value: {mio.json_shown(x)}")
 
 
 def cmd_construct(args) -> int:

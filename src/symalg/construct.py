@@ -488,11 +488,8 @@ def make_quartered_semimagic(Y, Z, V, W, n: int) -> Matrix:
     if odd:
         raise DimensionError("the quartered-semimagic space needs even dimension")
     Y, Z, V, W = _blocks(nu, Y=Y, Z=Z, V=V, W=W)
-    _require(in_space(Y, "B") and in_space(Y, "S"), "Y must be balanced semimagic")
-    _require(
-        in_space(Z, "B") and in_space(Z, "N"),
-        "Z must be balanced with the alternating-pairs property",
-    )
+    _require(in_space(Y, "BS"), "Y must be balanced semimagic")
+    _require(in_space(Z, "BN"), "Z must be balanced with the alternating-pairs property")
     one = ones(nu)
     sig = alternating(nu)
     for name, U in (("V", V), ("W", W)):

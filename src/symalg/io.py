@@ -45,6 +45,20 @@ TOO_DEEP = "JSON nested too deeply to read"
 _ENTRY = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?\*sqrt2|(\*sqrt2))?$")
 
 
+def json_shown(x) -> str:
+    """`x` for a one-line message: a JSON array or object by its type alone."""
+    kind = {list: "array", dict: "object"}.get(type(x))
+    return repr(x) if kind is None else f"a JSON {kind}"
+
+
+def _literal(x) -> str:
+    # The text of a JSON entry that is no string; an array or object is no
+    # scalar literal.
+    if isinstance(x, (list, dict)):
+        raise ParseError(f"cannot parse scalar literal: got {json_shown(x)}")
+    return str(x)
+
+
 def _ratio(num: str, den: str | None) -> tuple[int, int]:
     # The captured numerator and denominator of one part, as ints.
     a = int(num)
@@ -146,10 +160,12 @@ def matrix_from_json_obj(obj) -> Matrix:
     n = obj["n"]
     entries = obj["entries"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError(f'"n" must be a positive integer, got {n!r}')
+        raise ParseError(f'"n" must be a positive integer, got {json_shown(n)}')
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ParseError(f'"entries" must list exactly {n * n} strings')
-    return _from_triples(n, [_parse_triple(str(x)) for x in entries])
+    return _from_triples(
+        n, [_parse_triple(x if isinstance(x, str) else _literal(x)) for x in entries]
+    )
 
 
 def dumps_matrix(m: Matrix) -> str:

@@ -15,26 +15,25 @@ mirror-pair sums, and both A and B routes read J's index map (i, j) ↦
 agreement catch only a slip in one copy, not a wrong condition in both;
 only the oracle agreement in `verify` checks these four independently.
 
-Every route reads the matrix's own integer parts M = (P + Q·√2)/D
-(`Matrix.P`, `Matrix.Q`, `Matrix.D`; Q is None when M is rational).  Every
-condition is linear with rational coefficients and √2 is irrational, so
-each route decides on P, then on Q, in int, and builds one weight Scalar at
-the end from the weights of the two parts (`in_space`, which asks only
-whether the weight is 0, builds none).  Both routes still read the parts
-independently of each other; the algebraic ones through the integer
-kernels of `blockform`.  The algebraic V and M routes read the reflection
-closed form `blockform.reflection_odd`, from M·y, Mᵀ·y and yᵀ·M·y, and
-stop at the first entry where ½(M + K·M·K) is not w; most inputs are not
-members, and no K·M·K list is built for them.  The B, A, P and Q routes
-gather J·M·J or T·M·T through `blockform.permuted`.
+Every route is a plain decision (e, n) -> (holds, num, den) on one integer
+part e of M = (P + Q·√2)/D (`Matrix.P`, `Matrix.Q`, `Matrix.D`; Q is None
+when M is rational): whether e meets the condition, and its weight num/den.
+Every condition is linear with rational coefficients and √2 is irrational,
+so `_decide` lifts a decision to M by deciding on P, then on Q, in int; the
+algebraic ones read the parts through the integer kernels of `blockform`.
+The algebraic V and M routes read the reflection closed form
+`blockform.reflection_odd`, from M·y, Mᵀ·y and yᵀ·M·y, and stop at the
+first entry where ½(M + K·M·K) is not w; most inputs are not members, and
+no K·M·K list is built for them.  The B, A, P and Q routes gather J·M·J or
+T·M·T through `blockform.permuted`.
 
-One table (`SPACES`) gives each space its two routes, its parity and its
-rule; `COMPOSITES` gives the intersections.
-`check_entrywise`, `check_algebraic`, `classify` and `in_space` are all
-derived from the two, and so are the oracle's dimension checks.
-`check_entrywise` resolves each (prop, n) to its route once,
-`check_algebraic` each prop and `in_space` each (tag, n) to its parts'
-routes, in module-level `lru_cache`s; a call then only runs the routes.
+One table (`SPACES`) gives each space its two decisions, its parity and
+its side rule; `COMPOSITES` gives the intersections.  `check_entrywise`,
+`check_algebraic`, `classify` and `in_space` are all derived from the two,
+and so are the oracle's dimension checks.  One rule, `_admits`, states
+membership from a decided property: weight 0 for A, M and P, total sum 0
+for V.  `classify` and `in_space` both apply it, so a space means the same
+to both; only `classify` builds weight Scalars.
 
 Weight conventions: rows/columns of an S-matrix sum to n·w, centrally
 opposite entries of an A-matrix to 2w, cyclic 2×2 blocks of an M-matrix to
@@ -55,7 +54,7 @@ from typing import Callable
 from .blockform import INVOLUTIONS, permuted, reflection_odd
 from .errors import DimensionError, PredicatePathMismatch
 from .matrix import Matrix
-from .scalar import ZERO, Scalar
+from .scalar import Scalar
 
 
 @dataclass(frozen=True)
@@ -112,43 +111,28 @@ class SymmetryReport:
 # -- integer parts -------------------------------------------------------------
 
 
-def _route(name: str):
-    """Lift a decision on one integer part to a verdict on a matrix's parts.
+def _decide(route: Decision, m: Matrix) -> tuple:
+    """(holds, num_P, num_Q, den) of the decision `route` on M's integer parts.
 
-    `decide(e, n)` returns (holds, num, den): whether the integer matrix e
+    `route(e, n)` returns (holds, num, den): whether the integer matrix e
     meets the condition, and its weight num/den (num None where the route
     gives no weight).  Each condition is linear with rational coefficients,
     so M meets it exactly when P and Q do, and M's weight is
     (num_P + num_Q·√2)/(den·D).  Q is read only when P holds.
-
-    The verdict's `member(m, zero_weight)` is membership without the weight
-    Scalar: M meets the condition, with weight 0 if `zero_weight` is set.
-    The weight is 0 exactly when num_P and num_Q are, √2 being irrational.
     """
+    holds, num, den = route(m.P, m.n)
+    num_q = 0
+    if holds and m.Q is not None:
+        holds, num_q, _ = route(m.Q, m.n)
+    return holds, num, num_q, den
 
-    def lift(decide):
-        def verdict(m: Matrix) -> PropertyVerdict:
-            holds, num, den = decide(m.P, m.n)
-            num_q = 0
-            if holds and m.Q is not None:
-                holds, num_q, _ = decide(m.Q, m.n)
-            if not holds:
-                return PropertyVerdict(False, route=name)
-            weight = None if num is None else Scalar._make(num, num_q, den * m.D)
-            return PropertyVerdict(True, weight, name)
 
-        def member(m: Matrix, zero_weight: bool) -> bool:
-            for e in (m.P, m.Q):
-                if e is not None:
-                    holds, num, _ = decide(e, m.n)
-                    if not holds or zero_weight and num:
-                        return False
-            return True
-
-        verdict.member = member
-        return verdict
-
-    return lift
+def _verdict(name: str, decided: tuple, m: Matrix) -> PropertyVerdict:
+    holds, num, num_q, den = decided
+    if not holds:
+        return PropertyVerdict(False, route=name)
+    weight = None if num is None else Scalar._make(num, num_q, den * m.D)
+    return PropertyVerdict(True, weight, name)
 
 
 def _total_zero(m: Matrix) -> bool:
@@ -158,7 +142,6 @@ def _total_zero(m: Matrix) -> bool:
 # -- entrywise route ---------------------------------------------------------
 
 
-@_route("entrywise")
 def _ew_semimagic(e: tuple[int, ...], n: int) -> tuple:
     c = sum(e[:n])
     holds = all(sum(e[i * n:(i + 1) * n]) == c for i in range(1, n)) and all(
@@ -167,19 +150,16 @@ def _ew_semimagic(e: tuple[int, ...], n: int) -> tuple:
     return holds, c, n
 
 
-@_route("entrywise")
 def _ew_associated(e: tuple[int, ...], n: int) -> tuple:
     # Entry k and its centrally opposite entry n² − 1 − k.
     two_w = e[0] + e[-1]
     return all(x + y == two_w for x, y in zip(e, reversed(e))), two_w, 2
 
 
-@_route("entrywise")
 def _ew_balanced(e: tuple[int, ...], n: int) -> tuple:
     return e == e[::-1], None, 1
 
 
-@_route("entrywise")
 def _ew_reverse(e: tuple[int, ...], n: int) -> tuple:
     # Mirror-pair sums along every row, then every column, equal the end pair.
     lines = chain((e[i * n:(i + 1) * n] for i in range(n)), (e[j::n] for j in range(n)))
@@ -190,7 +170,6 @@ def _ew_reverse(e: tuple[int, ...], n: int) -> tuple:
     return True, None, 1
 
 
-@_route("entrywise")
 def _ew_vertex_cross(e: tuple[int, ...], n: int) -> tuple:
     # The adjacent-difference cases span all rectangle conditions, so only
     # (n−1)² checks are needed instead of all index quadruples.
@@ -202,7 +181,6 @@ def _ew_vertex_cross(e: tuple[int, ...], n: int) -> tuple:
     return holds, None, 1
 
 
-@_route("entrywise")
 def _ew_array_sum(e: tuple[int, ...], n: int) -> tuple:
     four_w = e[0] + e[1] + e[n] + e[n + 1]
     for i in range(n):
@@ -214,7 +192,6 @@ def _ew_array_sum(e: tuple[int, ...], n: int) -> tuple:
     return _alternating_total(e, n) == 0, four_w, 4
 
 
-@_route("entrywise")
 def _ew_alternating_pairs(e: tuple[int, ...], n: int) -> tuple:
     # Σ_i (−1)^i (m_ij + m_i,j+1) = 0 for every j, and the same with the
     # roles of rows and columns swapped: adjacent alternating sums cancel.
@@ -225,14 +202,12 @@ def _ew_alternating_pairs(e: tuple[int, ...], n: int) -> tuple:
     return holds, None, 1
 
 
-@_route("entrywise")
 def _ew_pandiagonal(e: tuple[int, ...], n: int) -> tuple:
     turned = permuted(e, n, "QP")  # m_{i+ν, j+ν}, indices mod n
     two_w = e[0] + turned[0]
     return all(x + y == two_w for x, y in zip(e, turned)), two_w, 2
 
 
-@_route("entrywise")
 def _ew_quartered(e: tuple[int, ...], n: int) -> tuple:
     return e == permuted(e, n, "QP"), None, 1
 
@@ -258,7 +233,6 @@ def _eigen_pair(e: tuple[int, ...], n: int, kind: str) -> tuple[bool, int]:
     return holds, lam
 
 
-@_route("algebraic")
 def _alg_semimagic(e: tuple[int, ...], n: int) -> tuple:
     holds, lam = _eigen_pair(e, n, "SV")
     return holds, lam, n
@@ -283,19 +257,16 @@ def _k_odd(e: tuple[int, ...], n: int, kind: str, num: int = 0, den: int = 1) ->
     return all(den * (nn * x - c) == w for x, c in zip(e, reflection_odd(e, n, k.axis(n))))
 
 
-@_route("algebraic")
 def _alg_associated(e: tuple[int, ...], n: int) -> tuple:
     two_w = e[0] + e[-1]
     return _k_odd(e, n, "BA", two_w, 2), two_w, 2
 
 
-@_route("algebraic")
 def _alg_balanced(e: tuple[int, ...], n: int) -> tuple:
     # J·M·J = M, on J's gathered entries.
     return permuted(e, n, "BA") == e, None, 1
 
 
-@_route("algebraic")
 def _alg_reverse(e: tuple[int, ...], n: int) -> tuple:
     # (I + J)·M and (I + J)·Mᵀ must both map everything into multiples of
     # the all-ones vector, i.e. have constant columns.  Entry i of column c
@@ -310,13 +281,11 @@ def _alg_reverse(e: tuple[int, ...], n: int) -> tuple:
     return True, None, 1
 
 
-@_route("algebraic")
 def _alg_vertex_cross(e: tuple[int, ...], n: int) -> tuple:
     # (I − P)·M·(I − P) = O for P = 11ᵀ/n; the mean t/n² is not a weight.
     return _k_odd(e, n, "SV", sum(e), n * n), None, 1
 
 
-@_route("algebraic")
 def _alg_array_sum(e: tuple[int, ...], n: int) -> tuple:
     # For even n the weighted property is tested on M − w·E; for odd n the
     # algebraic condition on M itself *defines* the space, with no weight.
@@ -326,7 +295,6 @@ def _alg_array_sum(e: tuple[int, ...], n: int) -> tuple:
     return _k_odd(e, n, "NM", four_w, 4), four_w, 4
 
 
-@_route("algebraic")
 def _alg_alternating_pairs(e: tuple[int, ...], n: int) -> tuple:
     holds, lam = _eigen_pair(e, n, "NM")
     return holds, lam, 1
@@ -334,24 +302,26 @@ def _alg_alternating_pairs(e: tuple[int, ...], n: int) -> tuple:
 
 # -- the space table -----------------------------------------------------------
 
+# A decision on one integer part: (e, n) -> (holds, num, den), see `_decide`.
+Decision = Callable[[tuple, int], tuple]
+
 
 @dataclass(frozen=True)
 class Space:
-    """One symmetry space: the property that decides it and how.
+    """One symmetry space: the property that decides it and its side rule.
 
     `prop` names the property whose verdict decides membership (VRAW and V
-    share property V).  Both routes read a matrix's integer parts.
-    `algebraic` is None where the paper gives no matrix-algebra
-    characterisation.  `odd_algebraic` marks the spaces that
-    the algebraic route defines at odd n.  The space is the weight-0 part of
-    the property when `zero_weight` is set, and asks for total sum 0 as well
-    when `zero_sum` is set.  `in_space` takes the entrywise route, or the
-    algebraic one where it alone decides (M and N at odd n).
+    share property V).  `entrywise` and `algebraic` are that property's
+    decisions on one integer part; `algebraic` is None where the paper
+    gives no matrix-algebra characterisation.  `odd_algebraic` marks the
+    spaces that the algebraic route defines at odd n.  The space is the
+    weight-0 part of the property when `zero_weight` is set, and asks for
+    total sum 0 as well when `zero_sum` is set (`_admits`).
     """
 
     prop: str
-    entrywise: Callable[[Matrix], PropertyVerdict]
-    algebraic: Callable[[Matrix], PropertyVerdict] | None = None
+    entrywise: Decision
+    algebraic: Decision | None = None
     even_only: bool = False
     odd_algebraic: bool = False
     zero_weight: bool = False
@@ -414,12 +384,12 @@ def check_dimension(tag: str, n: int) -> None:
 
 
 def _routes(space: Space, n: int) -> tuple:
-    # The routes that decide the property at size n, entrywise first.
+    # The (name, decision) pairs that decide the property at size n,
+    # entrywise first.
+    routes = (("entrywise", space.entrywise), ("algebraic", space.algebraic))
     if n % 2 and space.odd_algebraic:
-        return (space.algebraic,)
-    if space.algebraic is None:
-        return (space.entrywise,)
-    return (space.entrywise, space.algebraic)
+        return routes[1:]
+    return routes if space.algebraic is not None else routes[:1]
 
 
 def dual_routes(n: int) -> tuple[str, ...]:
@@ -443,43 +413,43 @@ def _property(prop: str) -> Space | None:
     return space if space is not None and space.prop == prop.upper() else None
 
 
-@lru_cache(maxsize=None)
-def _entrywise_route(prop: str, n: int) -> Callable[[Matrix], PropertyVerdict]:
-    space = _property(prop)
-    if space is None:
-        raise ValueError(f"unknown property {prop!r}")
-    check_dimension(prop.upper(), n)
-    return _routes(space, n)[0]
-
-
-@lru_cache(maxsize=None)
-def _algebraic_route(prop: str) -> Callable[[Matrix], PropertyVerdict]:
-    space = _property(prop)
-    if space is None or space.algebraic is None:
-        raise ValueError(f"property {prop!r} has no algebraic characterisation")
-    return space.algebraic
-
-
 def check_entrywise(m: Matrix, prop: str) -> PropertyVerdict:
     """Entrywise verdict for one property tag (S A B R V M N P Q).
 
     The spaces the algebraic route defines at odd n (M and N) return that
     verdict there; the even-only ones (P and Q) raise DimensionError.
     """
-    return _entrywise_route(prop, m.n)(m)
+    space = _property(prop)
+    if space is None:
+        raise ValueError(f"unknown property {prop!r}")
+    check_dimension(prop.upper(), m.n)
+    name, route = _routes(space, m.n)[0]
+    return _verdict(name, _decide(route, m), m)
 
 
 def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
     """Matrix-algebra verdict for one property tag (S A B R V M N).
 
     B, S and N are K-invariance of M and A, V and M K-anti-invariance of
-    M − w·E, for the grading involutions K.  Valid for every dimension; for odd n this route *is* the definition of
-    the M- and N-type spaces.  P and Q have no such route.
+    M − w·E, for the grading involutions K.  Valid for every dimension; for
+    odd n this route *is* the definition of the M- and N-type spaces.  P
+    and Q have no such route.
     """
-    return _algebraic_route(prop)(m)
+    space = _property(prop)
+    if space is None or space.algebraic is None:
+        raise ValueError(f"property {prop!r} has no algebraic characterisation")
+    return _verdict("algebraic", _decide(space.algebraic, m), m)
 
 
-# -- classification ----------------------------------------------------------
+# -- membership --------------------------------------------------------------
+
+
+def _admits(space: Space, decided: tuple, sum_zero: bool) -> bool:
+    # The one membership rule, on `_decide`'s (holds, num_P, num_Q, den): the
+    # property holds, with weight 0 for A, M and P (num_P = num_Q = 0, √2
+    # being irrational; odd M gives no weight) and total sum 0 for V.
+    holds, num, num_q, _ = decided
+    return holds and not (space.zero_weight and (num or num_q)) and (sum_zero or not space.zero_sum)
 
 
 def verdicts_agree(e: PropertyVerdict, a: PropertyVerdict) -> bool:
@@ -491,20 +461,6 @@ def verdicts_agree(e: PropertyVerdict, a: PropertyVerdict) -> bool:
     return True
 
 
-def _agree(e: PropertyVerdict, a: PropertyVerdict, prop: str, n: int) -> PropertyVerdict:
-    if not verdicts_agree(e, a):
-        raise PredicatePathMismatch(
-            f"entrywise and algebraic verdicts differ for ({prop}) at n={n}: "
-            f"{e} vs {a}"
-        )
-    return PropertyVerdict(e.holds, e.weight, route="both")
-
-
-def _weight_rule(space: Space, v: PropertyVerdict) -> bool:
-    # Membership short of the total-sum rule; no weight (odd M) passes.
-    return v.holds and not (space.zero_weight and v.weight is not None and v.weight != ZERO)
-
-
 def classify(m: Matrix) -> SymmetryReport:
     """Classify a square matrix against every property of `SPACES`.
 
@@ -512,52 +468,54 @@ def classify(m: Matrix) -> SymmetryReport:
     raises PredicatePathMismatch if they ever disagree (a self-check).
     """
     n = m.n
+    sum_zero = _total_zero(m)
     props: dict[str, PropertyVerdict] = {}
+    spaces: dict[str, bool] = {}
     for tag, space in SPACES.items():
-        if space.prop in props or not exists(tag, n):
+        if tag != space.prop or not exists(tag, n):
             continue
-        routes = _routes(space, n)
-        v = routes[0](m)
-        if len(routes) == 2:
-            v = _agree(v, routes[1](m), space.prop, n)
-        props[space.prop] = v
+        (name, route), *twin = _routes(space, n)
+        decided = _decide(route, m)
+        v = _verdict(name, decided, m)
+        for other, route in twin:
+            a = _verdict(other, _decide(route, m), m)
+            if not verdicts_agree(v, a):
+                raise PredicatePathMismatch(
+                    f"entrywise and algebraic verdicts differ for ({tag}) at n={n}: "
+                    f"{v} vs {a}"
+                )
+            v = PropertyVerdict(v.holds, v.weight, route="both")
+        props[tag] = v
+        spaces[tag] = _admits(space, decided, sum_zero)
 
-    v_sum_zero = _total_zero(m)
-    spaces = {
-        tag: _weight_rule(space, props[tag]) and (v_sum_zero or not space.zero_sum)
-        for tag, space in SPACES.items()
-        if tag in props
-    }
     composites = {
         tag: all(spaces[part] for part in COMPOSITES[tag])
         for tag in _REPORTED
         if all(part in spaces for part in COMPOSITES[tag])
     }
-    return SymmetryReport(n, props, v_sum_zero, spaces, composites)
-
-
-# -- fast membership (single cheapest route, used by the verification suites) -
+    return SymmetryReport(n, props, sum_zero, spaces, composites)
 
 
 @lru_cache(maxsize=None)
 def _space_routes(tag: str, n: int) -> tuple:
-    # (member, zero_weight, zero_sum) of each part of `tag`, its route at size n.
+    # (space, decision) of each part of `tag`: the route that decides it at n.
     parts = _PARTS.get(tag.upper())
     if parts is None:
         raise ValueError(f"unknown space tag {tag!r}")
     check_dimension(tag, n)
-    return tuple((_routes(space, n)[0].member, space.zero_weight, space.zero_sum) for space in parts)
+    return tuple((space, _routes(space, n)[0][1]) for space in parts)
 
 
 def in_space(m: Matrix, tag: str) -> bool:
     """Exact membership in a space of `SPACES` or a composite of `COMPOSITES`.
 
-    Each space applies its table rule: weight 0 for A, M and P, total sum 0
-    for V (VRAW is property V alone).  A tag that exists only at even n
-    raises DimensionError at odd n.  Each (tag, n) is resolved to its
-    routes once, in a module-level `lru_cache`.
+    Each part is decided by its first route (the entrywise one, or the
+    algebraic one where it alone decides: M and N at odd n) and judged by
+    the rule `classify` applies, `_admits`.  A tag that exists only at even
+    n raises DimensionError at odd n.  Each (tag, n) is resolved to its
+    parts' decisions once, in a module-level `lru_cache`.
     """
-    for member, zero_weight, zero_sum in _space_routes(tag, m.n):
-        if not member(m, zero_weight) or zero_sum and not _total_zero(m):
+    for space, route in _space_routes(tag, m.n):
+        if not _admits(space, _decide(route, m), space.zero_sum and _total_zero(m)):
             return False
     return True

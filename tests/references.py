@@ -6,7 +6,8 @@ same claims in `Matrix` and `Scalar` arithmetic, on given vectors and
 matrices, so that the tests can compare the two.  `space_member` draws a
 random member of an oracle space as a `Scalar` combination of its basis,
 and `basis_combination` one of a constructible space as a combination of
-its constructor basis.
+its constructor basis.  `membership_inputs` draws the seeded inputs on
+which `in_space` must judge every space as `classify` does (`classified`).
 
 The `ref_*` functions state the array operations per entry, on tuples of
 `Scalar`s (row-major for a matrix), so that the tests can compare the
@@ -24,8 +25,9 @@ from symalg import verify as V
 from symalg.construct import constructor_basis, make_most_perfect
 from symalg.elim import rank_of_parts
 from symalg.errors import VerificationError
-from symalg.matrix import Matrix, Vector, alternating, ones, zeros
-from symalg.scalar import Scalar, as_scalar, integer_parts
+from symalg.matrix import Matrix, Vector, all_ones, alternating, ones, zeros
+from symalg.predicates import COMPOSITES, SPACES, exists
+from symalg.scalar import SQRT2, Scalar, as_scalar, integer_parts
 
 
 def space_member(space, n, rng, terms=3):
@@ -61,6 +63,39 @@ def basis_combination(kind, n, rng):
     for b in constructor_basis(kind, n):
         acc = acc + b.scale(Scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2)))))
     return acc
+
+
+def membership_inputs(n, rng):
+    """Seeded inputs at size n for comparing `in_space` with `classify`.
+
+    For each space and composite of the predicate table that exists at n: a
+    member, the member shifted by c·E and by c·√2·E (which keeps every
+    property but moves the weight and the total sum), and the member plus √2
+    times a second member.  Then three dense √2 matrices, members of almost
+    nothing.
+    """
+    for tag in list(SPACES) + list(COMPOSITES):
+        if not exists(tag, n):
+            continue
+        m = space_member(tag, n, rng)
+        c = Fraction(rng.randint(1, 9), rng.choice((1, 2, 3)))
+        yield m
+        yield m + all_ones(n).scale(c)
+        yield m + all_ones(n).scale(SQRT2 * c)
+        yield m + space_member(tag, n, rng).scale(SQRT2)
+    for _ in range(3):
+        yield Matrix(n, [Scalar(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n * n)])
+
+
+def classified(report, tag):
+    """`classify`'s judgement of the space or composite `tag`.
+
+    A composite is the intersection of its parts; VRAW, a space of property
+    V with no total-sum rule, is the property itself.
+    """
+    if tag in COMPOSITES:
+        return all(classified(report, part) for part in COMPOSITES[tag])
+    return report.props["V"].holds if tag == "VRAW" else report.spaces[tag]
 
 
 def mps_triple_product_check(gamma1, delta1, gamma2, delta2, gamma3, delta3, n):

@@ -58,8 +58,7 @@ def test_clear_caches_empties_the_per_size_tables():
         blockform.layout,
         blockform._pair_slices,
         blockform._index_map,
-        predicates._entrywise_route,
-        predicates._algebraic_route,
+        predicates._space_routes,
     ]
     assert run_suite("all")["ok"]
     assert all(t.cache_info().currsize > 0 for t in tables)

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from symalg.blockform import (
+    BlockForm,
     conjugate_x,
     from_block,
     layout,
@@ -168,6 +169,18 @@ def test_central_views_are_vectors_of_the_conjugate_entries(kind):
             assert view == Vector(entries), (n, name)
             assert view.D > 0 and gcd(view.D, *view.P, *(view.Q or ())) == 1
             assert (view.Q is None) == all(x.is_rational() for x in entries)
+
+
+def test_block_forms_compare_by_their_conjugate():
+    rng = random.Random(31)
+    for n in (3, 4):
+        m = rand_matrix(n, rng)
+        a = to_block(m)
+        assert a == BlockForm(Matrix(n, a.conjugate.entries)) and not a != to_block(m)
+        other = to_block(m + identity(n))
+        assert a != other and not a == other
+        # Neither the conjugate itself nor the matrix is a block form.
+        assert a != a.conjugate and a != m and not a == m
 
 
 def test_layout_covers_every_cell_once():

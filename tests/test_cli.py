@@ -10,7 +10,7 @@ from symalg import io as mio
 from symalg.cli import main
 from symalg.construct import _FORMS, CONSTRUCTIBLE, make_most_perfect_block
 from symalg.matrix import Matrix, all_ones
-from symalg.predicates import PropertyVerdict, classify, even_only, in_space
+from symalg.predicates import classify, even_only, in_space
 from symalg.scalar import Scalar
 
 
@@ -363,7 +363,7 @@ def test_construct_params_at_n_one_are_checked_against_nu_zero(capsys, tmp_path)
 def test_predicate_path_mismatch_is_verification_failure(capsys, monkeypatch, e4_file):
     # A route that disagrees with its twin is a bug in the program, not in the input.
     broken = dataclasses.replace(
-        predicates.SPACES["B"], algebraic=lambda m: PropertyVerdict(False, route="algebraic")
+        predicates.SPACES["B"], algebraic=lambda e, n: (False, None, 1)
     )
     monkeypatch.setitem(predicates.SPACES, "B", broken)
     code, _, err = run(capsys, "classify", e4_file)
@@ -475,6 +475,29 @@ def test_non_utf8_file_error_names_the_file(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and _one_error_line(err), (argv, err)
         assert err.startswith(f"error: cannot read {bad}: "), err
+
+
+def test_json_array_or_object_errors_name_the_type(capsys, tmp_path):
+    # A bad value that is an array or an object is named by its JSON type,
+    # so the one error line stays short however large the value is.
+    deep = "[" * 300 + "]" * 300
+    wide = json.dumps({str(k): "x" * 20 for k in range(40)})
+    cases = [
+        ('{"n": %s, "entries": ["1"]}' % deep, '"n" must be a positive integer, got a JSON array'),
+        ('{"n": %s, "entries": ["1"]}' % wide, '"n" must be a positive integer, got a JSON object'),
+        ('{"n": 1, "entries": [%s]}' % deep, "cannot parse scalar literal: got a JSON array"),
+        ('{"n": 1, "entries": [%s]}' % wide, "cannot parse scalar literal: got a JSON object"),
+    ]
+    path = tmp_path / "bad.json"
+    for text, message in cases:
+        path.write_text(text)
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == "" and _one_error_line(err), err
+        assert err.strip() == f"error: {message}", err
+    params = write_params(tmp_path, {"Z": json.loads(wide)})
+    code, out, err = run(capsys, "construct", "--type", "r", "--n", "4", "--params", str(params))
+    assert code == 2 and out == "" and _one_error_line(err), err
+    assert len(err.strip()) < 200 and "a JSON object" in err, err
 
 
 def test_verify_command_ok(capsys):

@@ -18,7 +18,7 @@ from symalg.predicates import (
 )
 from symalg.scalar import SQRT2, Scalar
 
-from references import space_member
+from references import classified, membership_inputs, space_member
 
 
 def rand_matrix(n, rng):
@@ -215,6 +215,22 @@ def test_in_space_judges_the_weight_of_both_parts():
                 assert in_space(m, tag) == classify(m).spaces[tag], (n, tag)
             assert not in_space(x + y.scale(SQRT2), tag), (n, tag)
             assert in_space(x + x.scale(SQRT2), tag), (n, tag)
+
+
+def test_in_space_applies_the_rule_classify_does():
+    # One rule judges membership for both: for every space and composite,
+    # on members, shifted members and dense non-members at n = 1..9.
+    rng = random.Random(2016)
+    seen = {tag: set() for tag in list(SPACES) + list(COMPOSITES)}
+    for n in range(1, 10):
+        tags = [tag for tag in seen if exists(tag, n)]
+        for m in membership_inputs(n, rng):
+            report = classify(m)
+            for tag in tags:
+                verdict = in_space(m, tag)
+                assert verdict == classified(report, tag), (n, tag, m)
+                seen[tag].add(verdict)
+    assert all(verdicts == {True, False} for verdicts in seen.values()), seen
 
 
 def test_dual_route_agreement_large_n_eight():

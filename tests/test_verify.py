@@ -10,6 +10,7 @@ from symalg import verify as V
 from symalg.blockform import INVOLUTIONS
 from symalg.construct import (
     _Form,
+    basis_member,
     constructor_basis,
     extract_most_perfect_vectors,
     make_most_perfect,
@@ -247,6 +248,20 @@ def test_dual_path_members_run_no_maker(monkeypatch):
     monkeypatch.setattr(_Form, "build", no_maker)
     for n in (4, 5):
         assert V.dual_path_agreement(n, 3 * len(kinds), seed=2) == 0
+
+
+def test_every_third_dual_path_trial_is_a_member(monkeypatch):
+    # Trials 0, 3 and 6 draw members, of the kinds at those places of the
+    # cyclic kind list; the others are dense integer matrices.
+    kinds = []
+
+    def recorded(kind, n, rng):
+        kinds.append((kind, n))
+        return basis_member(kind, n, rng)
+
+    monkeypatch.setattr(V, "basis_member", recorded)
+    assert V.dual_path_agreement(4, 9, seed=0) == 0
+    assert kinds == [("s", 4), ("r", 4), ("m", 4)]
 
 
 def test_oracle_predicate_agreement_small():
