@@ -21,11 +21,7 @@ each named block its rows and columns.
 reflections I − 2·11ᵀ/n and I − 2·ΣΣᵀ/n, and T at even n; see `decompose`),
 and `SPLIT_TAGS` names the (even, odd) spaces of each.  K·M·K of an integer
 matrix is read through two kernels, in int, in O(n²), and never by building
-K: `permuted` gathers it through the index map of J or T, and
-`reflection_odd` states the closed form for a reflection K = I − 2·y·yᵀ/n,
-M less a rank-2 correction fixed by M·y, Mᵀ·y and yᵀ·M·y, as
-n²·½(M − K·M·K) entry by entry, so the reflection splits build no K·M·K
-list and the algebraic routes stop at the first entry that breaks.
+K: `permuted` for J and T, and `reflection_odd` for the reflections.
 Predicates and splits apply these to each integer part of a matrix over
 Q(√2) (`Matrix.P`, `Matrix.Q`).
 

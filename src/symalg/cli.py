@@ -25,6 +25,7 @@ from .errors import (
     PredicatePathMismatch,
     SymalgError,
     VerificationError,
+    shown,
 )
 from .predicates import classify
 from .verify import build_constraints, run_suite
@@ -41,7 +42,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {shown(repr(text))}")
     return value
 
 
@@ -97,7 +98,7 @@ def _param_value(x, depth: int = 2):
 def cmd_construct(args) -> int:
     kind = args.type.lower()
     if kind not in CONSTRUCTIBLE:
-        raise ParseError(f"unknown construction type {args.type!r}")
+        raise ParseError(f"unknown construction type {shown(repr(args.type))}")
     w = mio.scalar_from_string(args.w) if args.w is not None else None
     if args.params:
         try:

@@ -5,8 +5,8 @@ mildly constrained) parameters and conjugates back with the involution X_n.
 It passes its blocks to `_write` by the names of the `BlockForm` views
 (a block left out is zero), and `_write` lays each where `blockform.layout`
 puts it; P and Q lay out their plain quadrants the same way, without
-conjugating.  Only the odd A and B forms, which split J's grading as
-(ν+1, ν), place their blocks at explicit ranges.
+conjugating.  A kind exists at n where its space does
+(`predicates.check_dimension`).
 
 Parameters are validated eagerly — the ν-parity sign conventions are easy
 to get wrong at call sites — and the failed constraint is named in the
@@ -42,7 +42,7 @@ from math import lcm
 
 from .blockform import conjugate_x, layout, nu_sign
 from .decompose import split
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, PreconditionError, shown
 from .matrix import (
     Matrix,
     Vector,
@@ -52,7 +52,7 @@ from .matrix import (
     ones,
     zeros,
 )
-from .predicates import in_space
+from .predicates import check_dimension, in_space
 from .scalar import SQRT2, ZERO, Scalar, as_scalar, integer_parts
 
 # -- parameter coercion ------------------------------------------------------
@@ -140,36 +140,30 @@ def _parts(x) -> tuple:
     return integer_parts([e for row in x for e in row])
 
 
-def _place(n: int, blocks: list) -> Matrix:
-    """The n×n matrix with each block (rows, cols, x) laid at those ranges.
+def _write(n: int, **blocks) -> Matrix:
+    """The n×n matrix with each named block where `layout(n)` puts it.
 
-    x is anything `_parts` reads, with len(cols) columns.  The blocks are
-    brought to their least common denominator and written into the parts
-    of the result; entries no block covers are 0.
+    The names are those of the `BlockForm` views (y_block, vt_block, …,
+    alpha), and each block is anything `_parts` reads, with as many columns
+    as its place.  A block left out is zero, and so is one whose place has
+    no columns (the square blocks at n = 1).  The blocks are brought to
+    their least common denominator and written into the result's parts.
     """
-    parts = [(rows.start, cols.start, len(cols), _parts(x)) for rows, cols, x in blocks]
+    at = layout(n)
+    parts = [(*at[name], _parts(x)) for name, x in blocks.items() if at[name][1]]
     D = lcm(*(d for *_, (_, _, d) in parts))
     P, Q = [0] * (n * n), [0] * (n * n)
-    for i, j, w, (bp, bq, bd) in parts:
-        f = D // bd
+    for rows, cols, (bp, bq, bd) in parts:
+        f, w = D // bd, len(cols)
         for out, part in ((P, bp), (Q, bq)):
             if part is None:
                 continue
             if f != 1:
                 part = [f * x for x in part]
             for k in range(0, len(part), w):
-                start = (i + k // w) * n + j
+                start = (rows.start + k // w) * n + cols.start
                 out[start : start + w] = part[k : k + w]
     return Matrix.from_parts(n, P, Q, D)
-
-
-def _write(n: int, **blocks) -> Matrix:
-    """The n×n matrix with each named block where `layout(n)` puts it.
-
-    The names are those of the `BlockForm` views (y_block, vt_block, …,
-    alpha); a block left out is zero.
-    """
-    return _place(n, [(*layout(n)[name], x) for name, x in blocks.items()])
 
 
 # -- type A and B ------------------------------------------------------------
@@ -185,13 +179,11 @@ def make_associated(phi, psi, n: int) -> Matrix:
     if not odd:
         psi, phi = _blocks(nu, psi=psi, phi=phi)
         return conjugate_x(_write(n, vt_block=psi, w_block=phi))
-    phi_g = _grid_param(phi, nu, nu + 1, "phi")
-    psi_g = _grid_param(psi, nu + 1, nu, "psi")
-    if n == 1:
-        return zeros(1)
-    # J's grading splits C as (ν+1, ν), not as the layout's (ν, 1, ν).
-    top, bottom = range(nu + 1), range(nu + 1, n)
-    return conjugate_x(_place(n, [(top, bottom, psi_g), (bottom, top, phi_g)]))
+    phi = _grid_param(phi, nu, nu + 1, "phi")
+    psi = _grid_param(psi, nu + 1, nu, "psi")
+    # J's grading splits C as (ν+1, ν): Ψ is Vᵀ over zᵀ, Φ is W beside x.
+    w, x = [r[:nu] for r in phi], [r[nu:] for r in phi]
+    return conjugate_x(_write(n, vt_block=psi[:nu], z_row=psi[nu:], w_block=w, x_col=x))
 
 
 def make_balanced(upsilon, omega, n: int) -> Matrix:
@@ -200,13 +192,14 @@ def make_balanced(upsilon, omega, n: int) -> Matrix:
     if not odd:
         upsilon, omega = _blocks(nu, upsilon=upsilon, omega=omega)
         return conjugate_x(_write(n, y_block=upsilon, z_block=omega))
-    top, bottom = range(nu + 1), range(nu + 1, n)
-    blocks = [(top, top, _grid_param(upsilon, nu + 1, nu + 1, "upsilon"))]
+    *top, (*y, alpha) = _grid_param(upsilon, nu + 1, nu + 1, "upsilon")
     if nu:
-        blocks.append((bottom, bottom, _mat_param(omega, nu, "omega")))
+        omega = _mat_param(omega, nu, "omega")
     else:
         _reject({"omega": omega}, "ν = 0", n)
-    return conjugate_x(_place(n, blocks))
+    # J's grading splits C as (ν+1, ν): Υ is [[Y, v], [yᵀ, α]] and Ω is Z.
+    Y, v = [r[:nu] for r in top], [r[nu:] for r in top]
+    return conjugate_x(_write(n, y_block=Y, v_col=v, y_row=[y], alpha=alpha, z_block=omega))
 
 
 # -- type S ------------------------------------------------------------------
@@ -232,16 +225,24 @@ def make_semimagic(n: int, Y=None, V=None, W=None, Z=None, w=None) -> Matrix:
     if n == 1:
         _reject({"Y": Y, "V": V, "W": W, "Z": Z}, "ν = 0", n)
         return Matrix(1, (w,))
-    return _odd_free_blocks(ones(nu), SQRT2, Y, V, W, Z, w)
+    return _odd_free_blocks(nu, False, Y, V, W, Z, w)
 
 
-def _odd_free_blocks(u: Vector, r: Scalar, Y, V, W, Z, lam: Scalar) -> Matrix:
-    # The odd forms of S (u = 1_ν, r = √2, λ = w) and N (u = Σ_ν,
-    # r = nu_sign(ν)·√2): free blocks Y, V, W, Z and the scalar λ.
-    Y, V, W, Z = _blocks(u.n, Y=Y, V=V, W=W, Z=Z)
+def _odd_axis(nu: int, alt: bool) -> tuple[Vector, Scalar]:
+    """Axis and scale (u, r) of an odd form: (1_ν, √2), or (Σ_ν, nu_sign(ν)·√2) if `alt`."""
+    if alt:
+        return alternating(nu), SQRT2 * nu_sign(nu)
+    return ones(nu), SQRT2
+
+
+def _odd_free_blocks(nu: int, alt: bool, Y, V, W, Z, lam: Scalar) -> Matrix:
+    # The odd forms of S (λ = w) and N (alt): free blocks Y, V, W, Z and
+    # the scalar λ on the axis of `_odd_axis`.
+    Y, V, W, Z = _blocks(nu, Y=Y, V=V, W=W, Z=Z)
+    u, r = _odd_axis(nu, alt)
     yu = Y.apply(u)
     block = _write(
-        2 * u.n + 1,
+        2 * nu + 1,
         y_block=Y + u.outer(u).scale(2 * lam),
         vt_block=V.transpose(),
         w_block=W,
@@ -278,18 +279,16 @@ def make_vertex_cross(n: int, Y=None, a=None, b=None, v=None, x=None, y=None, z=
 
 
 def _odd_free_vectors(nu: int, alt: bool, v, x, y, z) -> Matrix:
-    # The odd forms of V (u = 1_ν, r = √2) and M (alt: u = Σ_ν,
-    # r = nu_sign(ν)·√2): free vectors v, x, y, z; the centre and the
-    # top-left block are forced.  At n = 1 (ν = 0) the vectors are empty
-    # and the space is null.
+    # The odd forms of V and M (alt): free vectors v, x, y, z on the axis
+    # of `_odd_axis`; the centre and the top-left block are forced.  At
+    # n = 1 (ν = 0) the vectors are empty and the space is null.
     v = _vec_param(v, nu, "v")
     x = _vec_param(x, nu, "x")
     y = _vec_param(y, nu, "y")
     z = _vec_param(z, nu, "z")
     if nu == 0:
         return zeros(1)
-    u = alternating(nu) if alt else ones(nu)
-    r = SQRT2 * nu_sign(nu) if alt else SQRT2
+    u, r = _odd_axis(nu, alt)
     c = 2 * nu - 1
     total = u.dot(v) + u.dot(y)
     block = _write(
@@ -330,7 +329,7 @@ def make_alternating_pairs(n: int, Y=None, V=None, W=None, Z=None, lam=None) -> 
     if n == 1:
         _reject({"Y": Y, "V": V, "W": W, "Z": Z}, "ν = 0", n)
         return Matrix(1, (lam,))
-    return _odd_free_blocks(alternating(nu), SQRT2 * nu_sign(nu), Y, V, W, Z, lam)
+    return _odd_free_blocks(nu, True, Y, V, W, Z, lam)
 
 
 # -- type M ------------------------------------------------------------------
@@ -387,23 +386,23 @@ def make_reverse(n: int, gamma=None, x=None, z=None, Z=None) -> Matrix:
 # -- types P and Q (plain block structure, no conjugation) -------------------
 
 
-def _halves(A, B, n: int | None) -> tuple[Matrix, Matrix]:
+def _halves(A, B, n: int | None, tag: str) -> tuple[Matrix, Matrix]:
     # A and B are ν×ν for ν = n/2; without n, A's size is ν.
-    if n is not None and n % 2:
-        raise DimensionError("types p and q need even dimension")
+    if n is not None:
+        check_dimension(tag, n)
     A = _mat_param(A, None if n is None else n // 2, "A")
     return A, _mat_param(B, A.n, "B")
 
 
 def make_pandiagonal(A, B, n: int | None = None) -> Matrix:
     """Weight-0 strong-pandiagonal matrix [[A, B], [−B, −A]]."""
-    A, B = _halves(A, B, n)
+    A, B = _halves(A, B, n, "P")
     return _write(2 * A.n, y_block=A, vt_block=B, w_block=-B, z_block=-A)
 
 
 def make_quartered(A, B, n: int | None = None) -> Matrix:
     """Quartered matrix [[A, B], [B, A]]."""
-    A, B = _halves(A, B, n)
+    A, B = _halves(A, B, n, "Q")
     return _write(2 * A.n, y_block=A, vt_block=B, w_block=B, z_block=A)
 
 
@@ -424,9 +423,8 @@ def make_most_perfect_block(a, b, Z, n: int) -> Matrix:
     ν) and Z in the intersection of the associated and array-sum spaces;
     with those it is the array-sum member on the same a, b and Z.
     """
-    nu, odd = divmod(n, 2)
-    if odd:
-        raise DimensionError("most perfect squares need even dimension")
+    check_dimension("MPS", n)
+    nu = n // 2
     a = _vec_param(a, nu, "a")
     b = _vec_param(b, nu, "b")
     Z = _mat_param(Z, nu, "Z")
@@ -445,9 +443,8 @@ def make_most_perfect(gamma, delta, n: int) -> Matrix:
     For even ν the halves satisfy γ = (g, −g), δ = (d, −d) with free g, d;
     for odd ν they repeat, γ = (g, g), with g, d orthogonal to 1_ν.
     """
-    nu, odd = divmod(n, 2)
-    if odd:
-        raise DimensionError("most perfect squares need even dimension")
+    check_dimension("MPS", n)
+    nu = n // 2
     gamma = _vec_param(gamma, n, "gamma")
     delta = _vec_param(delta, n, "delta")
     s = nu_sign(nu)
@@ -484,9 +481,8 @@ def make_quartered_semimagic(Y, Z, V, W, n: int) -> Matrix:
     property, and V, W weight-0 associated with zero row sums and zero
     alternating column sums.
     """
-    nu, odd = divmod(n, 2)
-    if odd:
-        raise DimensionError("the quartered-semimagic space needs even dimension")
+    check_dimension("NQS", n)
+    nu = n // 2
     Y, Z, V, W = _blocks(nu, Y=Y, Z=Z, V=V, W=W)
     _require(in_space(Y, "BS"), "Y must be balanced semimagic")
     _require(in_space(Z, "BN"), "Z must be balanced with the alternating-pairs property")
@@ -756,13 +752,9 @@ CONSTRUCTIBLE = tuple(_FORMS)
 def _form(kind: str, n: int) -> _Form:
     forms = _FORMS.get(kind.lower())
     if forms is None:
-        raise ValueError(f"no constructor for kind {kind!r}")
-    if n < 1:
-        raise DimensionError(f"dimension must be positive, got {n}")
-    form = forms[n % 2]
-    if form is None:
-        raise DimensionError(f"type {kind.lower()} needs even dimension")
-    return form
+        raise ValueError(f"no constructor for kind {shown(repr(kind))}")
+    check_dimension(kind.upper(), n)
+    return forms[n % 2]
 
 
 @lru_cache(maxsize=None)
@@ -840,7 +832,7 @@ def member_from_params(kind: str, n: int, params: dict) -> Matrix:
     unknown = sorted(set(params) - set(form.names))
     if unknown:
         raise ValueError(
-            f"unknown parameter {', '.join(map(repr, unknown))} for type "
+            f"unknown parameter {shown(', '.join(map(repr, unknown)))} for type "
             f"{kind.lower()} at n={n}; expected {', '.join(form.names)}"
         )
     return form.build(n, params)

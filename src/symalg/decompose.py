@@ -10,12 +10,9 @@ by one involution K of `blockform.INVOLUTIONS`, and the two parts are its
     quartered ⊕ pandiagonal    K = T, the half-period shift (even n only)
 
 so even = ½(M + K·M·K) and odd = ½(M − K·M·K), on the parts of
-M = (P + Q·√2)/D and never by a matrix product.  For J and T, K·M·K is
-gathered by `blockform.permuted`.  For the two reflections the
-odd part is n²·odd = O from the closed form `blockform.reflection_odd`,
-which reads M·y, Mᵀ·y and yᵀ·M·y, and the even part n²·M − O, both over
-n²·D: two passes over the entries and no K·M·K list.  Both halves are built
-from their integer parts (`Matrix.from_parts`), with no Scalar per entry.
+M = (P + Q·√2)/D through the kernels of `blockform`, never by a matrix
+product.  Both halves are built from their integer parts
+(`Matrix.from_parts`), with no Scalar per entry.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blockform import INVOLUTIONS, permuted, reflection_odd
+from .errors import shown
 from .matrix import Matrix
 from .scalar import Scalar
 
@@ -51,7 +49,7 @@ def split(m: Matrix, kind: str) -> GradedPair:
     n, P, Q, D = m.n, m.P, m.Q, m.D
     k = INVOLUTIONS.get(kind.upper())
     if k is None:
-        raise ValueError(f"unknown split kind {kind!r}")
+        raise ValueError(f"unknown split kind {shown(repr(kind))}")
     kind = kind.upper()
     if k.permutation is not None:
         # K·M·K = (kp + kq·√2)/D, so ½(M ± K·M·K) = (P ± kp + (Q ± kq)·√2)/(2D).
@@ -61,8 +59,8 @@ def split(m: Matrix, kind: str) -> GradedPair:
 
         d = 2 * D
     else:
-        # n²·½(M − K·M·K) = O from the closed form, and n²·½(M + K·M·K) =
-        # n²·M − O, both over n²·D.
+        # n²·½(M − K·M·K) = O from `reflection_odd`, and n²·½(M + K·M·K) =
+        # n²·M − O, both over n²·D: no K·M·K list.
         y, nn = k.axis(n), n * n
 
         def halves(e):

@@ -1,29 +1,8 @@
 """Exact Gaussian elimination: one fraction-free integer kernel.
 
-`integer_rref` row-reduces rows with integer coefficients, given as sparse
-dicts {column: int}, and never leaves `int` arithmetic: its pivot rows are
-kept primitive (content 1, positive lead) instead of normalized.  It picks
-the leftmost nonzero entry as the pivot — with exact arithmetic there is
-nothing to gain from magnitude pivoting — and keeps the pivot rows fully
-reduced against each other, so reducing a new row is one pass over its
-nonzeros in pivot columns, in any order.  It takes the rows rightmost
-lead first, so that a new pivot's lead is seldom in an earlier pivot row
-and seldom needs back-substituting into it.  That order is a heuristic: it
-changes the work, never the result, as the RREF is unique.
-
-The RREF depends only on the row space, so rows can be reduced in parts:
-the RREF of stacked rows is the RREF of one part's RREF with the other
-parts' rows added to it (`integer_rref`'s `start`).  Readings of it:
-
-* `nullspace_of_rref` reads the nullspace basis off the pivot rows; it is
-  the oracle's nullspace basis.
-* `rank_of_parts` is the rank of rows over Q(√2).  Q(√2) has degree 2 over
-  Q, so p + q·√2 ↦ (p, q) identifies Q(√2)^w with Q^{2w}.  The Q(√2)-span
-  of a row r is the Q-span of r and √2·r, and √2·(p + q·√2) = 2q + p·√2,
-  so the Q(√2)-rank of rows (P + Q·√2)/D is half the Q-rank of the integer
-  rows (P | Q) and (2Q | P); a row's D does not change its span.  Rank
-  does not change under the field extension Q ⊂ Q(√2), so when every row
-  is rational the rows P are reduced as they are.
+`integer_rref` row-reduces sparse integer rows and never leaves `int`
+arithmetic; `nullspace_of_rref` (the oracle's nullspace basis) and
+`rank_of_parts` (rank over Q(√2)) read its result.
 """
 
 from __future__ import annotations
@@ -34,7 +13,13 @@ from math import gcd, lcm
 def rank_of_parts(rows: list) -> int:
     """Rank over Q(√2) of rows (P + Q·√2)/D given as integer parts (P, Q).
 
-    Q is None for a rational row.
+    Q is None for a rational row.  Q(√2) has degree 2 over Q, so
+    p + q·√2 ↦ (p, q) identifies Q(√2)^w with Q^{2w}.  The Q(√2)-span of a
+    row r is the Q-span of r and √2·r, and √2·(p + q·√2) = 2q + p·√2, so
+    the Q(√2)-rank of the rows is half the Q-rank of the integer rows
+    (P | Q) and (2Q | P); a row's D does not change its span.  Rank does
+    not change under the field extension Q ⊂ Q(√2), so when every row is
+    rational the rows P are reduced as they are.
     """
     if all(Q is None for _, Q in rows):
         return len(integer_rref([dict(enumerate(P)) for P, _ in rows]))
@@ -83,6 +68,14 @@ def integer_rref(rows: list, start: dict | None = None) -> dict[int, dict[int, i
     primitive with a positive lead and zero in every other pivot column,
     so it is its RREF row times its denominators' least common multiple.
     The form is unique, whatever the order of `rows`.
+
+    The pivot is the leftmost nonzero entry: with exact arithmetic there is
+    nothing to gain from magnitude pivoting.  As the pivot rows are fully
+    reduced against each other, reducing a new row is one pass over its
+    nonzeros in pivot columns, in any order.  The rows are taken rightmost
+    lead first, so that a new pivot's lead is seldom in an earlier pivot
+    row and seldom needs back-substituting into it; that order changes the
+    work, never the result.
 
     `start`, if given, must itself be an `integer_rref` result; the rows
     are added to its row space, and the result is the RREF of its pivot

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and `shown` for the input messages echo."""
 
 
 class SymalgError(Exception):
@@ -26,3 +26,8 @@ class PredicatePathMismatch(SymalgError):
 
 class VerificationError(SymalgError):
     """A mechanically checked identity failed."""
+
+
+def shown(text: str) -> str:
+    """`text` as a one-line message echoes it: cut after 40 characters, the cut marked."""
+    return text if len(text) <= 40 else f"{text[:40]}… ({len(text)} characters)"

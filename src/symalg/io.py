@@ -32,7 +32,7 @@ from contextlib import suppress
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ParseError
+from .errors import ParseError, shown
 from .matrix import Matrix
 from .scalar import Scalar
 
@@ -44,11 +44,21 @@ TOO_DEEP = "JSON nested too deeply to read"
 # sign (groups 3, 4) or a bare ``*sqrt2`` that makes a/b the √2 part (group 5).
 _ENTRY = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?\*sqrt2|(\*sqrt2))?$")
 
+# A CSV cell with an exponent, underscores dropped: the digits before and
+# after the point, and the exponent, which `Fraction` expands as 10**exp.
+_EXPONENT = re.compile(r"[+-]?(\d*)\.?(\d*)e([+-]?\d+)", re.IGNORECASE)
+_MAX_DIGITS = 4300  # Python's default int-string limit
+
 
 def json_shown(x) -> str:
-    """`x` for a one-line message: a JSON array or object by its type alone."""
+    """`x` for a one-line message: a JSON array or object by its type, else its cut repr."""
     kind = {list: "array", dict: "object"}.get(type(x))
-    return repr(x) if kind is None else f"a JSON {kind}"
+    if kind is not None:
+        return f"a JSON {kind}"
+    try:
+        return shown(repr(x))
+    except ValueError:  # past Python's int-string limit
+        return f"an integer of {x.bit_length()} bits"
 
 
 def _literal(x) -> str:
@@ -66,7 +76,7 @@ def _ratio(num: str, den: str | None) -> tuple[int, int]:
         return a, 1
     b = int(den)
     if b == 0:
-        raise ParseError(f"zero denominator in {num + '/' + den!r}")
+        raise ParseError(f"zero denominator in {shown(repr(num + '/' + den))}")
     return a, b
 
 
@@ -75,7 +85,7 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
     # c/e·√2 as the one triple (a·e + c·b·√2)/(b·e), not reduced.
     m = _ENTRY.match(text.replace(" ", ""))
     if m is None:
-        raise ParseError(f"cannot parse scalar literal {text!r}")
+        raise ParseError(f"cannot parse scalar literal {shown(repr(text))}")
     num, den, sqrt_num, sqrt_den, sqrt_only = m.groups()
     a, b = _ratio(num, den)
     if sqrt_num is not None:
@@ -162,7 +172,7 @@ def matrix_from_json_obj(obj) -> Matrix:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f'"n" must be a positive integer, got {json_shown(n)}')
     if not isinstance(entries, list) or len(entries) != n * n:
-        raise ParseError(f'"entries" must list exactly {n * n} strings')
+        raise ParseError(f'"entries" must list exactly {json_shown(n * n)} strings')
     return _from_triples(
         n, [_parse_triple(x if isinstance(x, str) else _literal(x)) for x in entries]
     )
@@ -190,6 +200,16 @@ def dumps_matrix_csv(m: Matrix) -> str:
     return "".join(",".join(cells[i : i + n]) + "\n" for i in range(0, n * n, n))
 
 
+def _csv_rational(cell: str) -> Fraction:
+    # Fraction(cell), refused before it expands 10**exp when the numerator
+    # or denominator would need more than _MAX_DIGITS digits: d digits
+    # scaled by 10**k need at most d + |k|.
+    m = _EXPONENT.fullmatch(cell.replace("_", ""))
+    if m and len(m[1] + m[2]) + abs(int(m[3]) - len(m[2])) > _MAX_DIGITS:
+        raise ValueError(cell)
+    return Fraction(cell)
+
+
 def loads_matrix_csv(text: str) -> Matrix:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -200,10 +220,10 @@ def loads_matrix_csv(text: str) -> Matrix:
         for cell in line.split(","):
             cell = cell.strip()
             try:
-                x = Fraction(cell)
+                x = _csv_rational(cell)
                 cells.append((x.numerator, 0, x.denominator))
             except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"line {lineno}: bad rational {cell!r}") from exc
+                raise ParseError(f"line {lineno}: bad rational {shown(repr(cell))}") from exc
         rows.append(cells)
     if not rows:
         raise ParseError("empty CSV matrix")

@@ -311,23 +311,20 @@ def _outer(u, v) -> list[int]:
 
 
 def zeros(n: int) -> Matrix:
-    _check_positive(n)
-    return Matrix.from_parts(n, (0,) * (n * n), None, 1)
+    """The n×n zero matrix: (0,) * n is empty for n < 1, so no n² entries are built."""
+    return Matrix.from_parts(n, (0,) * n * n, None, 1)
 
 
 def identity(n: int) -> Matrix:
-    _check_positive(n)
     return Matrix.from_parts(n, [int(i == j) for i in range(n) for j in range(n)], None, 1)
 
 
 def all_ones(n: int) -> Matrix:
-    _check_positive(n)
-    return Matrix.from_parts(n, (1,) * (n * n), None, 1)
+    return Matrix.from_parts(n, (1,) * n * n, None, 1)
 
 
 def exchange(n: int) -> Matrix:
     """Antidiagonal permutation matrix: ones at (i, n+1−i)."""
-    _check_positive(n)
     return Matrix.from_parts(n, [int(i + j == n - 1) for i in range(n) for j in range(n)], None, 1)
 
 

@@ -2,38 +2,19 @@
 
 Every property is decided from the entrywise definition (cyclic indices,
 weights recovered by a single probe and then confirmed exactly) and, but
-for P and Q, from the matrix-algebra characterisation.  For B, A, V and M
-that is K·(M − w·E)·K = ±(M − w·E) for a grading involution K of
-`blockform.INVOLUTIONS`, and for S and N that M commutes with a reflection
-K.  P and Q have none: for a permutation K it is the entrywise check.
-`classify` runs both routes and treats any disagreement as an internal bug,
-not as a statement about the input.  For S, R, A and B the two routes are
-not independent: the algebraic S route (M·1 = Mᵀ·1 = λ·1) compares the same
-row and column sums as the entrywise one, both R routes compare the same
-mirror-pair sums, and both A and B routes read J's index map (i, j) ↦
-(n−1−i, n−1−j).  There the disagreement guard and `verify`'s dual-path
-agreement catch only a slip in one copy, not a wrong condition in both;
-only the oracle agreement in `verify` checks these four independently.
+for P and Q, from the matrix-algebra characterisation by a grading
+involution of `blockform.INVOLUTIONS` (`check_algebraic`).  `classify`
+runs both routes and treats any disagreement as an internal bug, not as a
+statement about the input; `dual_routes` names where the two routes are
+not independent.
 
-Every route is a plain decision (e, n) -> (holds, num, den) on one integer
-part e of M = (P + Q·√2)/D (`Matrix.P`, `Matrix.Q`, `Matrix.D`; Q is None
-when M is rational): whether e meets the condition, and its weight num/den.
-Every condition is linear with rational coefficients and √2 is irrational,
-so `_decide` lifts a decision to M by deciding on P, then on Q, in int; the
-algebraic ones read the parts through the integer kernels of `blockform`.
-The algebraic V and M routes read the reflection closed form
-`blockform.reflection_odd`, from M·y, Mᵀ·y and yᵀ·M·y, and stop at the
-first entry where ½(M + K·M·K) is not w; most inputs are not members, and
-no K·M·K list is built for them.  The B, A, P and Q routes gather J·M·J or
-T·M·T through `blockform.permuted`.
-
+Every route is a plain decision on one integer part of M (`_decide`).
 One table (`SPACES`) gives each space its two decisions, its parity and
 its side rule; `COMPOSITES` gives the intersections.  `check_entrywise`,
 `check_algebraic`, `classify` and `in_space` are all derived from the two,
-and so are the oracle's dimension checks.  One rule, `_admits`, states
-membership from a decided property: weight 0 for A, M and P, total sum 0
-for V.  `classify` and `in_space` both apply it, so a space means the same
-to both; only `classify` builds weight Scalars.
+and so are the oracle's dimension checks.  `classify` and `in_space` apply
+one membership rule (`_admits`), so a space means the same to both; only
+`classify` builds weight Scalars.
 
 Weight conventions: rows/columns of an S-matrix sum to n·w, centrally
 opposite entries of an A-matrix to 2w, cyclic 2×2 blocks of an M-matrix to
@@ -52,7 +33,7 @@ from operator import mul
 from typing import Callable
 
 from .blockform import INVOLUTIONS, permuted, reflection_odd
-from .errors import DimensionError, PredicatePathMismatch
+from .errors import DimensionError, PredicatePathMismatch, shown
 from .matrix import Matrix
 from .scalar import Scalar
 
@@ -245,8 +226,9 @@ def _k_odd(e: tuple[int, ...], n: int, kind: str, num: int = 0, den: int = 1) ->
     1, or Σ at even n) maps E to itself, so K·(M − w·E)·K = K·M·K − w·E and
     the test reads ½(M + K·M·K) = w·E.  For J that is M + K·M·K = 2w·E on
     the gathered entries.  For a reflection the even part is M − O/n², with
-    O from the closed form `reflection_odd`, read entry by entry and only up
-    to the first entry that breaks.
+    O from `reflection_odd`, read entry by entry and only up to the first
+    entry that breaks: most inputs are not members, and no K·M·K list is
+    built for them.
     """
     k = INVOLUTIONS[kind]
     if k.axis is None:
@@ -380,7 +362,7 @@ def exists(tag: str, n: int) -> bool:
 def check_dimension(tag: str, n: int) -> None:
     """Raise DimensionError unless the space `tag` exists at size n."""
     if not exists(tag, n):
-        raise DimensionError(f"space {tag} does not exist at n={n}")
+        raise DimensionError(f"space {shown(tag)} does not exist at n={n}")
 
 
 def _routes(space: Space, n: int) -> tuple:
@@ -421,7 +403,7 @@ def check_entrywise(m: Matrix, prop: str) -> PropertyVerdict:
     """
     space = _property(prop)
     if space is None:
-        raise ValueError(f"unknown property {prop!r}")
+        raise ValueError(f"unknown property {shown(repr(prop))}")
     check_dimension(prop.upper(), m.n)
     name, route = _routes(space, m.n)[0]
     return _verdict(name, _decide(route, m), m)
@@ -437,7 +419,7 @@ def check_algebraic(m: Matrix, prop: str) -> PropertyVerdict:
     """
     space = _property(prop)
     if space is None or space.algebraic is None:
-        raise ValueError(f"property {prop!r} has no algebraic characterisation")
+        raise ValueError(f"property {shown(repr(prop))} has no algebraic characterisation")
     return _verdict("algebraic", _decide(space.algebraic, m), m)
 
 
@@ -501,7 +483,7 @@ def _space_routes(tag: str, n: int) -> tuple:
     # (space, decision) of each part of `tag`: the route that decides it at n.
     parts = _PARTS.get(tag.upper())
     if parts is None:
-        raise ValueError(f"unknown space tag {tag!r}")
+        raise ValueError(f"unknown space tag {shown(repr(tag))}")
     check_dimension(tag, n)
     return tuple((space, _routes(space, n)[0][1]) for space in parts)
 

@@ -30,12 +30,8 @@ is judged by the oracle, on the target's reduced rows (its RREF, kept
 from the oracle's build; a failing product is named by its first broken
 literal row), and by `in_space`.
 
-The oracle reduces each atom's literal rows once per n.  Every other
-system is reduced from pivot rows already found: the RREF depends only on
-the row space, and the row space of stacked rows is the sum of the parts'
-row spaces, so a composite reduces its other parts' pivot rows into a copy
-of the RREF of its largest part, and V, whose rows are VRAW's and the total
-sum, starts from a copy of VRAW's.
+The oracle reduces each atom's literal rows once per n (`_atom`), and
+every other system from pivot rows already found (`_stack`).
 
 Each such proof returns one `Certificate`: the claim, the number of
 basis members, the products checked, the failures and the first three
@@ -60,7 +56,7 @@ from .construct import (
 )
 from .blockform import INVOLUTIONS, SPLIT_TAGS, reflection_odd
 from .elim import integer_rref, nullspace_of_rref, rank_of_parts
-from .errors import DimensionError, VerificationError
+from .errors import DimensionError, VerificationError, shown
 from .io import matrix_to_json_obj
 from .matrix import Matrix, Vector, rank, zeros
 from .predicates import (
@@ -333,9 +329,8 @@ class ConstraintSystem:
 def build_constraints(space: str, n: int) -> ConstraintSystem:
     """Compile one space's definition to linear equations and solve them.
 
-    Composite tags stack the rows of their parts, and reduce the other
-    parts' pivot rows into a copy of the largest part's RREF (`_stack`);
-    each atom is reduced once per n (`_atom`).  The result is cached, once
+    Composite tags stack the rows of their parts (`_stack`), and each
+    atom is reduced once per n (`_atom`).  The result is cached, once
     per upper-case tag; treat it as read-only: its rows are shared with its
     parts' systems.
     """
@@ -344,7 +339,7 @@ def build_constraints(space: str, n: int) -> ConstraintSystem:
         return build_constraints(tag, n)
     parts = COMPOSITES.get(tag, (tag,))
     if any(part not in _ATOMS for part in parts):
-        raise ValueError(f"unknown space tag {space!r}")
+        raise ValueError(f"unknown space tag {shown(repr(space))}")
     check_dimension(tag, n)
     return ConstraintSystem(tag, n, *_stack([_atom(part, n) for part in parts]))
 
@@ -510,7 +505,7 @@ def grading_certificate(pair: str, n: int) -> Certificate:
     """
     tag = pair.upper()
     if tag not in GRADING_PAIRS:
-        raise ValueError(f"unknown grading pair {pair!r}")
+        raise ValueError(f"unknown grading pair {shown(repr(pair))}")
     if not _grading_exists(tag, n):
         raise DimensionError(f"grading pair {tag} does not exist at n={n}")
     cert = Certificate(tag, n)
@@ -667,7 +662,7 @@ def rank_bound_check(space: str, n: int) -> Certificate:
     """
     tag = space.upper()
     if tag not in _RANK_BOUNDS:
-        raise ValueError(f"no rank bound registered for {space!r}")
+        raise ValueError(f"no rank bound registered for {shown(repr(space))}")
     oracle, kind, weighted = _RANK_BOUNDS[tag]
     basis = build_constraints(oracle, n).basis
     u = INVOLUTIONS[kind].axis(n)
@@ -893,7 +888,7 @@ def run_suite(
     checks = []
     for name in names:
         if name not in _SUITES:
-            raise ValueError(f"unknown suite {suite!r}")
+            raise ValueError(f"unknown suite {shown(repr(suite))}")
         kwargs: dict = {"seed": seed}
         if n_max is not None:
             kwargs["n_max"] = n_max

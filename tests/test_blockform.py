@@ -183,6 +183,13 @@ def test_block_forms_compare_by_their_conjugate():
         assert a != a.conjugate and a != m and not a == m
 
 
+def test_a_block_form_refuses_assignment():
+    bf = to_block(identity(3))
+    for name in ("n", "conjugate", "y_block", "other"):
+        with pytest.raises(AttributeError, match="BlockForm is immutable"):
+            setattr(bf, name, 0)
+    assert bf.conjugate == identity(3)
+
 def test_layout_covers_every_cell_once():
     for n in range(1, 13):
         cells = [(i, j) for rows, cols in layout(n).values() for i in rows for j in cols]

@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from symalg.construct import _FORMS, CONSTRUCTIBLE, make_most_perfect_block
 from symalg.matrix import Matrix, all_ones
 from symalg.predicates import classify, even_only, in_space
 from symalg.scalar import Scalar
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -498,6 +504,66 @@ def test_json_array_or_object_errors_name_the_type(capsys, tmp_path):
     code, out, err = run(capsys, "construct", "--type", "r", "--n", "4", "--params", str(params))
     assert code == 2 and out == "" and _one_error_line(err), err
     assert len(err.strip()) < 200 and "a JSON object" in err, err
+
+
+def test_csv_cell_with_a_huge_exponent_is_refused_at_once(tmp_path):
+    # `Fraction` expands a decimal exponent, so reading 1e1000000000 takes
+    # without bound; a cell that needs more digits than Python's int-string
+    # limit is refused as it is read.  A subprocess, so that a hang fails.
+    path = tmp_path / "huge.csv"
+    path.write_text("1e1000000000\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "symalg.cli", "classify", str(path)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 2 and done.stdout == "", done.stderr
+    assert done.stderr.strip() == "error: line 1: bad rational '1e1000000000'"
+
+
+def _cut_error_line(err):
+    # One line of under 200 characters, with the echoed input cut.
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and len(lines[0]) < 200 and "characters)" in lines[0]
+
+
+def test_one_line_errors_cut_long_input(capsys, tmp_path):
+    long = "1" * 5000 + "x"
+    path = tmp_path / "bad.json"
+    params = write_params(tmp_path, {"Z": long})
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({long: 1}))
+    construct = ["construct", "--type", "r", "--n", "4"]
+    for text, argv in (
+        (json.dumps({"n": 1, "entries": [long]}), ["classify", str(path)]),
+        (json.dumps({"n": long, "entries": []}), ["classify", str(path)]),
+        ('{"n": 1%s, "entries": []}' % ("0" * 1500), ["classify", str(path)]),
+        ("", ["dim", "--space", long, "--n", "3"]),
+        ("", construct + ["--params", params]),
+        ("", construct + ["--w", long]),
+        ("", construct + ["--params", str(unknown)]),
+        ("", ["construct", "--type", long, "--n", "4"]),
+    ):
+        path.write_text(text)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and _cut_error_line(err), (argv, err)
+    code, line = run_rejected(capsys, "construct", "--type", "s", "--n", long)
+    assert code == 2 and len(line) < 200 and "characters)" in line, line
+
+
+def test_numeric_json_entries(capsys, tmp_path):
+    # A JSON int entry reads as that integer; a float or a bool is no
+    # exact scalar literal.
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 1, "entries": [3]}')
+    code, out, _ = run(capsys, "block", str(path))
+    assert code == 0 and mio.loads_matrix(out) == Matrix(1, (3,))
+    for entry in ("1.5", "true"):
+        path.write_text('{"n": 1, "entries": [%s]}' % entry)
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == "" and _one_error_line(err), err
+        assert "cannot parse scalar literal" in err, err
 
 
 def test_verify_command_ok(capsys):

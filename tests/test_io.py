@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symalg import io as mio
-from symalg.errors import ParseError
+from symalg.errors import ParseError, shown
 from symalg.matrix import Matrix, all_ones, block_involution
 from symalg.scalar import Scalar
 
@@ -81,6 +81,19 @@ def test_csv_parse_errors():
         mio.loads_matrix_csv("1,x\n2,3")
 
 
+def test_csv_cells_refused_past_the_int_string_limit():
+    # A decimal with an exponent is read while its numerator and denominator
+    # need at most 4,300 digits, Python's int-string limit; beyond that it is
+    # refused before `Fraction` expands the exponent.
+    assert mio.loads_matrix_csv("12.5e-3,1_0e1\n-.5E1,3/4\n") == Matrix.from_rows(
+        [[Fraction(1, 80), 100], [-5, Fraction(3, 4)]]
+    )
+    assert mio.loads_matrix_csv("1e4299\n").P == (10**4299,)
+    assert mio.loads_matrix_csv("1e-4299\n").D == 10**4299
+    for cell in ("1e4300", "1e-4300", "1.1e-4299", "10e4299", "1e1000000000", "1e" + "9" * 5000):
+        with pytest.raises(ParseError, match="^line 1: bad rational"):
+            mio.loads_matrix_csv(cell + "\n")
+
 def test_matrix_json_validation():
     with pytest.raises(ParseError):
         mio.loads_matrix("[1,2]")
@@ -150,7 +163,7 @@ def _ref_fraction(text):
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise ParseError(f"zero denominator in {text!r}") from exc
+        raise ParseError(f"zero denominator in {shown(repr(text))}") from exc
 
 
 def _ref_from_string(text):
@@ -165,7 +178,7 @@ def _ref_from_string(text):
     m = _REF_SQRT_ONLY.match(s)
     if m:
         return Scalar(0, _ref_fraction(m.group(1)))
-    raise ParseError(f"cannot parse scalar literal {text!r}")
+    raise ParseError(f"cannot parse scalar literal {shown(repr(text))}")
 
 
 def _ref_to_string(s):

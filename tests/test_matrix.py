@@ -94,6 +94,18 @@ def test_dimension_mismatch():
         Matrix.from_rows([[1, 2], [3]])
 
 
+def test_length_and_part_mismatches():
+    with pytest.raises(DimensionError, match="matrix is 2×2, vector has length 3"):
+        all_ones(2).apply(ones(3))
+    with pytest.raises(DimensionError, match="matrix is 2×2, vector has length 3"):
+        all_ones(2) @ ones(3)
+    with pytest.raises(DimensionError, match="expected 4 √2 parts, got 3"):
+        Matrix.from_parts(2, [1, 2, 3, 4], [1, 2, 3], 1)
+    with pytest.raises(ZeroDivisionError, match="matrix denominator is zero"):
+        Matrix.from_parts(2, [1, 2, 3, 4], None, 0)
+    with pytest.raises(ZeroDivisionError, match="vector denominator is zero"):
+        Vector.from_parts(2, [1, 2], [0, 1], 0)
+
 def test_rank_examples():
     assert rank(all_ones(4)) == 1
     assert rank(identity(3)) == 3

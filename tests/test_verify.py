@@ -316,6 +316,25 @@ def test_oracle_predicate_agreement_judges_the_sqrt2_part(monkeypatch):
         assert not V.oracle_predicate_agreement(space, 4), space
 
 
+def test_oracle_predicate_agreement_fails_before_the_span_check(monkeypatch):
+    # A predicate that rejects an oracle basis matrix, or the combination
+    # b₀ + √2·b₁ of two of them, fails the agreement at once.
+    def no_probe(space, n):
+        raise AssertionError("the constructor span check ran")
+
+    monkeypatch.setattr(V, "dimension_probe", no_probe)
+    monkeypatch.setattr(V, "in_space", lambda m, tag: False)
+    assert not V.oracle_predicate_agreement("S", 4)
+    monkeypatch.setattr(V, "in_space", lambda m, tag: m.Q is None and in_space(m, tag))
+    assert not V.oracle_predicate_agreement("S", 4)
+
+
+def test_first_broken_raises_when_the_reduced_rows_are_not_the_rows():
+    # vec breaks the reduced row x₁ = 0 but not the literal row x₀ = 0.
+    system = V.ConstraintSystem("S", 2, [{0: 1}], integer_rref([{1: 1}]))
+    with pytest.raises(VerificationError, match="are not its rows"):
+        system.first_broken([0, 1, 0, 0])
+
 def test_oracle_predicate_agreement_rejects_a_short_constructor_span(
     monkeypatch, fresh_span_ranks
 ):
