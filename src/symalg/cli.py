@@ -101,13 +101,7 @@ def cmd_construct(args) -> int:
         raise ParseError(f"unknown construction type {shown(repr(args.type))}")
     w = mio.scalar_from_string(args.w) if args.w is not None else None
     if args.params:
-        try:
-            with open(args.params, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read {args.params}: {exc}") from exc
-        except RecursionError as exc:
-            raise ParseError(f"cannot read {args.params}: {mio.TOO_DEEP}") from exc
+        raw = mio.read_json(args.params)
         if not isinstance(raw, dict):
             raise ParseError("parameter file must hold a JSON object")
         p = {key: _param_value(val) for key, val in raw.items()}

@@ -15,15 +15,13 @@ symmetry space (Y ∈ S_ν and the like), membership is checked via the
 predicates.
 
 One table (`_FORMS`) gives, for each kind and parity, the maker and its
-ordered (name, parameter space) list; `constructor_basis`, `random_member`,
-`basis_member` and `member_from_params` are all derived from it;
-`member_from_params` also reads the mps block form a, b, Z
-(`_NAMED_FORMS`).  `constructor_basis` is cached per (kind, n) and returns
-one shared tuple, so the span checks, the member parameters that recurse
-to size ν, the MPS certificates and the `basis_member` draws build each
-basis once; `basis_member` draws `random_member`'s matrix as a
-combination of that basis, with no maker run.  Each maker is called with
-n, and a parameter left out is None, which every maker reads as zero.
+ordered (name, parameter space) list; `constructor_basis`, `random_member`
+and `member_from_params` are all derived from it; `member_from_params`
+also reads the mps block form a, b, Z (`_NAMED_FORMS`).
+`constructor_basis` is cached per (kind, n) and returns one shared tuple,
+so the span checks, the member parameters that recurse to size ν and the
+MPS certificates build each basis once.  Each maker is called with n, and
+a parameter left out is None, which every maker reads as zero.
 Member parameters recurse to size ν, grounding at n = 1 where the spaces
 are a free scalar (semimagic, alternating-pairs, balanced, reverse) or
 null (vertex-cross, array-sum, associated).
@@ -522,15 +520,7 @@ def make_reversible(a, b, n: int, w=None) -> Matrix:
 # given by a spanning set.  The constructor maps spanning elements onto a
 # spanning set of the symmetry space (`constructor_basis`) and a random
 # combination of them onto a random member (`random_member`), which is the
-# same combination of the spanning set's images (`basis_member`).
-
-
-def _coefficients(rng: random.Random, count: int) -> tuple[list[int], int]:
-    # `count` coefficients a/b, a in −9..9 and b in {1, 2}, drawn in order
-    # (randint, then choice), as numerators over their common denominator.
-    pairs = [(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(count)]
-    D = lcm(*(d for _, d in pairs))
-    return [a * (D // b) for a, b in pairs], D
+# same combination of the spanning set's images.
 
 
 class _Entries:
@@ -560,11 +550,14 @@ class _Entries:
 
     def draw(self, nu: int, rng: random.Random, weight=None):
         # A weight aimed at this parameter fixes it: it is the weight slot.
+        # Otherwise one coefficient a/b per spanning element, a in −9..9 and
+        # b in {1, 2}, drawn in order (randint, then choice).
         if weight is not None:
             return weight
         span = self._span(nu)
-        nums, D = _coefficients(rng, len(span))
-        return self._combine(nu, list(zip(nums, span)), D)
+        pairs = [(rng.randint(-9, 9), rng.choice((1, 2))) for _ in span]
+        D = lcm(*(b for _, b in pairs))
+        return self._combine(nu, [(a * (D // b), e) for (a, b), e in zip(pairs, span)], D)
 
 
 def _free(size, pack) -> _Entries:
@@ -773,29 +766,6 @@ def constructor_basis(kind: str, n: int) -> tuple[Matrix, ...]:
         for name, space in form.params
         for value in space.spanning(n // 2)
     )
-
-
-def basis_member(kind: str, n: int, rng: random.Random) -> Matrix:
-    """Weightless random member: Σ cᵢ·Bᵢ over `constructor_basis(kind, n)`.
-
-    One coefficient per basis output, in order, drawn as `random_member`
-    draws its parameters; as the makers are linear, it is the matrix that
-    `random_member(kind, n, rng)` returns, with the generator left in the
-    same state.  The outputs' integer parts are summed in `int` over one
-    common denominator, and no maker runs once the basis is cached.
-    """
-    basis = constructor_basis(kind, n)
-    nums, D = _coefficients(rng, len(basis))
-    L = lcm(*(b.D for b in basis))
-    P, Q = [0] * (n * n), [0] * (n * n)
-    for c, b in zip(nums, basis):
-        if not c:
-            continue
-        f = c * (L // b.D)
-        P = [x + f * y for x, y in zip(P, b.P)]
-        if b.Q is not None:
-            Q = [x + f * y for x, y in zip(Q, b.Q)]
-    return Matrix.from_parts(n, P, Q, D * L)
 
 
 def random_member(kind: str, n: int, rng: random.Random, weight=None) -> Matrix:

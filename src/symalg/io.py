@@ -17,9 +17,12 @@ printer (JSON, pretty and CSV) reduces p/d and q/d with one gcd each.  A
 matrix is read into its integer parts over the entries' least common
 denominator and written from its parts (`Matrix.P`, `Matrix.Q`,
 `Matrix.D`), with no `Scalar` per entry.  Only CSV cells are parsed
-through `Fraction`, as they may be decimals such as ``1.5``.
-`write_matrices` renders every text before it opens any file, and moves
-the files into place only once every one of them is written.
+through `Fraction`, as they may be decimals such as ``1.5``.  Matrix
+files and parameter files are decoded by one JSON reader (`loads_json`).
+A number past Python's 4,300-digit int-string limit is refused in one
+line: on reading, as a bad literal or bad JSON; on printing, by the matrix
+printers.  `write_matrices` renders every text before it opens any file,
+and moves the files into place only once every one of them is written.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ from math import gcd, lcm
 from .errors import ParseError, shown
 from .matrix import Matrix
 from .scalar import Scalar
-
-# The JSON decoder recurses per level of nesting and stops at the recursion
-# limit with a RecursionError, reported with this text.
-TOO_DEEP = "JSON nested too deeply to read"
 
 # One anchored pattern for all three forms: a/b, then either c/e·√2 with its
 # sign (groups 3, 4) or a bare ``*sqrt2`` that makes a/b the √2 part (group 5).
@@ -71,10 +70,12 @@ def _literal(x) -> str:
 
 def _ratio(num: str, den: str | None) -> tuple[int, int]:
     # The captured numerator and denominator of one part, as ints.
-    a = int(num)
-    if den is None:
-        return a, 1
-    b = int(den)
+    try:
+        a = int(num)
+        b = 1 if den is None else int(den)
+    except ValueError as exc:  # past Python's int-string limit
+        text = num if den is None else f"{num}/{den}"
+        raise ParseError(f"cannot parse scalar literal {shown(repr(text))}") from exc
     if b == 0:
         raise ParseError(f"zero denominator in {shown(repr(num + '/' + den))}")
     return a, b
@@ -113,7 +114,10 @@ def _from_triples(n: int, triples: list) -> Matrix:
 def _cells(m: Matrix, text) -> list[str]:
     # text(p, q, d) of every entry (p + q·√2)/d of M, row-major.
     Q = m.Q or (0,) * len(m.P)
-    return [text(p, q, m.D) for p, q in zip(m.P, Q)]
+    try:
+        return [text(p, q, m.D) for p, q in zip(m.P, Q)]
+    except ValueError as exc:  # past Python's int-string limit
+        raise ValueError(f"cannot print an entry of more than {_MAX_DIGITS} digits") from exc
 
 
 def scalar_to_string(s: Scalar) -> str:
@@ -182,21 +186,27 @@ def dumps_matrix(m: Matrix) -> str:
     return json.dumps(matrix_to_json_obj(m), indent=None)
 
 
-def loads_matrix(text: str) -> Matrix:
+def loads_json(text: str):
+    """The JSON value of `text`; every way the decoder fails is a ParseError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError(TOO_DEEP) from exc
-    return matrix_from_json_obj(obj)
+    except ValueError as exc:  # an integer past Python's int-string limit
+        raise ParseError(f"invalid JSON: an integer of more than {_MAX_DIGITS} digits") from exc
+    except RecursionError as exc:  # the decoder recurses once per level of nesting
+        raise ParseError("JSON nested too deeply to read") from exc
+
+
+def loads_matrix(text: str) -> Matrix:
+    return matrix_from_json_obj(loads_json(text))
 
 
 def dumps_matrix_csv(m: Matrix) -> str:
     if m.Q is not None:
         raise ValueError("CSV form cannot represent √2 entries")
     n = m.n
-    cells = [_ratio_text(p, m.D) for p in m.P]
+    cells = _cells(m, lambda p, _, d: _ratio_text(p, d))
     return "".join(",".join(cells[i : i + n]) + "\n" for i in range(0, n * n, n))
 
 
@@ -234,12 +244,21 @@ def loads_matrix_csv(text: str) -> Matrix:
     return _from_triples(n, [x for row in rows for x in row])
 
 
-def read_matrix(path: str) -> Matrix:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path: str):
+    """The JSON value in the file at `path`, read as `loads_json` reads text."""
+    return loads_json(_read_text(path))
+
+
+def read_matrix(path: str) -> Matrix:
+    text = _read_text(path)
     if str(path).endswith(".csv"):
         return loads_matrix_csv(text)
     return loads_matrix(text)

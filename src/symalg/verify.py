@@ -23,12 +23,11 @@ arithmetic: the product laws and the closed form of M(x)·M(y) are
 bilinear, the triple product is trilinear, the makers are linear, and each
 rank bound follows from a linear condition on the member.  Only the
 dual-path agreement, which compares two predicates on non-members too,
-draws random matrices; its members are seeded combinations of the cached
-constructor basis (`basis_member`), the same matrices that
-`random_member` draws, with no maker run per draw.  Each grading product
-is judged by the oracle, on the target's reduced rows (its RREF, kept
-from the oracle's build; a failing product is named by its first broken
-literal row), and by `in_space`.
+draws random matrices; its members are seeded √2 combinations of the
+oracle basis (`ConstraintSystem.member`), so no constructor runs per
+draw.  Each grading product is judged by the oracle, on the target's
+reduced rows (its RREF, kept from the oracle's build; a failing product
+is named by its first broken literal row), and by `in_space`.
 
 The oracle reduces each atom's literal rows once per n (`_atom`), and
 every other system from pivot rows already found (`_stack`).
@@ -48,17 +47,12 @@ from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 
-from .construct import (
-    CONSTRUCTIBLE,
-    basis_member,
-    constructor_basis,
-    extract_most_perfect_vectors,
-)
+from .construct import CONSTRUCTIBLE, constructor_basis, extract_most_perfect_vectors
 from .blockform import INVOLUTIONS, SPLIT_TAGS, reflection_odd
 from .elim import integer_rref, nullspace_of_rref, rank_of_parts
 from .errors import DimensionError, VerificationError, shown
 from .io import matrix_to_json_obj
-from .matrix import Matrix, Vector, rank, zeros
+from .matrix import Matrix, Vector, all_ones, rank
 from .predicates import (
     COMPOSITES,
     check_algebraic,
@@ -69,7 +63,6 @@ from .predicates import (
     in_space,
     verdicts_agree,
 )
-from .scalar import SQRT2
 
 # -- constraint systems ------------------------------------------------------
 #
@@ -262,9 +255,9 @@ class ConstraintSystem:
     `nullity` is n² − rank, the number of free columns.  `basis` is the
     nullspace read off the pivots by `elim.nullspace_of_rref` on first
     use and then cached, one vector per free column as
-    (den, [(index, num)]) over its nonzeros; `basis_matrices` builds it as
-    matrices.  The space is the solution set of `rows`, so `satisfies` is
-    its membership test.
+    (den, [(index, num)]) over its nonzeros; `member` combines it into a
+    matrix and `basis_matrices` builds each vector as one.  The space is
+    the solution set of `rows`, so `satisfies` is its membership test.
     """
 
     def __init__(self, space: str, n: int, rows: list, pivots: dict):
@@ -282,14 +275,28 @@ class ConstraintSystem:
     def basis(self) -> list[tuple[int, list[tuple[int, int]]]]:
         return nullspace_of_rref(self.pivots, self.n * self.n)
 
+    def member(self, P: list[int], Q: list[int] | None = None) -> Matrix:
+        """Σ (P_k + Q_k·√2)·b_k over the basis matrices b_k, for ints P_k, Q_k.
+
+        A coefficient list shorter than the basis leaves the rest out, and
+        Q None is zero.  Each part is summed in `int` over the basis' common
+        denominator, and the matrix is built once from the two parts.
+        """
+        common = lcm(*(den for den, _ in self.basis))
+        parts = []
+        for coeffs in (P, Q):
+            vec = None if coeffs is None else [0] * (self.n * self.n)
+            for c, (den, entries) in zip(coeffs or (), self.basis):
+                if not c:
+                    continue
+                f = c * (common // den)
+                for k, num in entries:
+                    vec[k] += f * num
+            parts.append(vec)
+        return Matrix.from_parts(self.n, *parts, common)
+
     def basis_matrices(self) -> list[Matrix]:
-        out = []
-        for den, entries in self.basis:
-            vec = [0] * (self.n * self.n)
-            for k, num in entries:
-                vec[k] = num
-            out.append(Matrix.from_parts(self.n, vec, None, den))
-        return out
+        return [self.member([0] * k + [1]) for k in range(len(self.basis))]
 
     def satisfies(self, m: Matrix) -> bool:
         """C·vec(M) = 0, i.e. M satisfies every defining equation.
@@ -656,29 +663,25 @@ def rank_bound_check(space: str, n: int) -> Certificate:
     (see above), in int; the denominators only scale B.  A basis matrix
     with C·B·C ≠ 0 is a witness, by its index into the oracle basis and
     the first nonzero entry.  The member is the combination Σ k·b_k of the
-    basis matrices b_1, b_2, …, plus E for the weighted most perfect
-    squares; its exact rank is `max_rank`, and `member_matrix` gives it
-    in the io matrix JSON form.
+    basis matrices b_1, b_2, … (`ConstraintSystem.member`), plus E for the
+    weighted most perfect squares; its exact rank is `max_rank`, and
+    `member_matrix` gives it in the io matrix JSON form.
     """
     tag = space.upper()
     if tag not in _RANK_BOUNDS:
         raise ValueError(f"no rank bound registered for {shown(repr(space))}")
     oracle, kind, weighted = _RANK_BOUNDS[tag]
-    basis = build_constraints(oracle, n).basis
+    sys = build_constraints(oracle, n)
+    basis = sys.basis
     u = INVOLUTIONS[kind].axis(n)
     cert = Certificate(tag, n, len(basis), bound=3 if weighted else 2,
                        member="Σ k·b_k + E" if weighted else "Σ k·b_k")
     for idx, (_, entries) in enumerate(basis):
         entry = _compressed_entry(n, u, entries)
         cert.record(entry is None, basis_index=idx, entry=entry)
-    # Σ k·b_k (+ E) over the basis' common denominator.
-    common = lcm(*(den for den, _ in basis))
-    vec = [common if weighted else 0] * (n * n)
-    for k, (den, entries) in enumerate(basis, 1):
-        f = k * (common // den)
-        for idx, num in entries:
-            vec[idx] += f * num
-    member = Matrix.from_parts(n, vec, None, common)
+    member = sys.member(list(range(1, len(basis) + 1)))
+    if weighted:
+        member = member + all_ones(n)
     cert.max_rank = rank(member)
     cert.member_matrix = matrix_to_json_obj(member)
     return cert
@@ -709,19 +712,22 @@ def rv_equals_av(n: int) -> bool:
 def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:
     """Entrywise vs algebraic verdicts on random members and non-members.
 
-    Every third trial is a member: a seeded combination of the cached
-    constructor basis (`basis_member`), the matrix that `random_member`
-    draws from the same generator state.  The others are integer matrices
-    with entries in −5..5.  Returns the number of disagreements (0 on a
-    correct implementation).
+    Every third trial is a member Σ (p_k + q_k·√2)·b_k over the oracle
+    basis of S, A, B, R, V, N and M in turn (`ConstraintSystem.member`),
+    every p_k and then every q_k drawn from −9..9.  The others are integer
+    matrices with entries in −5..5.  Returns the number of disagreements
+    (0 on a correct implementation).
     """
     rng = random.Random(seed)
-    member_kinds = ("s", "a", "b", "r", "v", "n", "m")
+    member_tags = ("S", "A", "B", "R", "V", "N", "M")
     props = dual_routes(n)
     mismatches = 0
     for t in range(trials):
         if t % 3 == 0:
-            m = basis_member(member_kinds[t % len(member_kinds)], n, rng)
+            sys = build_constraints(member_tags[t % len(member_tags)], n)
+            p = [rng.randint(-9, 9) for _ in sys.basis]
+            q = [rng.randint(-9, 9) for _ in sys.basis]
+            m = sys.member(p, q)
         else:
             m = Matrix.from_parts(n, [rng.randint(-5, 5) for _ in range(n * n)], None, 1)
         for prop in props:
@@ -743,16 +749,14 @@ def oracle_predicate_agreement(space: str, n: int) -> bool:
     span the oracle nullspace, and raises VerificationError if not.
     """
     sys = build_constraints(space, n)
-    basis = sys.basis_matrices()
-    if not all(in_space(m, space) for m in basis):
+    if not all(in_space(m, space) for m in sys.basis_matrices()):
         return False
-    b0, b1 = (basis + [zeros(n)] * 2)[:2]
-    if not in_space(b0 + b1.scale(SQRT2), space):
+    if not in_space(sys.member([1], [0, 1]), space):
         return False
     if sys.pivots:
         unit = [0] * (n * n)
         unit[min(sys.pivots)] = 1
-        if in_space(b0 + Matrix.from_parts(n, [0] * (n * n), unit, 1), space):
+        if in_space(sys.member([1]) + Matrix.from_parts(n, [0] * (n * n), unit, 1), space):
             return False
     dimension_probe(space, n)
     return True

@@ -11,6 +11,7 @@ import pytest
 
 from symalg import construct, predicates, verify
 from symalg import io as mio
+from symalg.blockform import to_block
 from symalg.cli import main
 from symalg.construct import _FORMS, CONSTRUCTIBLE, make_most_perfect_block
 from symalg.matrix import Matrix, all_ones
@@ -564,6 +565,92 @@ def test_numeric_json_entries(capsys, tmp_path):
         code, out, err = run(capsys, "classify", str(path))
         assert code == 2 and out == "" and _one_error_line(err), err
         assert "cannot parse scalar literal" in err, err
+
+
+def _short_error_line(err):
+    # One line of under 200 characters, and none of Python's own advice.
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and len(lines[0]) < 200 and "set_int_max_str_digits" not in err
+
+
+def test_literals_past_the_int_string_limit_are_refused_in_one_line(capsys, tmp_path):
+    # 5,000 digits pass Python's 4,300-digit int-string limit: as a matrix
+    # entry, as "n", as a --params value (a string or a JSON number) and as
+    # --w, each is refused as bad input in one short line.
+    long = "1" * 5000
+    path = tmp_path / "m.json"
+    construct = ["construct", "--type", "r", "--n", "4"]
+    literal = "cannot parse scalar literal '1111"
+    number = "invalid JSON: an integer of more than 4300 digits"
+    for text, argv, message in (
+        (json.dumps({"n": 1, "entries": [long]}), ["classify", str(path)], literal),
+        ('{"n": %s, "entries": []}' % long, ["classify", str(path)], number),
+        ("", construct + ["--params", write_params(tmp_path, {"gamma": long})], literal),
+        ('{"gamma": %s}' % long, construct + ["--params", str(path)], number),
+        ("", construct + ["--w", long], literal),
+    ):
+        path.write_text(text)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and _short_error_line(err), (argv, err)
+        assert err.startswith(f"error: {message}"), (argv, err)
+
+
+def test_output_past_the_int_string_limit_is_refused_in_one_line(capsys, tmp_path):
+    # Each input entry has a denominator of 3,000 digits, so the conjugate
+    # and the split halves have entries past the 4,300-digit limit; the
+    # printers refuse them in one line and decompose writes no file.
+    path = tmp_path / "big.csv"
+    path.write_text("1/%d,0\n0,1/%d\n" % (10**2999 + 1, 10**2999 + 3))
+    even, odd = tmp_path / "even.json", tmp_path / "odd.json"
+    for argv in (
+        ["block", str(path)],
+        ["block", str(path), "--format", "pretty"],
+        ["block", str(path), "--format", "csv"],
+        ["decompose", str(path), "--split", "sv", "--even-out", str(even), "--odd-out", str(odd)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and _short_error_line(err), (argv, err)
+        assert err.strip() == "error: cannot print an entry of more than 4300 digits", err
+    assert not even.exists() and not odd.exists()
+
+
+def test_block_and_construct_print_pretty_and_csv(capsys, e4_file):
+    conjugate = to_block(all_ones(4)).conjugate
+    member = construct.random_member("s", 4, random.Random(0))
+    for argv, m in (
+        (["block", e4_file], conjugate),
+        (["construct", "--type", "s", "--n", "4"], member),
+    ):
+        code, out, _ = run(capsys, *argv, "--format", "pretty")
+        assert code == 0 and out == mio.dumps_matrix_pretty(m) + "\n", argv
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and mio.loads_matrix_csv(out) == m, argv
+
+
+def test_csv_output_of_sqrt2_entries_is_input_error(capsys):
+    # The odd reverse form carries √2 entries, which CSV cannot hold.
+    code, out, err = run(capsys, "construct", "--type", "r", "--n", "3", "--format", "csv")
+    assert code == 2 and out == "" and _one_error_line(err), err
+    assert err.strip() == "error: CSV form cannot represent √2 entries", err
+
+
+def test_params_file_must_hold_an_object(capsys, tmp_path):
+    for value in ([1, 2], "1/2", 3):
+        params = write_params(tmp_path, value)
+        code, out, err = run(capsys, "construct", "--type", "r", "--n", "4", "--params", params)
+        assert code == 2 and out == "" and _one_error_line(err), (value, err)
+        assert err.strip() == "error: parameter file must hold a JSON object", (value, err)
+
+
+def test_size_too_long_for_repr_is_named_by_its_bits(capsys, tmp_path):
+    # "n" = 10^4000 reads as an int, but n² has 8,001 digits, past the
+    # limit of `repr`: the message names it by its bit length.
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 1%s, "entries": []}' % ("0" * 4000))
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 2 and out == "" and _short_error_line(err), err
+    bits = (10**8000).bit_length()
+    assert err.strip() == f'error: "entries" must list exactly an integer of {bits} bits strings'
 
 
 def test_verify_command_ok(capsys):

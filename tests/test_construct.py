@@ -394,17 +394,14 @@ def test_even_only_kinds_match_the_space_table():
 def test_a_draw_is_a_combination_of_the_constructor_basis(kind):
     # The makers are linear, so a draw of one coefficient per parameter
     # spanning element is the same combination of the constructor basis,
-    # drawn from the generator in the same order; `basis_member` draws it
-    # from the basis itself.
+    # drawn from the generator in the same order.
     for n in range(1, 9):
         if n % 2 and even_only(kind):
             continue
         for seed in range(3):
-            rng, ref, direct = (random.Random(seed) for _ in range(3))
-            m = C.basis_member(kind, n, direct)
-            assert m == C.random_member(kind, n, rng), (n, seed)
-            assert m == basis_combination(kind, n, ref), (n, seed)
-            assert rng.getstate() == ref.getstate() == direct.getstate(), (n, seed)
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert C.random_member(kind, n, rng) == basis_combination(kind, n, ref), (n, seed)
+            assert rng.getstate() == ref.getstate(), (n, seed)
 
 
 def test_entry_spaces_do_no_scalar_arithmetic(monkeypatch):

@@ -46,6 +46,11 @@ def test_pretty_rendering():
     assert mio.scalar_pretty(Scalar(1, -1)) == "1 - 1√2"
 
 
+def test_pretty_matrix_right_aligns_every_entry_to_one_width():
+    m = Matrix.from_rows([[1, Fraction(-1, 2)], [Scalar(0, 1), 10]])
+    assert mio.dumps_matrix_pretty(m) == "      1     -1/2\n0 + 1√2       10"
+
+
 def test_matrix_json_round_trip_with_sqrt2_entries():
     m = block_involution(5)
     assert mio.loads_matrix(mio.dumps_matrix(m)) == m

@@ -10,7 +10,6 @@ from symalg import verify as V
 from symalg.blockform import INVOLUTIONS
 from symalg.construct import (
     _Form,
-    basis_member,
     constructor_basis,
     extract_most_perfect_vectors,
     make_most_perfect,
@@ -235,33 +234,78 @@ def test_dual_path_agreement_small():
 
 
 def test_dual_path_members_run_no_maker(monkeypatch):
-    # Each member is drawn from the cached constructor basis: once the seven
-    # bases are built, a draw builds no parameters and runs no maker.
-    kinds = ("s", "a", "b", "r", "v", "n", "m")
-    for n in (4, 5):
-        for kind in kinds:
-            constructor_basis(kind, n)
-
+    # Each member is drawn from the oracle basis, so no draw runs a maker.
     def no_maker(*args):
         raise AssertionError("a dual-path draw ran a maker")
 
     monkeypatch.setattr(_Form, "build", no_maker)
     for n in (4, 5):
-        assert V.dual_path_agreement(n, 3 * len(kinds), seed=2) == 0
+        assert V.dual_path_agreement(n, 21, seed=2) == 0
 
 
 def test_every_third_dual_path_trial_is_a_member(monkeypatch):
-    # Trials 0, 3 and 6 draw members, of the kinds at those places of the
-    # cyclic kind list; the others are dense integer matrices.
-    kinds = []
+    # Trials 0, 3 and 6 draw members, of the tags at those places of the
+    # cyclic tag list; the others are dense integer matrices.
+    tags = []
+    member = V.ConstraintSystem.member
 
-    def recorded(kind, n, rng):
-        kinds.append((kind, n))
-        return basis_member(kind, n, rng)
+    def recorded(sys, P, Q=None):
+        tags.append((sys.space, sys.n))
+        return member(sys, P, Q)
 
-    monkeypatch.setattr(V, "basis_member", recorded)
+    monkeypatch.setattr(V.ConstraintSystem, "member", recorded)
     assert V.dual_path_agreement(4, 9, seed=0) == 0
-    assert kinds == [("s", 4), ("r", 4), ("m", 4)]
+    assert tags == [("S", 4), ("R", 4), ("M", 4)]
+
+
+def test_dual_path_members_have_a_sqrt2_part_and_solve_their_rows(monkeypatch):
+    # Every member is a √2 combination of the oracle basis: it carries a √2
+    # part and both of its integer parts solve each literal row.
+    drawn = []
+    member = V.ConstraintSystem.member
+
+    def recorded(sys, P, Q=None):
+        m = member(sys, P, Q)
+        drawn.append((sys, m))
+        return m
+
+    monkeypatch.setattr(V.ConstraintSystem, "member", recorded)
+    for n in range(2, 8):
+        assert V.dual_path_agreement(n, 21, seed=n) == 0
+    assert len(drawn) == 6 * 7
+    for sys, m in drawn:
+        assert m.Q is not None, (sys.space, sys.n)
+        for part in (m.P, m.Q):
+            assert all(sum(c * part[k] for k, c in row.items()) == 0 for row in sys.rows)
+        assert in_space(m, sys.space), (sys.space, sys.n)
+
+
+def test_member_is_the_scalar_combination_of_the_basis():
+    # member(p, q) against Σ (p_k + q_k·√2)·b_k in Scalar arithmetic, with
+    # each b_k read from the basis vector (den, [(index, num)]) directly.
+    rng = random.Random(33)
+    for n in range(1, 9):
+        for tag in list(V._ATOMS) + list(COMPOSITES):
+            if not exists(tag, n):
+                continue
+            sys = V.build_constraints(tag, n)
+            basis = []
+            for den, entries in sys.basis:
+                vec = [Scalar(0)] * (n * n)
+                for k, num in entries:
+                    vec[k] = Scalar(Fraction(num, den))
+                basis.append(Matrix(n, vec))
+            assert sys.basis_matrices() == basis, (tag, n)
+            p = [rng.randint(-9, 9) for _ in basis]
+            q = [rng.randint(-9, 9) for _ in basis]
+            # A list shorter than the basis, or Q None, is zero past its end.
+            for P, Q in ((p, q), (p, None), (p[:1], q[:2])):
+                want = zeros(n)
+                for k, b in enumerate(basis):
+                    pk = P[k] if k < len(P) else 0
+                    qk = Q[k] if Q and k < len(Q) else 0
+                    want = want + b.scale(Scalar(pk, qk))
+                assert sys.member(P, Q) == want, (tag, n, Q is None)
 
 
 def test_oracle_predicate_agreement_small():
