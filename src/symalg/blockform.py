@@ -141,15 +141,16 @@ def reflection_odd(e: Sequence[int], n: int, y: Sequence[int]) -> Iterator[int]:
     only M·y, Mᵀ·y and t = yᵀ·M·y: entry (i, j) is
     n·(y_i·(Mᵀ·y)_j + (M·y)_i·y_j) − 2t·y_i·y_j = y_i·a_j + b_i·y_j for
     a = n·Mᵀ·y − t·y and b = n·M·y − t·y.  The even part ½(M + K·M·K) is
-    then M − O/n², and a caller that stops early builds no entry of either
-    past the one it stopped at.
+    then M − O/n².  Mᵀ·y and t are formed first and (M·y)_i at row i, so a
+    caller that stops early forms no entry and no row sum past its own.
     """
-    my = [sum(map(mul, e[i * n:(i + 1) * n], y)) for i in range(n)]
     mty = [sum(map(mul, e[j::n], y)) for j in range(n)]
-    t = sum(map(mul, y, my))
+    t = sum(map(mul, y, mty))
     a = [n * c - t * yj for c, yj in zip(mty, y)]
-    b = [n * c - t * yi for c, yi in zip(my, y)]
-    return (yi * aj + bi * yj for yi, bi in zip(y, b) for aj, yj in zip(a, y))
+    for i, yi in enumerate(y):
+        bi = n * sum(map(mul, e[i * n:(i + 1) * n], y)) - t * yi
+        for aj, yj in zip(a, y):
+            yield yi * aj + bi * yj
 
 
 @lru_cache(maxsize=None)

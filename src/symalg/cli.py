@@ -75,9 +75,14 @@ def cmd_block(args) -> int:
 
 def cmd_decompose(args) -> int:
     pair = split(mio.read_matrix(args.input), args.split)
-    mio.write_matrices([(pair.even_part, args.even_out), (pair.odd_part, args.odd_out)])
+    # Every text, the weight's too, is rendered before any file is written,
+    # so a part or a weight too long to print leaves no file written.
+    texts = mio.render_matrices([(pair.even_part, args.even_out), (pair.odd_part, args.odd_out)])
     if pair.weight is not None:
-        print(f"even-part weight: {mio.scalar_pretty(pair.weight)}")
+        weight = mio.printed("a weight", mio.scalar_pretty, pair.weight)
+    mio.write_texts(texts)
+    if pair.weight is not None:
+        print(f"even-part weight: {weight}")
     return EXIT_OK
 
 

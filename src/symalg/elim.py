@@ -7,6 +7,7 @@ arithmetic; `nullspace_of_rref` (the oracle's nullspace basis) and
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from math import gcd, lcm
 
 
@@ -82,6 +83,7 @@ def integer_rref(rows: list, start: dict | None = None) -> dict[int, dict[int, i
     rows and `rows` stacked.  It is copied, rows and all, and left as it was.
     """
     pivots = {col: dict(row) for col, row in (start or {}).items()}
+    leads = sorted(pivots)
     for row in sorted(filter(None, rows), key=min, reverse=True):
         row = {j: x for j, x in row.items() if x}
         # A pivot row is zero in every other pivot column, so eliminating
@@ -92,12 +94,13 @@ def integer_rref(rows: list, start: dict | None = None) -> dict[int, dict[int, i
             continue
         lead = min(row)
         row = _primitive(row, lead)
-        # Back-substitute into the earlier rows to keep the form reduced.
-        # Their leads scale by row[lead] > 0, so they stay positive.
-        for col, other in pivots.items():
-            if lead in other:
-                pivots[col] = _primitive(_combine(other, row, lead), col)
+        # Back-substitute into the earlier rows that lead left of `lead` (only
+        # they can hold it); their leads scale by row[lead] > 0, so stay positive.
+        for col in leads[:bisect_left(leads, lead)]:
+            if lead in pivots[col]:
+                pivots[col] = _primitive(_combine(pivots[col], row, lead), col)
         pivots[lead] = row
+        insort(leads, lead)
     return pivots
 
 

@@ -20,9 +20,10 @@ denominator and written from its parts (`Matrix.P`, `Matrix.Q`,
 through `Fraction`, as they may be decimals such as ``1.5``.  Matrix
 files and parameter files are decoded by one JSON reader (`loads_json`).
 A number past Python's 4,300-digit int-string limit is refused in one
-line: on reading, as a bad literal or bad JSON; on printing, by the matrix
-printers.  `write_matrices` renders every text before it opens any file,
-and moves the files into place only once every one of them is written.
+line: on reading, as a bad literal or bad JSON; on printing, by `printed`,
+which the matrix printers, the classify report and the split weight use.
+`write_matrices` renders every text before it opens any file, and moves
+the files into place only once every one of them is written.
 """
 
 from __future__ import annotations
@@ -111,13 +112,21 @@ def _from_triples(n: int, triples: list) -> Matrix:
     return Matrix.from_parts(n, P, Q, D)
 
 
+def printed(what: str, text, *args) -> str:
+    """text(*args), refused in one line if it passes Python's int-string limit.
+
+    `what` names the thing printed, as in ``a weight``.
+    """
+    try:
+        return text(*args)
+    except ValueError as exc:  # past Python's int-string limit
+        raise ValueError(f"cannot print {what} of more than {_MAX_DIGITS} digits") from exc
+
+
 def _cells(m: Matrix, text) -> list[str]:
     # text(p, q, d) of every entry (p + q·√2)/d of M, row-major.
     Q = m.Q or (0,) * len(m.P)
-    try:
-        return [text(p, q, m.D) for p, q in zip(m.P, Q)]
-    except ValueError as exc:  # past Python's int-string limit
-        raise ValueError(f"cannot print an entry of more than {_MAX_DIGITS} digits") from exc
+    return printed("an entry", lambda: [text(p, q, m.D) for p, q in zip(m.P, Q)])
 
 
 def scalar_to_string(s: Scalar) -> str:
@@ -271,18 +280,30 @@ def write_matrix(m: Matrix, path: str) -> None:
 def write_matrices(outputs) -> None:
     """Write each (matrix, path) of `outputs`, as CSV for a ``.csv`` path, else JSON.
 
-    Every text is rendered before any file is opened, so a matrix that its
-    form cannot hold (√2 entries in CSV) leaves no file written.  Each text
-    for a file is then written to a temporary file next to the file a path
-    names (through any symlink), and the temporary files replace their
-    files only once all are written, so a path that cannot be written
-    leaves no file written either.  A path that names a device or a pipe,
-    such as /dev/stdout, is written in place, last.
+    Every text is rendered before any file is opened (`render_matrices`),
+    so a matrix that its form cannot hold (√2 entries in CSV) leaves no
+    file written; then the texts are written (`write_texts`).
     """
-    texts = [
+    write_texts(render_matrices(outputs))
+
+
+def render_matrices(outputs) -> list[tuple[str, str]]:
+    """The (text, path) of each (matrix, path): CSV for a ``.csv`` path, else JSON."""
+    return [
         (dumps_matrix_csv(m) if str(path).endswith(".csv") else dumps_matrix(m) + "\n", path)
         for m, path in outputs
     ]
+
+
+def write_texts(texts) -> None:
+    """Write each (text, path) of `texts`, all files or none.
+
+    Each text for a file is written to a temporary file next to the file a
+    path names (through any symlink), and the temporary files replace their
+    files only once all are written, so a path that cannot be written
+    leaves no file written.  A path that names a device or a pipe, such as
+    /dev/stdout, is written in place, last.
+    """
     staged, in_place = [], []
     try:
         for i, (text, path) in enumerate(texts):

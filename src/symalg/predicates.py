@@ -14,7 +14,9 @@ its side rule; `COMPOSITES` gives the intersections.  `check_entrywise`,
 `check_algebraic`, `classify` and `in_space` are all derived from the two,
 and so are the oracle's dimension checks.  `classify` and `in_space` apply
 one membership rule (`_admits`), so a space means the same to both; only
-`classify` builds weight Scalars.
+`classify` builds weight Scalars.  One rule (`_agree`) states when two routes
+agree, on their integer decisions, for `classify` and the dual-path
+agreement; each route stops at the first sum or entry that breaks.
 
 Weight conventions: rows/columns of an S-matrix sum to n·w, centrally
 opposite entries of an A-matrix to 2w, cyclic 2×2 blocks of an M-matrix to
@@ -34,6 +36,7 @@ from typing import Callable
 
 from .blockform import INVOLUTIONS, permuted, reflection_odd
 from .errors import DimensionError, PredicatePathMismatch, shown
+from .io import printed
 from .matrix import Matrix
 from .scalar import Scalar
 
@@ -64,7 +67,7 @@ class SymmetryReport:
             "properties": {
                 k: {
                     "holds": v.holds,
-                    "weight": None if v.weight is None else str(v.weight),
+                    "weight": None if v.weight is None else printed("a weight", str, v.weight),
                     "route": v.route,
                 }
                 for k, v in self.props.items()
@@ -78,7 +81,9 @@ class SymmetryReport:
         lines = [f"n = {self.n}"]
         for k, v in self.props.items():
             mark = "yes" if v.holds else "no"
-            w = f"  w = {v.weight}" if v.holds and v.weight is not None else ""
+            w = ""
+            if v.holds and v.weight is not None:
+                w = f"  w = {printed('a weight', str, v.weight)}"
             via = f"  [{v.route}]" if v.route == "algebraic" else ""
             lines.append(f"  ({k})  {mark}{w}{via}")
         lines.append(f"  total sum zero: {'yes' if self.v_sum_zero else 'no'}")
@@ -175,12 +180,16 @@ def _ew_array_sum(e: tuple[int, ...], n: int) -> tuple:
 
 def _ew_alternating_pairs(e: tuple[int, ...], n: int) -> tuple:
     # Σ_i (−1)^i (m_ij + m_i,j+1) = 0 for every j, and the same with the
-    # roles of rows and columns swapped: adjacent alternating sums cancel.
+    # roles of rows and columns swapped: adjacent alternating sums cancel,
+    # compared as each sum is formed.
     sig = INVOLUTIONS["NM"].axis(n)
-    cols = [sum(map(mul, e[j::n], sig)) for j in range(n)]
-    rows = [sum(map(mul, e[j * n:(j + 1) * n], sig)) for j in range(n)]
-    holds = all(s[j] + s[(j + 1) % n] == 0 for s in (cols, rows) for j in range(n))
-    return holds, None, 1
+    for lines in ((e[j::n] for j in range(n)), (e[j * n:(j + 1) * n] for j in range(n))):
+        prev = first = sum(map(mul, next(lines), sig))
+        for s in chain((sum(map(mul, line, sig)) for line in lines), (first,)):
+            if prev + s:
+                return False, None, 1
+            prev = s
+    return True, None, 1
 
 
 def _ew_pandiagonal(e: tuple[int, ...], n: int) -> tuple:
@@ -203,15 +212,17 @@ def _alternating_total(e: tuple[int, ...], n: int) -> int:
 
 
 def _eigen_pair(e: tuple[int, ...], n: int, kind: str) -> tuple[bool, int]:
-    # M commutes with the reflection K = I − 2·y·yᵀ/n of `kind` iff
-    # M·y = Mᵀ·y = λ·y.  This is the O(n) form of K·M·K = M: it compares
-    # the 2n entries of M·y and Mᵀ·y instead of all n² of K·M·K.
+    # M commutes with the reflection K = I − 2·y·yᵀ/n of `kind` iff M·y = Mᵀ·y = λ·y:
+    # 2n sums, not the n² entries of K·M·K, rows first, up to the first ≠ λ·y_i.
     y = INVOLUTIONS[kind].axis(n)
-    my = [sum(map(mul, e[i * n:(i + 1) * n], y)) for i in range(n)]
-    lam = my[0] * y[0]  # (M·y)₀ / y₀, as y has ±1 entries
-    lam_y = [lam * c for c in y]
-    holds = my == lam_y and [sum(map(mul, e[j::n], y)) for j in range(n)] == lam_y
-    return holds, lam
+    lam = sum(map(mul, e[:n], y)) * y[0]  # (M·y)₀ / y₀, as y has ±1 entries
+    for i in range(1, n):
+        if sum(map(mul, e[i * n:(i + 1) * n], y)) != lam * y[i]:
+            return False, lam
+    for j in range(n):
+        if sum(map(mul, e[j::n], y)) != lam * y[j]:
+            return False, lam
+    return True, lam
 
 
 def _alg_semimagic(e: tuple[int, ...], n: int) -> tuple:
@@ -434,13 +445,19 @@ def _admits(space: Space, decided: tuple, sum_zero: bool) -> bool:
     return holds and not (space.zero_weight and (num or num_q)) and (sum_zero or not space.zero_sum)
 
 
-def verdicts_agree(e: PropertyVerdict, a: PropertyVerdict) -> bool:
-    """Two routes agree: the same `holds`, and the same weight where both give one."""
-    if e.holds != a.holds:
-        return False
-    if e.holds and e.weight is not None and a.weight is not None:
-        return e.weight == a.weight
-    return True
+def _agree(first: tuple, second: tuple) -> bool:
+    # The agreement rule on two `_decide` results: the same `holds`, and where both hold
+    # with a weight, num_P·den′ = num_P′·den and num_Q·den′ = num_Q′·den (D cancels).
+    (holds, num, num_q, den), (holds2, num2, num_q2, den2) = first, second
+    if holds != holds2 or not holds or num is None or num2 is None:
+        return holds == holds2
+    return num * den2 == num2 * den and num_q * den2 == num_q2 * den
+
+
+def disagreements(n: int, matrices) -> int:
+    """Disagreements (`_agree`) of the routes of `dual_routes(n)`'s properties on `matrices`."""
+    pairs = [(SPACES[tag].entrywise, SPACES[tag].algebraic) for tag in dual_routes(n)]
+    return sum(not _agree(_decide(e, m), _decide(a, m)) for m in matrices for e, a in pairs)
 
 
 def classify(m: Matrix) -> SymmetryReport:
@@ -458,16 +475,15 @@ def classify(m: Matrix) -> SymmetryReport:
             continue
         (name, route), *twin = _routes(space, n)
         decided = _decide(route, m)
-        v = _verdict(name, decided, m)
         for other, route in twin:
-            a = _verdict(other, _decide(route, m), m)
-            if not verdicts_agree(v, a):
+            second = _decide(route, m)
+            if not _agree(decided, second):
                 raise PredicatePathMismatch(
                     f"entrywise and algebraic verdicts differ for ({tag}) at n={n}: "
-                    f"{v} vs {a}"
+                    f"{_verdict(name, decided, m)} vs {_verdict(other, second, m)}"
                 )
-            v = PropertyVerdict(v.holds, v.weight, route="both")
-        props[tag] = v
+            name = "both"
+        props[tag] = _verdict(name, decided, m)
         spaces[tag] = _admits(space, decided, sum_zero)
 
     composites = {

@@ -55,13 +55,11 @@ from .io import matrix_to_json_obj
 from .matrix import Matrix, Vector, all_ones, rank
 from .predicates import (
     COMPOSITES,
-    check_algebraic,
     check_dimension,
     check_entrywise,
-    dual_routes,
+    disagreements,
     exists,
     in_space,
-    verdicts_agree,
 )
 
 # -- constraint systems ------------------------------------------------------
@@ -715,24 +713,23 @@ def dual_path_agreement(n: int, trials: int, seed: int = 0) -> int:
     Every third trial is a member Σ (p_k + q_k·√2)·b_k over the oracle
     basis of S, A, B, R, V, N and M in turn (`ConstraintSystem.member`),
     every p_k and then every q_k drawn from −9..9.  The others are integer
-    matrices with entries in −5..5.  Returns the number of disagreements
-    (0 on a correct implementation).
+    matrices with entries in −5..5.  The routes' decision pairs are looked
+    up once per n, and each trial counts the pairs that disagree by the rule
+    `classify` applies, building no verdict.  Returns the number of
+    disagreements (0 on a correct implementation).
     """
     rng = random.Random(seed)
     member_tags = ("S", "A", "B", "R", "V", "N", "M")
-    props = dual_routes(n)
-    mismatches = 0
-    for t in range(trials):
+
+    def draw(t: int) -> Matrix:
         if t % 3 == 0:
             sys = build_constraints(member_tags[t % len(member_tags)], n)
             p = [rng.randint(-9, 9) for _ in sys.basis]
             q = [rng.randint(-9, 9) for _ in sys.basis]
-            m = sys.member(p, q)
-        else:
-            m = Matrix.from_parts(n, [rng.randint(-5, 5) for _ in range(n * n)], None, 1)
-        for prop in props:
-            mismatches += not verdicts_agree(check_entrywise(m, prop), check_algebraic(m, prop))
-    return mismatches
+            return sys.member(p, q)
+        return Matrix.from_parts(n, [rng.randint(-5, 5) for _ in range(n * n)], None, 1)
+
+    return disagreements(n, map(draw, range(trials)))
 
 
 def oracle_predicate_agreement(space: str, n: int) -> bool:

@@ -13,6 +13,11 @@ The `ref_*` functions state the array operations per entry, on tuples of
 `Scalar`s (row-major for a matrix), so that the tests can compare the
 integer-parts arithmetic of `Vector` and `Matrix` with them.
 
+`verdicts_agree` states the route agreement rule on two `PropertyVerdict`s,
+and `eigen_pair_full`, `alternating_pairs_full` and `reflection_odd_full`
+form every row and column sum before they compare any, so that the
+tests can compare the early-exit routes of `symalg.predicates` with them.
+
 `rows_vertex_raw` and `rows_array_sum_entrywise` write every instance of
 the VRAW and MENTRY definitions, where the oracle writes a generating set;
 `reference_oracle` builds the oracle on them.
@@ -20,8 +25,10 @@ the VRAW and MENTRY definitions, where the oracle writes a generating set;
 
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import mul
 
 from symalg import verify as V
+from symalg.blockform import INVOLUTIONS
 from symalg.construct import constructor_basis, make_most_perfect
 from symalg.elim import rank_of_parts
 from symalg.errors import VerificationError
@@ -96,6 +103,46 @@ def classified(report, tag):
     if tag in COMPOSITES:
         return all(classified(report, part) for part in COMPOSITES[tag])
     return report.props["V"].holds if tag == "VRAW" else report.spaces[tag]
+
+
+def verdicts_agree(e, a):
+    """Two routes agree: the same `holds`, and the same weight where both give one."""
+    if e.holds != a.holds:
+        return False
+    if e.holds and e.weight is not None and a.weight is not None:
+        return e.weight == a.weight
+    return True
+
+
+# -- the early-exit routes with every sum formed first -------------------------
+
+
+def eigen_pair_full(e, n, kind):
+    """(M·y = Mᵀ·y = λ·y, λ) for the axis y of `kind`, every sum formed first."""
+    y = INVOLUTIONS[kind].axis(n)
+    my = [sum(map(mul, e[i * n:(i + 1) * n], y)) for i in range(n)]
+    lam = my[0] * y[0]
+    lam_y = [lam * c for c in y]
+    return my == lam_y and [sum(map(mul, e[j::n], y)) for j in range(n)] == lam_y, lam
+
+
+def alternating_pairs_full(e, n):
+    """The entrywise N decision, every alternating sum formed first."""
+    sig = INVOLUTIONS["NM"].axis(n)
+    cols = [sum(map(mul, e[j::n], sig)) for j in range(n)]
+    rows = [sum(map(mul, e[j * n:(j + 1) * n], sig)) for j in range(n)]
+    holds = all(s[j] + s[(j + 1) % n] == 0 for s in (cols, rows) for j in range(n))
+    return holds, None, 1
+
+
+def reflection_odd_full(e, n, y):
+    """n²·½(M − K·M·K) for K = I − 2·y·yᵀ/n as a list, every sum formed first."""
+    my = [sum(map(mul, e[i * n:(i + 1) * n], y)) for i in range(n)]
+    mty = [sum(map(mul, e[j::n], y)) for j in range(n)]
+    t = sum(map(mul, y, my))
+    a = [n * c - t * yj for c, yj in zip(mty, y)]
+    b = [n * c - t * yi for c, yi in zip(my, y)]
+    return [yi * aj + bi * yj for yi, bi in zip(y, b) for aj, yj in zip(a, y)]
 
 
 def mps_triple_product_check(gamma1, delta1, gamma2, delta2, gamma3, delta3, n):

@@ -614,6 +614,32 @@ def test_output_past_the_int_string_limit_is_refused_in_one_line(capsys, tmp_pat
     assert not even.exists() and not odd.exists()
 
 
+@pytest.fixture
+def long_weight_file(tmp_path):
+    # A semimagic matrix whose entries print but whose weight (a + b)/(ab)
+    # has about 6,000 digits.
+    a, b = 10**2999 + 1, 10**2999 + 3
+    path = tmp_path / "big.csv"
+    path.write_text(f"1/{a},1/{b}\n1/{b},1/{a}\n")
+    return path
+
+
+def test_classify_refuses_a_weight_past_the_limit_in_one_line(capsys, long_weight_file):
+    for fmt in ("pretty", "json"):
+        code, out, err = run(capsys, "classify", str(long_weight_file), "--format", fmt)
+        assert code == 2 and out == "" and _short_error_line(err), (fmt, err)
+        assert err.strip() == "error: cannot print a weight of more than 4300 digits", err
+
+
+def test_decompose_refuses_a_long_weight_before_writing(capsys, long_weight_file, tmp_path):
+    even, odd = tmp_path / "even.json", tmp_path / "odd.json"
+    argv = ["decompose", str(long_weight_file), "--split", "sv"]
+    code, out, err = run(capsys, *argv, "--even-out", str(even), "--odd-out", str(odd))
+    assert code == 2 and out == "" and _short_error_line(err), err
+    assert err.strip() == "error: cannot print a weight of more than 4300 digits", err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
+
+
 def test_block_and_construct_print_pretty_and_csv(capsys, e4_file):
     conjugate = to_block(all_ones(4)).conjugate
     member = construct.random_member("s", 4, random.Random(0))

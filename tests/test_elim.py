@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symalg.elim import (
+    _combine,
+    _primitive,
     integer_rref,
     nullspace_of_rref,
     rank_of_parts,
@@ -172,6 +174,40 @@ def test_rref_of_stacked_rows_is_the_rref_of_the_parts_pivot_rows(system, cut):
     stacked = integer_rref([row for pivots in parts for row in pivots.values()])
     assert stacked == integer_rref(rows)
     assert nullspace_of_rref(stacked, width) == nullspace_of_rref(integer_rref(rows), width)
+
+
+def _rref_scanning_every_row(rows, start=None):
+    # `integer_rref` with the back-substitution into every pivot row, not
+    # only into the rows that lead left of the new lead.
+    pivots = {col: dict(row) for col, row in (start or {}).items()}
+    for row in sorted(filter(None, rows), key=min, reverse=True):
+        row = {j: x for j, x in row.items() if x}
+        for col in [c for c in row if c in pivots]:
+            row = _combine(row, pivots[col], col)
+        if not row:
+            continue
+        lead = min(row)
+        row = _primitive(row, lead)
+        for col, other in pivots.items():
+            if lead in other:
+                pivots[col] = _primitive(_combine(other, row, lead), col)
+        pivots[lead] = row
+    return pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems(), st.integers(0, 8))
+@example(([{1: 1, 2: 1}, {2: 1}], 3), 1)  # back-substitutes into a start row
+def test_back_substitution_into_the_rows_left_of_the_lead_only(system, cut):
+    # The pivots come out as with a scan of every pivot row: the same rows,
+    # each with its entries in the same order, in the same insertion order.
+    rows, _ = system
+    for start in (None, integer_rref(rows[:cut])):
+        got = integer_rref(rows[cut:] if start else rows, start=start)
+        want = _rref_scanning_every_row(rows[cut:] if start else rows, start=start)
+        assert [(col, list(row.items())) for col, row in got.items()] == [
+            (col, list(row.items())) for col, row in want.items()
+        ]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,13 +1,21 @@
+import dataclasses
 import random
 
 import pytest
 
+from symalg import verify as V
+from symalg.blockform import INVOLUTIONS, reflection_odd
 from symalg.construct import random_member
-from symalg.errors import DimensionError
+from symalg.errors import DimensionError, PredicatePathMismatch
 from symalg.matrix import Matrix, all_ones, alternating, identity, zeros
 from symalg.predicates import (
     COMPOSITES,
     SPACES,
+    _agree,
+    _decide,
+    _eigen_pair,
+    _ew_alternating_pairs,
+    _verdict,
     check_algebraic,
     check_entrywise,
     classify,
@@ -18,7 +26,15 @@ from symalg.predicates import (
 )
 from symalg.scalar import SQRT2, Scalar
 
-from references import classified, membership_inputs, space_member
+from references import (
+    alternating_pairs_full,
+    classified,
+    eigen_pair_full,
+    membership_inputs,
+    reflection_odd_full,
+    space_member,
+    verdicts_agree,
+)
 
 
 def rand_matrix(n, rng):
@@ -142,11 +158,8 @@ def test_dual_route_agreement_members_and_non_members():
             else:
                 m = rand_matrix(n, rng)
             for prop in props:
-                e = check_entrywise(m, prop)
-                a = check_algebraic(m, prop)
-                assert e.holds == a.holds, (n, prop, m)
-                if e.holds and e.weight is not None and a.weight is not None:
-                    assert e.weight == a.weight
+                e, a = check_entrywise(m, prop), check_algebraic(m, prop)
+                assert verdicts_agree(e, a), (n, prop, m)
 
 
 def _property_member(prop, n, rng):
@@ -288,3 +301,107 @@ def test_in_space_rejects_even_only_tags_at_odd_n():
             with pytest.raises(DimensionError):
                 in_space(zeros(n), tag)
     assert all(in_space(zeros(4), tag) for tag in even_tags)
+
+
+def _moved(decided):
+    # `_decide` results near `decided`: `holds` flipped, the weight of the
+    # rational or the √2 part moved, and the weight written over 2·den.
+    holds, num, num_q, den = decided
+    yield (not holds, num, num_q, den)
+    if num is not None:
+        yield (holds, num + 1, num_q, den)
+        yield (holds, num, num_q - 1, den)
+        yield (holds, 2 * num, 2 * num_q, 2 * den)
+        yield (holds, 2 * num + 1, 2 * num_q, 2 * den)
+        yield (holds, None, 0, den)
+
+
+def test_agreement_rule_on_decisions_is_the_verdict_rule():
+    # For every dual-route property, the rule on two `_decide` results says
+    # what the reference says on the verdicts built from them: on the two
+    # routes' decisions, and on the algebraic one moved in holds or weight.
+    rng = random.Random(34)
+    seen = set()
+    for n in range(1, 10):
+        for m in membership_inputs(n, rng):
+            for prop in dual_routes(n):
+                space = SPACES[prop]
+                first, second = _decide(space.entrywise, m), _decide(space.algebraic, m)
+                assert verdicts_agree(check_entrywise(m, prop), check_algebraic(m, prop))
+                for other in (second, *_moved(second)):
+                    want = verdicts_agree(
+                        _verdict("entrywise", first, m), _verdict("algebraic", other, m)
+                    )
+                    assert _agree(first, other) == want, (n, prop, first, other)
+                    seen.add((first[0], want))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_early_exit_routes_equal_their_full_sum_references():
+    # The eigen-pair test, the entrywise N test and the reflection closed
+    # form stop at the first broken sum, and say what forming every sum says.
+    rng = random.Random(35)
+    holds = set()
+    for n in range(1, 10):
+        for m in membership_inputs(n, rng):
+            for e in filter(None, (m.P, m.Q)):
+                for kind in ("SV", "NM"):
+                    got = _eigen_pair(e, n, kind)
+                    assert got == eigen_pair_full(e, n, kind), (n, kind, e)
+                    holds.add(got[0])
+                    y = INVOLUTIONS[kind].axis(n)
+                    assert list(reflection_odd(e, n, y)) == reflection_odd_full(e, n, y)
+                got = _ew_alternating_pairs(e, n)
+                assert got == alternating_pairs_full(e, n), (n, e)
+                holds.add(got[0])
+    assert holds == {True, False}
+
+
+class _CountedReads(tuple):
+    # A row-major tuple that counts the row slices read from it.
+    def __getitem__(self, k):
+        if isinstance(k, slice) and k.step is None:
+            self.rows += 1
+        return super().__getitem__(k)
+
+
+def test_reflection_closed_form_reads_a_row_only_when_it_reaches_it():
+    for n in (3, 6):
+        e = _CountedReads(range(n * n))
+        e.rows = 0
+        odd = reflection_odd(e, n, INVOLUTIONS["SV"].axis(n))
+        assert e.rows == 0
+        for i in range(n):
+            for _ in range(n):
+                next(odd)
+            assert e.rows == i + 1
+
+
+def test_a_disagreeing_route_is_counted_and_raises(monkeypatch):
+    # An algebraic S route that gets `holds` wrong on every trial matrix, or
+    # only the weight, on the semimagic ones.
+    calls, counted = [], V.disagreements
+
+    def recorded(n, matrices):
+        calls.append(list(matrices))
+        return counted(n, calls[-1])
+
+    monkeypatch.setattr(V, "disagreements", recorded)
+    assert V.dual_path_agreement(4, 30, seed=3) == 0
+    semimagic = sum(classify(m).props["S"].holds for m in calls[0])
+    assert len(calls[0]) == 30 and 0 < semimagic < 30
+
+    def wrong_holds(e, n):
+        holds, num, den = alg(e, n)
+        return not holds, num, den
+
+    def wrong_weight(e, n):
+        holds, num, den = alg(e, n)
+        return holds, num + 1, den
+
+    alg = SPACES["S"].algebraic
+    for wrong, broken in ((wrong_holds, 30), (wrong_weight, semimagic)):
+        monkeypatch.setitem(SPACES, "S", dataclasses.replace(SPACES["S"], algebraic=wrong))
+        assert V.dual_path_agreement(4, 30, seed=3) == broken, wrong
+        with pytest.raises(PredicatePathMismatch):
+            classify(all_ones(4))
