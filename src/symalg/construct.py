@@ -549,7 +549,7 @@ class _Entries:
         return [self._combine(nu, [(1, element)]) for element in self._span(nu)]
 
     def draw(self, nu: int, rng: random.Random, weight=None):
-        # A weight aimed at this parameter fixes it: it is the weight slot.
+        # The weight slot of a weighted draw is given its value, with no draw.
         # Otherwise one coefficient a/b per spanning element, a in −9..9 and
         # b in {1, 2}, drawn in order (randint, then choice).
         if weight is not None:
@@ -624,9 +624,7 @@ class _Member:
         return [self.project(m) for m in constructor_basis(self.kind, nu)]
 
     def draw(self, nu: int, rng: random.Random, weight=None) -> Matrix:
-        # The ν-size block carries twice the weight of the whole matrix.
-        sub_w = None if weight is None else 2 * weight
-        return self.project(random_member(self.kind, nu, rng, weight=sub_w))
+        return self.project(random_member(self.kind, nu, rng, weight=weight))
 
 
 def _balanced_part(m: Matrix) -> Matrix:
@@ -649,7 +647,7 @@ def _strip_sums(m: Matrix) -> Matrix:
 class _Form:
     """A maker with its ordered (name, parameter space) list.
 
-    `weight` names the parameter or keyword that a given weight goes to;
+    `weight` names the parameter or maker keyword that holds the weight;
     `names` are the parameters' names, then `weight` if it is not one.
     """
 
@@ -771,20 +769,19 @@ def constructor_basis(kind: str, n: int) -> tuple[Matrix, ...]:
 def random_member(kind: str, n: int, rng: random.Random, weight=None) -> Matrix:
     """Random member of a constructible space: its maker on random parameters.
 
-    Each parameter is a random rational combination of its spanning set;
-    `weight` (semimagic and reversible types only) fixes the weight.
+    Each parameter is a random rational combination of its spanning set; a
+    `weight` w (types s and rv only) draws the weight slot as 0 and adds w·E.
     """
     form = _form(kind, n)
     w = None if weight is None else as_scalar(weight)
     if w is not None and form.weight is None:
         raise ValueError(f"type {kind.lower()} takes no weight")
     args = {
-        name: space.draw(n // 2, rng, w if name == form.weight else None)
+        name: space.draw(n // 2, rng, ZERO if w is not None and name == form.weight else None)
         for name, space in form.params
     }
-    if w is not None and form.weight not in args:
-        args[form.weight] = w
-    return form.build(n, args)
+    m = form.build(n, args)
+    return m + all_ones(n).scale(w) if w else m
 
 
 def member_from_params(kind: str, n: int, params: dict) -> Matrix:

@@ -22,8 +22,8 @@ files and parameter files are decoded by one JSON reader (`loads_json`).
 A number past Python's 4,300-digit int-string limit is refused in one
 line: on reading, as a bad literal or bad JSON; on printing, by `printed`,
 which the matrix printers, the classify report and the split weight use.
-`write_matrices` renders every text before it opens any file, and moves
-the files into place only once every one of them is written.
+`render_matrices` renders every text before `write_texts` opens any file,
+and `write_texts` moves the files into place only once all are written.
 """
 
 from __future__ import annotations
@@ -274,17 +274,12 @@ def read_matrix(path: str) -> Matrix:
 
 
 def write_matrix(m: Matrix, path: str) -> None:
-    write_matrices([(m, path)])
+    """Write M as CSV to a ``.csv`` path, else as JSON.
 
-
-def write_matrices(outputs) -> None:
-    """Write each (matrix, path) of `outputs`, as CSV for a ``.csv`` path, else JSON.
-
-    Every text is rendered before any file is opened (`render_matrices`),
-    so a matrix that its form cannot hold (√2 entries in CSV) leaves no
-    file written; then the texts are written (`write_texts`).
+    The text is rendered before the file is opened, so a matrix that its
+    form cannot hold (√2 entries in CSV) leaves no file written.
     """
-    write_texts(render_matrices(outputs))
+    write_texts(render_matrices([(m, path)]))
 
 
 def render_matrices(outputs) -> list[tuple[str, str]]:

@@ -147,11 +147,11 @@ def _ew_balanced(e: tuple[int, ...], n: int) -> tuple:
 
 
 def _ew_reverse(e: tuple[int, ...], n: int) -> tuple:
-    # Mirror-pair sums along every row, then every column, equal the end pair.
+    # Mirror-pair sums of each row, then each column, up to its centre equal the end pair.
     lines = chain((e[i * n:(i + 1) * n] for i in range(n)), (e[j::n] for j in range(n)))
     for line in lines:
         c = line[0] + line[-1]
-        if any(line[j] + line[-1 - j] != c for j in range(1, n - 1)):
+        if any(line[j] + line[-1 - j] != c for j in range(1, (n + 1) // 2)):
             return False, None, 1
     return True, None, 1
 

@@ -8,13 +8,13 @@ dimension check never builds it.  The suites then check, against that
 oracle and against the predicates:
 
 * dimension formulas and the four direct-sum splits,
-* the seven graded-algebra product laws, proved on every product of two
+* the seven graded-algebra product laws and the most-perfect
+  triple-product and parasymmetry identities, proved on every product of
   oracle nullspace basis matrices (not built by the constructors, so the
   checks do not inherit constructor bugs),
 * rank bounds for most perfect squares, reversible squares and the
   vertex-cross space,
 * the impossibility of nonzero odd-dimensional array-sum matrices,
-* the most-perfect triple-product and parasymmetry identities,
 * that every constructor output over a parameter basis solves its space's
   equations and that these outputs span the oracle nullspace.
 
@@ -47,12 +47,12 @@ from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 
-from .construct import CONSTRUCTIBLE, constructor_basis, extract_most_perfect_vectors
+from .construct import CONSTRUCTIBLE, constructor_basis
 from .blockform import INVOLUTIONS, SPLIT_TAGS, reflection_odd
 from .elim import integer_rref, nullspace_of_rref, rank_of_parts
 from .errors import DimensionError, VerificationError, shown
 from .io import matrix_to_json_obj
-from .matrix import Matrix, Vector, all_ones, rank
+from .matrix import Matrix, all_ones, rank
 from .predicates import (
     COMPOSITES,
     check_dimension,
@@ -543,27 +543,6 @@ def grading_certificate(pair: str, n: int) -> Certificate:
 # -- most perfect square identities ------------------------------------------
 
 
-def _ints(x: Vector | Matrix) -> list[int]:
-    # Exact entries read as ints; a fraction or a √2 part would be lost.
-    if x.D != 1 or x.Q is not None:
-        raise VerificationError("expected integer entries")
-    return list(x.P)
-
-
-def _mps_members(n: int) -> list[tuple[list[int], list[int], list[int]]]:
-    """(γ, δ, vec M) in int for the 2k members M = M(γ, δ) of the mps basis.
-
-    They are `constructor_basis("mps", n)`: each of the k spanning vectors
-    of the parameter space as γ with δ = 0, then as δ with γ = 0.  Σᵀγ =
-    δᵀΣ = 0 gives M·Σ = n·γ and Mᵀ·Σ = n·δ, so
-    `extract_most_perfect_vectors` reads (γ, δ) back exactly.
-    """
-    return [
-        (*map(_ints, extract_most_perfect_vectors(m)), _ints(m))
-        for m in constructor_basis("mps", n)
-    ]
-
-
 def _sparse(vec: list[int]) -> list:
     # The (index, num) pairs of a dense int vector's nonzeros.
     return [(k, c) for k, c in enumerate(vec) if c]
@@ -573,46 +552,58 @@ def _dot(u: list[int], v: list[int]) -> int:
     return sum(map(mul, u, v))
 
 
+def _mps_member(n: int, entries: list) -> tuple[list[int], list[int], list, list]:
+    # (B·Σ, Bᵀ·Σ, the `_terms` of n²·B, the `_by_row` rows of B) in int for
+    # the integer matrix B with the nonzeros `entries` over vec(M).
+    sig = INVOLUTIONS["NM"].axis(n)
+    g, d = [0] * n, [0] * n
+    for k, num in entries:
+        i, j = divmod(k, n)
+        g[i] += num * sig[j]
+        d[j] += num * sig[i]
+    terms = [(base, col, n * n * num) for base, col, num in _terms(n, entries)]
+    return g, d, terms, _by_row(n, entries)
+
+
 def mps_certificates(n: int) -> tuple[Certificate, Certificate]:
     """Prove the closed form of M(x)·M(y) and the triple product at even n.
 
     For M(x) = γΣᵀ + Σδᵀ, Σᵀγ = δᵀΣ = 0 and ΣᵀΣ = n give the identities
-    in the certificates' `claim`.  The first is bilinear, the second
-    trilinear in x = (γ, δ), so checking them in int on every basis pair
-    and triple of `_mps_members` proves them (64, 64 and 512 triples at
-    n = 4, 6, 8).  Each pair product is used for its triples straight
-    away and then dropped.  Failures keep their first three basis pairs
-    or triples as witnesses.
+    in the certificates' `claim`.  Each is checked in int on every pair or
+    triple of the oracle's MPS basis (64, 64 and 512 triples at n = 4, 6,
+    8).  A basis numerator B = den·M has g = B·Σ = n·den·γ and d = Bᵀ·Σ =
+    n·den·δ (`_mps_member`), so they read n²·B_x·B_y = n·g_x·d_yᵀ +
+    (d_xᵀg_y)·ΣΣᵀ and n²·B_x·B_y·B_z = (d_yᵀg_z)·g_x·Σᵀ + (d_xᵀg_y)·Σ·d_zᵀ.
+    Both sides are homogeneous in each member, so den never enters, and
+    bilinear or trilinear, so the claims hold on the whole space without
+    assuming that its members have the form γΣᵀ + Σδᵀ.  Each pair product
+    is used for its triples straight away and then dropped.  Failures keep
+    their first three basis pairs or triples as witnesses.
 
     The closed form gives M² = n·γδᵀ + (δᵀγ)·ΣΣᵀ, so M² − (M²)ᵀ =
     n·(γδᵀ − δγᵀ), which is zero iff γ and δ are dependent: the
     parasymmetry theorem follows from the pair certificate.
     """
-    members = _mps_members(n)
+    members = [_mps_member(n, entries) for _, entries in build_constraints("MPS", n).basis]
     sig = INVOLUTIONS["NM"].axis(n)
-    sparse = [_sparse(m) for _, _, m in members]
-    terms = [_terms(n, m) for m in sparse]
-    rows = [_by_row(n, m) for m in sparse]
+    # vec(g·Σᵀ) and vec(Σ·dᵀ) of each member, for the triples' right sides.
+    g_sig = [[g * t for g in gx for t in sig] for gx, *_ in members]
+    sig_d = [[s * d for s in sig for d in dz] for _, dz, *_ in members]
     pairs = Certificate("M(x)·M(y) = n·γₓδᵧᵀ + (δₓᵀγᵧ)·ΣΣᵀ", n, len(members))
     triples = Certificate(
         "M(x)·M(y)·M(z) = n·((δᵧᵀγ_z)·γₓΣᵀ + (δₓᵀγᵧ)·Σδ_zᵀ)", n, len(members)
     )
-    for i, (gx, dx, _) in enumerate(members):
-        for j, (gy, dy, _) in enumerate(members):
-            xy = _int_product(n, terms[i], rows[j])
+    for i, (gx, dx, terms, _) in enumerate(members):
+        for j, (gy, dy, _, rows) in enumerate(members):
+            xy = _int_product(n, terms, rows)
             c = _dot(dx, gy)
             want = [n * g * d + c * s * t for g, s in zip(gx, sig) for d, t in zip(dy, sig)]
             pairs.record(xy == want, basis_pair=[i, j])
             xy = _terms(n, _sparse(xy))
-            right = n * c
-            for k, (gz, dz, _) in enumerate(members):
-                left = n * _dot(dy, gz)
-                want = [
-                    left * g * t + right * s * d
-                    for g, s in zip(gx, sig)
-                    for t, d in zip(sig, dz)
-                ]
-                triples.record(_int_product(n, xy, rows[k]) == want, basis_triple=[i, j, k])
+            for k, (gz, _, _, rows) in enumerate(members):
+                left = _dot(dy, gz)
+                want = [left * a + c * b for a, b in zip(g_sig[i], sig_d[k])]
+                triples.record(_int_product(n, xy, rows) == want, basis_triple=[i, j, k])
     return pairs, triples
 
 

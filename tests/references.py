@@ -126,6 +126,13 @@ def eigen_pair_full(e, n, kind):
     return my == lam_y and [sum(map(mul, e[j::n], y)) for j in range(n)] == lam_y, lam
 
 
+def reverse_full(e, n):
+    """The entrywise R decision, every mirror-pair sum of every line formed first."""
+    lines = [e[i * n:(i + 1) * n] for i in range(n)] + [e[j::n] for j in range(n)]
+    holds = all(len({line[j] + line[-1 - j] for j in range(n)}) == 1 for line in lines)
+    return holds, None, 1
+
+
 def alternating_pairs_full(e, n):
     """The entrywise N decision, every alternating sum formed first."""
     sig = INVOLUTIONS["NM"].axis(n)

@@ -183,6 +183,10 @@ def test_block_forms_compare_by_their_conjugate():
         assert a != a.conjugate and a != m and not a == m
 
 
+def test_a_view_read_on_the_class_is_its_descriptor():
+    assert BlockForm.y_block.__doc__ == "Top-left ν×ν block Y."
+
+
 def test_a_block_form_refuses_assignment():
     bf = to_block(identity(3))
     for name in ("n", "conjugate", "y_block", "other"):

@@ -320,10 +320,11 @@ def test_construct_params_bad_shape_is_precondition_violation(capsys, tmp_path):
 
 
 def test_construct_params_shape_messages_name_the_shape(capsys, tmp_path):
-    # r at n = 4: Z is a 2×2 matrix and x a vector of length 2; p and q take
-    # ν×ν blocks A and B for the given n, and A is checked first.
+    # r at n = 4: gamma is a scalar, Z a 2×2 matrix and x a vector of length
+    # 2; p and q take ν×ν blocks A and B for the given n, and A is checked first.
     one_by_one = {"A": [["1"]], "B": [["2"]]}
     for kind, n, params, expected in (
+        ("r", 4, {"gamma": ["1", "2"]}, "gamma must be a scalar"),
         ("r", 4, {"Z": ["1", "2", "3", "4"]}, "Z must be a 2×2 matrix"),
         ("r", 4, {"x": [["1"]]}, "x must be a vector of length 2"),
         ("p", 4, one_by_one, "A must be a 2×2 matrix, got 1×1"),

@@ -363,6 +363,13 @@ def test_constructor_covers_oracle_space(kind, n):
     assert build_constraints(tag, n).satisfies(C.random_member(kind, n, rng))
 
 
+def test_table_rejects_unknown_kinds():
+    with pytest.raises(ValueError, match="no constructor for kind 'zz'"):
+        C.random_member("zz", 4, random.Random(0))
+    with pytest.raises(ValueError, match="no constructor for kind 'zz'"):
+        C.constructor_basis("zz", 4)
+
+
 def test_table_rejects_nonpositive_n():
     rng = random.Random(0)
     for n in (0, -3):

@@ -77,6 +77,10 @@ def test_csv_round_trip_and_sqrt2_rejection():
         mio.dumps_matrix_csv(block_involution(2))
 
 
+def test_csv_blank_lines_are_skipped():
+    assert mio.loads_matrix_csv("1,2\n\n  \n3,4\n") == Matrix.from_rows([[1, 2], [3, 4]])
+
+
 def test_csv_parse_errors():
     with pytest.raises(ParseError):
         mio.loads_matrix_csv("1,2\n3")
@@ -139,7 +143,7 @@ def test_writes_go_through_symlinks_and_into_pipes(tmp_path):
     os.mkfifo(pipe)
     reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        mio.write_matrices([(m, str(link)), (m, str(pipe))])
+        mio.write_texts(mio.render_matrices([(m, str(link)), (m, str(pipe))]))
         assert os.read(reader, 4096).decode() == mio.dumps_matrix(m) + "\n"
     finally:
         os.close(reader)

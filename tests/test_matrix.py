@@ -60,6 +60,9 @@ def test_special_vectors():
     for n in range(1, 8):
         d = alternating(n).dot(ones(n))
         assert d.is_zero() == (n % 2 == 0)
+    for make in (ones, alternating):
+        with pytest.raises(DimensionError, match="dimension must be positive, got 0"):
+            make(0)
 
 
 def test_involution_x_every_parity():
@@ -105,6 +108,17 @@ def test_length_and_part_mismatches():
         Matrix.from_parts(2, [1, 2, 3, 4], None, 0)
     with pytest.raises(ZeroDivisionError, match="vector denominator is zero"):
         Vector.from_parts(2, [1, 2], [0, 1], 0)
+    with pytest.raises(DimensionError, match="expected 4 entries, got 3"):
+        Matrix(2, [1, 2, 3])
+    with pytest.raises(DimensionError, match="expected 3 entries, got 2"):
+        Vector.from_parts(3, [1, 2], None, 1)
+
+
+def test_repr_shows_sqrt2_entries():
+    assert repr(Vector([1, SQRT2])) == "Vector([1, 1*sqrt2])"
+    m = Matrix(2, [1, SQRT2, Scalar(Fraction(1, 3), Fraction(2, 3)), 0])
+    assert repr(m) == "Matrix(2: [1, 1*sqrt2; 1/3+2/3*sqrt2, 0])"
+
 
 def test_rank_examples():
     assert rank(all_ones(4)) == 1

@@ -15,6 +15,7 @@ from symalg.predicates import (
     _decide,
     _eigen_pair,
     _ew_alternating_pairs,
+    _ew_reverse,
     _verdict,
     check_algebraic,
     check_entrywise,
@@ -32,6 +33,7 @@ from references import (
     eigen_pair_full,
     membership_inputs,
     reflection_odd_full,
+    reverse_full,
     space_member,
     verdicts_agree,
 )
@@ -121,7 +123,7 @@ def test_odd_mn_fall_back_to_algebraic():
 
 def test_identity_classification():
     rep = classify(identity(4))
-    assert rep.props["B"].holds
+    assert rep.props["B"].holds and bool(rep.props["B"]) and not rep.props["A"]
     assert rep.props["Q"].holds
     assert rep.props["S"].holds and rep.props["S"].weight == Scalar(1) / 4
     assert not rep.props["A"].holds
@@ -354,7 +356,30 @@ def test_early_exit_routes_equal_their_full_sum_references():
                 got = _ew_alternating_pairs(e, n)
                 assert got == alternating_pairs_full(e, n), (n, e)
                 holds.add(got[0])
+                got = _ew_reverse(e, n)
+                assert got == reverse_full(e, n), (n, e)
+                holds.add(got[0])
     assert holds == {True, False}
+
+
+def test_entrywise_reverse_reads_each_mirror_pair_once_and_still_sees_every_break():
+    # A reverse member broken at one entry of one row: at the odd-n centre,
+    # which is its own mirror, or in the second half of the row, whose
+    # mirror pair the route reads from the first half.  Each row is also
+    # read as a column, by the transpose.
+    rng = random.Random(4)
+    for n in range(3, 10):
+        e = random_member("r", n, rng).P
+        assert _ew_reverse(e, n) == reverse_full(e, n) == (True, None, 1)
+        spots = [n // 2] if n % 2 else []
+        spots += range((n + 1) // 2, n - 1)
+        for i in range(n):
+            for j in spots:
+                for k in (i * n + j, j * n + i):
+                    bumped = list(e)
+                    bumped[k] += 1
+                    got = _ew_reverse(bumped, n)
+                    assert got == reverse_full(bumped, n) == (False, None, 1), (n, k)
 
 
 class _CountedReads(tuple):

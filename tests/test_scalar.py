@@ -106,6 +106,17 @@ def test_constructor_rejects_floats():
         Scalar(0.1)
     with pytest.raises(TypeError):
         Scalar(1, 0.5)
+    with pytest.raises(TypeError, match="use as_scalar"):
+        Scalar(Scalar(1))
+
+
+def test_a_string_is_never_a_scalar_operand():
+    x = Scalar(1, 2)
+    assert not x == "1" and x != "1"
+    for op in (lambda: x + "1", lambda: x - "1", lambda: x * "1", lambda: x / "1"):
+        with pytest.raises(TypeError):
+            op()
+    assert +x is x
 
 
 @given(scalars, scalars)

@@ -10,7 +10,6 @@ from symalg import verify as V
 from symalg.blockform import INVOLUTIONS
 from symalg.construct import (
     _Form,
-    constructor_basis,
     extract_most_perfect_vectors,
     make_most_perfect,
     make_reversible,
@@ -898,9 +897,8 @@ def test_mps_certificate_counts_every_basis_pair_and_triple():
     for n, k in ((4, 4), (6, 4), (8, 8)):
         pairs, triples = V.mps_certificates(n)
         assert pairs.basis == triples.basis == k
-        # The members span the whole oracle space: the certificate covers
-        # every most perfect square, not only the constructor's.
-        assert V.dimension_probe("MPS", n) == k
+        # The members are the oracle basis, as large as the constructor's.
+        assert len(V.build_constraints("MPS", n).basis) == V.dimension_probe("MPS", n) == k
         assert (pairs.products, triples.products) == (k**2, k**3)
         assert pairs.ok and triples.ok and not pairs.witnesses
     checks = [c for c in V.run_suite("lemmas", n_max=2, trials=1)["checks"]
@@ -910,16 +908,33 @@ def test_mps_certificate_counts_every_basis_pair_and_triple():
 
 
 def _mps_basis(n):
-    # The (γ, δ) pairs of the members the certificate is proved on.
-    return [extract_most_perfect_vectors(m) for m in constructor_basis("mps", n)]
+    # The oracle basis matrices the certificate is proved on, with the
+    # (γ, δ) that the matrix path reads back from each.
+    mats = V.build_constraints("MPS", n).basis_matrices()
+    return mats, [extract_most_perfect_vectors(m) for m in mats]
+
+
+def _dense(n, entries):
+    vec = [0] * (n * n)
+    for k, num in entries:
+        vec[k] = num
+    return vec
 
 
 def test_mps_certificate_agrees_with_the_matrix_path():
     for n in (4, 6, 8):
-        basis = _mps_basis(n)
-        assert [m for _, _, m in V._mps_members(n)] == [
-            [x.p for x in make_most_perfect(g, d, n).entries] for g, d in basis
-        ]
+        mats, basis = _mps_basis(n)
+        unit = [(i * n + i, 1) for i in range(n)]
+        oracle = V.build_constraints("MPS", n).basis
+        for (den, entries), m, (gamma, delta) in zip(oracle, mats, basis):
+            g, d, terms, rows = V._mps_member(n, entries)
+            # g = B·Σ = n·den·γ and d = Bᵀ·Σ = n·den·δ for the numerator B = den·M.
+            assert Vector(g) == gamma.scale(n * den) and Vector(d) == delta.scale(n * den)
+            assert make_most_perfect(gamma, delta, n) == m
+            # The terms are those of n²·B and the rows those of B: times I, each gives itself.
+            vec = _dense(n, entries)
+            assert V._int_product(n, terms, V._by_row(n, unit)) == [n * n * x for x in vec]
+            assert V._int_product(n, V._terms(n, unit), rows) == vec
         k = len(basis)
         for i, j, l in ((0, 0, 0), (0, k - 1, 1), (k - 1, 1, k // 2), (1, k // 2, k - 1)):
             (g1, d1), (g2, d2), (g3, d3) = basis[i], basis[j], basis[l]
@@ -930,28 +945,29 @@ def test_mps_certificate_agrees_with_the_matrix_path():
 
 def test_perturbed_mps_identity_fails_with_its_basis_witness(monkeypatch):
     n, bad = 4, 2
-    members = V._mps_members(n)
-    gamma, delta, m = members[bad]
-    m = list(m)
-    m[1] += 1  # no longer γΣᵀ + Σδᵀ
-    members[bad] = (gamma, delta, m)
-    monkeypatch.setattr(V, "_mps_members", lambda n: members)
+    den, entries = V.build_constraints("MPS", n).basis[bad]
+    vec = _dense(n, entries)
+    vec[1] += 1  # no longer γΣᵀ + Σδᵀ
+    perturbed, read = V._sparse(vec), V._mps_member
+    monkeypatch.setattr(V, "_mps_member", lambda n, e: read(n, perturbed if e is entries else e))
     pairs, triples = V.mps_certificates(n)
     assert not pairs.ok and not triples.ok
     assert pairs.to_dict()["witnesses"] == pairs.witnesses
     (i, j), (x, y, z) = pairs.witnesses[0]["basis_pair"], triples.witnesses[0]["basis_triple"]
     assert bad in (i, j) and bad in (x, y, z)
-    # Confirmed in Matrix arithmetic: with the perturbed member, the pair
-    # and the triple named as witnesses break their identities.
-    basis = _mps_basis(n)
-    mats = [make_most_perfect(g, d, n) for g, d in basis]
-    mats[bad] = Matrix(n, tuple(Scalar(v) for v in m))
+    # Confirmed in Matrix arithmetic: with the perturbed member, and γ, δ
+    # read back from it, the pair and the triple named as witnesses break
+    # their identities.
+    mats, basis = _mps_basis(n)
+    mats[bad] = Matrix.from_parts(n, vec, None, den)
+    read_back = [extract_most_perfect_vectors(m) for m in mats]
     sig = Vector([1, -1] * (n // 2))
-    (gi, di), (gj, dj) = basis[i], basis[j]
+    (gi, di), (gj, dj) = read_back[i], read_back[j]
     want = gi.scale(Scalar(n)).outer(dj) + sig.scale(di.dot(gj)).outer(sig)
     assert mats[i] @ mats[j] != want
-    (gx, dx), (gy, dy), (gz, dz) = basis[x], basis[y], basis[z]
+    (gx, dx), (gy, dy), (gz, dz) = read_back[x], read_back[y], read_back[z]
     want = gx.scale(dy.dot(gz) * n).outer(sig) + sig.outer(dz.scale(dx.dot(gy) * n))
     assert mats[x] @ mats[y] @ mats[z] != want
     # The unperturbed members pass both on the same witnesses.
+    (gx, dx), (gy, dy), (gz, dz) = basis[x], basis[y], basis[z]
     assert mps_triple_product_check(gx, dx, gy, dy, gz, dz, n)
