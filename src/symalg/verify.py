@@ -7,8 +7,9 @@ nullspace basis is read off the pivots on first use and then cached, so a
 dimension check never builds it.  The suites then check, against that
 oracle and against the predicates:
 
-* dimension formulas and the four direct-sum splits,
-* the seven graded-algebra product laws and the most-perfect
+* dimension formulas, and dim even + dim odd = n² for each of the four
+  split pairs (this alone does not show that the sum is direct),
+* the 25 product laws of the seven gradings and the most-perfect
   triple-product and parasymmetry identities, proved on every product of
   oracle nullspace basis matrices (not built by the constructors, so the
   checks do not inherit constructor bugs),

@@ -12,11 +12,11 @@ import pytest
 
 from symalg import io as mio
 from symalg import verify as V
-from symalg.blockform import conjugate_x, from_block, to_block
+from symalg.blockform import SPLIT_TAGS, conjugate_x, from_block, to_block
 from symalg.cli import main as cli_main
 from symalg.construct import CONSTRUCTIBLE, random_member
 from symalg.matrix import Matrix, all_ones, rank
-from symalg.predicates import classify, even_only, in_space
+from symalg.predicates import classify, even_only, exists, in_space
 from symalg.scalar import Scalar
 
 MPS6_BLOCK_INPUT = Matrix.from_rows(
@@ -74,10 +74,9 @@ def test_criterion_2_dimension_formulas():
     for n in range(2, 9):
         ok &= V.dimension_probe("S", n) == n * n - 2 * n + 2
         ok &= V.dimension_probe("V", n) == 2 * n - 2
-        for even_tag, odd_tag in (("B", "A"), ("S", "V"), ("N", "M"), ("Q", "P")):
-            if n % 2 and even_only(even_tag):
-                continue
-            ok &= V.dimension_probe(even_tag, n) + V.dimension_probe(odd_tag, n) == n * n
+        for pair in SPLIT_TAGS.values():
+            if all(exists(tag, n) for tag in pair):
+                ok &= sum(V.dimension_probe(tag, n) for tag in pair) == n * n
     elapsed = time.perf_counter() - t0
     _report(
         2,

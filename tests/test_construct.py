@@ -4,15 +4,14 @@ from fractions import Fraction
 import pytest
 
 from symalg import construct as C
-from symalg.blockform import conjugate_x
 from symalg.elim import rank_of_parts
 from symalg.errors import DimensionError, PreconditionError
-from symalg.matrix import Matrix, Vector, all_ones, alternating, identity, ones, rank, zeros
+from symalg.matrix import Matrix, all_ones, alternating, identity, rank, zeros
 from symalg.predicates import check_entrywise, classify, even_only, in_space
 from symalg.scalar import SQRT2, Scalar
 from symalg.verify import build_constraints, dimension_probe
 
-from references import basis_combination
+import beyond
 
 
 def entrywise_vertex_all_quadruples(m):
@@ -399,16 +398,7 @@ def test_even_only_kinds_match_the_space_table():
 
 @pytest.mark.parametrize("kind", C.CONSTRUCTIBLE)
 def test_a_draw_is_a_combination_of_the_constructor_basis(kind):
-    # The makers are linear, so a draw of one coefficient per parameter
-    # spanning element is the same combination of the constructor basis,
-    # drawn from the generator in the same order.
-    for n in range(1, 9):
-        if n % 2 and even_only(kind):
-            continue
-        for seed in range(3):
-            rng, ref = random.Random(seed), random.Random(seed)
-            assert C.random_member(kind, n, rng) == basis_combination(kind, n, ref), (n, seed)
-            assert rng.getstate() == ref.getstate(), (n, seed)
+    beyond.seeded_draws(range(1, 9), seeds=range(3), kinds=(kind,))
 
 
 def test_entry_spaces_do_no_scalar_arithmetic(monkeypatch):

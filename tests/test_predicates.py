@@ -11,12 +11,7 @@ from symalg.matrix import Matrix, all_ones, alternating, identity, zeros
 from symalg.predicates import (
     COMPOSITES,
     SPACES,
-    _agree,
-    _decide,
-    _eigen_pair,
-    _ew_alternating_pairs,
     _ew_reverse,
-    _verdict,
     check_algebraic,
     check_entrywise,
     classify,
@@ -27,16 +22,8 @@ from symalg.predicates import (
 )
 from symalg.scalar import SQRT2, Scalar
 
-from references import (
-    alternating_pairs_full,
-    classified,
-    eigen_pair_full,
-    membership_inputs,
-    reflection_odd_full,
-    reverse_full,
-    space_member,
-    verdicts_agree,
-)
+import beyond
+from references import reverse_full, space_member, verdicts_agree
 
 
 def rand_matrix(n, rng):
@@ -233,19 +220,7 @@ def test_in_space_judges_the_weight_of_both_parts():
 
 
 def test_in_space_applies_the_rule_classify_does():
-    # One rule judges membership for both: for every space and composite,
-    # on members, shifted members and dense non-members at n = 1..9.
-    rng = random.Random(2016)
-    seen = {tag: set() for tag in list(SPACES) + list(COMPOSITES)}
-    for n in range(1, 10):
-        tags = [tag for tag in seen if exists(tag, n)]
-        for m in membership_inputs(n, rng):
-            report = classify(m)
-            for tag in tags:
-                verdict = in_space(m, tag)
-                assert verdict == classified(report, tag), (n, tag, m)
-                seen[tag].add(verdict)
-    assert all(verdicts == {True, False} for verdicts in seen.values()), seen
+    beyond.in_space_rule(range(1, 10), seed=2016)
 
 
 def test_dual_route_agreement_large_n_eight():
@@ -305,61 +280,12 @@ def test_in_space_rejects_even_only_tags_at_odd_n():
     assert all(in_space(zeros(4), tag) for tag in even_tags)
 
 
-def _moved(decided):
-    # `_decide` results near `decided`: `holds` flipped, the weight of the
-    # rational or the √2 part moved, and the weight written over 2·den.
-    holds, num, num_q, den = decided
-    yield (not holds, num, num_q, den)
-    if num is not None:
-        yield (holds, num + 1, num_q, den)
-        yield (holds, num, num_q - 1, den)
-        yield (holds, 2 * num, 2 * num_q, 2 * den)
-        yield (holds, 2 * num + 1, 2 * num_q, 2 * den)
-        yield (holds, None, 0, den)
-
-
 def test_agreement_rule_on_decisions_is_the_verdict_rule():
-    # For every dual-route property, the rule on two `_decide` results says
-    # what the reference says on the verdicts built from them: on the two
-    # routes' decisions, and on the algebraic one moved in holds or weight.
-    rng = random.Random(34)
-    seen = set()
-    for n in range(1, 10):
-        for m in membership_inputs(n, rng):
-            for prop in dual_routes(n):
-                space = SPACES[prop]
-                first, second = _decide(space.entrywise, m), _decide(space.algebraic, m)
-                assert verdicts_agree(check_entrywise(m, prop), check_algebraic(m, prop))
-                for other in (second, *_moved(second)):
-                    want = verdicts_agree(
-                        _verdict("entrywise", first, m), _verdict("algebraic", other, m)
-                    )
-                    assert _agree(first, other) == want, (n, prop, first, other)
-                    seen.add((first[0], want))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    beyond.agreement_rule(range(1, 10), seed=34)
 
 
 def test_early_exit_routes_equal_their_full_sum_references():
-    # The eigen-pair test, the entrywise N test and the reflection closed
-    # form stop at the first broken sum, and say what forming every sum says.
-    rng = random.Random(35)
-    holds = set()
-    for n in range(1, 10):
-        for m in membership_inputs(n, rng):
-            for e in filter(None, (m.P, m.Q)):
-                for kind in ("SV", "NM"):
-                    got = _eigen_pair(e, n, kind)
-                    assert got == eigen_pair_full(e, n, kind), (n, kind, e)
-                    holds.add(got[0])
-                    y = INVOLUTIONS[kind].axis(n)
-                    assert list(reflection_odd(e, n, y)) == reflection_odd_full(e, n, y)
-                got = _ew_alternating_pairs(e, n)
-                assert got == alternating_pairs_full(e, n), (n, e)
-                holds.add(got[0])
-                got = _ew_reverse(e, n)
-                assert got == reverse_full(e, n), (n, e)
-                holds.add(got[0])
-    assert holds == {True, False}
+    beyond.early_exit_kernels(range(1, 10), seed=35)
 
 
 def test_entrywise_reverse_reads_each_mirror_pair_once_and_still_sees_every_break():

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from symalg import verify as V
-from symalg.blockform import INVOLUTIONS
 from symalg.construct import (
     _Form,
     extract_most_perfect_vectors,
@@ -19,9 +18,10 @@ from symalg.elim import integer_rref, nullspace_of_rref
 from symalg.errors import DimensionError, VerificationError
 from symalg.io import matrix_from_json_obj
 from symalg.matrix import Matrix, Vector, all_ones, rank, zeros
-from symalg.predicates import COMPOSITES, SPACES, check_entrywise, even_only, exists, in_space
+from symalg.predicates import COMPOSITES, SPACES, check_entrywise, exists, in_space
 from symalg.scalar import Scalar
 
+import beyond
 from references import (
     mps_triple_product_check,
     parasymmetry_check,
@@ -37,22 +37,6 @@ def test_contract_examples():
     assert V.build_constraints("S", 4).nullity == 10
     assert V.build_constraints("MENTRY", 3).nullity == 0
     assert V.dimension_probe("V", 4) == 6
-
-
-def test_dimension_formulas_small():
-    for n in range(2, 7):
-        assert V.dimension_probe("S", n) == n * n - 2 * n + 2
-        assert V.dimension_probe("V", n) == 2 * n - 2
-
-
-def test_split_dimensions_sum_to_full_space():
-    for n in range(2, 7):
-        for even_tag, odd_tag in (("B", "A"), ("S", "V"), ("N", "M"), ("Q", "P")):
-            if n % 2 and even_only(even_tag):
-                continue
-            assert (
-                V.dimension_probe(even_tag, n) + V.dimension_probe(odd_tag, n) == n * n
-            )
 
 
 def test_even_only_spaces_rejected_at_odd_n():
@@ -427,59 +411,12 @@ def test_oracle_rejects_nonpositive_n():
 
 
 def test_oracle_nullity_matches_sympy():
-    # A second, independent exact solver on the same equations.  Its
-    # nullspace uses the same free-variable basis, so the bases must agree
-    # entry for entry, not only in number.
     pytest.importorskip("sympy")
-    from sympy.polys.domains import QQ
-    from sympy.polys.matrices import DomainMatrix
-
-    for tag in list(V._ATOMS) + list(V.COMPOSITES):
-        for n in range(1, 9):
-            if n % 2 and even_only(tag):
-                continue
-            sys = V.build_constraints(tag, n)
-            assert all(type(x) is int for row in sys.rows for x in row.values())
-            rows = [[QQ(0)] * (n * n) for _ in sys.rows]
-            for dense, row in zip(rows, sys.rows):
-                for k, x in row.items():
-                    dense[k] = QQ(x)
-            null = DomainMatrix(rows, (len(rows), n * n), QQ).nullspace()
-            assert null.shape[0] == sys.nullity, (tag, n)
-            want = [
-                [Fraction(int(x.numerator), int(x.denominator)) for x in vec]
-                for vec in null.to_list()
-            ]
-            got = []
-            for den, entries in sys.basis:
-                vec = [Fraction(0)] * (n * n)
-                for k, num in entries:
-                    vec[k] = Fraction(num, den)
-                got.append(vec)
-            assert got == want, (tag, n)
+    beyond.sympy_nullities(range(1, 9))
 
 
 def test_composed_reduction_equals_a_fresh_reduction_of_the_literal_rows():
-    # Composites and V are reduced from their parts' pivot rows; the result
-    # must be the RREF and nullspace of the stacked literal rows themselves.
-    for tag in list(V._ATOMS) + list(V.COMPOSITES):
-        for n in range(1, 13):
-            if not exists(tag, n):
-                continue
-            sys = V.build_constraints(tag, n)
-            assert sys.pivots == integer_rref(sys.rows), (tag, n)
-            assert sys.basis == nullspace_of_rref(integer_rref(sys.rows), n * n), (tag, n)
-
-
-def test_nullity_from_the_pivot_count_is_the_basis_size():
-    # Rank–nullity: the nullity is read from the pivot count, the basis off
-    # the pivot rows, one vector per free column.
-    for tag in list(V._ATOMS) + list(V.COMPOSITES):
-        for n in range(1, 11):
-            if not exists(tag, n):
-                continue
-            sys = V.build_constraints(tag, n)
-            assert sys.nullity == len(sys.basis) == n * n - len(sys.pivots), (tag, n)
+    beyond.oracle_systems(range(1, 13))
 
 
 def test_nullity_never_builds_the_basis(monkeypatch):
@@ -833,31 +770,7 @@ def test_rank_certificate_matches_the_matrix_compression():
 
 
 def test_compressed_entry_is_the_first_nonzero_of_the_dense_compression():
-    # `_compressed_entry` reads C·B·C = n²·B − O − t·u·uᵀ from the closed
-    # form; here C@B@C is the dense product, on every oracle basis matrix of
-    # the rank-bound spaces and on each with a unit added at its first or
-    # at its last entry, so both the zero and the witness branch are met.
-    found = {True: 0, False: 0}
-    for tag in ("MPS", "REVERSIBLE", "V"):
-        oracle, kind, _ = V._RANK_BOUNDS[tag]
-        for n in range(1, 9):
-            if not exists(oracle, n):
-                continue
-            u = INVOLUTIONS[kind].axis(n)
-            for _, entries in V.build_constraints(oracle, n).basis:
-                for bump in ((), (0,), (n * n - 1,)):
-                    vec = [0] * (n * n)
-                    for k, num in entries:
-                        vec[k] = num
-                    for k in bump:
-                        vec[k] += 1
-                    cbc = _compressed(Matrix.from_parts(n, vec, None, 1), u)
-                    first = next(
-                        ([r, c] for r in range(n) for c in range(n) if cbc[r, c] != 0), None
-                    )
-                    assert V._compressed_entry(n, u, V._sparse(vec)) == first, (tag, n, bump)
-                    found[first is None] += 1
-    assert found[True] > 0 and found[False] > 0, found
+    beyond.compressions(range(1, 9), seed=0)
 
 
 def test_first_broken_unit_sits_at_the_first_pivot_column():
@@ -894,13 +807,8 @@ def test_rank_certificate_names_the_basis_matrix_it_breaks(monkeypatch):
 
 
 def test_mps_certificate_counts_every_basis_pair_and_triple():
-    for n, k in ((4, 4), (6, 4), (8, 8)):
-        pairs, triples = V.mps_certificates(n)
-        assert pairs.basis == triples.basis == k
-        # The members are the oracle basis, as large as the constructor's.
-        assert len(V.build_constraints("MPS", n).basis) == V.dimension_probe("MPS", n) == k
-        assert (pairs.products, triples.products) == (k**2, k**3)
-        assert pairs.ok and triples.ok and not pairs.witnesses
+    beyond.mps_identities((4, 6, 8))
+    assert [V.dimension_probe("MPS", n) for n in (4, 6, 8)] == [4, 4, 8]
     checks = [c for c in V.run_suite("lemmas", n_max=2, trials=1)["checks"]
               if "MPS" in c["name"] or "parasymmetry" in c["name"]]
     assert [c["products"] for c in checks] == [64, 16, 64, 16, 512, 64]
